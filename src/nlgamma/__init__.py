@@ -2,12 +2,9 @@
 higher derivatives by independent cross-validating routes, the special
 functions underneath them, and a verification CLI.
 
-Hot kernels live in a compiled extension when one is built, with a
-pure-Python fallback selected automatically at import
-(``nlgamma.backend_name()`` tells you which).
+Pure Python throughout; the scalar kernels live in ``_backend.kernels``.
 """
 
-from ._backend import BACKEND
 from .delta import (
     EvalResult,
     MAX_DERIV_ORDER,
@@ -45,6 +42,8 @@ from .specfun import (
 )
 
 __version__ = "1.0.0"
+
+BACKEND = "python"
 
 __all__ = [
     "BACKEND",
@@ -86,5 +85,5 @@ __all__ = [
 
 
 def backend_name():
-    """Which kernel backend is active: 'cython' or 'python'."""
+    """Name of the kernel implementation; always 'python'."""
     return BACKEND

@@ -1,33 +1,1 @@
-"""Kernel backend selection.
-
-The compiled extension ``_ckernels`` (Cython) is preferred; the pure-Python
-twin ``pykernels`` is the fallback so the package works without a build
-step.  ``BACKEND`` records which one is active; benchmarks and the parity
-test import both modules explicitly.
-"""
-
-try:
-    from . import _ckernels as kernels
-
-    BACKEND = "cython"
-except ImportError:  # no compiled extension available
-    from . import pykernels as kernels
-
-    BACKEND = "python"
-
-EULER_GAMMA = kernels.EULER_GAMMA
-digamma = kernels.digamma
-ei_defect = kernels.ei_defect
-frac = kernels.frac
-gamma_zero_series = kernels.gamma_zero_series
-hurwitz_zeta = kernels.hurwitz_zeta
-hz_route_integrand = kernels.hz_route_integrand
-laplace_integrand = kernels.laplace_integrand
-laplace_tail_weight = kernels.laplace_tail_weight
-ln_gamma = kernels.ln_gamma
-p1 = kernels.p1
-p1_route_integrand = kernels.p1_route_integrand
-prop2_integrand = kernels.prop2_integrand
-trunc_exp_factor = kernels.trunc_exp_factor
-upper_incomplete_gamma_int = kernels.upper_incomplete_gamma_int
-zeta_int = kernels.zeta_int
+"""Scalar kernels; see ``kernels``."""

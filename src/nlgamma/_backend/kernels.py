@@ -1,13 +1,9 @@
-"""Pure-Python scalar kernels.
+"""Scalar kernels.
 
 These are the hot primitives everything else is built on: log-gamma,
 digamma, Hurwitz zeta via Euler-Maclaurin, the integer-order upper
 incomplete gamma, fractional-part helpers and a few fused integrands
 that quadrature loops evaluate millions of times.
-
-The compiled extension ``_ckernels`` implements the same functions with
-the same algorithms; ``nlgamma._backend`` picks whichever is available.
-Keep the two files in sync (the parity test compares them).
 """
 
 from __future__ import annotations
@@ -26,11 +22,9 @@ __all__ = [
     "laplace_tail_weight",
     "ln_gamma",
     "p1",
-    "p1_route_integrand",
     "prop2_integrand",
     "trunc_exp_factor",
     "upper_incomplete_gamma_int",
-    "zeta_int",
 ]
 
 EULER_GAMMA = 0.5772156649015328606
@@ -121,13 +115,6 @@ def _fill_zeta_cache():
     for k in range(2, _ZETA_TABLE_MAX + 1):
         _zeta_cache[k] = hurwitz_zeta(float(k), 1.0)
     _zeta_ready = True
-
-
-def zeta_int(k):
-    """zeta(k) for integer 2 <= k <= 64, from a table filled on first use."""
-    if not _zeta_ready:
-        _fill_zeta_cache()
-    return _zeta_cache[k]
 
 
 def _lgam_taylor_at_1(t):
@@ -350,11 +337,6 @@ def hz_route_integrand(m, x, u):
     if u <= 0.0:
         return 0.0
     return u ** m * hurwitz_zeta(m + 1.0, x * u + 1.0)
-
-
-def p1_route_integrand(m, x, t):
-    """p1(t) / ((t+1) (t+x+1)^(m+1)): sawtooth-weighted kernel of the 2F1 route."""
-    return p1(t) / ((t + 1.0) * (t + x + 1.0) ** (m + 1))
 
 
 def prop2_integrand(m, j, t):

@@ -74,8 +74,8 @@ class EvalResult:
 
 
 def _check_x(x):
-    if not x > -1.0:
-        raise ValueError(f"domain error: need x > -1, got {x}")
+    if not -1.0 < x < math.inf:
+        raise ValueError(f"domain error: need -1 < x < inf, got {x}")
 
 
 def _check_m(m):

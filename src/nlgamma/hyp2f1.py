@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 
 from . import quad
-from ._backend import digamma, ln_gamma
+from ._backend.kernels import digamma, ln_gamma
 from .report import IdentityResidual
 
 __all__ = [

@@ -14,7 +14,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from ._backend import hurwitz_zeta, p1
+from ._backend.kernels import hurwitz_zeta, p1
 
 __all__ = [
     "PowerTail",

@@ -2,7 +2,7 @@
 
 Log-gamma, digamma/polygamma, Hurwitz and Riemann zeta, the
 integer-parameter upper incomplete gamma, and Gamma(0, x).  Thin
-domain-checked wrappers over the kernel backend plus the precomputed
+domain-checked wrappers over the scalar kernels plus the precomputed
 constant tables every other module shares.
 """
 

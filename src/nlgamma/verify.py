@@ -40,6 +40,14 @@ def _tol(default, override):
     return default if override is None else override
 
 
+def _rescaled(r, tol):
+    """Re-judge `r` against `tol` relative to max(|lhs|, |rhs|); no-op for None."""
+    if tol is not None:
+        r.tolerance = tol * max(abs(r.lhs), abs(r.rhs), 1e-300)
+        r.passed = abs(r.residual) <= r.tolerance
+    return r
+
+
 def suite_routes(tol=None, cfg=quad.DEFAULT_CONFIG):
     """Pairwise route agreement plus the exact special values."""
     rep = VerificationReport(suite="routes")
@@ -115,12 +123,7 @@ def suite_recurrence(tol=None, cfg=quad.DEFAULT_CONFIG):
     rep = VerificationReport(suite="recurrence")
     for m in range(2, 11):
         for x in ROUTE_GRID_X:
-            r = recurrence_residual(m, x, Route.CLOSED, cfg)
-            if tol is not None:
-                scale = max(abs(r.lhs), abs(r.rhs), 1e-300)
-                r.tolerance = tol * scale
-                r.passed = abs(r.residual) <= r.tolerance
-            rep.add(r)
+            rep.add(_rescaled(recurrence_residual(m, x, Route.CLOSED, cfg), tol))
     return rep
 
 
@@ -206,11 +209,7 @@ def suite_appendix(tol=None, cfg=quad.DEFAULT_CONFIG):
         for n in range(0, 9):
             for x in A5_GRID_X if tag == "A5" else APPENDIX_GRID_X:
                 r = hyp2f1.hyp_identity_residual(tag, n, x)
-                tolerance = _tol(overrides[tag], tol)
-                scale = max(abs(r.lhs), abs(r.rhs), 1e-300)
-                r.tolerance = tolerance * scale
-                r.passed = abs(r.residual) <= r.tolerance
-                rep.add(r)
+                rep.add(_rescaled(r, _tol(overrides[tag], tol)))
     for n in range(0, 9):
         for x in (0.1, 0.5, 1.0, 2.0, 10.0):
             descended = hyp2f1.hyp_recurrence_descent(n, x)
@@ -232,11 +231,7 @@ def suite_appendix(tol=None, cfg=quad.DEFAULT_CONFIG):
     for abc in hyp2f1.D25_TRIPLES:
         for x in (0.5, 2.0):
             r = hyp2f1.hyp_identity_residual("D25", 0, x, abc=abc)
-            if tol is not None:
-                scale = max(abs(r.lhs), abs(r.rhs), 1e-300)
-                r.tolerance = tol * scale
-                r.passed = abs(r.residual) <= r.tolerance
-            rep.add(r)
+            rep.add(_rescaled(r, tol))
     for n in range(0, 7):
         y = n + 1.0
         for c_minus_b, series_val, branch_val in (

@@ -48,6 +48,13 @@ class TestEval:
         assert out == ""
         assert "domain" in err
 
+    @pytest.mark.parametrize("fn", ["delta", "deriv"])
+    def test_infinite_x_exits_2(self, capsys, fn):
+        rc, out, err = run_cli(capsys, "eval", "--fn", fn, "--m", "2", "--x", "inf")
+        assert rc == 2
+        assert out == ""
+        assert "domain" in err
+
     def test_rel_tol_flag(self, capsys):
         rc, out, _ = run_cli(
             capsys,
@@ -199,6 +206,17 @@ class TestTable:
             "--start", "0", "--stop", "1", "--count", "0",
         )
         assert rc == 2
+
+    @pytest.mark.parametrize("fn", ["delta", "deriv"])
+    def test_infinite_x_exits_2(self, capsys, fn):
+        rc, out, err = run_cli(
+            capsys,
+            "table", "--fn", fn, "--m", "1",
+            "--start", "inf", "--stop", "inf", "--count", "1",
+        )
+        assert rc == 2
+        assert out == ""
+        assert "domain" in err
 
     def test_unknown_route(self, capsys):
         rc, _, err = run_cli(

@@ -52,6 +52,11 @@ class TestDeltaValue:
         with pytest.raises(ValueError):
             delta(-1.0)
 
+    @pytest.mark.parametrize("x", [math.inf, math.nan])
+    def test_non_finite_x_rejected(self, x):
+        with pytest.raises(ValueError, match="domain"):
+            delta(x)
+
 
 class TestRouteAgreement:
     @pytest.mark.parametrize("m", range(1, 9))
@@ -118,6 +123,11 @@ class TestRouteAgreement:
             delta_deriv(MAX_DERIV_ORDER + 1, 1.0)
         with pytest.raises(ValueError):
             delta_deriv(1, -1.5)
+
+    @pytest.mark.parametrize("route", [None] + list(Route))
+    def test_infinite_x_rejected(self, route):
+        with pytest.raises(ValueError, match="domain"):
+            delta_deriv(1, math.inf, route)
 
     def test_default_route_selection(self):
         assert default_route(1, 0.0) is Route.SERIES

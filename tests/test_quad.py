@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nlgamma._backend import frac, p1
+from nlgamma._backend.kernels import frac, p1
 from nlgamma.quad import (
     PowerTail,
     QuadConfig,
