@@ -80,8 +80,8 @@ def _build_parser():
 def _cfg_for(rel_tol):
     if rel_tol is None:
         return DEFAULT_CONFIG
-    if rel_tol <= 0.0:
-        raise _CliError("--rel-tol must be positive")
+    if not 0.0 < rel_tol < math.inf:
+        raise _CliError(f"--rel-tol must be positive and finite, got {rel_tol}")
     return QuadConfig(rel_tol=rel_tol)
 
 
@@ -92,6 +92,9 @@ def _route_for(name, m, x):
 
 
 def _grid(start, stop, count, log_spacing):
+    for flag, value in (("--start", start), ("--stop", stop)):
+        if not math.isfinite(value):
+            raise _CliError(f"domain error: {flag} must be finite, got {value}")
     if count < 1:
         raise _CliError("--count must be >= 1")
     if count == 1:
@@ -136,7 +139,7 @@ def _cmd_verify(args):
 
 def _cmd_table(args):
     if args.start <= -1.0:
-        raise _CliError("grid start must be > -1")
+        raise _CliError(f"--start must be > -1, got {args.start}")
     xs = _grid(args.start, args.stop, args.count, args.log)
     try:
         routes = [Route[r.strip()] for r in args.routes.split(",") if r.strip()]

@@ -225,13 +225,7 @@ def _hyp(m, x, cfg):
     term1 = f1 * xp1 ** (-(m + 1.0)) / (2.0 * (m + 1.0))
     term2 = f2 * xp1 ** (-float(m)) / (m * (m + 1.0))
 
-    def g(t):
-        return 1.0 / ((t + 1.0) * (t + xp1) ** (m + 1))
-
-    def gprime_mag(t):
-        return g(t) * (1.0 / (t + 1.0) + (m + 1.0) / (t + xp1))
-
-    p = quad.p1_integral(g, gprime_mag, 0.0, cfg)
+    p = quad.p1_integral(((1.0, 1.0), (xp1, m + 1.0)), 0.0, cfg)
     fact = math.factorial(m)
     value = _sign_for(m) * fact * (term1 + term2 - p.value)
     err = fact * (

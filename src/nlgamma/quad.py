@@ -3,15 +3,19 @@
 Adaptive Gauss-Legendre panels (order 15, with an order-7 embedding for
 the error estimate) for finite intervals, a unit-interval splitter for
 semi-infinite integrands whose only breakpoints sit on the integer
-lattice, a sawtooth-weighted integrator with paired intervals, and the
-periodization transform relating integrals of f({x/b})/(x+c)^lambda to
-finite Hurwitz-zeta moments.
+lattice, a sawtooth integrator for products of powers that stops after a
+few unit intervals with a bounded periodic-Bernoulli (Euler-Maclaurin)
+tail, and the periodization transform relating integrals of
+f({x/b})/(x+c)^lambda to finite Hurwitz-zeta moments.  The sawtooth
+tail keeps its own Bernoulli weights: the HYP route built on it is
+cross-checked against the Hurwitz-zeta kernel, so it must not share it.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 
 from ._backend.kernels import hurwitz_zeta, p1
@@ -68,8 +72,8 @@ class QuadConfig:
     tail_stop: float = 1e-14
 
     def __post_init__(self):
-        if self.rel_tol <= 0.0 or self.abs_tol < 0.0:
-            raise ValueError("tolerances must be positive")
+        if not (0.0 < self.rel_tol < math.inf and 0.0 <= self.abs_tol < math.inf):
+            raise ValueError("need 0 < rel_tol < inf and 0 <= abs_tol < inf")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
 
@@ -323,53 +327,153 @@ def integrate_unit_split(f, start, cfg=DEFAULT_CONFIG, tail=None):
     return QuadResult(value, err, n_evals, converged)
 
 
-def p1_integral(g, gprime_mag, start, cfg=DEFAULT_CONFIG):
-    """integral_start^inf p1(t) g(t) dt for smooth positive decreasing g.
+# B_2k/(2k)! for k = 1..11, the weights of the periodic-Bernoulli tail
+# (DLMF 24.17).  Written out here rather than taken from the Hurwitz-zeta
+# kernel, so the sawtooth route shares no code with what it cross-checks.
+_EM_WEIGHTS = (
+    1 / 12,
+    -1 / 720,
+    1 / 30240,
+    -1 / 1209600,
+    1 / 47900160,
+    -691 / 1307674368000,
+    1 / 74724249600,
+    -3617 / 10670622842880000,
+    43867 / 5109094217170944000,
+    -174611 / 802857662698291200000,
+    77683 / 14101100039391805440000,
+)
 
-    Consecutive unit intervals are paired (the sawtooth has zero mean, so
-    pairs cancel to one order better) and each interval is split at its
-    half-integer sign change.  Once truncated at an integer X the exact
-    correction -g(X)/12 is applied; integrating the remainder by parts
-    twice bounds it by 0.01*|g'(X)|, supplied via gprime_mag.
+# The same weights for Taylor coefficients: B_2k/(2k)! * (2k-2)!.
+_EM_TAYLOR = tuple(w * math.factorial(2 * k) for k, w in enumerate(_EM_WEIGHTS))
+
+
+def _product_coefficient(series, n):
+    """Coefficient n of the product of the power series in `series`."""
+    acc = series[0][: n + 1]
+    if len(series) == 1:
+        return acc[n]
+    for r in series[1:-1]:
+        acc = [sum(map(operator.mul, acc[: i + 1], r[i::-1])) for i in range(n + 1)]
+    return sum(map(operator.mul, acc, series[-1][n::-1]))
+
+
+def _sawtooth_tail(factors, x, tol):
+    """(value, bound) of integral_x^inf p1(t) g(t) dt, or None.
+
+    The tail is -sum_k B_2k/(2k)! g^(2k-2)(x) + R_K.  g is completely
+    monotone, so |R_K| is at most the first omitted term; K is the first
+    count whose next term is within tol.  The terms' magnitudes are
+    log-convex in k (even moments of g's Bernstein measure times
+    2 zeta(2k)/(2 pi)^2k), so once the ratio r of the last two terms
+    gives |term| r^(terms left) > tol no later term can meet tol, and
+    None is returned: x is still too close to the poles.
+
+    g^(n)(x)/n! comes from the Leibniz rule on the factors' own Taylor
+    coefficients, (-1)^n C(p+n-1, n) (x+c)^(-p-n), built only as far as
+    the terms go.  Every product in those sums has the sign (-1)^n, so
+    plain summation loses nothing.
+    """
+    params = [(p, 1.0 / (x + c)) for c, p in factors]
+    series = [[u**p] for p, u in params]
+    value = 0.0
+    prev = math.inf
+    for k, w in enumerate(_EM_TAYLOR):
+        n = 2 * k
+        for (p, u), r in zip(params, series):
+            for j in range(len(r) - 1, n):
+                r.append(-r[j] * (p + j) * u / (j + 1))
+        term = -w * _product_coefficient(series, n)
+        size = abs(term)
+        if size <= tol:
+            return value, size
+        ratio = size / prev
+        if not ratio < 1.0 or size * ratio ** (len(_EM_TAYLOR) - 1 - k) > tol:
+            return None
+        prev = size
+        value += term
+    return None
+
+
+def _first_breaks(factors, start):
+    """Points of (start, start + 1/2) where the distance to a pole -c
+    doubles, so that no panel straddles a peak its nodes cannot see."""
+    points = set()
+    for c, _ in factors:
+        t = start + (start + c)
+        while t < start + 0.5:
+            points.add(t)
+            t = 2.0 * t + c
+    return sorted(points)
+
+
+def p1_integral(factors, start, cfg=DEFAULT_CONFIG):
+    """integral_start^inf p1(t) g(t) dt with g(t) = prod (t + c)^(-p).
+
+    factors is a sequence of (c, p) pairs with p > 0 and start + c > 0, so
+    g is completely monotone on [start, inf); g and its derivatives are
+    built here from the factors.  Unit intervals from start are integrated
+    adaptively, one piece each.  The first is also split at its
+    half-integer and wherever the distance to a pole -c doubles, so a
+    peak narrower than a panel is still resolved.  The absolute allowance,
+    2e-15 g(start) per unit length, is shared out by piece width.
+
+    At each integer X reached, before the next interval, the
+    periodic-Bernoulli tail (DLMF 2.10(i), 24.17)
+
+        integral_X^inf p1 g = -g(X)/12 + g''(X)/720 - g''''(X)/30240 + ...
+
+    is tried with up to 11 terms.  For completely monotone g the
+    remainder after K terms is bounded by the first omitted term, so the
+    march stops at the first X where such a term is within 1e-16 |value|,
+    and that term is charged as the tail's error.  The tolerance is the
+    rounding floor of the sum, not cfg.rel_tol, because callers such as
+    HYP cancel this value against other terms.
     """
     if start != math.floor(start):
         raise ValueError("p1_integral expects an integer start")
+    factors = tuple((float(c), float(p)) for c, p in factors)
+    if not factors or not all(
+        0.0 < p < math.inf and 0.0 < start + c < math.inf for c, p in factors
+    ):
+        raise ValueError("p1_integral needs factors with p > 0 and start + c > 0")
+
+    def g(t):
+        v = 1.0
+        for c, p in factors:
+            v *= (t + c) ** -p
+        return v
+
     x = float(start)
     value = 0.0
     err = 0.0
     n_evals = 0
     converged = True
-    pair = 0.0
     intervals = 0
-    local = QuadConfig(
-        rel_tol=1e-12,
-        abs_tol=max(abs(g(x)) * 1e-15, 5e-300),
-        max_subdivisions=60,
-    )
+    # absolute allowance per unit of length, shared out by piece width
+    abs_density = max(g(x) * 2e-15, 1e-299)
+    edges = [x, *_first_breaks(factors, x), x + 0.5, x + 1.0]
     while True:
+        tail = _sawtooth_tail(factors, x, max(1e-16 * abs(value), 5e-300))
+        if tail is not None:
+            value += tail[0]
+            err += tail[1]
+            break
         if intervals >= cfg.tail_intervals_max:
             converged = False
             break
-        half = x + 0.5
-        r1 = integrate_finite(lambda t: p1(t) * g(t), x, half, local)
-        r2 = integrate_finite(lambda t: p1(t) * g(t), half, x + 1.0, local)
-        value += r1.value + r2.value
-        err += r1.abs_err_est + r2.abs_err_est
-        n_evals += r1.n_evals + r2.n_evals
-        converged = converged and r1.converged and r2.converged
-        pair += r1.value + r2.value
+        for a, b in zip(edges, edges[1:]):
+            local = QuadConfig(
+                rel_tol=1e-12, abs_tol=abs_density * (b - a), max_subdivisions=60
+            )
+            r = integrate_finite(lambda t: p1(t) * g(t), a, b, local)
+            value += r.value
+            err += r.abs_err_est
+            n_evals += r.n_evals
+            converged = converged and r.converged
         x += 1.0
         intervals += 1
-        if intervals % 2 == 0:
-            bound = 0.01 * abs(gprime_mag(x))
-            if (
-                abs(pair) < cfg.tail_stop
-                and bound <= 0.5 * max(cfg.abs_tol, cfg.rel_tol * abs(value))
-            ) or bound < 1e-300:
-                value -= g(x) / 12.0
-                err += bound
-                break
-            pair = 0.0
+        edges = (x, x + 1.0)
     converged = converged and err <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
     return QuadResult(value, err, n_evals, converged)
 

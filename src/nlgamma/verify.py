@@ -374,12 +374,7 @@ def suite_specfun(tol=None, cfg=quad.DEFAULT_CONFIG):
             )
     for s in (2.0, 3.0, 5.0):
         for a in (1.0, 1.5, 3.0):
-            p = quad.p1_integral(
-                lambda t: (t + a) ** (-s - 1.0),
-                lambda t: (s + 1.0) * (t + a) ** (-s - 2.0),
-                0.0,
-                quad.DEFAULT_CONFIG,
-            )
+            p = quad.p1_integral(((a, s + 1.0),), 0.0, quad.DEFAULT_CONFIG)
             lhs = a**-s / 2.0 + a ** (1.0 - s) / (s - 1.0) - s * p.value
             rep.add(
                 IdentityResidual(
@@ -392,9 +387,7 @@ def suite_specfun(tol=None, cfg=quad.DEFAULT_CONFIG):
                     passed=abs(lhs - specfun.hurwitz_zeta(s, a)) <= _tol(1e-9, tol),
                 )
             )
-    p = quad.p1_integral(
-        lambda t: (t + 1.0) ** -4.0, lambda t: 4.0 * (t + 1.0) ** -5.0, 0.0
-    )
+    p = quad.p1_integral(((1.0, 4.0),), 0.0)
     lhs = 0.5 + 0.5 - 3.0 * p.value
     rep.add(
         IdentityResidual(

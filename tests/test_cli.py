@@ -63,6 +63,17 @@ class TestEval:
         )
         assert rc == 0
 
+    @pytest.mark.parametrize("rel_tol", ["nan", "inf", "-inf"])
+    def test_non_finite_rel_tol_exits_2(self, capsys, rel_tol):
+        rc, out, err = run_cli(
+            capsys,
+            "eval", "--fn", "deriv", "--m", "2", "--x", "1", "--route", "HYP",
+            f"--rel-tol={rel_tol}",
+        )
+        assert rc == 2
+        assert out == ""
+        assert "--rel-tol" in err
+
     def test_determinism(self, capsys):
         outs = set()
         for _ in range(2):
@@ -218,6 +229,20 @@ class TestTable:
         assert out == ""
         assert "domain" in err
 
+    @pytest.mark.parametrize(
+        "flag,start,stop",
+        [("--stop", "0", "inf"), ("--start", "nan", "1"), ("--stop", "0", "-inf")],
+    )
+    def test_non_finite_grid_bound_exits_2(self, capsys, flag, start, stop):
+        rc, out, err = run_cli(
+            capsys,
+            "table", "--fn", "deriv", "--m", "1",
+            f"--start={start}", f"--stop={stop}", "--count", "3",
+        )
+        assert rc == 2
+        assert out == ""
+        assert flag in err
+
     def test_unknown_route(self, capsys):
         rc, _, err = run_cli(
             capsys,
@@ -252,6 +277,19 @@ class TestScan:
             capsys, "scan", "--m-max", "13", "--start", "0", "--stop", "1", "--count", "2"
         )
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "flag,start,stop",
+        [("--stop", "0", "inf"), ("--start", "-inf", "1"), ("--start", "nan", "1")],
+    )
+    def test_non_finite_grid_bound_exits_2(self, capsys, flag, start, stop):
+        rc, out, err = run_cli(
+            capsys, "scan", "--m-max", "2", f"--start={start}", f"--stop={stop}",
+            "--count", "3",
+        )
+        assert rc == 2
+        assert out == ""
+        assert flag in err
 
     def test_json_report(self, capsys, tmp_path):
         path = tmp_path / "scan.json"
