@@ -4,11 +4,19 @@ These are the hot primitives everything else is built on: log-gamma,
 digamma, Hurwitz zeta via Euler-Maclaurin, the integer-order upper
 incomplete gamma, fractional-part helpers and a few fused integrands
 that quadrature loops evaluate millions of times.
+
+zeta(k) and Euler's gamma come from the generated table in `_ddconsts`,
+the only one in the package; the Taylor form of ln Gamma around 1 and 2
+reads it.  The Hurwitz-zeta kernel computes its values on its own, so
+checking it against the table is not circular.  Compensated sums go
+through `math.fsum`.
 """
 
 from __future__ import annotations
 
 import math
+
+from .._ddconsts import EULER_GAMMA_DD, ZETA_DD
 
 __all__ = [
     "EULER_GAMMA",
@@ -21,13 +29,14 @@ __all__ = [
     "laplace_integrand",
     "laplace_tail_weight",
     "ln_gamma",
+    "ln_gamma_taylor",
     "p1",
     "prop2_integrand",
     "trunc_exp_factor",
     "upper_incomplete_gamma_int",
 ]
 
-EULER_GAMMA = 0.5772156649015328606
+EULER_GAMMA = EULER_GAMMA_DD[0]
 
 _LN_SQRT_TWO_PI = 0.9189385332046727418
 
@@ -52,7 +61,9 @@ _B2I_STIRLING = tuple(
 # B_{2i} / (2i)  -- digamma asymptotic coefficients.
 _B2I_DIGAMMA = tuple(p / (q * (2 * i + 2)) for i, (p, q) in enumerate(_BERNOULLI))
 
-_ZETA_TABLE_MAX = 64
+# zeta(k) - s for s = 0, 1: the Taylor coefficients of ln Gamma around 1
+# and 2, each rounded once from the table (hi - s is exact); k >= 2 used.
+_ZETA_LESS = tuple(tuple((hi - s) + lo for hi, lo in ZETA_DD) for s in (0, 1))
 
 
 def frac(x):
@@ -78,19 +89,12 @@ def hurwitz_zeta(s, a):
     if a <= 0.0:
         raise ValueError("hurwitz_zeta requires a > 0")
     n = max(10, int(math.ceil(10.0 + s)))
-    # direct terms with Neumaier compensation
-    acc = 0.0
-    comp = 0.0
-    for k in range(n):
-        term = (a + k) ** (-s)
-        t = acc + term
-        if abs(acc) >= abs(term):
-            comp += (acc - t) + term
-        else:
-            comp += (term - t) + acc
-        acc = t
     z = a + n
-    total = acc + comp + z ** (1.0 - s) / (s - 1.0) + 0.5 * z ** (-s)
+    total = (
+        math.fsum([(a + k) ** (-s) for k in range(n)])
+        + z ** (1.0 - s) / (s - 1.0)
+        + 0.5 * z ** (-s)
+    )
     zpow = z ** (-s - 1.0)
     poch = s
     z2 = z * z
@@ -104,51 +108,24 @@ def hurwitz_zeta(s, a):
     return total
 
 
-_zeta_cache = [0.0] * (_ZETA_TABLE_MAX + 1)
-_zeta_ready = False
+def ln_gamma_taylor(s, t):
+    """ln Gamma(1+s+t)/t for s in {0, 1} and |t| <= 0.5; s - gamma at t = 0.
 
-
-def _fill_zeta_cache():
-    # idempotent (same values every time), so a racing first call from
-    # two threads is benign; the ready flag is set only after the fill
-    global _zeta_ready
-    for k in range(2, _ZETA_TABLE_MAX + 1):
-        _zeta_cache[k] = hurwitz_zeta(float(k), 1.0)
-    _zeta_ready = True
-
-
-def _lgam_taylor_at_1(t):
-    # ln Gamma(1+t) = -gamma*t + sum_{k>=2} (-1)^k zeta(k) t^k / k, |t| <= 0.5
-    if not _zeta_ready:
-        _fill_zeta_cache()
+    ln Gamma(1+s+t) = (s - gamma) t + sum_{k>=2} (-1)^k (zeta(k) - s) t^k/k,
+    the Taylor form around the zeros of ln Gamma at 1 and 2.  Dividing by
+    t gives D(t) = ln Gamma(1+t)/t directly for s = 0.  s - gamma, like
+    zeta(k) - s, is rounded once from the double-double table.
+    """
+    coefs = _ZETA_LESS[s]
     acc = 0.0
-    tk = t
-    sign = 1.0
-    for k in range(2, _ZETA_TABLE_MAX + 1):
-        tk *= t
-        term = sign * _zeta_cache[k] * tk / k
+    tk = -1.0
+    for k in range(2, len(coefs)):
+        tk *= -t  # (-1)^k t^(k-1)
+        term = coefs[k] * tk / k
         acc += term
         if abs(term) <= 1e-18 * (abs(acc) + 1e-300):
             break
-        sign = -sign
-    return -EULER_GAMMA * t + acc
-
-
-def _lgam_taylor_at_2(t):
-    # ln Gamma(2+t) = (1-gamma)*t + sum_{k>=2} (-1)^k (zeta(k)-1) t^k / k
-    if not _zeta_ready:
-        _fill_zeta_cache()
-    acc = 0.0
-    tk = t
-    sign = 1.0
-    for k in range(2, _ZETA_TABLE_MAX + 1):
-        tk *= t
-        term = sign * (_zeta_cache[k] - 1.0) * tk / k
-        acc += term
-        if abs(term) <= 1e-18 * (abs(acc) + 1e-300):
-            break
-        sign = -sign
-    return (1.0 - EULER_GAMMA) * t + acc
+    return ((s - EULER_GAMMA_DD[0]) - EULER_GAMMA_DD[1]) + acc
 
 
 def _stirling_lgam(z):
@@ -171,12 +148,12 @@ def ln_gamma(x):
     """
     if x <= 0.0:
         raise ValueError("ln_gamma requires x > 0")
-    if 0.5 <= x <= 1.5:
-        return _lgam_taylor_at_1(x - 1.0)
-    if 1.5 < x <= 2.5:
-        return _lgam_taylor_at_2(x - 2.0)
+    if 0.5 <= x < 1.5:
+        return (x - 1.0) * ln_gamma_taylor(0, x - 1.0)
+    if 1.5 <= x <= 2.5:
+        return (x - 2.0) * ln_gamma_taylor(1, x - 2.0)
     if x < 0.5:
-        return _lgam_taylor_at_1(x) - math.log(x)
+        return x * ln_gamma_taylor(0, x) - math.log(x)
     shift = 0.0
     z = x
     while z < 8.0:
@@ -205,7 +182,7 @@ def digamma(x):
 
 
 def upper_incomplete_gamma_int(n, x):
-    """Gamma(n+1, x) = n! e^(-x) sum_{m=0}^n x^m/m!, ascending, compensated."""
+    """Gamma(n+1, x) = n! e^(-x) sum_{m=0}^n x^m/m!, summed by math.fsum."""
     if n < 0:
         raise ValueError("upper_incomplete_gamma_int requires n >= 0")
     if x < 0.0:
@@ -213,17 +190,11 @@ def upper_incomplete_gamma_int(n, x):
     if n > 170:
         raise ValueError("upper_incomplete_gamma_int: n too large for double range")
     term = 1.0
-    acc = 1.0
-    comp = 0.0
+    terms = [term]
     for m in range(1, n + 1):
         term *= x / m
-        t = acc + term
-        if abs(acc) >= abs(term):
-            comp += (acc - t) + term
-        else:
-            comp += (term - t) + acc
-        acc = t
-    return float(math.factorial(n)) * math.exp(-x) * (acc + comp)
+        terms.append(term)
+    return float(math.factorial(n)) * math.exp(-x) * math.fsum(terms)
 
 
 def trunc_exp_factor(m, y):
@@ -278,22 +249,18 @@ def gamma_zero_series(x):
     if x <= 0.0:
         raise ValueError("gamma_zero_series requires x > 0")
     u = 1.0
+    terms = []
     acc = 0.0
-    comp = 0.0
     k = 1
     while True:
         u *= -x / k
         term = u / k
-        t = acc + term
-        if abs(acc) >= abs(term):
-            comp += (acc - t) + term
-        else:
-            comp += (term - t) + acc
-        acc = t
+        terms.append(term)
+        acc += term
         if abs(term) <= 1e-18 * (abs(acc) + 1e-300) and k > x:
             break
         k += 1
-    return -(EULER_GAMMA + math.log(x) + acc + comp)
+    return -(EULER_GAMMA + math.log(x) + math.fsum(terms))
 
 
 def _gamma_zero_asymp(x):
@@ -313,22 +280,18 @@ def ei_defect(t):
         raise ValueError("ei_defect requires t > 0")
     if t <= 30.0:
         u = -t
+        terms = []
         acc = 0.0
-        comp = 0.0
         k = 2
         while True:
             u *= -t / k
             term = u / k
-            tt = acc + term
-            if abs(acc) >= abs(term):
-                comp += (acc - tt) + term
-            else:
-                comp += (term - tt) + acc
-            acc = tt
+            terms.append(term)
+            acc += term
             if abs(term) <= 1e-18 * (abs(acc) + 1e-300) and k > t:
                 break
             k += 1
-        return -(acc + comp)
+        return -math.fsum(terms)
     return EULER_GAMMA + math.log(t) - t + _gamma_zero_asymp(t)
 
 

@@ -86,20 +86,13 @@ def _check_m(m):
 def delta(x):
     """D(x) = ln Gamma(x+1)/x, extended by continuity to D(0) = -gamma.
 
-    Below |x| = 0.125 the Taylor form -gamma + sum_{k>=2} (-1)^k zeta(k)
-    x^(k-1)/k is used; the two branches agree to ~1e-15 at the seam.
+    Below |x| = 0.125 the log-gamma kernel's Taylor form gives D directly,
+    -gamma + sum_{k>=2} (-1)^k zeta(k) x^(k-1)/k; the two branches agree
+    to ~1e-15 at the seam.
     """
     _check_x(x)
     if abs(x) < SERIES_DEFAULT_THRESHOLD:
-        acc = 0.0
-        xk = 1.0  # x^(k-1), sign handled via (-1)^k
-        for k in range(2, K_MAX + 1):
-            xk *= x
-            term = CONSTANTS.zeta_values[k] * xk / k
-            acc += term if k % 2 == 0 else -term
-            if abs(xk) < 1e-20 * max(abs(acc), 1e-3):
-                break
-        return -CONSTANTS.euler_gamma + acc
+        return kernels.ln_gamma_taylor(0, x)
     return kernels.ln_gamma(x + 1.0) / x
 
 
@@ -119,9 +112,7 @@ def _closed(m, x):
     if abs(x) < SERIES_DEFAULT_THRESHOLD:
         value, err = _ddarith.closed_product_rule_dd(m, x)
         return EvalResult(value, err, Route.CLOSED, m + 1)
-    total = 0.0
-    comp = 0.0
-    magnitude = 0.0
+    terms = []
     xpow = x
     for j in range(m + 1):
         order = m - j - 1
@@ -133,17 +124,10 @@ def _closed(m, x):
             sign = 1.0 if order % 2 else -1.0
             psi = sign * math.factorial(order) * kernels.hurwitz_zeta(order + 1.0, x + 1.0)
         term = math.comb(m, j) * psi * math.factorial(j) / xpow
-        if j % 2:
-            term = -term
-        t = total + term
-        if abs(total) >= abs(term):
-            comp += (total - t) + term
-        else:
-            comp += (term - t) + total
-        total = t
-        magnitude = max(magnitude, abs(term))
+        terms.append(-term if j % 2 else term)
         xpow *= x
-    value = total + comp
+    value = math.fsum(terms)
+    magnitude = max(map(abs, terms))
     err = 2.0 * (abs(value) + magnitude) * 1.1e-15
     return EvalResult(value, err, Route.CLOSED, m + 1)
 

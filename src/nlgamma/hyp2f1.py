@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 
 from . import quad
-from ._backend.kernels import digamma, ln_gamma
+from ._backend.kernels import EULER_GAMMA, digamma, ln_gamma
 from .report import IdentityResidual
 
 __all__ = [
@@ -58,21 +58,17 @@ def _is_nonpositive_int(v):
 def _series(a, b, c, z):
     """Defining series sum_k (a)_k (b)_k / ((c)_k k!) z^k, |z| < 1."""
     term = 1.0
-    acc = 1.0
-    comp = 0.0
+    terms = [term]
+    acc = term
     small = 0
     for k in range(1, MAX_SERIES_TERMS):
         term *= (a + k - 1.0) * (b + k - 1.0) * z / ((c + k - 1.0) * k)
-        t = acc + term
-        if abs(acc) >= abs(term):
-            comp += (acc - t) + term
-        else:
-            comp += (term - t) + acc
-        acc = t
+        terms.append(term)
+        acc += term
         if abs(term) <= 1e-17 * (abs(acc) + 1e-300):
             small += 1
             if small >= 2:
-                return acc + comp
+                return math.fsum(terms)
         else:
             small = 0
     raise ConvergenceError(
@@ -85,7 +81,7 @@ def _log_branch_cb1(y, z):
     y * sum_k ((y)_k/k!) [psi(k+1) - psi(k+y) - ln(1-z)] (1-z)^k."""
     w = 1.0 - z
     lnw = math.log(w)
-    psi1 = -0.5772156649015328606  # psi(1)
+    psi1 = -EULER_GAMMA  # psi(1)
     psiy = digamma(y)
     coef = 1.0
     wk = 1.0
@@ -107,7 +103,7 @@ def _log_branch_cb2(y, z):
     y+1 - y(y+1) sum_k ((y+1)_k/k!) [psi(k+1) - psi(k+y+1) - ln(1-z)] (1-z)^(k+1)."""
     w = 1.0 - z
     lnw = math.log(w)
-    psi1 = -0.5772156649015328606
+    psi1 = -EULER_GAMMA
     psiy = digamma(y + 1.0)
     coef = 1.0
     wk = w

@@ -121,10 +121,11 @@ def integrate_finite(f, a, b, cfg=DEFAULT_CONFIG):
     """Adaptive integral of f over [a, b].
 
     Globally adaptive bisection: the panel with the worst error estimate
-    is split until the summed estimate meets max(abs_tol, rel_tol*|I|) or
-    the subdivision budget runs out (flagged via converged=False, never
-    silently).  The estimate |GL15 - GL7| tracks the error of the cruder
-    rule, so it errs on the safe side for smooth integrands.
+    is split until the error, the summed panel estimates plus a rounding
+    term 2e-16 * sum |panel|, meets max(abs_tol, rel_tol*|I|, 4e-16*|I|)
+    or the subdivision budget runs out (flagged via converged=False,
+    never silently).  The estimate |GL15 - GL7| tracks the error of the
+    cruder rule, so it errs on the safe side for smooth integrands.
     """
     if a == b:
         return QuadResult(0.0, 0.0, 0, True)
@@ -134,16 +135,16 @@ def integrate_finite(f, a, b, cfg=DEFAULT_CONFIG):
     n_evals = 22
     heap = [(-err, a, b, value)]
     frozen = []  # panels at the double-precision width floor: kept, not split
-    frozen_err = 0.0
     n_splits = 0
     converged = True
     width_floor = 1e-15 * (b - a)
     while True:
-        total = math.fsum(item[3] for item in heap) + math.fsum(
-            item[3] for item in frozen
+        panels = heap + frozen
+        total = math.fsum(item[3] for item in panels)
+        total_err = math.fsum(-item[0] for item in panels) + 2e-16 * math.fsum(
+            abs(item[3]) for item in panels
         )
-        total_err = math.fsum(-item[0] for item in heap) + frozen_err
-        if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+        if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total), 4e-16 * abs(total)):
             break
         if n_splits >= cfg.max_subdivisions or not heap:
             converged = False
@@ -151,7 +152,6 @@ def integrate_finite(f, a, b, cfg=DEFAULT_CONFIG):
         neg_err, pa, pb, pv = heapq.heappop(heap)
         if pb - pa <= width_floor:
             frozen.append((neg_err, pa, pb, pv))
-            frozen_err += -neg_err
             continue
         mid = 0.5 * (pa + pb)
         v1, e1 = _panel(f, pa, mid)
@@ -160,13 +160,7 @@ def integrate_finite(f, a, b, cfg=DEFAULT_CONFIG):
         heapq.heappush(heap, (-e1, pa, mid, v1))
         heapq.heappush(heap, (-e2, mid, pb, v2))
         n_splits += 1
-    panels = sorted(heap + frozen, key=lambda item: item[1])
-    value = math.fsum(p[3] for p in panels)
-    err = math.fsum(-p[0] for p in panels) + 2e-16 * math.fsum(abs(p[3]) for p in panels)
-    converged = converged and err <= max(
-        cfg.abs_tol, cfg.rel_tol * abs(value), 4e-16 * abs(value)
-    )
-    return QuadResult(value, err, n_evals, converged)
+    return QuadResult(total, total_err, n_evals, converged)
 
 
 @dataclass(frozen=True)

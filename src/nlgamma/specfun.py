@@ -2,8 +2,9 @@
 
 Log-gamma, digamma/polygamma, Hurwitz and Riemann zeta, the
 integer-parameter upper incomplete gamma, and Gamma(0, x).  Thin
-domain-checked wrappers over the scalar kernels plus the precomputed
-constant tables every other module shares.
+domain-checked wrappers over the scalar kernels, plus double-precision
+views of the one zeta/gamma table (`_ddconsts`) that the other modules
+share.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass, field
 
 from . import quad
 from ._backend import kernels
+from ._ddconsts import ZETA_DD
 
 __all__ = [
     "CONSTANTS",
@@ -24,10 +26,9 @@ __all__ = [
     "polygamma",
     "riemann_zeta",
     "upper_incomplete_gamma_int",
-    "zeta_minus_one",
 ]
 
-K_MAX = 64
+K_MAX = len(ZETA_DD) - 1
 
 # Gamma(0, x): the alternating series loses roughly 2x/ln(10) digits to
 # cancellation, so it is abandoned well before the documented 1e-11
@@ -103,28 +104,6 @@ def gamma_zero(x):
     return math.exp(-x) * (r.value + math.exp(-big) / (x + big))
 
 
-def zeta_minus_one(k):
-    """zeta(k) - 1 for integer k >= 2, computed without cancellation.
-
-    The defining series minus its leading term: sum_{j>=2} j^(-k), which
-    decays like 2^(-k); used by the geometric-tail expansions.
-    """
-    if k < 2:
-        raise ValueError("zeta_minus_one: need k >= 2")
-    if k < 40:
-        return kernels.hurwitz_zeta(float(k), 2.0)
-    # below double-precision visibility of zeta(k) itself
-    acc = 0.0
-    j = 2
-    while True:
-        term = float(j) ** (-k)
-        acc += term
-        if term <= 1e-18 * acc:
-            break
-        j += 1
-    return acc
-
-
 @dataclass(frozen=True)
 class SpecialConstants:
     """Shared constants: Euler's gamma, a few logs, and zeta(2..K_MAX)."""
@@ -137,12 +116,12 @@ class SpecialConstants:
 
     @classmethod
     def build(cls):
-        zv = [0.0, 0.0] + [riemann_zeta(float(k)) for k in range(2, K_MAX + 1)]
-        zm = [0.0, 0.0] + [zeta_minus_one(k) for k in range(2, K_MAX + 1)]
+        """Round the double-double table: zeta(k) is hi, and zeta(k) - 1 is
+        (hi - 1) + lo, exact before its one rounding (hi is in [1, 2])."""
+        rows = ZETA_DD[2:]
+        zv = [0.0, 0.0] + [hi for hi, _ in rows]
+        zm = [0.0, 0.0] + [(hi - 1.0) + lo for hi, lo in rows]
         return cls(zeta_values=tuple(zv), zeta_minus_one_values=tuple(zm))
-
-    def zeta(self, k):
-        return self.zeta_values[k]
 
 
 CONSTANTS = SpecialConstants.build()

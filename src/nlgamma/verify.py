@@ -140,14 +140,8 @@ def suite_prop2(tol=None, cfg=quad.DEFAULT_CONFIG):
                 else min(1e-6, lhs.abs_err_est + rhs.abs_err_est + 1e-12)
             )
             rep.add(
-                IdentityResidual(
-                    identity="frac_rep",
-                    point={"m": m, "k": k},
-                    lhs=lhs.value,
-                    rhs=rhs.value,
-                    residual=lhs.value - rhs.value,
-                    tolerance=tolerance,
-                    passed=abs(lhs.value - rhs.value) <= tolerance,
+                IdentityResidual.build(
+                    "frac_rep", {"m": m, "k": k}, lhs.value, rhs.value, tolerance
                 )
             )
     for m in range(1, 9):
@@ -273,14 +267,8 @@ def suite_asymptotic(tol=None, cfg=quad.DEFAULT_CONFIG):
                 )
             )
         rep.add(
-            IdentityResidual(
-                identity="ratio_gap_at_1e4",
-                point={"m": m},
-                lhs=gaps[2],
-                rhs=0.0,
-                residual=gaps[2],
-                tolerance=_tol(5e-3, tol),
-                passed=gaps[2] <= _tol(5e-3, tol),
+            IdentityResidual.build(
+                "ratio_gap_at_1e4", {"m": m}, gaps[2], 0.0, _tol(5e-3, tol)
             )
         )
         rep.add(
@@ -377,27 +365,23 @@ def suite_specfun(tol=None, cfg=quad.DEFAULT_CONFIG):
             p = quad.p1_integral(((a, s + 1.0),), 0.0, quad.DEFAULT_CONFIG)
             lhs = a**-s / 2.0 + a ** (1.0 - s) / (s - 1.0) - s * p.value
             rep.add(
-                IdentityResidual(
-                    identity="sawtooth_zeta_form",
-                    point={"s": s, "a": a},
-                    lhs=lhs,
-                    rhs=specfun.hurwitz_zeta(s, a),
-                    residual=lhs - specfun.hurwitz_zeta(s, a),
-                    tolerance=_tol(1e-9, tol),
-                    passed=abs(lhs - specfun.hurwitz_zeta(s, a)) <= _tol(1e-9, tol),
+                IdentityResidual.build(
+                    "sawtooth_zeta_form",
+                    {"s": s, "a": a},
+                    lhs,
+                    specfun.hurwitz_zeta(s, a),
+                    _tol(1e-9, tol),
                 )
             )
     p = quad.p1_integral(((1.0, 4.0),), 0.0)
     lhs = 0.5 + 0.5 - 3.0 * p.value
     rep.add(
-        IdentityResidual(
-            identity="riemann_sawtooth_form",
-            point={"s": 3},
-            lhs=lhs,
-            rhs=specfun.riemann_zeta(3.0),
-            residual=lhs - specfun.riemann_zeta(3.0),
-            tolerance=_tol(1e-10, tol),
-            passed=abs(lhs - specfun.riemann_zeta(3.0)) <= _tol(1e-10, tol),
+        IdentityResidual.build(
+            "riemann_sawtooth_form",
+            {"s": 3},
+            lhs,
+            specfun.riemann_zeta(3.0),
+            _tol(1e-10, tol),
         )
     )
     rep.add(

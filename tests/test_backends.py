@@ -35,6 +35,6 @@ def test_pure_backend_self_contained():
     # the kernels need nothing beyond the standard library
     assert kernels.ln_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-14)
     assert kernels.hurwitz_zeta(2.0, 1.0) == pytest.approx(math.pi**2 / 6.0, rel=1e-14)
-    # the Taylor branch reads the zeta table filled on first use
+    # the Taylor branch reads the generated zeta table in _ddconsts
     half_ln_pi = 0.5 * math.log(math.pi)
     assert kernels.ln_gamma(1.5) == pytest.approx(half_ln_pi - math.log(2.0), rel=1e-14)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nlgamma._backend.kernels import frac, p1
+from nlgamma._backend.kernels import frac, laplace_integrand, p1
 from nlgamma.quad import (
     PowerTail,
     QuadConfig,
@@ -82,6 +82,19 @@ class TestIntegrateFinite:
     def test_converged_flag_respects_tolerance(self):
         cfg = QuadConfig(rel_tol=1e-11, abs_tol=1e-13)
         r = integrate_finite(lambda u: math.sin(3.0 * u) ** 2 + u, 0.0, 4.0, cfg)
+        assert r.converged
+        assert r.abs_err_est <= max(cfg.abs_tol, cfg.rel_tol * abs(r.value))
+
+    def test_rounding_term_counts_before_the_stop(self):
+        # the LAPLACE integrand at a point whose summed panel estimates
+        # alone land just inside the allowance: once the rounding term
+        # 2e-16 * sum|panel| is added the loop must keep splitting, not
+        # stop and then report converged=False
+        m, x = 4, 0.20709585262878225
+        cfg = QuadConfig(rel_tol=1e-12, abs_tol=5e-300)
+        r = integrate_finite(
+            lambda t: laplace_integrand(m, x, t), 0.0, 50.0 + m * math.log(50.0), cfg
+        )
         assert r.converged
         assert r.abs_err_est <= max(cfg.abs_tol, cfg.rel_tol * abs(r.value))
 
