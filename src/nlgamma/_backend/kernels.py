@@ -61,9 +61,12 @@ _B2I_STIRLING = tuple(
 # B_{2i} / (2i)  -- digamma asymptotic coefficients.
 _B2I_DIGAMMA = tuple(p / (q * (2 * i + 2)) for i, (p, q) in enumerate(_BERNOULLI))
 
-# zeta(k) - s for s = 0, 1: the Taylor coefficients of ln Gamma around 1
-# and 2, each rounded once from the table (hi - s is exact); k >= 2 used.
-_ZETA_LESS = tuple(tuple((hi - s) + lo for hi, lo in ZETA_DD) for s in (0, 1))
+# (zeta(k) - s)/k for s = 0, 1 and k >= 2: the Taylor coefficients of
+# ln Gamma around 1 and 2, from the table (hi - s is exact).
+_LGAMMA_TAYLOR = tuple(
+    tuple(((hi - s) + lo) / k for k, (hi, lo) in enumerate(ZETA_DD) if k >= 2)
+    for s in (0, 1)
+)
 
 
 def frac(x):
@@ -113,15 +116,14 @@ def ln_gamma_taylor(s, t):
 
     ln Gamma(1+s+t) = (s - gamma) t + sum_{k>=2} (-1)^k (zeta(k) - s) t^k/k,
     the Taylor form around the zeros of ln Gamma at 1 and 2.  Dividing by
-    t gives D(t) = ln Gamma(1+t)/t directly for s = 0.  s - gamma, like
-    zeta(k) - s, is rounded once from the double-double table.
+    t gives D(t) = ln Gamma(1+t)/t directly for s = 0.  s - gamma and the
+    coefficients (zeta(k) - s)/k are rounded from the double-double table.
     """
-    coefs = _ZETA_LESS[s]
     acc = 0.0
     tk = -1.0
-    for k in range(2, len(coefs)):
+    for coef in _LGAMMA_TAYLOR[s]:
         tk *= -t  # (-1)^k t^(k-1)
-        term = coefs[k] * tk / k
+        term = coef * tk
         acc += term
         if abs(term) <= 1e-18 * (abs(acc) + 1e-300):
             break
@@ -142,24 +144,27 @@ def _stirling_lgam(z):
 def ln_gamma(x):
     """ln Gamma(x) for x > 0.
 
-    Stirling with upward shifting for x outside [0.5, 2.5]; Taylor series
-    around the zeros at 1 and 2 inside, which keeps the *relative* error
-    small where ln Gamma itself crosses zero.
+    Taylor series around the zeros at 1 and 2 on [0.5, 2.5], which keeps
+    the *relative* error small where ln Gamma itself crosses zero; below,
+    ln Gamma(x) = ln Gamma(x+1) - ln x.  On (2.5, 8) the argument is
+    shifted down into (1.5, 2.5] by ln Gamma(x) = ln Gamma(x-k) +
+    ln((x-1)...(x-k)): the product is at least x - 1 > 1.5, so nothing
+    cancels (an upward shift to Stirling's range would subtract logs of
+    about the size of the result).  Stirling from 8 on.
     """
     if x <= 0.0:
         raise ValueError("ln_gamma requires x > 0")
     if 0.5 <= x < 1.5:
         return (x - 1.0) * ln_gamma_taylor(0, x - 1.0)
-    if 1.5 <= x <= 2.5:
-        return (x - 2.0) * ln_gamma_taylor(1, x - 2.0)
     if x < 0.5:
         return x * ln_gamma_taylor(0, x) - math.log(x)
-    shift = 0.0
-    z = x
-    while z < 8.0:
-        shift += math.log(z)
-        z += 1.0
-    return _stirling_lgam(z) - shift
+    if x >= 8.0:
+        return _stirling_lgam(x)
+    prod = 1.0
+    while x > 2.5:
+        x -= 1.0  # exact: x < 8
+        prod *= x
+    return (x - 2.0) * ln_gamma_taylor(1, x - 2.0) + math.log(prod)
 
 
 def digamma(x):

@@ -4,8 +4,8 @@ Covered: the a = 1 family (1, b; c; z) for real b, c; the diagonal
 family (p, p; p+1; -x); general real parameters at arguments reachable
 from those via the Pfaff map z -> z/(z-1); z = 1 with positive parameter
 excess via the Gauss summation theorem.  Near-unit arguments of the
-a = 1 family with c - b in {1, 2} switch to logarithmic expansions in
-(1 - z).  Everything else raises: full connection-formula machinery is
+a = 1 family with integer c - b >= 1 switch to the logarithmic expansion
+in (1 - z).  Everything else raises: full connection-formula machinery is
 out of scope.
 """
 
@@ -56,68 +56,65 @@ def _is_nonpositive_int(v):
 
 
 def _series(a, b, c, z):
-    """Defining series sum_k (a)_k (b)_k / ((c)_k k!) z^k, |z| < 1."""
+    """Defining series sum_k (a)_k (b)_k / ((c)_k k!) z^k, |z| < 1.
+
+    The term ratios tend to |z|, eventually from one side, so the rest
+    after a term is at most |term| r/(1-r) with r the larger of the last
+    ratio and |z|; the sum stops once that is below 1e-17 of it.
+    """
     term = 1.0
     terms = [term]
     acc = term
-    small = 0
     for k in range(1, MAX_SERIES_TERMS):
+        prev = abs(term)
         term *= (a + k - 1.0) * (b + k - 1.0) * z / ((c + k - 1.0) * k)
         terms.append(term)
         acc += term
-        if abs(term) <= 1e-17 * (abs(acc) + 1e-300):
-            small += 1
-            if small >= 2:
-                return math.fsum(terms)
-        else:
-            small = 0
+        r = max(abs(term) / prev, abs(z)) if prev else abs(z)
+        if abs(term) * r <= 1e-17 * (1.0 - r) * (abs(acc) + 1e-300):
+            return math.fsum(terms)
     raise ConvergenceError(
         f"2F1 series stalled: a={a} b={b} c={c} z={z}"
     )
 
 
-def _log_branch_cb1(y, z):
-    """(1, y; 1+y; z) for z near 1:
-    y * sum_k ((y)_k/k!) [psi(k+1) - psi(k+y) - ln(1-z)] (1-z)^k."""
+def _log_branch(b, c, z):
+    """(1, b; c; z) for z near 1 and integer c - b >= 1.
+
+    DLMF 15.8.10 with a = 1, m = c - b - 1 and w = 1 - z:
+
+      (b+m)/m! sum_{k<m} (b)_k (m-k-1)! (-w)^k
+        - (-w)^m (b)_(m+1)/m! sum_{k>=0} ((b+m)_k/k!)
+              [ln w - psi(k+1) + psi(b+m+k)] w^k
+
+    (the psi(a+m+k) and psi(k+m+1) of the general form cancel at a = 1).
+    As w -> 0 the finite sum tends to the Gauss sum (b+m)/m and the
+    logarithmic part is of order w^m ln w.
+    """
+    m = round(c - b) - 1
     w = 1.0 - z
     lnw = math.log(w)
+    fact_m = math.factorial(m)
+    terms = [
+        (b + m) * pochhammer(b, k) * math.factorial(m - k - 1) / fact_m * (-w) ** k
+        for k in range(m)
+    ]
+    acc = math.fsum(terms)
     psi1 = -EULER_GAMMA  # psi(1)
-    psiy = digamma(y)
-    coef = 1.0
+    psib = digamma(b + m)
+    coef = -((-w) ** m) * pochhammer(b, m + 1) / fact_m
     wk = 1.0
-    acc = 0.0
     for k in range(MAX_SERIES_TERMS):
-        term = coef * (psi1 - psiy - lnw) * wk
+        term = coef * (lnw - psi1 + psib) * wk
+        terms.append(term)
         acc += term
         if abs(term) <= 1e-17 * (abs(acc) + 1e-300) and k > 2:
-            return y * acc
-        coef *= (y + k) / (k + 1.0)
+            return math.fsum(terms)
+        coef *= (b + m + k) / (k + 1.0)
         wk *= w
         psi1 += 1.0 / (k + 1.0)
-        psiy += 1.0 / (y + k)
-    raise ConvergenceError(f"log branch (c-b=1) stalled: y={y} z={z}")
-
-
-def _log_branch_cb2(y, z):
-    """(1, y; 2+y; z) for z near 1:
-    y+1 - y(y+1) sum_k ((y+1)_k/k!) [psi(k+1) - psi(k+y+1) - ln(1-z)] (1-z)^(k+1)."""
-    w = 1.0 - z
-    lnw = math.log(w)
-    psi1 = -EULER_GAMMA
-    psiy = digamma(y + 1.0)
-    coef = 1.0
-    wk = w
-    acc = 0.0
-    for k in range(MAX_SERIES_TERMS):
-        term = coef * (psi1 - psiy - lnw) * wk
-        acc += term
-        if abs(term) <= 1e-17 * (abs(acc) + 1e-300) and k > 2:
-            return (y + 1.0) - y * (y + 1.0) * acc
-        coef *= (y + 1.0 + k) / (k + 1.0)
-        wk *= w
-        psi1 += 1.0 / (k + 1.0)
-        psiy += 1.0 / (y + 1.0 + k)
-    raise ConvergenceError(f"log branch (c-b=2) stalled: y={y} z={z}")
+        psib += 1.0 / (b + m + k)
+    raise ConvergenceError(f"log branch stalled: b={b} c={c} z={z}")
 
 
 def _gauss_sum(a, b, c):
@@ -174,12 +171,8 @@ def gauss_2f1(a, b, c, z):
         return (1.0 - z) ** (-a) * gauss_2f1(a, c - b, c, w)
     if z <= _LOG_BRANCH_Z:
         return _series(a, b, c, z)
-    if a == 1.0:
-        d = c - b
-        if abs(d - 1.0) < 1e-12:
-            return _log_branch_cb1(b, z)
-        if abs(d - 2.0) < 1e-12:
-            return _log_branch_cb2(b, z)
+    if a == 1.0 and c - b >= 0.5 and abs(c - b - round(c - b)) < 1e-12:
+        return _log_branch(b, c, z)
     # the defining series converges for any |z| < 1; close to 1 it merely
     # slows down, and the term budget flags a genuine stall
     return _series(a, b, c, z)

@@ -3,7 +3,8 @@
 Each suite runs a fixed grid of identity checks and returns a
 VerificationReport; the CLI exposes them via `verify --suite NAME`.
 Default tolerances are the ones stated with each identity; a `tol`
-argument overrides them uniformly.
+argument overrides them uniformly, except the asymptotic suite's bound
+on a truncation gap, which is not a rounding tolerance.
 """
 
 from __future__ import annotations
@@ -228,16 +229,14 @@ def suite_appendix(tol=None, cfg=quad.DEFAULT_CONFIG):
             rep.add(_rescaled(r, tol))
     for n in range(0, 7):
         y = n + 1.0
-        for c_minus_b, series_val, branch_val in (
-            (1, hyp2f1._series(1.0, y, y + 1.0, 0.9), hyp2f1._log_branch_cb1(y, 0.9)),
-            (2, hyp2f1._series(1.0, y, y + 2.0, 0.9), hyp2f1._log_branch_cb2(y, 0.9)),
-        ):
+        for c_minus_b in (1, 2, 3):
+            c = y + c_minus_b
             rep.add(
                 IdentityResidual.build(
                     f"branch_continuity_cb{c_minus_b}",
                     {"y": y, "z": 0.9},
-                    series_val,
-                    branch_val,
+                    hyp2f1._series(1.0, y, c, 0.9),
+                    hyp2f1._log_branch(y, c, 0.9),
                     _tol(1e-10, tol),
                     1e-300,
                 )
@@ -246,7 +245,11 @@ def suite_appendix(tol=None, cfg=quad.DEFAULT_CONFIG):
 
 
 def suite_asymptotic(tol=None, cfg=quad.DEFAULT_CONFIG):
-    """Leading-order ratio convergence along x = 1e2, 1e3, 1e4."""
+    """Leading-order ratio convergence along x = 1e2, 1e3, 1e4.
+
+    `tol` is ignored: no check here has a rounding tolerance.
+    """
+    del tol
     rep = VerificationReport(suite="asymptotic")
     for m in range(1, 5):
         gaps = []
@@ -266,10 +269,10 @@ def suite_asymptotic(tol=None, cfg=quad.DEFAULT_CONFIG):
                     passed=abs(v - refined) < abs(v - lead),
                 )
             )
+        # bounds the truncation gap of the leading form (4e-4 to 1.4e-3
+        # for m = 1..4), not rounding, so `tol` does not rescale it
         rep.add(
-            IdentityResidual.build(
-                "ratio_gap_at_1e4", {"m": m}, gaps[2], 0.0, _tol(5e-3, tol)
-            )
+            IdentityResidual.build("ratio_gap_at_1e4", {"m": m}, gaps[2], 0.0, 5e-3)
         )
         rep.add(
             IdentityResidual(

@@ -106,6 +106,18 @@ class TestVerify:
         assert rc == 0
         assert "n_fail=0" in out.strip().splitlines()[-1]
 
+    @pytest.mark.parametrize(
+        "suite",
+        ["routes", "recurrence", "prop2", "prop4", "appendix", "asymptotic",
+         "halfint", "specfun"],
+    )
+    def test_every_suite_exits_zero_at_tol_1e_6(self, capsys, suite):
+        # asymptotic's ratio_gap_at_1e4 bounds a truncation gap of about
+        # 1e-3; rescaled by --tol it once failed at m = 1..4
+        rc, out, _ = run_cli(capsys, "verify", "--suite", suite, "--tol", "1e-6")
+        assert rc == 0
+        assert "n_fail=0" in out.strip().splitlines()[-1]
+
     def test_json_report_schema(self, capsys, tmp_path):
         path = tmp_path / "report.json"
         rc, _, _ = run_cli(capsys, "verify", "--suite", "prop4", "--json", str(path))

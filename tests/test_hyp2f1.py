@@ -12,8 +12,7 @@ from nlgamma.hyp2f1 import (
     hyp_identity_residual,
     hyp_recurrence_descent,
     pochhammer,
-    _log_branch_cb1,
-    _log_branch_cb2,
+    _log_branch,
     _series,
 )
 from nlgamma.quad import QuadConfig, integrate_finite
@@ -136,8 +135,30 @@ class TestLogBranches:
     @pytest.mark.parametrize("n", range(0, 7))
     def test_branch_continuity_at_switch(self, n):
         y = n + 1.0
-        assert rel(_series(1.0, y, y + 1.0, 0.9), _log_branch_cb1(y, 0.9)) < 1e-10
-        assert rel(_series(1.0, y, y + 2.0, 0.9), _log_branch_cb2(y, 0.9)) < 1e-10
+        for c_minus_b in (1.0, 2.0, 3.0):
+            c = y + c_minus_b
+            assert rel(_series(1.0, y, c, 0.9), _log_branch(y, c, 0.9)) < 1e-10
+
+    @pytest.mark.parametrize("c_minus_b", range(1, 15))
+    @pytest.mark.parametrize("b", [0.5, 1.0, 2.0, 3.7, 13.0])
+    def test_log_branch_against_mpmath(self, b, c_minus_b):
+        # c - b up to 14 covers the Pfaff images HYP reaches at m <= 12
+        mpmath = pytest.importorskip("mpmath")
+        c = b + c_minus_b
+        for z in (0.9, 0.99, 0.9999, 1.0 - 1e-8, 1.0 - 1e-12):
+            with mpmath.workdps(30):
+                ref = float(mpmath.hyp2f1(1, b, c, z))
+            assert rel(_log_branch(b, c, z), ref) < 4e-15, z
+            assert rel(gauss_2f1(1.0, b, c, z), ref) < 4e-15, z
+
+    def test_series_stop_counts_the_rest(self):
+        # the terms of (1, 1; 4; z) fall like 6 z^k/k^3, so near z = 1 the
+        # rest after a small term is far larger than the term: the series
+        # must run on (here past its budget), not stop early
+        from nlgamma.hyp2f1 import ConvergenceError
+
+        with pytest.raises(ConvergenceError):
+            _series(1.0, 1.0, 4.0, 0.9999)
 
     def test_deep_near_one(self):
         # against elementary closed forms at z = 0.999:

@@ -1,9 +1,11 @@
 """The Taylor form of ln Gamma around 1 and 2, in ulps against mpmath.
 
-The kernel's zone [0.5, 2.5] and D(x) = ln Gamma(1+x)/x below the
-|x| = 0.125 seam both read it.  The bounds pin the figures measured when
-the zeta table became the correctly rounded one and x = 1.5 moved to the
-expansion around 2; they sit just above those figures.
+The kernel's zone [0.5, 2.5], the downward shift from (2.5, 8) into it
+and D(x) = ln Gamma(1+x)/x below the |x| = 0.125 seam all read it.  The
+bounds pin the figures measured when the zeta table became the correctly
+rounded one and x = 1.5 moved to the expansion around 2, and when (2.5, 8)
+moved from the upward shift to Stirling to the downward one; they sit
+just above those figures.
 """
 
 import math
@@ -14,7 +16,7 @@ import pytest
 mp = pytest.importorskip("mpmath")
 
 from nlgamma._backend import kernels  # noqa: E402
-from nlgamma.delta import delta  # noqa: E402
+from nlgamma.delta import Route, delta, delta_deriv  # noqa: E402
 
 
 def _ulps(value, exact):
@@ -43,6 +45,28 @@ def test_ln_gamma_at_one_and_a_half():
     # the one around 1
     with mp.workdps(40):
         assert _ulps(kernels.ln_gamma(1.5), mp.loggamma(1.5)) <= 0.5
+
+
+def test_ln_gamma_shifted_down():
+    # measured: mean 0.35 ulp, max 1.70 ulp; the upward shift to
+    # Stirling's range subtracted logs about as large as the result and
+    # gave 5.6 and 99 (23 and 114 on (2.5, 3))
+    with mp.workdps(40):
+        errs = [
+            _ulps(kernels.ln_gamma(x), mp.loggamma(x)) for x in _grid(2.5, 8.0, 2001)
+        ]
+    assert statistics.mean(errs) <= 0.4
+    assert max(errs) <= 2.0
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 12])
+def test_closed_within_estimate_above_one_and_a_half(m, mp_deriv):
+    # CLOSED's j = m term is ln Gamma(x+1); with the upward shift 21 of
+    # these 246 values missed their estimate by 1.02-1.30x
+    for i in range(41):
+        x = 1.5 + 0.0125 * i
+        r = delta_deriv(m, x, Route.CLOSED)
+        assert abs(r.value - mp_deriv(m, x)) <= r.abs_err_est, x
 
 
 def test_delta_below_seam():

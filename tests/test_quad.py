@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from nlgamma import quad
 from nlgamma._backend.kernels import frac, laplace_integrand, p1
 from nlgamma.quad import (
     PowerTail,
@@ -112,6 +113,70 @@ class TestIntegrateFinite:
         assert abs(whole.value - parts.value) <= (
             whole.abs_err_est + parts.abs_err_est + 1e-14
         )
+
+
+class TestPanelRule:
+    """The frozen G7/K15 constants: a typo in one node or weight breaks
+    exactness at some degree, so every degree is checked."""
+
+    @staticmethod
+    def _rules():
+        wk0, wg0 = quad._GK15_CENTER
+        nodes = [(0.0, wk0, wg0)]
+        for xi, wk, wg in quad._GK15:
+            nodes += [(-xi, wk, wg), (xi, wk, wg)]
+        kronrod = [(x, wk) for x, wk, _ in nodes]
+        gauss = [(x, wg) for x, _, wg in nodes if wg]
+        return kronrod, gauss
+
+    @staticmethod
+    def _moment_error(rule, k):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        return abs(math.fsum(w * x**k for x, w in rule) - exact)
+
+    def test_node_counts(self):
+        kronrod, gauss = self._rules()
+        assert len(kronrod) == 15 and len(gauss) == 7
+        assert len({x for x, _ in kronrod}) == 15
+
+    def test_weights_sum_to_two(self):
+        for rule in self._rules():
+            assert abs(math.fsum(w for _, w in rule) - 2.0) <= 2.3e-16
+
+    @pytest.mark.parametrize("k", range(24))
+    def test_k15_exact_through_degree_23(self, k):
+        kronrod, _ = self._rules()
+        assert self._moment_error(kronrod, k) <= 2.3e-16
+
+    @pytest.mark.parametrize("k", range(14))
+    def test_g7_exact_through_degree_13(self, k):
+        _, gauss = self._rules()
+        assert self._moment_error(gauss, k) <= 2.3e-16
+
+    def test_g7_not_exact_at_degree_14(self):
+        _, gauss = self._rules()
+        assert self._moment_error(gauss, 14) > 1e-5
+
+    @pytest.mark.parametrize(
+        "f,a,b",
+        [
+            (lambda u: u**3, 0.0, 1.0),
+            (lambda u: abs(u - 1 / 3.0) ** 0.5, 0.0, 1.0),
+            (lambda t: laplace_integrand(6, 0.5, t), 0.0, 60.0),
+        ],
+        ids=["one_panel", "cusp", "laplace"],
+    )
+    def test_n_evals_counts_integrand_calls(self, f, a, b):
+        calls = 0
+
+        def counted(u):
+            nonlocal calls
+            calls += 1
+            return f(u)
+
+        r = integrate_finite(counted, a, b)
+        assert r.n_evals == calls
+        assert r.n_evals % 15 == 0
 
 
 class TestFracHelpers:
