@@ -26,6 +26,7 @@ __all__ = [
     "gamma_zero_series",
     "hurwitz_zeta",
     "hz_route_integrand",
+    "hz_route_integrand_reflected",
     "laplace_integrand",
     "laplace_tail_weight",
     "ln_gamma",
@@ -39,6 +40,9 @@ __all__ = [
 EULER_GAMMA = EULER_GAMMA_DD[0]
 
 _LN_SQRT_TWO_PI = 0.9189385332046727418
+
+# math.exp(-y) is 0.0 for every y above this
+_EXP_UNDERFLOW = 745.2
 
 # B_{2i} for 2i = 2..30 as exact rationals, rendered once to doubles.
 _BERNOULLI = (
@@ -82,16 +86,18 @@ def p1(x):
 def hurwitz_zeta(s, a):
     """Hurwitz zeta(s, a) = sum_{k>=0} (a+k)^(-s) for s > 1, a > 0.
 
-    Euler-Maclaurin: N = max(10, ceil(10 + s)) terms summed directly, then
-    the integral and half terms at a+N plus Bernoulli corrections through
-    B_30.  Relative error is ~1e-14 over s in [1.5, 60], a in (0, 1e6];
-    extreme corners (tiny a with huge s) can over/underflow double range.
+    Euler-Maclaurin: N = max(0, ceil(10 + s - a)) terms summed directly,
+    then the integral and half terms at a+N plus Bernoulli corrections
+    through B_30.  a + N >= 10 + s keeps the corrections converging as
+    fast as anywhere, and for a >= 10 + s the direct sum is empty.
+    Relative error is ~1e-14 over s in [1.5, 60], a in (0, 1e6]; extreme
+    corners (tiny a with huge s) can over/underflow double range.
     """
     if s <= 1.0:
         raise ValueError("hurwitz_zeta requires s > 1")
     if a <= 0.0:
         raise ValueError("hurwitz_zeta requires a > 0")
-    n = max(10, int(math.ceil(10.0 + s)))
+    n = max(0, math.ceil(10.0 + s - a))
     z = a + n
     total = (
         math.fsum([(a + k) ** (-s) for k in range(n)])
@@ -205,15 +211,20 @@ def upper_incomplete_gamma_int(n, x):
 def trunc_exp_factor(m, y):
     """E_m(y) = integral_0^1 u^m e^(-y u) du = [m! - Gamma(m+1, y)] / y^(m+1).
 
-    For small/moderate y the subtraction is done via the all-positive series
-    m! e^(-y) sum_{i>=0} y^i / (i+m+1)!; the direct form is used once
-    Gamma(m+1, y) is negligible against m!.
+    Up to y = m + 1 + 2 sqrt(m+1) the subtraction is done via the
+    all-positive series m! e^(-y) sum_{i>=0} y^i / (i+m+1)!.  Past it,
+    Gamma(m+1, y)/m! (a Poisson tail, two deviations out) is small, so the
+    closed form loses nothing to cancellation and costs m + 1 terms instead
+    of about y.  Once e^(-y) underflows (y > 745.2) Gamma(m+1, y) is 0 and
+    the result is m!/y^(m+1).
     """
     if y < 0.0:
         raise ValueError("trunc_exp_factor requires y >= 0")
     if y == 0.0:
         return 1.0 / (m + 1)
-    if y <= m + 30.0:
+    if y > _EXP_UNDERFLOW:
+        return math.factorial(m) * y ** -(m + 1)
+    if y <= m + 1 + 2.0 * math.sqrt(m + 1):
         term = 1.0 / (m + 1)
         acc = term
         i = 1
@@ -239,10 +250,21 @@ def laplace_integrand(m, x, t):
     return t ** m / math.expm1(t) * em
 
 
-def laplace_tail_weight(m, big_t):
-    """Bound on integral_T^inf of the laplace integrand (envelope E_m <= 1/(m+1))."""
-    g = upper_incomplete_gamma_int(m, big_t)
-    return g / ((m + 1) * -math.expm1(-big_t))
+def laplace_tail_weight(m, x, big_t):
+    """Bound on integral_T^inf of the laplace integrand.
+
+    For t >= T, 1/(e^t - 1) <= e^(-t)/(1 - e^(-T)), and E_m(x t) is at
+    most both 1/(m+1) and m!/(x t)^(m+1).  The first gives
+    Gamma(m+1, T)/((m+1)(1 - e^(-T))); the second, once x T > m + 1,
+    m!/x^(m+1) E_1(T)/(1 - e^(-T)) <= m!/x^(m+1) e^(-T)/(T (1 - e^(-T))).
+    The smaller is returned.
+    """
+    scale = -math.expm1(-big_t)
+    bound = upper_incomplete_gamma_int(m, big_t) / ((m + 1) * scale)
+    if x * big_t > m + 1:
+        decay = math.factorial(m) * x ** -(m + 1) * math.exp(-big_t) / (big_t * scale)
+        bound = min(bound, decay)
+    return bound
 
 
 def gamma_zero_series(x):
@@ -305,6 +327,18 @@ def hz_route_integrand(m, x, u):
     if u <= 0.0:
         return 0.0
     return u ** m * hurwitz_zeta(m + 1.0, x * u + 1.0)
+
+
+def hz_route_integrand_reflected(m, x, s):
+    """(1-s)^m * zeta(m+1, (1+x) - x s): hz_route_integrand at u = 1 - s.
+
+    For -1 < x < 0 the integrand peaks at u = 1, within 1 + x of its
+    pole.  Measured from there, a node s near 0 carries only relative
+    rounding and 1 + x is exact (Sterbenz), so the zeta argument keeps
+    full relative precision however close x is to -1; in u, the rounding
+    of a node near 1 would move that argument by 1e-16 absolute.
+    """
+    return (1.0 - s) ** m * hurwitz_zeta(m + 1.0, (1.0 + x) - x * s)
 
 
 def prop2_integrand(m, j, t):

@@ -162,24 +162,51 @@ def _sign_for(m):
     return 1.0 if (m - 1) % 2 == 0 else -1.0
 
 
+def _graded_mesh(pole, first, end):
+    """quad.graded_breaks up to end, with a last piece shorter than the
+    one before it merged into that one: such a sliver costs a panel and
+    is far enough from the pole not to need one."""
+    breaks = quad.graded_breaks(pole, first, end)
+    if len(breaks) >= 2 and end - breaks[-1] < breaks[-1] - breaks[-2]:
+        del breaks[-1]
+    return breaks
+
+
 def _hurwitz(m, x, cfg):
-    """(-1)^(m-1) m! integral_0^1 u^m zeta(m+1, x u + 1) du."""
+    """(-1)^(m-1) m! integral_0^1 u^m zeta(m+1, x u + 1) du.
+
+    zeta(m+1, x u + 1) has its pole at u = -1/x, and the integrand a
+    layer at the end of [0, 1] nearest it: at u ~ 1/x for x > 0, and at
+    u = 1 for x < 0, where the integral runs in s = 1 - u instead.  The
+    mesh is graded from that end, so bisection need not find the layer
+    by itself.  The estimate carries a 2e-15 |value| rounding floor for
+    the kernel, the panel sums and the scaling.
+    """
     local = quad.QuadConfig(
         rel_tol=min(cfg.rel_tol, 1e-11),
         abs_tol=5e-300,  # integrand is positive: drive purely by rel_tol
         max_subdivisions=cfg.max_subdivisions,
     )
-    r = quad.integrate_finite(
-        lambda u: kernels.hz_route_integrand(m, x, u), 0.0, 1.0, local
-    )
+    if x < 0.0:
+        pole = (1.0 + x) / x  # where (1 + x) - x s = 0
+        f = lambda s: kernels.hz_route_integrand_reflected(m, x, s)  # noqa: E731
+    else:
+        pole = -1.0 / x if x else -math.inf  # x = 0: no pole, no mesh
+        f = lambda u: kernels.hz_route_integrand(m, x, u)  # noqa: E731
+    breaks = _graded_mesh(pole, -pole, 1.0)
+    r = quad.integrate_finite(f, 0.0, 1.0, local, breaks)
     fact = math.factorial(m)
-    return EvalResult(
-        _sign_for(m) * fact * r.value, fact * r.abs_err_est, Route.HURWITZ, r.n_evals
-    )
+    value = _sign_for(m) * fact * r.value
+    err = fact * r.abs_err_est + 2e-15 * abs(value)
+    return EvalResult(value, err, Route.HURWITZ, r.n_evals)
 
 
 def _laplace(m, x, cfg):
-    """(-1)^(m-1) integral_0^inf t^m/(e^t-1) E_m(xt) dt for x >= 0."""
+    """(-1)^(m-1) integral_0^inf t^m/(e^t-1) E_m(xt) dt for x >= 0.
+
+    E_m(x t) turns from 1/(m+1) to m!/(x t)^(m+1) around t = m/x, so the
+    mesh doubles from t = min(m/x, 1) up to T.
+    """
     if x < 0.0:
         raise ValueError("LAPLACE route needs x >= 0")
     big_t = 50.0 + m * math.log(50.0)
@@ -188,10 +215,15 @@ def _laplace(m, x, cfg):
         abs_tol=5e-300,
         max_subdivisions=cfg.max_subdivisions,
     )
+    first = m / x if x > m else 1.0
     r = quad.integrate_finite(
-        lambda t: kernels.laplace_integrand(m, x, t), 0.0, big_t, local
+        lambda t: kernels.laplace_integrand(m, x, t),
+        0.0,
+        big_t,
+        local,
+        _graded_mesh(0.0, first, big_t),
     )
-    tail = kernels.laplace_tail_weight(m, big_t)
+    tail = kernels.laplace_tail_weight(m, x, big_t)
     return EvalResult(
         _sign_for(m) * r.value, r.abs_err_est + tail, Route.LAPLACE, r.n_evals
     )
@@ -212,9 +244,8 @@ def _hyp(m, x, cfg):
     p = quad.p1_integral(((1.0, 1.0), (xp1, m + 1.0)), 0.0, cfg)
     fact = math.factorial(m)
     value = _sign_for(m) * fact * (term1 + term2 - p.value)
-    err = fact * (
-        p.abs_err_est + 1e-14 * (abs(term1) + abs(term2)) + 4e-16 * abs(value)
-    )
+    err = fact * (p.abs_err_est + 1e-14 * (abs(term1) + abs(term2)))
+    err += 4e-16 * abs(value)  # value already carries m!
     return EvalResult(value, err, Route.HYP, p.n_evals + 2)
 
 

@@ -24,6 +24,7 @@ __all__ = [
     "PowerTail",
     "QuadConfig",
     "QuadResult",
+    "graded_breaks",
     "integrate_finite",
     "integrate_unit_split",
     "lemma2_transform",
@@ -104,7 +105,33 @@ def _panel(f, a, b):
     return half * k15, abs(half * (k15 - g7))
 
 
-def integrate_finite(f, a, b, cfg=DEFAULT_CONFIG):
+def graded_breaks(pole, first, end):
+    """Mesh points first, 2 first - pole, 4 first - 3 pole, ... short of end.
+
+    Each point is twice as far from `pole` as the one before, so a panel
+    between two of them is never wider than its distance to the pole and
+    its nodes see the peak or boundary layer there.  The points run away
+    from the pole toward `end` (up if pole < end, down otherwise) and are
+    returned in ascending order; none is returned if first is already at
+    or past end.  Only mesh points come from here, never values.
+    """
+    points = []
+    t = first
+    rising = pole < end
+    while (t < end) if rising else (t > end):
+        points.append(t)
+        t = 2.0 * t - pole
+    return points if rising else points[::-1]
+
+
+# Running sums in integrate_finite: each addition rounds by at most
+# 2^-53 of its result, charged here at twice that; a running test that
+# misses the allowance by less than _RUNNING_SLACK goes to the exact sums.
+_ADD_ROUNDING = 2.0**-52
+_RUNNING_SLACK = 1e-14
+
+
+def integrate_finite(f, a, b, cfg=DEFAULT_CONFIG, breakpoints=()):
     """Adaptive integral of f over [a, b].
 
     Globally adaptive bisection: the panel with the worst error estimate
@@ -116,29 +143,54 @@ def integrate_finite(f, a, b, cfg=DEFAULT_CONFIG):
     error of the cruder G7 rule, so it errs on the safe side for smooth
     integrands.  QUADPACK's (200 err/resasc)^1.5 rescaling is not applied:
     it is a heuristic, not a bound.
+
+    `breakpoints`, increasing and strictly inside (a, b), seed the heap
+    with one panel per piece, as QUADPACK's QAGP does; the bisection and
+    the stop test then run over all pieces together.  Callers that know
+    where f has a peak or a boundary layer pass graded_breaks points.
+
+    The stop test reads running sums of the panel values, estimates and
+    magnitudes, each carrying a bound on its own rounding, and the exact
+    math.fsum sums are taken only when the running test cannot rule out
+    the stop.  The split decisions, the value and the estimate are those
+    of the exact sums on every pass.
     """
     if a == b:
         return QuadResult(0.0, 0.0, 0, True)
     if a > b:
         raise ValueError("integrate_finite requires a < b")
-    value, err = _panel(f, a, b)
-    n_evals = 15
-    heap = [(-err, a, b, value)]
+    edges = [a, *breakpoints, b]
+    if not all(lo < hi for lo, hi in zip(edges, edges[1:])):
+        raise ValueError("integrate_finite needs increasing breakpoints inside (a, b)")
+    heap = []
+    for lo, hi in zip(edges, edges[1:]):
+        value, err = _panel(f, lo, hi)
+        heap.append((-err, lo, hi, value))
+    heapq.heapify(heap)
+    n_evals = 15 * len(heap)
     frozen = []  # panels at the double-precision width floor: kept, not split
     n_splits = 0
     converged = True
     width_floor = 1e-15 * (b - a)
+    # must_split: the running sums of panel values, estimates and |values|
+    # (sums, with rounding bounds slop) already rule out the stop
+    must_split = False
     while True:
-        panels = heap + frozen
-        total = math.fsum(item[3] for item in panels)
-        total_err = math.fsum(-item[0] for item in panels) + 2e-16 * math.fsum(
-            abs(item[3]) for item in panels
-        )
-        if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total), 4e-16 * abs(total)):
-            break
-        if n_splits >= cfg.max_subdivisions or not heap:
-            converged = False
-            break
+        if not must_split or n_splits >= cfg.max_subdivisions or not heap:
+            panels = heap + frozen
+            total = math.fsum(item[3] for item in panels)
+            err_sum = math.fsum(-item[0] for item in panels)
+            abs_sum = math.fsum(abs(item[3]) for item in panels)
+            total_err = err_sum + 2e-16 * abs_sum
+            if total_err <= max(
+                cfg.abs_tol, cfg.rel_tol * abs(total), 4e-16 * abs(total)
+            ):
+                break
+            if n_splits >= cfg.max_subdivisions or not heap:
+                converged = False
+                break
+            sums = [total, err_sum, abs_sum]
+            slop = [_ADD_ROUNDING * abs(s) for s in sums]
         neg_err, pa, pb, pv = heapq.heappop(heap)
         if pb - pa <= width_floor:
             frozen.append((neg_err, pa, pb, pv))
@@ -150,6 +202,16 @@ def integrate_finite(f, a, b, cfg=DEFAULT_CONFIG):
         heapq.heappush(heap, (-e1, pa, mid, v1))
         heapq.heappush(heap, (-e2, mid, pb, v2))
         n_splits += 1
+        for i, (x1, x2, x0) in enumerate(
+            ((v1, v2, pv), (e1, e2, -neg_err), (abs(v1), abs(v2), abs(pv)))
+        ):
+            s = sums[i] + ((x1 + x2) - x0)
+            sums[i] = s
+            slop[i] += _ADD_ROUNDING * (abs(x1) + abs(x2) + abs(x0) + abs(s))
+        err_lo = (sums[1] - slop[1]) + 2e-16 * (sums[2] - slop[2])
+        mag_hi = abs(sums[0]) + slop[0]
+        allow_hi = max(cfg.abs_tol, cfg.rel_tol * mag_hi, 4e-16 * mag_hi)
+        must_split = err_lo * (1.0 - _RUNNING_SLACK) > allow_hi * (1.0 + _RUNNING_SLACK)
     return QuadResult(total, total_err, n_evals, converged)
 
 
@@ -379,18 +441,6 @@ def _sawtooth_tail(factors, x, tol):
     return None
 
 
-def _first_breaks(factors, start):
-    """Points of (start, start + 1/2) where the distance to a pole -c
-    doubles, so that no panel straddles a peak its nodes cannot see."""
-    points = set()
-    for c, _ in factors:
-        t = start + (start + c)
-        while t < start + 0.5:
-            points.add(t)
-            t = 2.0 * t + c
-    return sorted(points)
-
-
 def p1_integral(factors, start, cfg=DEFAULT_CONFIG):
     """integral_start^inf p1(t) g(t) dt with g(t) = prod (t + c)^(-p).
 
@@ -436,7 +486,11 @@ def p1_integral(factors, start, cfg=DEFAULT_CONFIG):
     intervals = 0
     # absolute allowance per unit of length, shared out by piece width
     abs_density = max(g(x) * 2e-15, 1e-299)
-    edges = [x, *_first_breaks(factors, x), x + 0.5, x + 1.0]
+    # where the distance to a pole -c doubles, short of the half-integer
+    breaks = {
+        t for c, _ in factors for t in graded_breaks(-c, x + (x + c), x + 0.5)
+    }
+    edges = [x, *sorted(breaks), x + 0.5, x + 1.0]
     while True:
         tail = _sawtooth_tail(factors, x, max(1e-16 * abs(value), 5e-300))
         if tail is not None:

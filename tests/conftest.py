@@ -1,5 +1,7 @@
 """Shared fixtures."""
 
+import math
+
 import pytest
 
 
@@ -9,12 +11,17 @@ def mp_deriv():
 
         sum_j C(m,j) psi^(m-j-1)(x+1) (-1)^j j! / x^(j+1),
 
-    with psi^(-1) = ln Gamma.  Callers keep |x| away from 0, where the
-    terms cancel."""
+    with psi^(-1) = ln Gamma.  Near x = 0 the terms cancel by a factor
+    of about |x|^(-m-1), so the precision grows by that many digits; at
+    x = 0 the limit (-1)^(m-1) m! zeta(m+1)/(m+1) is returned."""
     mpmath = pytest.importorskip("mpmath")
 
     def deriv(m, x):
-        with mpmath.workdps(60):
+        lost = (m + 1) * max(0.0, -math.log10(abs(x))) if x else 0.0
+        with mpmath.workdps(60 + int(lost)):
+            if x == 0.0:
+                limit = mpmath.factorial(m) * mpmath.zeta(m + 1) / (m + 1)
+                return float(limit if m % 2 else -limit)
             xm = mpmath.mpf(x)
             total = mpmath.mpf(0)
             for j in range(m + 1):

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from nlgamma import quad
 from nlgamma._backend.kernels import frac, laplace_integrand, p1
+from nlgamma.delta import integral_delta, integral_delta_squared
 from nlgamma.quad import (
     PowerTail,
     QuadConfig,
+    graded_breaks,
     integrate_finite,
     integrate_unit_split,
     lemma2_transform,
@@ -112,6 +114,110 @@ class TestIntegrateFinite:
         parts = integrate_finite(f, 0.0, c) + integrate_finite(f, c, 1.0)
         assert abs(whole.value - parts.value) <= (
             whole.abs_err_est + parts.abs_err_est + 1e-14
+        )
+
+
+class TestBreakpoints:
+    def test_graded_breaks_double_the_distance(self):
+        assert graded_breaks(0.0, 0.125, 1.0) == [0.125, 0.25, 0.5]
+        assert graded_breaks(-1.0, 0.0, 10.0) == [0.0, 1.0, 3.0, 7.0]
+        # toward a pole above: ascending, nearest the pole last
+        assert graded_breaks(1.25, 1.0, 0.0) == [0.25, 0.75, 1.0]
+
+    def test_graded_breaks_empty_past_the_end(self):
+        assert graded_breaks(-2.0, 2.0, 1.0) == []
+        assert graded_breaks(3.0, -1.0, 0.0) == []
+        assert graded_breaks(-math.inf, math.inf, 1.0) == []
+
+    def test_seeded_pieces_give_the_same_integral(self):
+        f = lambda u: 1.0 / (1e-3 + u)  # noqa: E731
+        plain = integrate_finite(f, 0.0, 1.0)
+        breaks = graded_breaks(-1e-3, 1e-3, 1.0)
+        seeded = integrate_finite(f, 0.0, 1.0, breakpoints=breaks)
+        exact = math.log1p(1e3)
+        for r in (plain, seeded):
+            assert r.converged
+            assert abs(r.value - exact) <= r.abs_err_est
+        assert seeded.n_evals < plain.n_evals
+
+    @pytest.mark.parametrize(
+        "breaks", [(0.5, 0.5), (0.7, 0.3), (0.0,), (1.0,), (-0.5,), (math.nan,)]
+    )
+    def test_rejects_breakpoints(self, breaks):
+        with pytest.raises(ValueError):
+            integrate_finite(lambda u: u, 0.0, 1.0, breakpoints=breaks)
+
+
+class TestExactReplay:
+    """Values, estimates and counts recorded before the stop test read
+    running sums: the exact sums are taken whenever the running test is
+    within rounding of the allowance, so no split decision may move and
+    every result must match to the last bit."""
+
+    P1 = {
+        (2.0, 1.0): (-0.07246703342411322, 3.71226623099441e-15, 180),
+        (2.0, 1.5): (-0.02295665582789521, 3.2144466108916406e-15, 150),
+        (2.0, 3.0): (-0.003022588979668775, 2.6051760946243845e-17, 120),
+        (3.0, 1.0): (-0.06735230105319809, 9.392410357486201e-15, 180),
+        (3.0, 1.5): (-0.014675983915596545, 9.682575359933101e-15, 150),
+        (3.0, 3.0): (-0.0009942763618400706, 2.823576072035834e-17, 120),
+        (5.0, 1.0): (-0.05738555102867399, 8.161152677658226e-15, 240),
+        (5.0, 1.5): (-0.005906814399181609, 2.9740932550936907e-16, 210),
+        (5.0, 3.0): (-0.00010674444431184535, 8.727988040731829e-19, 150),
+    }
+    FINITE = {
+        "peak": (
+            lambda u: 1.0 / (1e-6 + (u - 0.3) ** 2),
+            QuadConfig(),
+            (3136.8307621453046, 1.7424441202333952e-08, 825, True),
+        ),
+        "cusp": (
+            lambda u: abs(u - 1 / 3.0) ** 0.5,
+            QuadConfig(),
+            (0.4911874291221948, 3.827579946592106e-12, 825, True),
+        ),
+        "budget": (
+            lambda u: abs(u - 1 / 3.0) ** 0.5,
+            QuadConfig(max_subdivisions=25),
+            (0.49118742912414465, 8.309151018255496e-12, 765, False),
+        ),
+    }
+
+    @staticmethod
+    def _row(r):
+        return (r.value, r.abs_err_est, r.n_evals, r.converged)
+
+    @pytest.mark.parametrize("s,a", sorted(P1))
+    def test_p1_integral(self, s, a):
+        r = p1_integral(((a, s + 1.0),), 0.0)
+        assert self._row(r) == (*self.P1[s, a], True)
+
+    def test_integral_delta_quadratures(self):
+        quadrature, _, ei_form = integral_delta()
+        squared, _ = integral_delta_squared()
+        assert self._row(quadrature) == (
+            -0.256874522388739, 1.244692120484863e-13, 30, True
+        )
+        assert self._row(ei_form) == (
+            -0.2568745223887389, 9.518074427004536e-14, 195, True
+        )
+        assert self._row(squared) == (
+            0.0931139941822954, 1.8103628427478763e-16, 60, True
+        )
+
+    @pytest.mark.parametrize("name", sorted(FINITE))
+    def test_many_splits(self, name):
+        f, cfg, row = self.FINITE[name]
+        assert self._row(integrate_finite(f, 0.0, 1.0, cfg)) == row
+
+    def test_laplace_like_integrand(self):
+        # t^12/(e^t - 1)/(1 + 1000 t)^13: a layer at t ~ 1e-3 on [0, 96.9]
+        def f(t):
+            return t**12 / math.expm1(t) / (1.0 + 1000.0 * t) ** 13 if t > 0 else 0.0
+
+        cfg = QuadConfig(rel_tol=1e-12, abs_tol=5e-300)
+        assert self._row(integrate_finite(f, 0.0, 96.9, cfg)) == (
+            8.079299887020283e-38, 3.718832658416656e-50, 885, True
         )
 
 

@@ -7,6 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlgamma import specfun
+from nlgamma._backend.kernels import (
+    hz_route_integrand,
+    hz_route_integrand_reflected,
+    laplace_tail_weight,
+    trunc_exp_factor,
+)
 from nlgamma.quad import DEFAULT_CONFIG, p1_integral
 from nlgamma.specfun import (
     CONSTANTS,
@@ -150,6 +156,14 @@ class TestHurwitzZeta:
         brute = math.fsum((1000.0 + k) ** -60.0 for k in range(4000))
         assert rel(hurwitz_zeta(60.0, 1000.0), brute) < 1e-14
 
+    @pytest.mark.parametrize("s", [13.0, 30.0])
+    @pytest.mark.parametrize("a", [24.0, 45.0, 100.0, 1000.0])
+    def test_large_a_skips_direct_sum(self, s, a):
+        # a >= 10 + s: Euler-Maclaurin starts at a itself.  1e5 terms leave
+        # a tail below 1e-24 relative.
+        brute = math.fsum((a + k) ** -s for k in range(100_000))
+        assert rel(hurwitz_zeta(s, a), brute) <= 4e-16
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             hurwitz_zeta(1.0, 1.0)
@@ -209,6 +223,47 @@ class TestUpperIncompleteGamma:
             upper_incomplete_gamma_int(-1, 1.0)
         with pytest.raises(ValueError):
             upper_incomplete_gamma_int(2, -1.0)
+
+
+class TestRouteIntegrands:
+    @pytest.mark.parametrize("m", [1, 4, 12])
+    def test_trunc_exp_factor_against_mpmath(self, m):
+        mpmath = pytest.importorskip("mpmath")
+        switch = m + 1 + 2.0 * math.sqrt(m + 1)
+        ys = (1e-3, 0.5, 0.9 * switch, switch, 1.001 * switch, m + 30.0, 100.0)
+        ys += (745.0, 745.3, 1e4, 1e8)
+        for y in ys:
+            with mpmath.workdps(40):
+                ref = mpmath.gammainc(m + 1, 0, y) / mpmath.mpf(y) ** (m + 1)
+            assert rel(trunc_exp_factor(m, y), float(ref)) <= 1.5e-15, y
+
+    @pytest.mark.parametrize("m", [1, 6, 12])
+    @pytest.mark.parametrize("x", [0.0, 0.5, 100.0, 1e4])
+    def test_laplace_tail_weight_bounds_the_tail(self, m, x):
+        mpmath = pytest.importorskip("mpmath")
+        big_t = 50.0 + m * math.log(50.0)
+        with mpmath.workdps(30):
+
+            def f(t):
+                y = x * t
+                if not y:
+                    return t**m / mpmath.expm1(t) / (m + 1)
+                em = mpmath.gammainc(m + 1, 0, y) / y ** (m + 1)
+                return t**m / mpmath.expm1(t) * em
+
+            tail = float(mpmath.quad(f, [big_t, 2 * big_t, mpmath.inf]))
+        weight = laplace_tail_weight(m, x, big_t)
+        # tight to about e^-T relative: only rounding may put it below
+        assert tail <= (1.0 + 4e-15) * weight, (tail, weight)
+        assert weight <= 1.1 * tail, (tail, weight)
+
+    @pytest.mark.parametrize("x", [-0.5, -0.9, -0.999])
+    def test_reflected_integrand(self, x):
+        for m in (1, 6):
+            for s in (0.1, 0.5, 0.75):
+                direct = hz_route_integrand(m, x, 1.0 - s)
+                assert rel(hz_route_integrand_reflected(m, x, s), direct) < 1e-13
+            assert hz_route_integrand_reflected(m, x, 1.0) == 0.0
 
 
 class TestGammaZero:
