@@ -22,7 +22,6 @@ from .delta import (
 )
 from .hyp2f1 import ConvergenceError, gauss_2f1, hyp_identity_residual, pochhammer
 from .quad import (
-    PowerTail,
     QuadConfig,
     QuadResult,
     integrate_finite,
@@ -52,7 +51,6 @@ __all__ = [
     "EvalResult",
     "IdentityResidual",
     "MAX_DERIV_ORDER",
-    "PowerTail",
     "QuadConfig",
     "QuadResult",
     "Route",

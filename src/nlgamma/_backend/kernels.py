@@ -32,7 +32,6 @@ __all__ = [
     "ln_gamma",
     "ln_gamma_taylor",
     "p1",
-    "prop2_integrand",
     "trunc_exp_factor",
     "upper_incomplete_gamma_int",
 ]
@@ -340,7 +339,3 @@ def hz_route_integrand_reflected(m, x, s):
     """
     return (1.0 - s) ** m * hurwitz_zeta(m + 1.0, (1.0 + x) - x * s)
 
-
-def prop2_integrand(m, j, t):
-    """(frac(t)+j)^m / (t+j+1)^(m+1): shifted fractional-part moment kernel."""
-    return (t - math.floor(t) + j) ** m / (t + j + 1.0) ** (m + 1)

@@ -2,10 +2,11 @@
 
 Subcommands: `eval` (point evaluation), `verify` (identity suites),
 `table` (CSV grids), `scan` (sign-pattern certification).  Exit codes:
-0 success / all checks pass, 1 verification failures, 2 usage or domain
-errors.  Standard output is deterministic: fixed 17-significant-digit
-formatting, fixed iteration order, no timing information (wall time only
-goes into JSON report files).
+0 success / all checks pass, 1 verification failures or an `eval` whose
+quadrature did not converge (the value is still printed, with a note on
+stderr), 2 usage or domain errors.  Standard output is deterministic:
+fixed 17-significant-digit formatting, fixed iteration order, no timing
+information (wall time only goes into JSON report files).
 """
 
 from __future__ import annotations
@@ -116,11 +117,16 @@ def _cmd_eval(args):
         route = default_route(0, args.x)
         err = 2.0 * abs(value) * 1.1e-16 + 1e-18
         line = (fmt17(value), fmt17(err), route.value, "1")
+        converged = True
     else:
         route = _route_for(args.route, args.m, args.x)
         r = delta_deriv(args.m, args.x, route, cfg)
         line = (fmt17(r.value), fmt17(r.abs_err_est), r.route.value, str(r.n_evals))
+        converged = r.converged
     print("\t".join(line))
+    if not converged:
+        print(f"note: the {route.value} quadrature did not converge", file=sys.stderr)
+        return 1
     return 0
 
 

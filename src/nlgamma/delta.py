@@ -65,12 +65,14 @@ class Route(enum.Enum):
 
 @dataclass
 class EvalResult:
-    """A computed value with error estimate, route tag, and work counter."""
+    """A value with error estimate, route tag, work counter, and whether
+    every quadrature under it converged (False: trust neither number)."""
 
     value: float
     abs_err_est: float
     route: Route
     n_evals: int
+    converged: bool = True
 
 
 def _check_x(x):
@@ -198,7 +200,7 @@ def _hurwitz(m, x, cfg):
     fact = math.factorial(m)
     value = _sign_for(m) * fact * r.value
     err = fact * r.abs_err_est + 2e-15 * abs(value)
-    return EvalResult(value, err, Route.HURWITZ, r.n_evals)
+    return EvalResult(value, err, Route.HURWITZ, r.n_evals, r.converged)
 
 
 def _laplace(m, x, cfg):
@@ -223,10 +225,9 @@ def _laplace(m, x, cfg):
         local,
         _graded_mesh(0.0, first, big_t),
     )
-    tail = kernels.laplace_tail_weight(m, x, big_t)
-    return EvalResult(
-        _sign_for(m) * r.value, r.abs_err_est + tail, Route.LAPLACE, r.n_evals
-    )
+    value = _sign_for(m) * r.value
+    err = r.abs_err_est + kernels.laplace_tail_weight(m, x, big_t)
+    return EvalResult(value, err, Route.LAPLACE, r.n_evals, r.converged)
 
 
 def _hyp(m, x, cfg):
@@ -246,7 +247,7 @@ def _hyp(m, x, cfg):
     value = _sign_for(m) * fact * (term1 + term2 - p.value)
     err = fact * (p.abs_err_est + 1e-14 * (abs(term1) + abs(term2)))
     err += 4e-16 * abs(value)  # value already carries m!
-    return EvalResult(value, err, Route.HYP, p.n_evals + 2)
+    return EvalResult(value, err, Route.HYP, p.n_evals + 2, p.converged)
 
 
 def _recurrence(m, x, cfg, base=Route.CLOSED):
@@ -257,11 +258,13 @@ def _recurrence(m, x, cfg, base=Route.CLOSED):
         raise ValueError("RECURRENCE route needs x != 0")
     prev = delta_deriv(m - 1, x, base, cfg)
     zeta_term = math.factorial(m - 1) * kernels.hurwitz_zeta(float(m), x + 1.0)
-    value = -(m / x) * prev.value - _sign_for(m) * zeta_term / x
-    err = (m / abs(x)) * prev.abs_err_est + 4e-16 * (
-        abs(value) + abs(zeta_term / x)
-    )
-    return EvalResult(value, err, Route.RECURRENCE, prev.n_evals + 1)
+    scaled_prev = (m / x) * prev.value
+    value = -scaled_prev - _sign_for(m) * zeta_term / x
+    # the two terms cancel near x = 0, so each one's rounding is charged;
+    # the rounding of x + 1 moves zeta(m, x + 1) by up to m ulps
+    err = (m / abs(x)) * prev.abs_err_est + 4e-16 * (abs(value) + abs(scaled_prev))
+    err += (m + 4) * 1.2e-16 * abs(zeta_term / x)
+    return EvalResult(value, err, Route.RECURRENCE, prev.n_evals + 1, prev.converged)
 
 
 def asymptotic_leading(m, x, refine=False):
@@ -376,18 +379,19 @@ def frac_rep_prop2(m, k, cfg=quad.DEFAULT_CONFIG):
     lhs = quad.integrate_finite(
         lambda u: kernels.hz_route_integrand(m, float(k), u), 0.0, 1.0, cfg
     )
-    tail0 = quad.PowerTail.from_periodic(lambda y: y**m, m + 1.0, shift=0.0)
-    rhs = quad.integrate_unit_split(
-        lambda w: kernels.frac(w) ** m / w ** (m + 1), 1.0, cfg, tail=tail0
-    )
-    for j in range(1, k):
-        tail_j = quad.PowerTail.from_periodic(
-            lambda y, j=j: (y + j) ** m, m + 1.0, shift=j + 1.0
-        )
-        rhs = rhs + quad.integrate_unit_split(
-            lambda t, j=j: kernels.prop2_integrand(m, j, t), 0.0, cfg, tail=tail_j
-        )
-    return lhs, rhs.scaled(float(k) ** (-(m + 1.0)))
+    return lhs, _prop2_rhs(m, k, cfg)
+
+
+def _prop2_rhs(m, k, cfg):
+    """k^(-m-1) sum_{j<k} integral_0^inf ({x}+j)^m/(x+j+1)^(m+1) dx, the
+    right side of frac_rep_prop2 (j = 0 is its w-integral, w = x + 1).
+    Each term is a polynomial in the fractional part over a power, so it
+    goes to the sawtooth integrator and never to the Hurwitz-zeta kernel."""
+    total = quad.QuadResult(0.0, 0.0, 0, True)
+    for j in range(k):
+        row = [math.comb(m, i) * float(j) ** (m - i) for i in range(m + 1)]
+        total = total + quad.integrate_unit_split(row, ((j + 1.0, m + 1.0),), 0.0, cfg)
+    return total.scaled(float(k) ** (-(m + 1.0)))
 
 
 # ----------------------------------------------------- moment integrals

@@ -2,17 +2,20 @@
 
 Adaptive Gauss-Kronrod panels (the 15-point Kronrod rule, with the
 7-point Gauss rule on its nodes for the error estimate) for finite
-intervals, a unit-interval splitter for semi-infinite integrands whose
-only breakpoints sit on the integer lattice, a sawtooth integrator for
-products of powers that stops after a few unit intervals with a bounded
-periodic-Bernoulli (Euler-Maclaurin) tail, and the periodization transform relating integrals of
-f({x/b})/(x+c)^lambda to finite Hurwitz-zeta moments.  The sawtooth
-tail keeps its own Bernoulli weights: the HYP route built on it is
-cross-checked against the Hurwitz-zeta kernel, so it must not share it.
+intervals; one sawtooth integrator, integrate_unit_split, for
+integral_start^inf phi({t}) g(t) dt with phi a polynomial in the
+fractional part and g a product of powers, which marches a few unit
+intervals and then takes an exact periodic-Bernoulli (Euler-Maclaurin)
+tail with a proven bound (p1_integral is its phi = B_1 case); and the
+periodization transform relating integrals of f({x/b})/(x+c)^lambda to
+finite Hurwitz-zeta moments.  The sawtooth tail keeps its own Bernoulli
+weights: HYP and the Proposition 2 right side, built on it, are
+cross-checked against the Hurwitz-zeta kernel, so they must not share it.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import operator
@@ -21,7 +24,6 @@ from dataclasses import dataclass
 from ._backend.kernels import hurwitz_zeta, p1
 
 __all__ = [
-    "PowerTail",
     "QuadConfig",
     "QuadResult",
     "graded_breaks",
@@ -56,7 +58,6 @@ class QuadConfig:
     abs_tol: float = 1e-13
     max_subdivisions: int = 2000
     tail_intervals_max: int = 10**6
-    tail_stop: float = 1e-14
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol < math.inf and 0.0 <= self.abs_tol < math.inf):
@@ -215,164 +216,6 @@ def integrate_finite(f, a, b, cfg=DEFAULT_CONFIG, breakpoints=()):
     return QuadResult(total, total_err, n_evals, converged)
 
 
-@dataclass(frozen=True)
-class PowerTail:
-    """Analytic model for integral_X^inf phi(x) (x+shift)^(-power) dx.
-
-    phi is 1-periodic with |phi| <= envelope.  With only the envelope
-    known, the tail is charged envelope*(X+shift)^(1-power)/(power-1) as
-    an error bound.  When the periodic profile of phi is known, two exact
-    correction terms are added back to the value instead:
-
-        mean * (X+shift)^(1-power)/(power-1)        (mean mass)
-      + corr2 * (X+shift)^(-power)                  (first moment of the
-                                                     running integral)
-
-    leaving, after integrating by parts twice, a remainder bounded by
-    osc2 * power * (X+shift)^(-power-1).  X must be an integer.
-    """
-
-    power: float
-    shift: float = 0.0
-    envelope: float = 1.0
-    mean: float | None = None
-    corr2: float = 0.0
-    osc2: float = 0.0
-
-    def __post_init__(self):
-        if self.power <= 1.0:
-            raise ValueError("tail power must exceed 1 for convergence")
-
-    @classmethod
-    def from_envelope(cls, envelope, power, shift=0.0):
-        return cls(power=power, shift=shift, envelope=envelope)
-
-    @classmethod
-    def from_periodic(cls, phi, power, shift=0.0):
-        """Build the corrected model from the periodic factor phi on [0, 1]."""
-        mean, corr2, osc2, fmax = _periodic_profile(phi)
-        return cls(
-            power=power,
-            shift=shift,
-            envelope=fmax,
-            mean=mean,
-            corr2=corr2,
-            osc2=osc2,
-        )
-
-    def value(self, x):
-        if self.mean is None:
-            return 0.0
-        g = (x + self.shift) ** (-self.power)
-        return self.mean * (x + self.shift) * g / (self.power - 1.0) + self.corr2 * g
-
-    def bound(self, x):
-        if self.mean is None:
-            return (
-                self.envelope
-                * (x + self.shift) ** (1.0 - self.power)
-                / (self.power - 1.0)
-            )
-        return self.osc2 * self.power * (x + self.shift) ** (-self.power - 1.0)
-
-
-def _periodic_profile(phi):
-    """Mean, second-order tail coefficient and remainder bound for phi.
-
-    With Q(y) = integral_0^y (phi - mean), the tail correction coefficient
-    is qbar = integral_0^1 Q = integral_0^1 phi(u)(1-u) du - mean/2, and the
-    remainder after both corrections is bounded by sup |integral (Q - qbar)|
-    times the integrated derivative of the algebraic factor.
-    """
-    quad_cfg = QuadConfig(rel_tol=1e-13, abs_tol=1e-16, max_subdivisions=400)
-    mean = integrate_finite(phi, 0.0, 1.0, quad_cfg).value
-    qbar = (
-        integrate_finite(lambda u: phi(u) * (1.0 - u), 0.0, 1.0, quad_cfg).value
-        - 0.5 * mean
-    )
-    # coarse grids are fine: osc2 only scales a safety bound
-    n = 1024
-    h = 1.0 / n
-    fmax = 0.0
-    q = 0.0
-    r = 0.0
-    rmax = 0.0
-    prev_phi = phi(0.0) - mean
-    prev_q = 0.0
-    for i in range(1, n + 1):
-        y = i * h
-        cur_phi = phi(min(y, 1.0 - 1e-12)) - mean
-        q += 0.5 * h * (prev_phi + cur_phi)
-        r += 0.5 * h * ((prev_q - qbar) + (q - qbar))
-        rmax = max(rmax, abs(r))
-        fmax = max(fmax, abs(cur_phi + mean))
-        prev_phi, prev_q = cur_phi, q
-    return mean, qbar, 1.5 * rmax + 1e-17, 1.05 * fmax
-
-
-def integrate_unit_split(f, start, cfg=DEFAULT_CONFIG, tail=None):
-    """Integral of f over [start, inf) split at the integer lattice.
-
-    f must be piecewise smooth with breakpoints only at integers; each
-    unit interval is integrated adaptively.  Accumulation stops once the
-    tail model's bound is inside half the error allowance (the other
-    half covers the summed interval estimates); with no model, the stop
-    also requires the last contribution to fall below tail_stop and the
-    tail is charged with a geometric-ratio extrapolation instead.
-    """
-    # per-interval budgets must sum below the overall allowance
-    local = QuadConfig(
-        rel_tol=cfg.rel_tol,
-        abs_tol=cfg.abs_tol / 64.0,
-        max_subdivisions=cfg.max_subdivisions,
-    )
-    value = 0.0
-    err = 0.0
-    n_evals = 0
-    converged = True
-    x = float(start)
-    first_stop = math.floor(start) + 1.0
-    if first_stop > start and first_stop < start + 1.0:
-        r = integrate_finite(f, start, first_stop, local)
-        value += r.value
-        err += r.abs_err_est
-        n_evals += r.n_evals
-        converged = converged and r.converged
-        x = first_stop
-    prev = math.inf
-    intervals = 0
-    while True:
-        if intervals >= cfg.tail_intervals_max:
-            converged = False
-            break
-        r = integrate_finite(f, x, x + 1.0, local)
-        value += r.value
-        err += r.abs_err_est
-        n_evals += r.n_evals
-        converged = converged and r.converged
-        x += 1.0
-        intervals += 1
-        contrib = abs(r.value)
-        tol = 0.5 * max(cfg.abs_tol, cfg.rel_tol * abs(value))
-        if tail is not None:
-            if tail.bound(x) <= tol and (
-                contrib < cfg.tail_stop or tail.mean is not None
-            ):
-                value += tail.value(x)
-                err += tail.bound(x)
-                break
-        else:
-            if contrib < cfg.tail_stop and prev < math.inf:
-                ratio = contrib / prev if prev > 0.0 else 0.0
-                est = contrib * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
-                if est <= tol:
-                    err += est
-                    break
-        prev = contrib
-    converged = converged and err <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
-    return QuadResult(value, err, n_evals, converged)
-
-
 # B_2k/(2k)! for k = 1..11, the weights of the periodic-Bernoulli tail
 # (DLMF 24.17).  Written out here rather than taken from the Hurwitz-zeta
 # kernel, so the sawtooth route shares no code with what it cross-checks.
@@ -390,9 +233,6 @@ _EM_WEIGHTS = (
     77683 / 14101100039391805440000,
 )
 
-# The same weights for Taylor coefficients: B_2k/(2k)! * (2k-2)!.
-_EM_TAYLOR = tuple(w * math.factorial(2 * k) for k, w in enumerate(_EM_WEIGHTS))
-
 
 def _product_coefficient(series, n):
     """Coefficient n of the product of the power series in `series`."""
@@ -404,79 +244,144 @@ def _product_coefficient(series, n):
     return sum(map(operator.mul, acc, series[-1][n::-1]))
 
 
-def _sawtooth_tail(factors, x, tol):
-    """(value, bound) of integral_x^inf p1(t) g(t) dt, or None.
+def _sawtooth_tail(parts, factors, x, tol):
+    """(value, bound) of sum_k a_k integral_x^inf B_k({t}) g(t) dt, or None.
 
-    The tail is -sum_k B_2k/(2k)! g^(2k-2)(x) + R_K.  g is completely
-    monotone, so |R_K| is at most the first omitted term; K is the first
-    count whose next term is within tol.  The terms' magnitudes are
-    log-convex in k (even moments of g's Bernstein measure times
-    2 zeta(2k)/(2 pi)^2k), so once the ratio r of the last two terms
-    gives |term| r^(terms left) > tol no later term can meet tol, and
-    None is returned: x is still too close to the poles.
+    parts comes from _sawtooth_plan.  Integrating by parts from the
+    integer x (DLMF 24.17, 2.10(i)) gives the asymptotic series
 
-    g^(n)(x)/n! comes from the Leibniz rule on the factors' own Taylor
-    coefficients, (-1)^n C(p+n-1, n) (x+c)^(-p-n), built only as far as
-    the terms go.  Every product in those sums has the sign (-1)^n, so
-    plain summation loses nothing.
+        integral_x^inf B_k({t}) g(t) dt ~ sum_{n>k} (-1)^(n-k) B_n/n! k! g^(n-k-1)(x),
+
+    where only even n >= 2 contribute.  Stopped before an even N > k, the
+    remainder is (-1)^J k!/N! integral_x^inf (B_N({t}) - B_N) g^(J)(t) dt
+    with J = N - k.  For completely monotone g its integrand has a fixed
+    sign, that of the term at N, and the remainder after N has the other
+    sign, so the remainder is at most the term at N.  All parts stop at
+    the first even N > max k whose summed term sizes are within tol, and
+    that sum is the bound.  Once the ratio r of the last two sizes gives
+    size r^(terms left) > tol, None is returned: x is still too close to
+    the poles.  (For B_1 alone the sizes are log-convex in N, so no later
+    N could meet tol; otherwise this only decides to march on.)
+
+    g^(d)(x)/d! comes from the Leibniz rule on the factors' own Taylor
+    coefficients, (-1)^d C(p+d-1, d) (x+c)^(-p-d), built only as far as
+    the terms go; every product in those sums has the sign (-1)^d.
     """
     params = [(p, 1.0 / (x + c)) for c, p in factors]
     series = [[u**p] for p, u in params]
+    taylor = [None] * (2 * len(_EM_WEIGHTS))
+    top = parts[-1][0] if parts else 0  # a constant phi has no B_k part
     value = 0.0
     prev = math.inf
-    for k, w in enumerate(_EM_TAYLOR):
-        n = 2 * k
-        for (p, u), r in zip(params, series):
-            for j in range(len(r) - 1, n):
-                r.append(-r[j] * (p + j) * u / (j + 1))
-        term = -w * _product_coefficient(series, n)
-        size = abs(term)
-        if size <= tol:
-            return value, size
-        ratio = size / prev
-        if not ratio < 1.0 or size * ratio ** (len(_EM_TAYLOR) - 1 - k) > tol:
-            return None
-        prev = size
+    for i in range(len(_EM_WEIGHTS)):
+        n = 2 * i + 2
+        term = 0.0
+        size = 0.0
+        for k, weights in parts:
+            if k >= n:
+                break
+            d = n - k - 1
+            if taylor[d] is None:
+                for (p, u), r in zip(params, series):
+                    for j in range(len(r) - 1, d):
+                        r.append(-r[j] * (p + j) * u / (j + 1))
+                taylor[d] = _product_coefficient(series, d)
+            t = weights[i] * taylor[d]
+            term += t
+            size += abs(t)
+        if n > top:
+            if size <= tol:
+                return value, size
+            ratio = size / prev
+            if not ratio < 1.0 or size * ratio ** (len(_EM_WEIGHTS) - 1 - i) > tol:
+                return None
+            prev = size
         value += term
     return None
 
 
-def p1_integral(factors, start, cfg=DEFAULT_CONFIG):
-    """integral_start^inf p1(t) g(t) dt with g(t) = prod (t + c)^(-p).
+@functools.lru_cache(maxsize=64)
+def _sawtooth_plan(coeffs):
+    """(mean, mean_mag, parts, horner) for phi(y) = sum_i coeffs[i] y^i.
 
-    factors is a sequence of (c, p) pairs with p > 0 and start + c > 0, so
-    g is completely monotone on [start, inf); g and its derivatives are
-    built here from the factors.  Unit intervals from start are integrated
-    adaptively, one piece each.  The first is also split at its
-    half-integer and wherever the distance to a pole -c doubles, so a
-    peak narrower than a panel is still resolved.  The absolute allowance,
-    2e-15 g(start) per unit length, is shared out by piece width.
+    phi = sum_k a_k B_k(y) with a_k = (phi^(k-1)(1) - phi^(k-1)(0))/k!
+    (DLMF 24.2.3), C(i, k-1)/k for y^i; mean = a_0 and mean_mag =
+    sum |coeffs[i]|/(i+1) bounds its rounding.  parts pairs each k >= 1
+    with a_k != 0 and a_k (-1)^k B_n/n! k! (n-k-1)! for n = 2, 4, ..., 22
+    (None while n <= k); horner is phi in s = y - 1/2, highest power first.
+    """
+    n = len(coeffs)
+    mean = math.fsum(coeffs[i] / (i + 1) for i in range(n))
+    mean_mag = math.fsum(abs(coeffs[i]) / (i + 1) for i in range(n))
+    parts = []
+    for k in range(1, n):
+        a = math.fsum(coeffs[i] * math.comb(i, k - 1) for i in range(k, n)) / k
+        if a != 0.0:
+            sign = -a if k % 2 else a
+            weights = tuple(
+                sign * (w * math.factorial(k) * math.factorial(2 * i + 1 - k))
+                if 2 * i + 2 > k
+                else None
+                for i, w in enumerate(_EM_WEIGHTS)
+            )
+            parts.append((k, weights))
+    horner = tuple(
+        math.fsum(coeffs[i] * math.comb(i, j) * 0.5 ** (i - j) for i in range(j, n))
+        for j in reversed(range(n))
+    )
+    return mean, mean_mag, tuple(parts), horner
 
-    At each integer X reached, before the next interval, the
-    periodic-Bernoulli tail (DLMF 2.10(i), 24.17)
 
-        integral_X^inf p1 g = -g(X)/12 + g''(X)/720 - g''''(X)/30240 + ...
+def integrate_unit_split(coeffs, factors, start, cfg=DEFAULT_CONFIG):
+    """integral_start^inf phi({t}) g(t) dt with g(t) = prod (t + c)^(-p).
 
-    is tried with up to 11 terms.  For completely monotone g the
-    remainder after K terms is bounded by the first omitted term, so the
-    march stops at the first X where such a term is within 1e-16 |value|,
-    and that term is charged as the tail's error.  The tolerance is the
-    rounding floor of the sum, not cfg.rel_tol, because callers such as
-    HYP cancel this value against other terms.
+    phi(y) = sum_i coeffs[i] y^i; factors are (c, p) pairs with p > 0 and
+    start + c > 0, start an integer, so g is completely monotone on
+    [start, inf).  phi is evaluated in s = p1(t) = {t} - 1/2.
+
+    Unit intervals from start are integrated adaptively, one piece each;
+    the first is also split at its half-integer and wherever the distance
+    to a pole -c doubles.  The absolute allowance, 2e-15 g(start) per unit
+    length, is shared out by piece width.
+
+    At each integer X reached the tail is tried, exact in phi's
+    periodic-Bernoulli components phi = a_0 + sum_k a_k B_k({t}).  The
+    mean integrates in closed form, a_0 (X+c)^(1-p)/(p-1), so a nonzero
+    mean needs a single factor with p > 1.  Each B_k gets its
+    integration-by-parts series, up to 11 Bernoulli weights, whose
+    remainder is at most its first omitted term (_sawtooth_tail).  The
+    march stops at the first X where those terms, weighted by |a_k|, sum
+    to within 1e-16 |value|; that sum and the mean's rounding are charged
+    as the tail's error.  The tolerance is the rounding floor of the sum,
+    not cfg.rel_tol, because callers such as HYP cancel this value
+    against other terms.
     """
     if start != math.floor(start):
-        raise ValueError("p1_integral expects an integer start")
+        raise ValueError("integrate_unit_split expects an integer start")
+    coeffs = tuple(float(a) for a in coeffs)
     factors = tuple((float(c), float(p)) for c, p in factors)
+    if not coeffs or not all(map(math.isfinite, coeffs)):
+        raise ValueError("integrate_unit_split needs finite polynomial coefficients")
+    if len(coeffs) > 2 * len(_EM_WEIGHTS):
+        raise ValueError("integrate_unit_split: degree > 21 has no weight past B_22")
     if not factors or not all(
         0.0 < p < math.inf and 0.0 < start + c < math.inf for c, p in factors
     ):
-        raise ValueError("p1_integral needs factors with p > 0 and start + c > 0")
+        raise ValueError("integrate_unit_split needs p > 0 and start + c > 0")
+    mean, mean_mag, parts, horner = _sawtooth_plan(coeffs)
+    if mean != 0.0 and (len(factors) != 1 or factors[0][1] <= 1.0):
+        raise ValueError("a nonzero mean of phi needs one factor with p > 1")
+    lead, rest = horner[0], horner[1:]
 
-    def g(t):
-        v = 1.0
+    def f(t):
+        s = p1(t)
+        v = lead
+        for a in rest:
+            v = v * s + a
+        g = 1.0
         for c, p in factors:
-            v *= (t + c) ** -p
-        return v
+            g *= (t + c) ** -p
+        return v * g
 
     x = float(start)
     value = 0.0
@@ -485,17 +390,25 @@ def p1_integral(factors, start, cfg=DEFAULT_CONFIG):
     converged = True
     intervals = 0
     # absolute allowance per unit of length, shared out by piece width
-    abs_density = max(g(x) * 2e-15, 1e-299)
+    abs_density = max(math.prod((x + c) ** -p for c, p in factors) * 2e-15, 1e-299)
     # where the distance to a pole -c doubles, short of the half-integer
     breaks = {
         t for c, _ in factors for t in graded_breaks(-c, x + (x + c), x + 0.5)
     }
     edges = [x, *sorted(breaks), x + 0.5, x + 1.0]
+    (c0, p0), *_ = factors  # the only factor when mean != 0
     while True:
-        tail = _sawtooth_tail(factors, x, max(1e-16 * abs(value), 5e-300))
+        # mean sums len(coeffs) terms of size up to mean_mag; x + c0 raised
+        # to 1 - p0, the division and the product add p0 + 3 ulps
+        big_g = (x + c0) ** (1.0 - p0) / (p0 - 1.0) if mean else 0.0
+        mean_tail = mean * big_g
+        mean_round = (len(coeffs) + p0 + 3) * 2.0**-53 * mean_mag * big_g
+        tail = _sawtooth_tail(
+            parts, factors, x, max(1e-16 * abs(value + mean_tail), 5e-300)
+        )
         if tail is not None:
-            value += tail[0]
-            err += tail[1]
+            value += tail[0] + mean_tail
+            err += tail[1] + mean_round
             break
         if intervals >= cfg.tail_intervals_max:
             converged = False
@@ -504,7 +417,7 @@ def p1_integral(factors, start, cfg=DEFAULT_CONFIG):
             local = QuadConfig(
                 rel_tol=1e-12, abs_tol=abs_density * (b - a), max_subdivisions=60
             )
-            r = integrate_finite(lambda t: p1(t) * g(t), a, b, local)
+            r = integrate_finite(f, a, b, local)
             value += r.value
             err += r.abs_err_est
             n_evals += r.n_evals
@@ -516,31 +429,32 @@ def p1_integral(factors, start, cfg=DEFAULT_CONFIG):
     return QuadResult(value, err, n_evals, converged)
 
 
-def lemma2_transform(f, b, c, lam, cfg=DEFAULT_CONFIG):
+def p1_integral(factors, start, cfg=DEFAULT_CONFIG):
+    """integral_start^inf p1(t) g(t) dt: integrate_unit_split with
+    phi(y) = y - 1/2 = B_1(y), the sawtooth of HYP's sawtooth integral."""
+    return integrate_unit_split((-0.5, 1.0), factors, start, cfg)
+
+
+def lemma2_transform(coeffs, b, c, lam, cfg=DEFAULT_CONFIG):
     """Both sides of the periodization identity
 
         integral_0^inf f({x/b}) (x+c)^(-lambda) dx
             = b^(1-lambda) * integral_0^1 f(y) zeta(lambda, y + c/b) dy
 
-    for b > 0, lambda > 1, c >= 0.  Returns (lhs, rhs) as QuadResults so
-    the caller can assert their agreement.
+    for the polynomial f(y) = sum_i coeffs[i] y^i and b > 0, lambda > 1,
+    c > 0.  The left side substitutes x = b v, so its breakpoints land on
+    integers, and goes to integrate_unit_split; only the right side uses
+    the Hurwitz-zeta kernel.  Returns (lhs, rhs) as QuadResults so the
+    caller can assert their agreement.
     """
     if b <= 0.0:
         raise ValueError("lemma2_transform requires b > 0")
     if lam <= 1.0:
         raise ValueError("lemma2_transform requires lambda > 1")
-    if c < 0.0:
-        raise ValueError("lemma2_transform requires c >= 0")
+    if c <= 0.0:
+        raise ValueError("lemma2_transform requires c > 0")
     scale = b ** (1.0 - lam)
-    tail = PowerTail.from_periodic(lambda y: scale * f(y), lam, shift=c / b)
-    # substitute x = b*v so breakpoints land on integers
-    lhs = integrate_unit_split(
-        lambda v: scale * f(v - math.floor(v)) * (v + c / b) ** (-lam),
-        0.0,
-        cfg,
-        tail=tail,
-    )
-    rhs = integrate_finite(
-        lambda y: f(y) * hurwitz_zeta(lam, y + c / b), 0.0, 1.0, cfg
-    ).scaled(scale)
-    return lhs, rhs
+    lhs = integrate_unit_split(coeffs, ((c / b, lam),), 0.0, cfg)
+    f = lambda y: sum(a * y**i for i, a in enumerate(coeffs))  # noqa: E731
+    rhs = integrate_finite(lambda y: f(y) * hurwitz_zeta(lam, y + c / b), 0.0, 1.0, cfg)
+    return lhs.scaled(scale), rhs.scaled(scale)

@@ -8,6 +8,8 @@ import sys
 import pytest
 
 from nlgamma.cli import main
+from nlgamma.delta import Route, delta_deriv
+from nlgamma.report import fmt17
 
 G = 0.5772156649015328606
 
@@ -41,6 +43,18 @@ class TestEval:
         )
         assert rc == 0
         assert out.strip().split("\t")[2] == "HURWITZ"
+
+    def test_nonconverged_exits_1(self, capsys):
+        # the boundary layer at t ~ 1/x is under the panel width floor,
+        # so the quadrature spends its whole split budget
+        rc, out, err = run_cli(
+            capsys, "eval", "--fn", "deriv", "--m", "1", "--x", "1e16", "--route", "LAPLACE"
+        )
+        assert rc == 1
+        r = delta_deriv(1, 1e16, Route.LAPLACE)
+        row = (fmt17(r.value), fmt17(r.abs_err_est), "LAPLACE", str(r.n_evals))
+        assert out == "\t".join(row) + "\n"
+        assert "did not converge" in err
 
     def test_domain_error_exits_2(self, capsys):
         rc, out, err = run_cli(capsys, "eval", "--fn", "deriv", "--m", "1", "--x", "-2")

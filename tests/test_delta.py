@@ -5,10 +5,13 @@ import math
 
 import pytest
 
+from nlgamma import quad, specfun
 from nlgamma._backend import kernels
 from nlgamma.delta import (
     MAX_DERIV_ORDER,
     Route,
+    _prop2_rhs,
+    _recurrence,
     asymptotic_leading,
     check_complete_monotonicity,
     default_route,
@@ -211,27 +214,72 @@ class TestFracRep:
     def test_k1_m1_is_one_minus_gamma(self):
         lhs, rhs = frac_rep_prop2(1, 1, self.CFG)
         assert abs(lhs.value - (1.0 - G)) < 1e-10
-        assert abs(rhs.value - (1.0 - G)) < 1e-9
+        assert abs(rhs.value - (1.0 - G)) < 1e-15
 
     def test_k1_m2_matches_second_moment(self):
         exact = (3.0 - math.pi**2 / 6.0 - 2.0 * G) / 2.0  # = -D''(1)/2
         lhs, rhs = frac_rep_prop2(2, 1, self.CFG)
         assert abs(lhs.value - exact) < 1e-10
-        assert abs(rhs.value - exact) < 1e-9
+        assert abs(rhs.value - exact) < 1e-15
 
     @pytest.mark.parametrize("m", range(1, 5))
     @pytest.mark.parametrize("k", range(1, 6))
     def test_equality_grid(self, m, k):
         lhs, rhs = frac_rep_prop2(m, k, self.CFG)
         gap = abs(lhs.value - rhs.value)
-        assert gap <= 1e-6
-        assert gap <= 10.0 * (lhs.abs_err_est + rhs.abs_err_est) + 1e-12
+        assert gap <= 1e-14
+        assert gap <= lhs.abs_err_est + rhs.abs_err_est
+
+    @pytest.mark.parametrize("m,k", [(1, 1), (3, 4), (8, 2)])
+    def test_right_side_is_independent_of_the_zeta_kernel(self, m, k, monkeypatch):
+        # the left side is the HURWITZ integrand; the right side must not
+        # reach the Hurwitz-zeta kernel or its Bernoulli constants
+        _, expected = frac_rep_prop2(m, k, self.CFG)
+
+        def refuse(*args):
+            raise AssertionError("hurwitz_zeta called")
+
+        for module in (kernels, quad, specfun):
+            monkeypatch.setattr(module, "hurwitz_zeta", refuse)
+        for name in ("_BERNOULLI", "_B2I_OVER_FACT", "_B2I_STIRLING", "_B2I_DIGAMMA"):
+            monkeypatch.setattr(kernels, name, None)
+        rhs = _prop2_rhs(m, k, self.CFG)
+        assert (rhs.value, rhs.abs_err_est, rhs.n_evals) == (
+            expected.value,
+            expected.abs_err_est,
+            expected.n_evals,
+        )
 
     def test_domain(self):
         with pytest.raises(ValueError):
             frac_rep_prop2(0, 1)
         with pytest.raises(ValueError):
             frac_rep_prop2(1, 0)
+
+
+class TestConverged:
+    TIGHT = QuadConfig(tail_intervals_max=1, max_subdivisions=1)
+
+    def test_laplace_out_of_budget(self):
+        # about 61k evals: the layer at t ~ 1e-16 is under the width floor
+        r = delta_deriv(1, 1e16, Route.LAPLACE)
+        assert not r.converged
+
+    @pytest.mark.parametrize(
+        "route,m,x",
+        [(Route.HURWITZ, 3, -0.9), (Route.LAPLACE, 3, 50.0), (Route.HYP, 1, 0.5)],
+    )
+    def test_quadrature_routes_carry_the_flag(self, route, m, x):
+        assert delta_deriv(m, x, route).converged
+        assert not delta_deriv(m, x, route, self.TIGHT).converged
+
+    def test_recurrence_carries_its_base(self):
+        assert _recurrence(3, 0.5, QuadConfig(), base=Route.HYP).converged
+        assert not _recurrence(3, 0.5, self.TIGHT, base=Route.HYP).converged
+
+    @pytest.mark.parametrize("route", [Route.CLOSED, Route.SERIES, Route.RECURRENCE])
+    def test_direct_routes_converge(self, route):
+        assert delta_deriv(3, 0.1, route).converged
 
 
 class TestMomentIntegrals:

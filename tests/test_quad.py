@@ -1,5 +1,5 @@
-"""Quadrature engines: finite adaptive, unit-split tails, sawtooth
-integrals, and the periodization transform."""
+"""Quadrature engines: finite adaptive, the sawtooth integrator with
+periodic-Bernoulli tails, and the periodization transform."""
 
 import math
 
@@ -11,7 +11,6 @@ from nlgamma import quad
 from nlgamma._backend.kernels import frac, laplace_integrand, p1
 from nlgamma.delta import integral_delta, integral_delta_squared
 from nlgamma.quad import (
-    PowerTail,
     QuadConfig,
     graded_breaks,
     integrate_finite,
@@ -23,8 +22,8 @@ from nlgamma.specfun import hurwitz_zeta
 
 EULER_GAMMA = 0.5772156649015328606
 
-# telescoping oracle: sum_{l<=1e5} [ln((l+1)/l) - 1/(l+1)] + 1/(2L) - 7/(12L^2)
-ONE_MINUS_GAMMA_ORACLE = 0.42278433509844043
+# 1 - gamma, correctly rounded (mpmath, 30 digits)
+ONE_MINUS_GAMMA = 0.42278433509846713
 
 
 def test_config_validation():
@@ -305,63 +304,32 @@ class TestFracHelpers:
 
 class TestUnitSplit:
     def test_sawtooth_over_square(self):
-        tail = PowerTail.from_periodic(lambda y: y, 2.0)
-        r = integrate_unit_split(lambda x: frac(x) / (x * x), 1.0, tail=tail)
-        assert abs(r.value - ONE_MINUS_GAMMA_ORACLE) < 5e-13
-        assert abs(r.value - ONE_MINUS_GAMMA_ORACLE) < 10.0 * r.abs_err_est + 1e-15
+        r = integrate_unit_split((0.0, 1.0), ((0.0, 2.0),), 1.0)
+        assert abs(r.value - ONE_MINUS_GAMMA) < 5e-13
+        assert abs(r.value - ONE_MINUS_GAMMA) <= r.abs_err_est
 
     def test_sawtooth_squared_over_cube(self):
         # equals (3 - pi^2/6 - 2 gamma)/2, the second closed moment at 1
-        tail = PowerTail.from_periodic(lambda y: y * y, 3.0)
-        r = integrate_unit_split(lambda x: frac(x) ** 2 / x**3, 1.0, tail=tail)
+        r = integrate_unit_split((0.0, 0.0, 1.0), ((0.0, 3.0),), 1.0)
         exact = (3.0 - math.pi**2 / 6.0 - 2.0 * EULER_GAMMA) / 2.0
-        assert abs(r.value - exact) < 1e-12
+        assert abs(r.value - exact) < 1e-15
 
     def test_plain_inverse_square(self):
-        # constant periodic factor: the mean correction makes the tail exact
-        tail = PowerTail.from_periodic(lambda y: 1.0, 2.0)
-        r = integrate_unit_split(lambda x: 1.0 / (x * x), 1.0, tail=tail)
-        assert abs(r.value - 1.0) < 1e-12
-
-    def test_envelope_only_tail(self):
-        tail = PowerTail.from_envelope(1.0, 3.0)
-        r = integrate_unit_split(
-            lambda x: 1.0 / x**3, 1.0, QuadConfig(abs_tol=1e-7), tail=tail
-        )
-        assert r.converged
-        assert abs(r.value - 0.5) <= r.abs_err_est + 1e-12
-        assert abs(r.value - 0.5) < 1e-6
-
-    def test_non_integer_start(self):
-        tail = PowerTail.from_periodic(lambda y: 1.0, 2.0)
-        r = integrate_unit_split(lambda x: 1.0 / (x * x), 1.5, tail=tail)
-        assert abs(r.value - 1.0 / 1.5) < 1e-12
-
-    def test_no_tail_model_geometric_fallback(self):
-        r = integrate_unit_split(lambda x: math.exp(-x), 0.0)
-        assert abs(r.value - 1.0) < 1e-12
+        # constant periodic factor: the closed-form mean is the whole tail
+        r = integrate_unit_split((1.0,), ((0.0, 2.0),), 1.0)
+        assert abs(r.value - 1.0) < 1e-15
+        assert r.n_evals == 0
 
     def test_budget_exhaustion_flagged(self):
-        cfg = QuadConfig(tail_intervals_max=5, abs_tol=1e-13)
-        tail = PowerTail.from_envelope(1.0, 1.5)
-        r = integrate_unit_split(lambda x: 1.0 / x**1.5, 1.0, cfg, tail=tail)
+        cfg = QuadConfig(tail_intervals_max=2, abs_tol=1e-13)
+        r = integrate_unit_split((0.0, 1.0), ((0.0, 2.0),), 1.0, cfg)
         assert not r.converged
 
     def test_converged_implies_estimate_within_allowance(self):
         cfg = QuadConfig()
         cases = [
-            integrate_unit_split(
-                lambda x: frac(x) / (x * x),
-                1.0,
-                cfg,
-                tail=PowerTail.from_periodic(lambda y: y, 2.0),
-            ),
-            integrate_unit_split(
-                lambda x: frac(x) ** 3 / x**4,
-                1.0,
-                cfg,
-                tail=PowerTail.from_periodic(lambda y: y**3, 4.0),
-            ),
+            integrate_unit_split((0.0, 1.0), ((0.0, 2.0),), 1.0, cfg),
+            integrate_unit_split((0.0, 0.0, 0.0, 1.0), ((0.0, 4.0),), 1.0, cfg),
             p1_integral(((1.0, 4.0),), 0.0, cfg),
             integrate_finite(lambda u: math.exp(-u), 0.0, 3.0, cfg),
         ]
@@ -373,11 +341,8 @@ class TestUnitSplit:
         # int_1^inf f({x}) g(x) dx = sum_l int_0^1 f(y) g(y+l) dy
         for mdeg in range(0, 4):
             g_pow = mdeg + 2.0
-            tail = PowerTail.from_periodic(lambda y, m=mdeg: y**m, g_pow, shift=1.0)
             direct = integrate_unit_split(
-                lambda x, m=mdeg: frac(x) ** m / (x + 1.0) ** (m + 2.0),
-                1.0,
-                tail=tail,
+                (0.0,) * mdeg + (1.0,), ((1.0, g_pow),), 1.0
             )
             summed = 0.0
             err = 0.0
@@ -392,6 +357,147 @@ class TestUnitSplit:
             assert abs(direct.value - summed) <= (
                 direct.abs_err_est + err + tail_bound + 1e-12
             )
+
+    @pytest.mark.parametrize(
+        "coeffs,factors,start",
+        [
+            pytest.param((0.0, 1.0), ((1.0, 3.0),), 0.5, id="non_integer_start"),
+            pytest.param((0.0, 1.0), ((-1.0, 3.0),), 1.0, id="start_plus_c_zero"),
+            pytest.param((0.0, 1.0), ((1.0, 0.0),), 0.0, id="p_zero"),
+            pytest.param((0.0, 1.0), (), 0.0, id="no_factor"),
+            pytest.param((), ((1.0, 3.0),), 0.0, id="no_coefficient"),
+            pytest.param((0.0, math.nan), ((1.0, 3.0),), 0.0, id="nan_coefficient"),
+            pytest.param((0.0,) * 22 + (1.0,), ((1.0, 3.0),), 0.0, id="degree_22"),
+            # the mean 1/2 of y over (t + 1)^-1 diverges
+            pytest.param((0.0, 1.0), ((1.0, 1.0),), 0.0, id="mean_with_p_one"),
+            pytest.param((1.0,), ((1.0, 2.0), (2.0, 1.0)), 0.0, id="mean_two_factors"),
+        ],
+    )
+    def test_domain_errors(self, coeffs, factors, start):
+        with pytest.raises(ValueError):
+            integrate_unit_split(coeffs, factors, start)
+
+
+def _mp_unit_split(coeffs, factors, start):
+    """integral_start^inf phi({t}) g(t) dt at 25 digits (mpmath):
+    integral_0^1 phi(y) S(y) dy with S(y) = sum_l g(y + l + start).  One
+    factor gives S = zeta(p, y + start + c).  Two factors with integer
+    powers are split into partial fractions: sum_l over (t + c)^(-i) is a
+    Hurwitz zeta for i >= 2, and the two 1/(t + c) parts carry opposite
+    weights, so together they sum to a difference of digammas."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(25):
+        poly = [mpmath.mpf(a) for a in reversed(coeffs)]
+        if len(factors) == 1:
+            ((c, p),) = factors
+
+            def s_sum(y):
+                return mpmath.zeta(p, y + start + c)
+
+        else:
+            (c1, p1), (c2, p2) = factors
+            p1, p2 = int(p1), int(p2)
+            d = mpmath.mpf(c2) - mpmath.mpf(c1)
+
+            def weight(i, p, q, gap):
+                # coefficient of (t + c)^(-i) in (t + c)^(-p) (t + c + gap)^(-q)
+                return (-1) ** (p - i) * mpmath.binomial(q + p - i - 1, p - i) * gap ** (
+                    i - p - q
+                )
+
+            w1 = [weight(i, p1, p2, d) for i in range(1, p1 + 1)]
+            w2 = [weight(j, p2, p1, -d) for j in range(1, p2 + 1)]
+
+            def s_sum(y):
+                a1, a2 = y + start + c1, y + start + c2
+                total = w1[0] * (mpmath.digamma(a2) - mpmath.digamma(a1))
+                total += mpmath.fsum(
+                    w1[i - 1] * mpmath.zeta(i, a1) for i in range(2, p1 + 1)
+                )
+                total += mpmath.fsum(
+                    w2[j - 1] * mpmath.zeta(j, a2) for j in range(2, p2 + 1)
+                )
+                return total
+
+        return float(mpmath.quad(lambda y: mpmath.polyval(poly, y) * s_sum(y), [0, 1]))
+
+
+def _dyadic_zero_mean(deg, seed):
+    """Coefficients of degree deg with mean over [0, 1] exactly zero:
+    coeffs[i]/(i + 1) are multiples of 1/8, summing to 0."""
+    q = [(-1) ** i * (i + seed % 3 + 1) / 8.0 for i in range(deg + 1)]
+    q[0] = -sum(q[1:])
+    return tuple((i + 1) * qi for i, qi in enumerate(q))
+
+
+# (degree, c, p, start) with one factor; the polynomial has a nonzero mean
+ORACLE_ONE_FACTOR = [
+    (deg, c, p, start)
+    for deg, c, p in [
+        (0, 0.05, 3.3), (1, 0.5, 13.0), (2, 1.0, 3.0), (3, 2.5, 5.0),
+        (4, 10.0, 8.0), (5, 0.3, 1.5), (6, 4.0, 13.0), (7, 0.05, 9.0),
+        (8, 7.0, 2.5),
+    ]
+    for start in (0.0, 1.0)
+]
+# (degree, (c1, p1), (c2, p2), start); the polynomial has zero mean
+ORACLE_TWO_FACTORS = [
+    (1, (1.0, 1), (0.5, 13), 0.0),
+    (2, (0.25, 2), (3.0, 3), 1.0),
+    (3, (1.0, 1), (10.0, 7), 0.0),
+    (4, (0.05, 1), (1.5, 4), 1.0),
+    (5, (6.0, 3), (2.0, 2), 0.0),
+    (6, (1.0, 1), (0.75, 5), 1.0),
+    (7, (9.0, 2), (0.1, 5), 0.0),
+    (8, (1.0, 1), (4.0, 6), 1.0),
+]
+
+
+class TestUnitSplitOracle:
+    """The estimate bounds the error against a 25-digit oracle for
+    polynomials of degree 0-8, one or two factors, c in (0, 10], p up to
+    13 and start 0 or 1."""
+
+    @staticmethod
+    def _check(coeffs, factors, start):
+        r = integrate_unit_split(coeffs, factors, start)
+        ref = _mp_unit_split(coeffs, factors, start)
+        assert r.converged
+        assert abs(r.value - ref) <= r.abs_err_est, (r.value, ref, r.abs_err_est)
+
+    @pytest.mark.parametrize("deg,c,p,start", ORACLE_ONE_FACTOR)
+    def test_one_factor(self, deg, c, p, start):
+        coeffs = tuple((-1.0) ** i * (1.0 + i / 3.0) for i in range(deg + 1))
+        self._check(coeffs, ((c, p),), start)
+
+    @pytest.mark.parametrize("deg,f1,f2,start", ORACLE_TWO_FACTORS)
+    def test_two_factors(self, deg, f1, f2, start):
+        self._check(_dyadic_zero_mean(deg, deg), (f1, f2), start)
+
+    @pytest.mark.parametrize(
+        "deg,factors,x,rel",
+        [
+            (1, ((0.5, 3.0),), 5.0, 1e-6),
+            (1, ((0.5, 3.0),), 10.0, 1e-12),
+            (3, ((2.0, 5.0),), 2.0, 1e-4),
+            (3, ((2.0, 5.0),), 10.0, 1e-9),
+            (5, ((1.0, 1.0), (0.25, 7.0)), 10.0, 1e-6),
+            (8, ((0.05, 13.0),), 10.0, 1e-4),
+            (2, ((1.0, 1.0), (3.0, 2.0)), 2.0, 1e-6),
+            (2, ((1.0, 1.0), (3.0, 2.0)), 10.0, 1e-12),
+        ],
+    )
+    def test_tail_bound(self, deg, factors, x, rel):
+        # the Bernoulli tail alone, stopped early enough that its
+        # remainder stands far above rounding: the charged first omitted
+        # terms must cover it
+        coeffs = _dyadic_zero_mean(deg, deg)
+        parts = quad._sawtooth_plan(coeffs)[2]
+        ref = _mp_unit_split(coeffs, factors, x)
+        tail = quad._sawtooth_tail(parts, factors, x, rel * abs(ref))
+        assert tail is not None
+        value, bound = tail
+        assert abs(value - ref) <= bound <= rel * abs(ref)
 
 
 class TestP1Integral:
@@ -412,37 +518,33 @@ class TestLemma2Transform:
     @pytest.mark.parametrize("c", [1.0, 2.0])
     @pytest.mark.parametrize("lam", [2.0, 3.0, 4.0])
     def test_equality_grid(self, b, c, lam):
-        for name, f in (("one", lambda y: 1.0), ("y", lambda y: y), ("y2", lambda y: y * y)):
+        for name, f in (("one", (1.0,)), ("y", (0.0, 1.0)), ("y2", (0.0, 0.0, 1.0))):
             lhs, rhs = lemma2_transform(f, b, c, lam)
-            assert abs(lhs.value - rhs.value) < 1e-8, (name, b, c, lam)
+            assert lhs.converged and rhs.converged
+            assert abs(lhs.value - rhs.value) < 1e-14, (name, b, c, lam)
 
     def test_trivial_telescoping_case(self):
         # f = 1, b = c = 1, lam = 2: both sides are exactly 1
-        lhs, rhs = lemma2_transform(lambda y: 1.0, 1.0, 1.0, 2.0)
-        assert abs(lhs.value - 1.0) < 1e-10
+        lhs, rhs = lemma2_transform((1.0,), 1.0, 1.0, 2.0)
+        assert abs(lhs.value - 1.0) < 1e-15
         assert abs(rhs.value - 1.0) < 1e-12
 
     def test_moment_case(self):
-        lhs, rhs = lemma2_transform(lambda y: y, 1.0, 1.0, 2.0)
-        assert abs(lhs.value - (1.0 - EULER_GAMMA)) < 1e-10
-        assert abs(rhs.value - (1.0 - EULER_GAMMA)) < 1e-11
+        lhs, rhs = lemma2_transform((0.0, 1.0), 1.0, 1.0, 2.0)
+        assert abs(lhs.value - ONE_MINUS_GAMMA) < 1e-15
+        assert abs(rhs.value - ONE_MINUS_GAMMA) < 1e-11
 
     def test_scaling_substitution(self):
         # int_0^inf f({x/b}) g(x) dx = b int_0^inf f({v}) g(b v) dv
         b, c, lam = 3.0, 2.0, 3.0
-        f = lambda y: y  # noqa: E731
-        scale = b ** (1.0 - lam)
-        tail = PowerTail.from_periodic(lambda y: scale * f(y), lam, shift=c / b)
-        subst = integrate_unit_split(
-            lambda v: scale * f(frac(v)) * (v + c / b) ** (-lam), 0.0, tail=tail
-        )
+        subst, _ = lemma2_transform((0.0, 1.0), b, c, lam)
         # direct x-integration over blocks [j b, (j+1) b] with interior
         # breakpoints only at multiples of b
         direct = 0.0
         err = 0.0
         for j in range(4000):
             part = integrate_finite(
-                lambda x: f(frac(x / b)) * (x + c) ** (-lam), j * b, (j + 1.0) * b
+                lambda x: frac(x / b) * (x + c) ** (-lam), j * b, (j + 1.0) * b
             )
             direct += part.value
             err += part.abs_err_est
@@ -452,8 +554,13 @@ class TestLemma2Transform:
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            lemma2_transform(lambda y: y, 0.0, 1.0, 2.0)
+            lemma2_transform((0.0, 1.0), 0.0, 1.0, 2.0)
         with pytest.raises(ValueError):
-            lemma2_transform(lambda y: y, 1.0, 1.0, 1.0)
+            lemma2_transform((0.0, 1.0), 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
-            lemma2_transform(lambda y: y, 1.0, -1.0, 2.0)
+            lemma2_transform((0.0, 1.0), 1.0, -1.0, 2.0)
+        # c = 0: both sides diverge at x = 0 for f(0) != 0
+        with pytest.raises(ValueError):
+            lemma2_transform((1.0,), 1.0, 0.0, 2.0)
+        with pytest.raises(ValueError):
+            lemma2_transform((0.0, 1.0), 1.0, 0.0, 2.0)

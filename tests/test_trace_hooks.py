@@ -1,0 +1,25 @@
+"""The names perfbench's tracer patches must exist and sit on the paths it
+expects: a rename in `quad` would otherwise only show up as missing
+counters in `perfbench/run.py --trace 1`."""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+tracing = pytest.importorskip("tracing")
+
+from nlgamma.delta import Route, delta_deriv, frac_rep_prop2  # noqa: E402
+
+
+def test_sawtooth_spans_and_kernel_calls_recorded():
+    rec = tracing.Recorder(keep_spans=False)
+    with tracing.instrument(rec):
+        delta_deriv(2, 0.5, Route.HYP)
+        frac_rep_prop2(1, 2)
+    assert rec.durations.get("quad.p1_integral")
+    assert rec.durations.get("quad.integrate_unit_split")
+    assert rec.durations.get("quad.integrate_finite")
+    assert rec.kernel_calls["p1"] > 0
+    assert rec.n_evals["quad.integrate_unit_split"] > 0
