@@ -1,11 +1,40 @@
-"""Minimal double-double arithmetic for one hot spot.
+"""Double-double arithmetic for one hot spot: CLOSED below |x| = 0.125.
 
 The product-rule formula for the m-th derivative of ln(Gamma(x+1))/x
 cancels catastrophically as x -> 0: the j-th term grows like
 j!/|x|^(j+1) while the sum stays O(1).  Below |x| = 0.125 the terms are
-therefore accumulated in ~32-digit double-double arithmetic, with the
-polygamma values themselves produced by double-double Taylor series
-around 1 (radius 1, geometric at |x| <= 0.125).
+therefore accumulated in ~32-digit double-double arithmetic (Dekker
+1971; the Hida-Li-Bailey QD operations).
+
+The polygamma values come from their Taylor series around 1,
+
+    psi^(j)(1 + x) = sum_{p>=0} c_{j,p} x^p,
+    c_{j,p} = (-1)^k zeta(k) (k-1)!/(k-1-j)!,   k = p + j + 1,
+
+with zeta(1) read as Euler's gamma (the k = 1 term, for j <= 0), and
+ln Gamma(1 + x)/x as the order j = -1 (c_{-1,p} = (-1)^k zeta(k)/k,
+k = p + 1).  Each order's coefficients are rounded to double-double
+once, the first time the order is used (`_order_table`), and the series
+is summed by one Horner pass whose step is a double-double x double
+multiply and a double-double add.
+
+Truncation.  For p >= 1, |c_{j,p+1}/c_{j,p}| <= rho_p = (p + j+ + 1)/(p + 1)
+with j+ = max(j, 0), because zeta decreases; rho_p decreases in p.  So
+the tail omitted after N terms is bounded geometrically,
+
+    sum_{p>=N} |c_{j,p}| h^p <= |c_{j,N}| h^N / (1 - rho_N h),   |x| <= h,
+
+and N is the least count that puts this bound under 2^-112 |c_{j,0}|
+for h the top of |x|'s binade (capped at 0.125).  |psi^(j)(1 + x)| stays
+above |c_{j,0}|/5 for |x| <= 0.125 and j <= 11, so the dropped tail is
+under 1e-33 of the value, well below the rounding of the Horner pass.
+
+Rounding.  The standard Horner bound gives each order an error of at
+most 2N 2^-104 sum_p |c_{j,p}| |x|^p.  Carried through the Leibniz sum
+with the rounding of x^(j+1) and of the sum itself, that a-priori bound
+is up to 6-8x the estimate returned here, which charges 2^-104 of the
+largest Leibniz term per term: the estimate is measured, not proven.
+Against mpmath the errors stay under 0.45 of it (tests/test_ddarith.py).
 
 Only the handful of operations that path needs are implemented.
 A value is an (hi, lo) tuple with |lo| <= ulp(hi)/2.
@@ -13,6 +42,7 @@ A value is an (hi, lo) tuple with |lo| <= ulp(hi)/2.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from ._ddconsts import EULER_GAMMA_DD, ZETA_DD
@@ -20,6 +50,8 @@ from ._ddconsts import EULER_GAMMA_DD, ZETA_DD
 _SPLITTER = 134217729.0  # 2^27 + 1, Dekker splitting constant
 
 K_MAX = len(ZETA_DD) - 1
+X_MAX = 0.125  # the CLOSED seam; the truncation table covers |x| <= X_MAX
+TAIL_REL = 2.0**-112  # omitted Taylor tail, relative to |c_{j,0}|
 
 
 def _two_sum(a, b):
@@ -73,10 +105,6 @@ def div(x, y):
     return (hi, lo)
 
 
-def from_float(a):
-    return (a, 0.0)
-
-
 def from_int(n):
     """Exact conversion of a (possibly > 2^53) Python int."""
     hi = float(n)
@@ -84,71 +112,94 @@ def from_int(n):
     return (hi, lo)
 
 
-def to_float(x):
-    return x[0] + x[1]
+def _tail(coeffs, j, n, h):
+    """The geometric bound on sum_{p>=n} |c_{j,p}| h^p, the tail that n
+    Horner terms omit at |x| <= h (n >= 1); inf where it does not apply."""
+    rho_h = h * (n + max(j, 0) + 1) / (n + 1)
+    if n >= len(coeffs) or rho_h >= 1.0:
+        return math.inf
+    return abs(coeffs[n][0]) * h**n / (1.0 - rho_h)
 
 
-def _dd_polygamma_taylor(j, t):
-    """psi^(j)(1 + t) in double-double, for j >= 0 and |t| <= 0.26.
+@functools.lru_cache(maxsize=None)
+def _order_table(j):
+    """(c_{j,0..P}, terms) for order j >= -1, built on first use.
 
-    Derivative of ln Gamma(1+t) = -gamma*t + sum_{k>=2} (-1)^k zeta(k) t^k/k:
-      psi^(j)(1+t) = sum_{k>=j+1} (-1)^k zeta(k) [(k-1)!/(k-1-j)!] t^(k-1-j)
-    with the k = 1 term (-gamma) entering only for j = 0.
+    c_{j,p} is (-1)^k ZETA_DD[k] times the exact integer
+    (k-1)!/(k-1-j)!, or divided by k for j = -1, in one double-double
+    operation.  The last entry is read only by the tail bound.  terms[i] is the Horner length for |x| <= X_MAX * 2^-i; the
+    last entry, 1, serves every smaller |x|.
     """
-    acc = (0.0, 0.0)
-    if j == 0:
-        acc = neg(EULER_GAMMA_DD)
-    tpow = (1.0, 0.0)
-    for k in range(j + 1, K_MAX + 1):
-        coef = math.prod(range(k - j, k)) if j else 1  # (k-1)!/(k-1-j)!
-        term = mul(ZETA_DD[k], tpow)
-        if j:
-            term = mul(term, from_int(coef))
-        if k % 2:
-            term = neg(term)
-        acc = add(acc, term)
-        if abs(term[0]) < 1e-34 * (abs(acc[0]) + 1e-300) and k > j + 4:
-            break
-        tpow = mul_d(tpow, t)
-    return acc
+    coeffs = []
+    for k in range(max(j, 0) + 1, K_MAX + 1):
+        if k == 1:
+            c = neg(EULER_GAMMA_DD)
+        elif j < 0:
+            c = div(ZETA_DD[k], (float(k), 0.0))
+        else:
+            c = mul(ZETA_DD[k], from_int(math.prod(range(k - j, k))))
+        coeffs.append(neg(c) if k % 2 and k > 1 else c)
+    limit = TAIL_REL * abs(coeffs[0][0])
+    n = len(coeffs) - 1
+    if _tail(coeffs, j, n, X_MAX) > limit:
+        raise ValueError(f"order {j} needs more zeta values than ZETA_DD holds")
+    terms = []
+    h = X_MAX
+    while True:
+        while n > 1 and _tail(coeffs, j, n - 1, h) <= limit:
+            n -= 1
+        terms.append(n)
+        if n == 1:
+            return tuple(coeffs), tuple(terms)
+        h *= 0.5
 
 
-def _dd_lgamma1p(t):
-    """ln Gamma(1 + t) in double-double for |t| <= 0.26."""
-    acc = mul_d(neg(EULER_GAMMA_DD), t)
-    tpow = _two_prod(t, t)
-    for k in range(2, K_MAX + 1):
-        term = div(mul(ZETA_DD[k], tpow), from_float(float(k)))
-        if k % 2:
-            term = neg(term)
-        acc = add(acc, term)
-        if abs(term[0]) < 1e-34 * (abs(acc[0]) + 1e-300):
-            break
-        tpow = mul_d(tpow, t)
-    return acc
+def _horner(coeffs, n, x, xhi, xlo):
+    """sum_{p<n} coeffs[p] x^p; (xhi, xlo) is x's Dekker split."""
+    hi, lo = coeffs[n - 1]
+    for chi, clo in reversed(coeffs[: n - 1]):
+        # (hi, lo) * x, left unnormalised as p + e ...
+        p = hi * x
+        ca = _SPLITTER * hi
+        ahi = ca - (ca - hi)
+        alo = hi - ahi
+        e = ((ahi * xhi - p) + ahi * xlo + alo * xhi) + alo * xlo + lo * x
+        # ... plus (chi, clo)
+        s = p + chi
+        bb = s - p
+        e = ((p - (s - bb)) + (chi - bb)) + (e + clo)
+        hi = s + e
+        bb = hi - s
+        lo = (s - (hi - bb)) + (e - bb)
+    return hi, lo
 
 
 def closed_product_rule_dd(m, x):
     """Leibniz expansion of d^m/dx^m [ln Gamma(x+1) / x] in double-double.
 
-    Valid for 0 < |x| <= 0.26 and 1 <= m <= 12.  Returns (value, abs_err_est).
+    Valid for 0 < |x| <= 0.125 and 1 <= m <= 12.  Returns (value, abs_err_est).
     """
+    if not 0.0 < abs(x) <= X_MAX:
+        raise ValueError(f"double-double CLOSED needs 0 < |x| <= {X_MAX}, got {x}")
+    binade = max(-3 - math.frexp(x)[1], 0)  # |x| <= X_MAX * 2^-binade
+    ca = _SPLITTER * x
+    xhi = ca - (ca - x)
+    xlo = x - xhi
     xpow = (x, 0.0)  # x^(j+1)
     total = (0.0, 0.0)
     magnitude = 0.0
     for j in range(m + 1):
+        coeffs, terms = _order_table(m - j - 1)
+        psi = _horner(coeffs, terms[min(binade, len(terms) - 1)], x, xhi, xlo)
         if j == m:
-            psi = _dd_lgamma1p(x)
-        else:
-            psi = _dd_polygamma_taylor(m - j - 1, x)
-        coef = math.comb(m, j) * math.factorial(j)
-        term = div(mul(psi, from_int(coef)), xpow)
+            psi = mul_d(psi, x)  # ln Gamma(1 + x) = x * (its series over x)
+        term = div(mul_d(psi, float(math.perm(m, j))), xpow)
         if j % 2:
             term = neg(term)
         total = add(total, term)
         magnitude = max(magnitude, abs(term[0]))
         xpow = mul_d(xpow, x)
-    value = to_float(total)
+    value = total[0] + total[1]
     # each term carries ~1e-32 relative noise; cancellation leaves its trace
     err = 2.0 * (abs(value) * 1.1e-16 + magnitude * (m + 1) * 5.0e-32)
     return value, err

@@ -108,7 +108,15 @@ def default_route(m, x):
 
 
 def _closed(m, x):
-    """Leibniz expansion sum_j C(m,j) psi^(m-j-1)(x+1) (-1)^j j!/x^(j+1)."""
+    """Leibniz expansion sum_j C(m,j) psi^(m-j-1)(x+1) (-1)^j j!/x^(j+1).
+
+    Below |x| = 0.125 the terms cancel like |x|^-(m+1), so
+    _ddarith.closed_product_rule_dd forms and sums them in double-double:
+    each psi^(j)(1+x), and ln Gamma(1+x), is one Horner pass over its
+    Taylor coefficients at 1 (a table built on first use), cut where a
+    geometric bound puts the omitted tail under 2^-112 of the leading
+    coefficient.  Elsewhere the terms come from the double kernels.
+    """
     if x == 0.0:
         raise ValueError("CLOSED route needs x != 0")
     if abs(x) < SERIES_DEFAULT_THRESHOLD:
@@ -232,10 +240,16 @@ def _laplace(m, x, cfg):
 
 def _hyp(m, x, cfg):
     """(1.6)-style assembly: two 2F1 terms minus a sawtooth integral,
-    scaled by (-1)^(m-1) m!."""
+    scaled by (-1)^(m-1) m!.  From x = 2^53 on, z = x/(x + 1) rounds to
+    1, where the first 2F1 diverges, so such x are refused."""
     from .hyp2f1 import gauss_2f1  # deferred: avoid import cycle
 
     z = x / (x + 1.0)
+    if z == 1.0:
+        raise ValueError(
+            f"domain error: HYP route needs x/(x + 1) < 1 in double precision "
+            f"(x below about 2^53), got x = {x}"
+        )
     f1 = gauss_2f1(1.0, m + 1.0, m + 2.0, z)
     f2 = gauss_2f1(1.0, float(m), m + 2.0, z)
     xp1 = x + 1.0

@@ -150,6 +150,11 @@ def integrate_finite(f, a, b, cfg=DEFAULT_CONFIG, breakpoints=()):
     the stop test then run over all pieces together.  Callers that know
     where f has a peak or a boundary layer pass graded_breaks points.
 
+    A panel no wider than 1e-15 of its own position, max(|pa|, |pb|), or
+    whose midpoint rounds onto an end, is kept unsplit: its nodes are a
+    few ulps apart.  The floor is relative, so a layer at t ~ 1e-16 near
+    a = 0 is still resolved.
+
     The stop test reads running sums of the panel values, estimates and
     magnitudes, each carrying a bound on its own rounding, and the exact
     math.fsum sums are taken only when the running test cannot rule out
@@ -169,10 +174,9 @@ def integrate_finite(f, a, b, cfg=DEFAULT_CONFIG, breakpoints=()):
         heap.append((-err, lo, hi, value))
     heapq.heapify(heap)
     n_evals = 15 * len(heap)
-    frozen = []  # panels at the double-precision width floor: kept, not split
+    frozen = []  # panels too narrow for their position to split: kept as they are
     n_splits = 0
     converged = True
-    width_floor = 1e-15 * (b - a)
     # must_split: the running sums of panel values, estimates and |values|
     # (sums, with rounding bounds slop) already rule out the stop
     must_split = False
@@ -193,10 +197,10 @@ def integrate_finite(f, a, b, cfg=DEFAULT_CONFIG, breakpoints=()):
             sums = [total, err_sum, abs_sum]
             slop = [_ADD_ROUNDING * abs(s) for s in sums]
         neg_err, pa, pb, pv = heapq.heappop(heap)
-        if pb - pa <= width_floor:
+        mid = 0.5 * (pa + pb)
+        if pb - pa <= 1e-15 * max(abs(pa), abs(pb)) or mid in (pa, pb):
             frozen.append((neg_err, pa, pb, pv))
             continue
-        mid = 0.5 * (pa + pb)
         v1, e1 = _panel(f, pa, mid)
         v2, e2 = _panel(f, mid, pb)
         n_evals += 30

@@ -7,8 +7,10 @@ import sys
 
 import pytest
 
+from nlgamma import cli
 from nlgamma.cli import main
 from nlgamma.delta import Route, delta_deriv
+from nlgamma.quad import QuadConfig
 from nlgamma.report import fmt17
 
 G = 0.5772156649015328606
@@ -44,17 +46,27 @@ class TestEval:
         assert rc == 0
         assert out.strip().split("\t")[2] == "HURWITZ"
 
-    def test_nonconverged_exits_1(self, capsys):
-        # the boundary layer at t ~ 1/x is under the panel width floor,
-        # so the quadrature spends its whole split budget
+    def test_nonconverged_exits_1(self, capsys, monkeypatch):
+        # one split is not enough for the layer at u = 1
+        starved = QuadConfig(max_subdivisions=1)
+        monkeypatch.setattr(cli, "DEFAULT_CONFIG", starved)
         rc, out, err = run_cli(
-            capsys, "eval", "--fn", "deriv", "--m", "1", "--x", "1e16", "--route", "LAPLACE"
+            capsys, "eval", "--fn", "deriv", "--m", "3", "--x", "-0.9", "--route", "HURWITZ"
         )
         assert rc == 1
-        r = delta_deriv(1, 1e16, Route.LAPLACE)
-        row = (fmt17(r.value), fmt17(r.abs_err_est), "LAPLACE", str(r.n_evals))
+        r = delta_deriv(3, -0.9, Route.HURWITZ, starved)
+        assert not r.converged
+        row = (fmt17(r.value), fmt17(r.abs_err_est), "HURWITZ", str(r.n_evals))
         assert out == "\t".join(row) + "\n"
         assert "did not converge" in err
+
+    def test_hyp_at_z_rounding_to_one_exits_2(self, capsys):
+        rc, out, err = run_cli(
+            capsys, "eval", "--fn", "deriv", "--m", "1", "--x", "1e16", "--route", "HYP"
+        )
+        assert rc == 2
+        assert out == ""
+        assert "domain error: HYP route" in err
 
     def test_domain_error_exits_2(self, capsys):
         rc, out, err = run_cli(capsys, "eval", "--fn", "deriv", "--m", "1", "--x", "-2")

@@ -109,6 +109,12 @@ class TestRouteAgreement:
         nxt = delta_deriv(m + 1, x, Route.CLOSED).value
         assert rel(fd, nxt) < 1e-5
 
+    @pytest.mark.parametrize("x", [2.0**53, 1e16, 1e300])
+    def test_hyp_refuses_z_rounding_to_one(self, x):
+        with pytest.raises(ValueError, match=r"domain error: HYP route needs x/\(x \+ 1\) < 1"):
+            delta_deriv(1, x, Route.HYP)
+        assert delta_deriv(2, 2.0**53 - 1.0, Route.HYP).converged
+
     def test_route_preconditions(self):
         with pytest.raises(ValueError):
             delta_deriv(1, 0.0, Route.CLOSED)
@@ -261,9 +267,20 @@ class TestConverged:
     TIGHT = QuadConfig(tail_intervals_max=1, max_subdivisions=1)
 
     def test_laplace_out_of_budget(self):
-        # about 61k evals: the layer at t ~ 1e-16 is under the width floor
-        r = delta_deriv(1, 1e16, Route.LAPLACE)
+        r = delta_deriv(1, 1e16, Route.LAPLACE, QuadConfig(max_subdivisions=1))
         assert not r.converged
+
+    @pytest.mark.parametrize(
+        "route,m,x", [(Route.LAPLACE, 1, 1e16), (Route.HURWITZ, 1, -1.0 + 1e-15)]
+    )
+    def test_layer_far_below_the_interval_width(self, route, m, x):
+        # the layer sits ~1e-16 of the interval from an end; an absolute
+        # width floor froze it and spent all 2,000 splits (about 61k evals)
+        r = delta_deriv(m, x, route)
+        closed = delta_deriv(m, x, Route.CLOSED)
+        assert r.converged
+        assert r.n_evals <= 1500, r.n_evals
+        assert abs(r.value - closed.value) <= r.abs_err_est + closed.abs_err_est
 
     @pytest.mark.parametrize(
         "route,m,x",

@@ -1,6 +1,6 @@
 """The names perfbench's tracer patches must exist and sit on the paths it
-expects: a rename in `quad` would otherwise only show up as missing
-counters in `perfbench/run.py --trace 1`."""
+expects: a rename in `quad` or `_ddarith` would otherwise only show up
+as missing counters in `perfbench/run.py --trace 1`."""
 
 import sys
 from pathlib import Path
@@ -23,3 +23,13 @@ def test_sawtooth_spans_and_kernel_calls_recorded():
     assert rec.durations.get("quad.integrate_finite")
     assert rec.kernel_calls["p1"] > 0
     assert rec.n_evals["quad.integrate_unit_split"] > 0
+
+
+def test_double_double_closed_spans_recorded():
+    # perfbench's ddarith.closed_product_rule_dd.* counters read these spans
+    rec = tracing.Recorder(keep_spans=False)
+    with tracing.instrument(rec):
+        delta_deriv(3, 0.05, Route.CLOSED)
+        delta_deriv(3, 0.5, Route.CLOSED)  # the double kernels: no span
+    assert len(rec.durations.get("_ddarith.closed_product_rule_dd", ())) == 1
+    assert rec.self_s["_ddarith.closed_product_rule_dd"] > 0.0
