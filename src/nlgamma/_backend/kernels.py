@@ -9,7 +9,9 @@ zeta(k) and Euler's gamma come from the generated table in `_ddconsts`,
 the only one in the package; the Taylor form of ln Gamma around 1 and 2
 reads it.  The Hurwitz-zeta kernel computes its values on its own, so
 checking it against the table is not circular.  Compensated sums go
-through `math.fsum`.
+through `math.fsum`.  `specfun` re-exports log-gamma, Hurwitz zeta and
+the incomplete gamma as they are, so their domain checks here are the
+only ones.
 """
 
 from __future__ import annotations
@@ -93,9 +95,9 @@ def hurwitz_zeta(s, a):
     corners (tiny a with huge s) can over/underflow double range.
     """
     if s <= 1.0:
-        raise ValueError("hurwitz_zeta requires s > 1")
+        raise ValueError(f"hurwitz_zeta: need s > 1, got {s}")
     if a <= 0.0:
-        raise ValueError("hurwitz_zeta requires a > 0")
+        raise ValueError(f"hurwitz_zeta: need a > 0, got {a}")
     n = max(0, math.ceil(10.0 + s - a))
     z = a + n
     total = (
@@ -158,7 +160,7 @@ def ln_gamma(x):
     about the size of the result).  Stirling from 8 on.
     """
     if x <= 0.0:
-        raise ValueError("ln_gamma requires x > 0")
+        raise ValueError(f"ln_gamma: need x > 0, got {x}")
     if 0.5 <= x < 1.5:
         return (x - 1.0) * ln_gamma_taylor(0, x - 1.0)
     if x < 0.5:
@@ -194,9 +196,9 @@ def digamma(x):
 def upper_incomplete_gamma_int(n, x):
     """Gamma(n+1, x) = n! e^(-x) sum_{m=0}^n x^m/m!, summed by math.fsum."""
     if n < 0:
-        raise ValueError("upper_incomplete_gamma_int requires n >= 0")
+        raise ValueError(f"upper_incomplete_gamma_int: need n >= 0, got {n}")
     if x < 0.0:
-        raise ValueError("upper_incomplete_gamma_int requires x >= 0")
+        raise ValueError(f"upper_incomplete_gamma_int: need x >= 0, got {x}")
     if n > 170:
         raise ValueError("upper_incomplete_gamma_int: n too large for double range")
     term = 1.0

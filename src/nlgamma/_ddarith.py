@@ -52,6 +52,10 @@ _SPLITTER = 134217729.0  # 2^27 + 1, Dekker splitting constant
 K_MAX = len(ZETA_DD) - 1
 X_MAX = 0.125  # the CLOSED seam; the truncation table covers |x| <= X_MAX
 TAIL_REL = 2.0**-112  # omitted Taylor tail, relative to |c_{j,0}|
+# Smallest |x|^(m+1) served: below it the low part of x^(j+1), and the
+# rounding error of its products, fall under the normal range (2^-1022
+# = 2^-969 * 2^-53), and the values miss their estimates by up to 1e12.
+POW_MIN = 2.0**-969
 
 
 def _two_sum(a, b):
@@ -177,10 +181,16 @@ def _horner(coeffs, n, x, xhi, xlo):
 def closed_product_rule_dd(m, x):
     """Leibniz expansion of d^m/dx^m [ln Gamma(x+1) / x] in double-double.
 
-    Valid for 0 < |x| <= 0.125 and 1 <= m <= 12.  Returns (value, abs_err_est).
+    Valid for 0 < |x| <= 0.125 and 1 <= m <= 12, with |x|^(m+1) >= POW_MIN.
+    Returns (value, abs_err_est).
     """
     if not 0.0 < abs(x) <= X_MAX:
         raise ValueError(f"double-double CLOSED needs 0 < |x| <= {X_MAX}, got {x}")
+    if abs(x) ** (m + 1) < POW_MIN:
+        raise ValueError(
+            f"domain error: double-double CLOSED needs |x|^(m+1) >= 2^-969, "
+            f"got x = {x} at m = {m}"
+        )
     binade = max(-3 - math.frexp(x)[1], 0)  # |x| <= X_MAX * 2^-binade
     ca = _SPLITTER * x
     xhi = ca - (ca - x)

@@ -27,6 +27,7 @@ from .delta import (
 )
 from .quad import DEFAULT_CONFIG, QuadConfig
 from .report import fmt17
+from .specfun import polygamma
 
 __all__ = ["main"]
 
@@ -110,12 +111,26 @@ def _grid(start, stop, count, log_spacing):
     return [start + (stop - start) * i / (count - 1) for i in range(count)]
 
 
+def _delta_point(x):
+    """D(x), a bound on its error, and the route that produced it.
+
+    ln_gamma and its Taylor form are good to 7.2 ulps of D (mpmath, 8,000
+    draws over -1 < x <= 1e300), charged as 12.  From |x| = 0.125 on, D
+    is ln Gamma(x + 1)/x, and rounding x + 1 moves ln Gamma by up to
+    |psi(x + 1)| ulp(x + 1)/2, which dominates near D's zero at x = 1.
+    """
+    value = delta(x)
+    route = default_route(0, x)
+    err = 12.0 * abs(value)
+    if route is Route.CLOSED:
+        err += 2.0 * abs((x + 1.0) * polygamma(0, x + 1.0) / x)
+    return value, err * 2.0**-53, route
+
+
 def _cmd_eval(args):
     cfg = _cfg_for(args.rel_tol)
     if args.fn == "delta":
-        value = delta(args.x)
-        route = default_route(0, args.x)
-        err = 2.0 * abs(value) * 1.1e-16 + 1e-18
+        value, err, route = _delta_point(args.x)
         line = (fmt17(value), fmt17(err), route.value, "1")
         converged = True
     else:
@@ -157,9 +172,7 @@ def _cmd_table(args):
     for x in xs:
         for route in routes:
             if args.fn == "delta":
-                value = delta(x)
-                err = 2.0 * abs(value) * 1.1e-16 + 1e-18
-                used = default_route(0, x)
+                value, err, used = _delta_point(x)
                 lines.append(f"{fmt17(x)},{used.value},{fmt17(value)},{fmt17(err)}")
             else:
                 used = route

@@ -50,6 +50,13 @@ MAX_DERIV_ORDER = 12
 SERIES_DEFAULT_THRESHOLD = 0.125
 SERIES_DOMAIN_LIMIT = 0.26  # hard cap; the expansion has radius 1
 
+# Error charged to each double-kernel CLOSED term, relative to its size.
+# On 5,000 mpmath draws (m = 1..12, -1 < x <= 1e6, |x| >= 0.125) the worst
+# error needed 2.24e-15 of sum |term| (m = 6, x = 0.4691, beside the zero
+# of the digamma at 1.4616) after the 2.2e-15 |value| charge; on 3,000
+# fresh draws the errors stay under 0.46 of the estimate.
+_CLOSED_TERM_REL = 4e-15
+
 
 class Route(enum.Enum):
     """One of several independent formulas for the same quantity."""
@@ -115,7 +122,11 @@ def _closed(m, x):
     each psi^(j)(1+x), and ln Gamma(1+x), is one Horner pass over its
     Taylor coefficients at 1 (a table built on first use), cut where a
     geometric bound puts the omitted tail under 2^-112 of the leading
-    coefficient.  Elsewhere the terms come from the double kernels.
+    coefficient.  Elsewhere the terms come from the double kernels, and
+    each is charged _CLOSED_TERM_REL of its size for the kernel, the
+    rounding of x + 1 and x^(j+1), and the products.  Both paths refuse
+    an x whose x^(m+1) they cannot carry: here where it overflows, in
+    double-double below _ddarith.POW_MIN = 2^-969.
     """
     if x == 0.0:
         raise ValueError("CLOSED route needs x != 0")
@@ -123,8 +134,9 @@ def _closed(m, x):
         value, err = _ddarith.closed_product_rule_dd(m, x)
         return EvalResult(value, err, Route.CLOSED, m + 1)
     terms = []
-    xpow = x
+    xpow = 1.0
     for j in range(m + 1):
+        xpow *= x
         order = m - j - 1
         if order == -1:
             psi = kernels.ln_gamma(x + 1.0)
@@ -135,10 +147,13 @@ def _closed(m, x):
             psi = sign * math.factorial(order) * kernels.hurwitz_zeta(order + 1.0, x + 1.0)
         term = math.comb(m, j) * psi * math.factorial(j) / xpow
         terms.append(-term if j % 2 else term)
-        xpow *= x
+    if math.isinf(xpow):
+        raise ValueError(
+            f"domain error: CLOSED needs x^(m+1) inside the double range, "
+            f"got x = {x} at m = {m}"
+        )
     value = math.fsum(terms)
-    magnitude = max(map(abs, terms))
-    err = 2.0 * (abs(value) + magnitude) * 1.1e-15
+    err = 2.2e-15 * abs(value) + _CLOSED_TERM_REL * math.fsum(map(abs, terms))
     return EvalResult(value, err, Route.CLOSED, m + 1)
 
 

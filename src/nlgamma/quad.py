@@ -125,13 +125,6 @@ def graded_breaks(pole, first, end):
     return points if rising else points[::-1]
 
 
-# Running sums in integrate_finite: each addition rounds by at most
-# 2^-53 of its result, charged here at twice that; a running test that
-# misses the allowance by less than _RUNNING_SLACK goes to the exact sums.
-_ADD_ROUNDING = 2.0**-52
-_RUNNING_SLACK = 1e-14
-
-
 def integrate_finite(f, a, b, cfg=DEFAULT_CONFIG, breakpoints=()):
     """Adaptive integral of f over [a, b].
 
@@ -155,11 +148,8 @@ def integrate_finite(f, a, b, cfg=DEFAULT_CONFIG, breakpoints=()):
     few ulps apart.  The floor is relative, so a layer at t ~ 1e-16 near
     a = 0 is still resolved.
 
-    The stop test reads running sums of the panel values, estimates and
-    magnitudes, each carrying a bound on its own rounding, and the exact
-    math.fsum sums are taken only when the running test cannot rule out
-    the stop.  The split decisions, the value and the estimate are those
-    of the exact sums on every pass.
+    The stop test reads exact math.fsum sums of the panel values,
+    estimates and magnitudes, taken afresh on every pass.
     """
     if a == b:
         return QuadResult(0.0, 0.0, 0, True)
@@ -177,25 +167,17 @@ def integrate_finite(f, a, b, cfg=DEFAULT_CONFIG, breakpoints=()):
     frozen = []  # panels too narrow for their position to split: kept as they are
     n_splits = 0
     converged = True
-    # must_split: the running sums of panel values, estimates and |values|
-    # (sums, with rounding bounds slop) already rule out the stop
-    must_split = False
     while True:
-        if not must_split or n_splits >= cfg.max_subdivisions or not heap:
-            panels = heap + frozen
-            total = math.fsum(item[3] for item in panels)
-            err_sum = math.fsum(-item[0] for item in panels)
-            abs_sum = math.fsum(abs(item[3]) for item in panels)
-            total_err = err_sum + 2e-16 * abs_sum
-            if total_err <= max(
-                cfg.abs_tol, cfg.rel_tol * abs(total), 4e-16 * abs(total)
-            ):
-                break
-            if n_splits >= cfg.max_subdivisions or not heap:
-                converged = False
-                break
-            sums = [total, err_sum, abs_sum]
-            slop = [_ADD_ROUNDING * abs(s) for s in sums]
+        panels = heap + frozen
+        total = math.fsum(item[3] for item in panels)
+        err_sum = math.fsum(-item[0] for item in panels)
+        abs_sum = math.fsum(abs(item[3]) for item in panels)
+        total_err = err_sum + 2e-16 * abs_sum
+        if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total), 4e-16 * abs(total)):
+            break
+        if n_splits >= cfg.max_subdivisions or not heap:
+            converged = False
+            break
         neg_err, pa, pb, pv = heapq.heappop(heap)
         mid = 0.5 * (pa + pb)
         if pb - pa <= 1e-15 * max(abs(pa), abs(pb)) or mid in (pa, pb):
@@ -207,16 +189,6 @@ def integrate_finite(f, a, b, cfg=DEFAULT_CONFIG, breakpoints=()):
         heapq.heappush(heap, (-e1, pa, mid, v1))
         heapq.heappush(heap, (-e2, mid, pb, v2))
         n_splits += 1
-        for i, (x1, x2, x0) in enumerate(
-            ((v1, v2, pv), (e1, e2, -neg_err), (abs(v1), abs(v2), abs(pv)))
-        ):
-            s = sums[i] + ((x1 + x2) - x0)
-            sums[i] = s
-            slop[i] += _ADD_ROUNDING * (abs(x1) + abs(x2) + abs(x0) + abs(s))
-        err_lo = (sums[1] - slop[1]) + 2e-16 * (sums[2] - slop[2])
-        mag_hi = abs(sums[0]) + slop[0]
-        allow_hi = max(cfg.abs_tol, cfg.rel_tol * mag_hi, 4e-16 * mag_hi)
-        must_split = err_lo * (1.0 - _RUNNING_SLACK) > allow_hi * (1.0 + _RUNNING_SLACK)
     return QuadResult(total, total_err, n_evals, converged)
 
 

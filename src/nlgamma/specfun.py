@@ -1,10 +1,11 @@
 """Double-precision special-function primitives.
 
 Log-gamma, digamma/polygamma, Hurwitz and Riemann zeta, the
-integer-parameter upper incomplete gamma, and Gamma(0, x).  Thin
-domain-checked wrappers over the scalar kernels, plus double-precision
-views of the one zeta/gamma table (`_ddconsts`) that the other modules
-share.
+integer-parameter upper incomplete gamma, and Gamma(0, x).  Log-gamma,
+Hurwitz zeta and the incomplete gamma are the scalar kernels themselves,
+which check their own domains; the rest are built on them here, next to
+double-precision views of the one zeta/gamma table (`_ddconsts`) that
+the other modules share.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass, field
 
 from . import quad
 from ._backend import kernels
+from ._backend.kernels import hurwitz_zeta, ln_gamma, upper_incomplete_gamma_int
 from ._ddconsts import ZETA_DD
 
 __all__ = [
@@ -34,22 +36,6 @@ K_MAX = len(ZETA_DD) - 1
 # cancellation, so it is abandoned well before the documented 1e-11
 # relative budget is at risk; quadrature takes over beyond this point.
 GAMMA_ZERO_SERIES_CUTOFF = 5.0
-
-
-def ln_gamma(x):
-    """ln Gamma(x) for x > 0 (relative error ~1e-14 on [1e-3, 1e6])."""
-    if x <= 0.0:
-        raise ValueError(f"ln_gamma: need x > 0, got {x}")
-    return kernels.ln_gamma(x)
-
-
-def hurwitz_zeta(s, a):
-    """zeta(s, a) = sum_{k>=0} (a + k)^(-s) for s > 1, a > 0."""
-    if s <= 1.0:
-        raise ValueError(f"hurwitz_zeta: need s > 1, got {s}")
-    if a <= 0.0:
-        raise ValueError(f"hurwitz_zeta: need a > 0, got {a}")
-    return kernels.hurwitz_zeta(s, a)
 
 
 def riemann_zeta(s):
@@ -75,16 +61,6 @@ def polygamma(order, x):
         return kernels.digamma(x)
     sign = 1.0 if order % 2 else -1.0
     return sign * math.factorial(order) * kernels.hurwitz_zeta(order + 1.0, x)
-
-
-def upper_incomplete_gamma_int(n, x):
-    """Gamma(n+1, x) for integer n >= 0, x >= 0, by the finite sum
-    n! e^(-x) sum_{m=0}^n x^m/m! accumulated in ascending order."""
-    if n < 0:
-        raise ValueError(f"upper_incomplete_gamma_int: need n >= 0, got {n}")
-    if x < 0.0:
-        raise ValueError(f"upper_incomplete_gamma_int: need x >= 0, got {x}")
-    return kernels.upper_incomplete_gamma_int(n, x)
 
 
 def gamma_zero(x):

@@ -177,6 +177,48 @@ class TestVerify:
         assert len(outs) == 1
 
 
+# -1 + 1e-6, the CLOSED seam, D's zero at x = 1, the branch points of
+# ln_gamma (arguments 1.5, 2.5, 8) and the same numbers as x, each with
+# its neighbouring doubles, the points the old 2.2e-16 |D| estimate
+# missed, and 1e100
+DELTA_GRID = sorted(
+    {
+        y
+        for x in (-1.0 + 1e-6, -0.3, -0.125, 0.125, 0.13, 0.5, 0.9, 1.0, 1.5, 2.5, 7.0, 8.0)
+        for y in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))
+    }
+    | {1.0 + 1e-9, 1.0 - 1e-12, 1e100}
+)
+
+
+class TestDeltaEstimate:
+    @staticmethod
+    def _mp_delta(x):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            return float(mp.loggamma(mp.mpf(x) + 1) / mp.mpf(x) if x else -mp.euler)
+
+    @pytest.mark.parametrize("x", DELTA_GRID)
+    def test_eval_estimate_bounds_the_error(self, capsys, x):
+        rc, out, _ = run_cli(capsys, "eval", "--fn", "delta", f"--x={x!r}")
+        assert rc == 0
+        value, err, _, _ = out.split("\t")
+        assert abs(float(value) - self._mp_delta(x)) <= float(err)
+
+    def test_table_prints_the_eval_estimate(self, capsys):
+        start, stop = -0.9, 2.0
+        rc, out, _ = run_cli(
+            capsys, "table", "--fn", "delta", "--start", repr(start), "--stop", repr(stop),
+            "--count", "30",
+        )
+        assert rc == 0
+        for line in out.splitlines()[1:]:
+            x, route, value, err = line.split(",")
+            _, eval_out, _ = run_cli(capsys, "eval", "--fn", "delta", f"--x={x}")
+            assert eval_out.split("\t")[:3] == [value, err, route]
+            assert abs(float(value) - self._mp_delta(float(x))) <= float(err)
+
+
 class TestTable:
     def test_csv_structure_and_pair_agreement(self, capsys):
         rc, out, _ = run_cli(
@@ -351,6 +393,22 @@ class TestProcessLevel:
         )
         assert proc.returncode == 0
         assert float(proc.stdout.split("\t")[0]) == 0.0
+
+    @pytest.mark.parametrize("m,x", [("12", "1e-25"), ("12", "1e24"), ("1", "1e160")])
+    def test_closed_outside_its_power_range_exits_2(self, m, x):
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "nlgamma.cli", "eval", "--fn", "deriv",
+                "--m", m, "--x", x, "--route", "CLOSED",
+            ],
+            capture_output=True,
+            text=True,
+            cwd="src",
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: domain error: ")
+        assert "Traceback" not in proc.stderr
 
     def test_usage_error_exits_2(self):
         proc = subprocess.run(

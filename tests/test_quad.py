@@ -148,10 +148,10 @@ class TestBreakpoints:
 
 
 class TestExactReplay:
-    """Values, estimates and counts recorded before the stop test read
-    running sums: the exact sums are taken whenever the running test is
-    within rounding of the allowance, so no split decision may move and
-    every result must match to the last bit."""
+    """Values, estimates and counts recorded with the exact math.fsum
+    stop test.  integrate_finite takes those sums on every pass, as it
+    did when these were recorded, so no split decision may move and every
+    result must match to the last bit."""
 
     P1 = {
         (2.0, 1.0): (-0.07246703342411322, 3.71226623099441e-15, 180),

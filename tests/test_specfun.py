@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlgamma import specfun
+from nlgamma._backend import kernels
 from nlgamma._backend.kernels import (
     hz_route_integrand,
     hz_route_integrand_reflected,
@@ -223,6 +224,40 @@ class TestUpperIncompleteGamma:
             upper_incomplete_gamma_int(-1, 1.0)
         with pytest.raises(ValueError):
             upper_incomplete_gamma_int(2, -1.0)
+
+
+class TestOneDomainCheck:
+    """ln_gamma, hurwitz_zeta and upper_incomplete_gamma_int are the
+    kernels themselves, whose checks name the argument and its value."""
+
+    @pytest.mark.parametrize(
+        "name", ["ln_gamma", "hurwitz_zeta", "upper_incomplete_gamma_int"]
+    )
+    def test_reexported_kernel(self, name):
+        assert getattr(specfun, name) is getattr(kernels, name)
+
+    @pytest.mark.parametrize(
+        "fn,args,message",
+        [
+            (ln_gamma, (-3.2,), "ln_gamma: need x > 0, got -3.2"),
+            (hurwitz_zeta, (1.0, 1.0), "hurwitz_zeta: need s > 1, got 1.0"),
+            (hurwitz_zeta, (2.0, 0.0), "hurwitz_zeta: need a > 0, got 0.0"),
+            (
+                upper_incomplete_gamma_int,
+                (-1, 1.0),
+                "upper_incomplete_gamma_int: need n >= 0, got -1",
+            ),
+            (
+                upper_incomplete_gamma_int,
+                (2, -1.0),
+                "upper_incomplete_gamma_int: need x >= 0, got -1.0",
+            ),
+        ],
+    )
+    def test_messages(self, fn, args, message):
+        with pytest.raises(ValueError) as info:
+            fn(*args)
+        assert str(info.value) == message
 
 
 class TestRouteIntegrands:
