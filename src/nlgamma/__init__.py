@@ -28,6 +28,7 @@ from .quad import (
     integrate_unit_split,
     lemma2_transform,
     p1_integral,
+    pointwise,
 )
 from .report import IdentityResidual, VerificationReport
 from .specfun import (
@@ -75,6 +76,7 @@ __all__ = [
     "ln_gamma",
     "p1_integral",
     "pochhammer",
+    "pointwise",
     "polygamma",
     "recurrence_residual",
     "riemann_zeta",

@@ -3,7 +3,11 @@
 These are the hot primitives everything else is built on: log-gamma,
 digamma, Hurwitz zeta via Euler-Maclaurin, the integer-order upper
 incomplete gamma, fractional-part helpers and a few fused integrands
-that quadrature loops evaluate millions of times.
+that quadrature loops evaluate millions of times.  Each route integrand
+has a panel form, taking a list of nodes and returning their values, that
+quad.integrate_finite calls once per panel; it looks up the constants
+that depend on m (or s) alone once, from a small cache, and the scalar
+form is the panel form at one node.
 
 zeta(k) and Euler's gamma come from the generated table in `_ddconsts`,
 the only one in the package; the Taylor form of ln Gamma around 1 and 2
@@ -16,6 +20,7 @@ only ones.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .._ddconsts import EULER_GAMMA_DD, ZETA_DD
@@ -29,7 +34,10 @@ __all__ = [
     "hurwitz_zeta",
     "hz_route_integrand",
     "hz_route_integrand_reflected",
+    "hz_route_panel",
+    "hz_route_reflected_panel",
     "laplace_integrand",
+    "laplace_panel",
     "laplace_tail_weight",
     "ln_gamma",
     "ln_gamma_taylor",
@@ -84,18 +92,24 @@ def p1(x):
     return x - math.floor(x) - 0.5
 
 
-def hurwitz_zeta(s, a):
-    """Hurwitz zeta(s, a) = sum_{k>=0} (a+k)^(-s) for s > 1, a > 0.
-
-    Euler-Maclaurin: N = max(0, ceil(10 + s - a)) terms summed directly,
-    then the integral and half terms at a+N plus Bernoulli corrections
-    through B_30.  a + N >= 10 + s keeps the corrections converging as
-    fast as anywhere, and for a >= 10 + s the direct sum is empty.
-    Relative error is ~1e-14 over s in [1.5, 60], a in (0, 1e6]; extreme
-    corners (tiny a with huge s) can over/underflow double range.
-    """
+@functools.lru_cache(maxsize=64, typed=True)
+def _zeta_coefs(s):
+    """B_2i/(2i)! s (s+1) ... (s+2i-2) for i = 1..15: the Euler-Maclaurin
+    coefficients of hurwitz_zeta at s, which multiply z^(-s-2i+1).  Typed:
+    an int s multiplies its Pochhammer products exactly, a float s rounds
+    them."""
     if s <= 1.0:
         raise ValueError(f"hurwitz_zeta: need s > 1, got {s}")
+    coefs = []
+    poch = s
+    for i in range(15):
+        coefs.append(_B2I_OVER_FACT[i] * poch)
+        poch *= (s + 2 * i + 1) * (s + 2 * i + 2)
+    return tuple(coefs)
+
+
+def _zeta_sum(s, coefs, a):
+    """hurwitz_zeta(s, a), given _zeta_coefs(s)."""
     if a <= 0.0:
         raise ValueError(f"hurwitz_zeta: need a > 0, got {a}")
     n = max(0, math.ceil(10.0 + s - a))
@@ -106,16 +120,28 @@ def hurwitz_zeta(s, a):
         + 0.5 * z ** (-s)
     )
     zpow = z ** (-s - 1.0)
-    poch = s
     z2 = z * z
-    for i in range(15):
-        term = _B2I_OVER_FACT[i] * poch * zpow
+    for coef in coefs:
+        term = coef * zpow
         total += term
         if abs(term) <= 1e-17 * abs(total):
             break
-        poch *= (s + 2 * i + 1) * (s + 2 * i + 2)
         zpow /= z2
     return total
+
+
+def hurwitz_zeta(s, a):
+    """Hurwitz zeta(s, a) = sum_{k>=0} (a+k)^(-s) for s > 1, a > 0.
+
+    Euler-Maclaurin: N = max(0, ceil(10 + s - a)) terms summed directly,
+    then the integral and half terms at a+N plus Bernoulli corrections
+    through B_30.  a + N >= 10 + s keeps the corrections converging as
+    fast as anywhere, and for a >= 10 + s the direct sum is empty.
+    Relative error is ~1e-14 over s in [1.5, 60], a in (0, 1e6]; extreme
+    corners (tiny a with huge s) can over/underflow double range.  The
+    coefficients that depend on s alone are cached for the last 64 s.
+    """
+    return _zeta_sum(s, _zeta_coefs(s), a)
 
 
 def ln_gamma_taylor(s, t):
@@ -209,6 +235,44 @@ def upper_incomplete_gamma_int(n, x):
     return float(math.factorial(n)) * math.exp(-x) * math.fsum(terms)
 
 
+@functools.lru_cache(maxsize=64)
+def _trunc_exp_plan(m):
+    """The m-only part of trunc_exp_factor: 1/(m+1), the series edge
+    m + 1 + 2 sqrt(m+1) and the series denominators m + 2, m + 3, ... as
+    floats (exact, so y/d is the division by the integer).  Term i of the
+    series is at most edge^i/((m+2)...(m+1+i)) of the first; that ratio
+    is followed down to 1e-19, so the series, which stops at 1e-18 of its
+    sum, is done before the denominators run out (the rounding of 2i
+    products cannot close a factor 10)."""
+    edge = m + 1 + 2.0 * math.sqrt(m + 1)
+    dens = []
+    ratio = 1.0
+    while ratio > 1e-19:
+        dens.append(float(m + 2 + len(dens)))
+        ratio *= edge / dens[-1]
+    return 1.0 / (m + 1), edge, tuple(dens)
+
+
+def _trunc_exp(plan, m, y):
+    """trunc_exp_factor(m, y) for the m that `plan` was made for."""
+    if y < 0.0:
+        raise ValueError("trunc_exp_factor requires y >= 0")
+    first, edge, dens = plan
+    if y == 0.0:
+        return first
+    if y > _EXP_UNDERFLOW:
+        return math.factorial(m) * y ** -(m + 1)
+    if y <= edge:
+        term = acc = first
+        for d in dens:
+            term *= y / d
+            acc += term
+            if term <= 1e-18 * acc:
+                break
+        return math.exp(-y) * acc
+    return (math.factorial(m) - upper_incomplete_gamma_int(m, y)) / y ** (m + 1)
+
+
 def trunc_exp_factor(m, y):
     """E_m(y) = integral_0^1 u^m e^(-y u) du = [m! - Gamma(m+1, y)] / y^(m+1).
 
@@ -219,24 +283,21 @@ def trunc_exp_factor(m, y):
     of about y.  Once e^(-y) underflows (y > 745.2) Gamma(m+1, y) is 0 and
     the result is m!/y^(m+1).
     """
-    if y < 0.0:
-        raise ValueError("trunc_exp_factor requires y >= 0")
-    if y == 0.0:
-        return 1.0 / (m + 1)
-    if y > _EXP_UNDERFLOW:
-        return math.factorial(m) * y ** -(m + 1)
-    if y <= m + 1 + 2.0 * math.sqrt(m + 1):
-        term = 1.0 / (m + 1)
-        acc = term
-        i = 1
-        while True:
-            term *= y / (m + 1 + i)
-            acc += term
-            if term <= 1e-18 * acc:
-                break
-            i += 1
-        return math.exp(-y) * acc
-    return (math.factorial(m) - upper_incomplete_gamma_int(m, y)) / y ** (m + 1)
+    return _trunc_exp(_trunc_exp_plan(m), m, y)
+
+
+def laplace_panel(m, x, nodes):
+    """laplace_integrand(m, x, t) at each t in nodes, as a list."""
+    plan = _trunc_exp_plan(m)
+    at_zero = 0.5 if m == 1 else 0.0
+    out = []
+    for t in nodes:
+        if t <= 0.0:
+            out.append(at_zero)
+        else:
+            em = _trunc_exp(plan, m, x * t)
+            out.append(t**m / math.expm1(t) * em)
+    return out
 
 
 def laplace_integrand(m, x, t):
@@ -245,10 +306,7 @@ def laplace_integrand(m, x, t):
     Collapsed form of the double integral over (t, u) of
     t^m u^m e^(-x t u) / (e^t - 1): the u-integral is E_m(x t).
     """
-    if t <= 0.0:
-        return 0.5 if m == 1 else 0.0
-    em = trunc_exp_factor(m, x * t)
-    return t ** m / math.expm1(t) * em
+    return laplace_panel(m, x, (t,))[0]
 
 
 def laplace_tail_weight(m, x, big_t):
@@ -323,11 +381,25 @@ def ei_defect(t):
     return EULER_GAMMA + math.log(t) - t + _gamma_zero_asymp(t)
 
 
+def hz_route_panel(m, x, nodes):
+    """hz_route_integrand(m, x, u) at each u in nodes, as a list."""
+    s = m + 1.0
+    coefs = _zeta_coefs(s)
+    return [
+        0.0 if u <= 0.0 else u**m * _zeta_sum(s, coefs, x * u + 1.0) for u in nodes
+    ]
+
+
 def hz_route_integrand(m, x, u):
     """u^m * zeta(m+1, x*u + 1): the integrand of the moment-integral route."""
-    if u <= 0.0:
-        return 0.0
-    return u ** m * hurwitz_zeta(m + 1.0, x * u + 1.0)
+    return hz_route_panel(m, x, (u,))[0]
+
+
+def hz_route_reflected_panel(m, x, nodes):
+    """hz_route_integrand_reflected(m, x, s) at each s in nodes, as a list."""
+    coefs = _zeta_coefs(m + 1.0)
+    xp1 = 1.0 + x
+    return [(1.0 - s) ** m * _zeta_sum(m + 1.0, coefs, xp1 - x * s) for s in nodes]
 
 
 def hz_route_integrand_reflected(m, x, s):
@@ -339,5 +411,4 @@ def hz_route_integrand_reflected(m, x, s):
     full relative precision however close x is to -1; in u, the rounding
     of a node near 1 would move that argument by 1e-16 absolute.
     """
-    return (1.0 - s) ** m * hurwitz_zeta(m + 1.0, (1.0 + x) - x * s)
-
+    return hz_route_reflected_panel(m, x, (s,))[0]

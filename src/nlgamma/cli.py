@@ -67,7 +67,11 @@ def _build_parser():
     p_table.add_argument("--stop", type=float, required=True)
     p_table.add_argument("--count", type=int, required=True)
     p_table.add_argument("--log", action="store_true", help="log spacing")
-    p_table.add_argument("--routes", default="CLOSED")
+    p_table.add_argument(
+        "--routes",
+        default="AUTO",
+        help="comma-separated routes for --fn deriv; AUTO as in `eval --route AUTO`",
+    )
     p_table.add_argument("--out", default=None)
 
     p_scan = sub.add_parser("scan", help="certify the derivative sign pattern")
@@ -162,26 +166,26 @@ def _cmd_table(args):
     if args.start <= -1.0:
         raise _CliError(f"--start must be > -1, got {args.start}")
     xs = _grid(args.start, args.stop, args.count, args.log)
-    try:
-        routes = [Route[r.strip()] for r in args.routes.split(",") if r.strip()]
-    except KeyError as exc:
-        raise _CliError(f"unknown route {exc}") from exc
-    if not routes:
+    names = [r.strip() for r in args.routes.split(",") if r.strip()]
+    for name in names:
+        if name != "AUTO" and name not in Route.__members__:
+            raise _CliError(f"unknown route '{name}'")
+    if not names:
         raise _CliError("--routes must name at least one route")
     lines = ["x,route,value,abs_err_est"]
     for x in xs:
-        for route in routes:
-            if args.fn == "delta":
-                value, err, used = _delta_point(x)
-                lines.append(f"{fmt17(x)},{used.value},{fmt17(value)},{fmt17(err)}")
-            else:
-                used = route
-                if x == 0.0 and route in (Route.CLOSED, Route.RECURRENCE):
-                    used = Route.SERIES  # exact value at the removable point
-                r = delta_deriv(args.m, x, used)
-                lines.append(
-                    f"{fmt17(x)},{r.route.value},{fmt17(r.value)},{fmt17(r.abs_err_est)}"
-                )
+        if args.fn == "delta":  # one evaluation of D, whatever --routes names
+            value, err, used = _delta_point(x)
+            lines.append(f"{fmt17(x)},{used.value},{fmt17(value)},{fmt17(err)}")
+            continue
+        for name in names:
+            used = _route_for(name, args.m, x)
+            if x == 0.0 and used in (Route.CLOSED, Route.RECURRENCE):
+                used = Route.SERIES  # exact value at the removable point
+            r = delta_deriv(args.m, x, used)
+            lines.append(
+                f"{fmt17(x)},{r.route.value},{fmt17(r.value)},{fmt17(r.abs_err_est)}"
+            )
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:

@@ -214,10 +214,10 @@ def _hurwitz(m, x, cfg):
     )
     if x < 0.0:
         pole = (1.0 + x) / x  # where (1 + x) - x s = 0
-        f = lambda s: kernels.hz_route_integrand_reflected(m, x, s)  # noqa: E731
+        f = lambda ss: kernels.hz_route_reflected_panel(m, x, ss)  # noqa: E731
     else:
         pole = -1.0 / x if x else -math.inf  # x = 0: no pole, no mesh
-        f = lambda u: kernels.hz_route_integrand(m, x, u)  # noqa: E731
+        f = lambda us: kernels.hz_route_panel(m, x, us)  # noqa: E731
     breaks = _graded_mesh(pole, -pole, 1.0)
     r = quad.integrate_finite(f, 0.0, 1.0, local, breaks)
     fact = math.factorial(m)
@@ -242,7 +242,7 @@ def _laplace(m, x, cfg):
     )
     first = m / x if x > m else 1.0
     r = quad.integrate_finite(
-        lambda t: kernels.laplace_integrand(m, x, t),
+        lambda ts: kernels.laplace_panel(m, x, ts),
         0.0,
         big_t,
         local,
@@ -406,7 +406,7 @@ def frac_rep_prop2(m, k, cfg=quad.DEFAULT_CONFIG):
     if not 1 <= m <= 8:
         raise ValueError("frac_rep_prop2: need 1 <= m <= 8")
     lhs = quad.integrate_finite(
-        lambda u: kernels.hz_route_integrand(m, float(k), u), 0.0, 1.0, cfg
+        lambda us: kernels.hz_route_panel(m, float(k), us), 0.0, 1.0, cfg
     )
     return lhs, _prop2_rhs(m, k, cfg)
 
@@ -427,7 +427,7 @@ def _prop2_rhs(m, k, cfg):
 
 
 def _delta_quadrature(square, cfg):
-    f = (lambda x: delta(x) ** 2) if square else delta
+    f = quad.pointwise((lambda x: delta(x) ** 2) if square else delta)
     split = SERIES_DEFAULT_THRESHOLD  # keep the series seam on a panel edge
     return quad.integrate_finite(f, 0.0, split, cfg) + quad.integrate_finite(
         f, split, 1.0, cfg
@@ -461,7 +461,7 @@ def integral_delta(cfg=quad.DEFAULT_CONFIG):
             return -0.25
         return kernels.ei_defect(t) / (t * math.expm1(t))
 
-    r = quad.integrate_finite(integrand, 0.0, big_t, local)
+    r = quad.integrate_finite(quad.pointwise(integrand), 0.0, big_t, local)
     tail_bound = 1.1 * math.exp(-big_t)
     ei_form = quad.QuadResult(
         -CONSTANTS.euler_gamma - r.value,

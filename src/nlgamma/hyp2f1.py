@@ -211,7 +211,10 @@ def hyp_recurrence_descent(n, x):
 def _moment_integral(n, x):
     """integral_0^1 u^(n+1) / (x u + 1)^(n+2) du by quadrature."""
     r = quad.integrate_finite(
-        lambda u: u ** (n + 1) / (x * u + 1.0) ** (n + 2), 0.0, 1.0, _IDENTITY_QUAD_CFG
+        quad.pointwise(lambda u: u ** (n + 1) / (x * u + 1.0) ** (n + 2)),
+        0.0,
+        1.0,
+        _IDENTITY_QUAD_CFG,
     )
     return r.value
 
@@ -219,7 +222,10 @@ def _moment_integral(n, x):
 def _second_moment_integral(n, x):
     """integral_0^1 u^(n+1) / (x u + 1)^2 du by quadrature."""
     r = quad.integrate_finite(
-        lambda u: u ** (n + 1) / (x * u + 1.0) ** 2, 0.0, 1.0, _IDENTITY_QUAD_CFG
+        quad.pointwise(lambda u: u ** (n + 1) / (x * u + 1.0) ** 2),
+        0.0,
+        1.0,
+        _IDENTITY_QUAD_CFG,
     )
     return r.value
 
@@ -259,7 +265,10 @@ def hyp_identity_residual(identity, n, x, abc=None, fd_step=1e-5):
             rhs = 1.0 / (n + 2.0)  # removable limit of the closed form
         else:
             inner = quad.integrate_finite(
-                lambda v: (1.0 - v**n) / (v + 1.0), 0.0, x, _IDENTITY_QUAD_CFG
+                quad.pointwise(lambda v: (1.0 - v**n) / (v + 1.0)),
+                0.0,
+                x,
+                _IDENTITY_QUAD_CFG,
             ).value
             rhs = (
                 ((n + 1.0) / x ** (n + 1.0)) * (math.log1p(x) - inner)
@@ -270,7 +279,10 @@ def hyp_identity_residual(identity, n, x, abc=None, fd_step=1e-5):
         if x > 1.0:
             raise ValueError("A6 holds on x in [0, 1]")
         s1 = quad.integrate_finite(
-            lambda v: (1.0 - v**n) / (v + 1.0), 0.0, x, _IDENTITY_QUAD_CFG
+            quad.pointwise(lambda v: (1.0 - v**n) / (v + 1.0)),
+            0.0,
+            x,
+            _IDENTITY_QUAD_CFG,
         ).value if x > 0.0 else 0.0
         s2 = x - x ** (n + 1.0) / (n + 1.0)
         slack = min(s2 - s1, x - s2)
@@ -289,7 +301,10 @@ def hyp_identity_residual(identity, n, x, abc=None, fd_step=1e-5):
         # share a code path:  F(1,2;c;z) = (c-1)(c-2) int_0^1 t(1-t)^(c-3)/(1-zt) dt
         lhs = gauss_2f1(1.0, n + 1.0, n + 3.0, x / (x + 1.0))
         euler = quad.integrate_finite(
-            lambda t: t * (1.0 - t) ** n / (1.0 + x * t), 0.0, 1.0, _IDENTITY_QUAD_CFG
+            quad.pointwise(lambda t: t * (1.0 - t) ** n / (1.0 + x * t)),
+            0.0,
+            1.0,
+            _IDENTITY_QUAD_CFG,
         ).value
         rhs = (x + 1.0) * (n + 1.0) * (n + 2.0) * euler
         return IdentityResidual.build("T26", point, lhs, rhs, 1e-10, relative_to=1e-300)

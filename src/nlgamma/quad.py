@@ -2,11 +2,13 @@
 
 Adaptive Gauss-Kronrod panels (the 15-point Kronrod rule, with the
 7-point Gauss rule on its nodes for the error estimate) for finite
-intervals; one sawtooth integrator, integrate_unit_split, for
-integral_start^inf phi({t}) g(t) dt with phi a polynomial in the
-fractional part and g a product of powers, which marches a few unit
-intervals and then takes an exact periodic-Bernoulli (Euler-Maclaurin)
-tail with a proven bound (p1_integral is its phi = B_1 case); and the
+intervals, each one call of a panel integrand that maps the list of its
+nodes to the list of their values (pointwise(g) for a scalar g); one
+sawtooth integrator, integrate_unit_split, for integral_start^inf
+phi({t}) g(t) dt with phi a polynomial in the fractional part and g a
+product of powers, which marches a few unit intervals and then takes an
+exact periodic-Bernoulli (Euler-Maclaurin) tail with a proven bound
+(p1_integral is its phi = B_1 case); and the
 periodization transform relating integrals of f({x/b})/(x+c)^lambda to
 finite Hurwitz-zeta moments.  The sawtooth tail keeps its own Bernoulli
 weights: HYP and the Proposition 2 right side, built on it, are
@@ -31,6 +33,7 @@ __all__ = [
     "integrate_unit_split",
     "lemma2_transform",
     "p1_integral",
+    "pointwise",
 ]
 
 # Gauss-Kronrod G7/K15 on [-1, 1] (Kronrod 1965; the QUADPACK QK15
@@ -48,6 +51,9 @@ _GK15 = (
     (0.4058451513773972, 0.19035057806478542, 0.3818300505051189),
     (0.20778495500789848, 0.20443294007529889, 0.0),
 )
+# The 15 nodes in the order _panel reads them: the centre, then -xi, +xi
+# for each row.  mid + half * -xi is mid - half * xi exactly.
+_GK15_OFFSETS = (0.0, *(o for xi, _, _ in _GK15 for o in (-xi, xi)))
 
 
 @dataclass(frozen=True)
@@ -93,17 +99,23 @@ class QuadResult:
 
 
 def _panel(f, a, b):
-    """K15 value with the |K15 - G7| error estimate (15 evals)."""
+    """K15 value with the |K15 - G7| error estimate (15 evals, one call)."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    fc = f(mid)
+    values = f([mid + half * o for o in _GK15_OFFSETS])
+    fc = values[0]
     k15 = _GK15_CENTER[0] * fc
     g7 = _GK15_CENTER[1] * fc
-    for xi, wk, wg in _GK15:
-        pair = f(mid - half * xi) + f(mid + half * xi)
+    for (_, wk, wg), lo, hi in zip(_GK15, values[1::2], values[2::2]):
+        pair = lo + hi
         k15 += wk * pair
         g7 += wg * pair
     return half * k15, abs(half * (k15 - g7))
+
+
+def pointwise(g):
+    """The panel integrand of a scalar integrand g: g at each node."""
+    return lambda nodes: list(map(g, nodes))
 
 
 def graded_breaks(pole, first, end):
@@ -126,7 +138,11 @@ def graded_breaks(pole, first, end):
 
 
 def integrate_finite(f, a, b, cfg=DEFAULT_CONFIG, breakpoints=()):
-    """Adaptive integral of f over [a, b].
+    """Adaptive integral over [a, b] of the integrand whose panel form is f.
+
+    f takes the list of a panel's 15 nodes and returns their 15 values,
+    in order; it is called once per panel, so n_evals counts nodes, not
+    calls.  A scalar integrand g goes in as pointwise(g).
 
     Globally adaptive bisection: the panel with the worst error estimate
     is split until the error, the summed panel estimates plus a rounding
@@ -349,15 +365,18 @@ def integrate_unit_split(coeffs, factors, start, cfg=DEFAULT_CONFIG):
         raise ValueError("a nonzero mean of phi needs one factor with p > 1")
     lead, rest = horner[0], horner[1:]
 
-    def f(t):
-        s = p1(t)
-        v = lead
-        for a in rest:
-            v = v * s + a
-        g = 1.0
-        for c, p in factors:
-            g *= (t + c) ** -p
-        return v * g
+    def f(nodes):
+        out = []
+        for t in nodes:
+            s = p1(t)
+            v = lead
+            for a in rest:
+                v = v * s + a
+            g = 1.0
+            for c, p in factors:
+                g *= (t + c) ** -p
+            out.append(v * g)
+        return out
 
     x = float(start)
     value = 0.0
@@ -432,5 +451,7 @@ def lemma2_transform(coeffs, b, c, lam, cfg=DEFAULT_CONFIG):
     scale = b ** (1.0 - lam)
     lhs = integrate_unit_split(coeffs, ((c / b, lam),), 0.0, cfg)
     f = lambda y: sum(a * y**i for i, a in enumerate(coeffs))  # noqa: E731
-    rhs = integrate_finite(lambda y: f(y) * hurwitz_zeta(lam, y + c / b), 0.0, 1.0, cfg)
+    rhs = integrate_finite(
+        pointwise(lambda y: f(y) * hurwitz_zeta(lam, y + c / b)), 0.0, 1.0, cfg
+    )
     return lhs.scaled(scale), rhs.scaled(scale)

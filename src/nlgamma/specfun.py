@@ -76,7 +76,9 @@ def gamma_zero(x):
     # integrand is positive and smooth; truncate where e^(-u) is spent
     big = 60.0
     cfg = quad.QuadConfig(rel_tol=1e-13, abs_tol=5e-300, max_subdivisions=400)
-    r = quad.integrate_finite(lambda u: math.exp(-u) / (x + u), 0.0, big, cfg)
+    r = quad.integrate_finite(
+        quad.pointwise(lambda u: math.exp(-u) / (x + u)), 0.0, big, cfg
+    )
     return math.exp(-x) * (r.value + math.exp(-big) / (x + big))
 
 

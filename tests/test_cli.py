@@ -323,6 +323,57 @@ class TestTable:
         assert out == ""
         assert flag in err
 
+    def test_delta_prints_one_row_per_x(self, capsys):
+        # D has one evaluation path, so a list of routes does not repeat it
+        rc, out, _ = run_cli(
+            capsys,
+            "table", "--fn", "delta",
+            "--start", "0.5", "--stop", "1", "--count", "2",
+            "--routes", "CLOSED,HURWITZ",
+        )
+        assert rc == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [float(row[0]) for row in rows] == [0.5, 1.0]
+        for x, route, value, err in rows:
+            _, eval_out, _ = run_cli(capsys, "eval", "--fn", "delta", f"--x={x}")
+            assert eval_out.split("\t")[:3] == [value, err, route]
+
+    @pytest.mark.parametrize("x", ["1e-06", "-0.05", "0.2", "3"])
+    def test_default_routes_are_auto(self, capsys, x):
+        # near 0 AUTO takes SERIES, where double-double CLOSED at m = 8
+        # keeps nothing of the value (it printed 0 at x = 1e-6)
+        rc, out, _ = run_cli(
+            capsys,
+            "table", "--fn", "deriv", "--m", "8",
+            "--start", x, "--stop", x, "--count", "1",
+        )
+        assert rc == 0
+        (row,) = [line.split(",") for line in out.splitlines()[1:]]
+        for flag in ((), ("--routes", "AUTO")):
+            _, same, _ = run_cli(
+                capsys,
+                "table", "--fn", "deriv", "--m", "8",
+                "--start", x, "--stop", x, "--count", "1", *flag,
+            )
+            assert same == out
+        _, eval_out, _ = run_cli(
+            capsys, "eval", "--fn", "deriv", "--m", "8", f"--x={x}", "--route", "AUTO"
+        )
+        value, err, route, _ = eval_out.split("\t")
+        assert row[1:] == [route, value, err]
+
+    def test_auto_route_near_zero_is_accurate(self, capsys, mp_deriv):
+        rc, out, _ = run_cli(
+            capsys,
+            "table", "--fn", "deriv", "--m", "8",
+            "--start", "1e-6", "--stop", "1e-6", "--count", "1",
+        )
+        assert rc == 0
+        x, route, value, err = out.splitlines()[1].split(",")
+        assert route == "SERIES"
+        exact = mp_deriv(8, float(x))
+        assert abs(float(value) - exact) <= float(err) <= 1e-12 * abs(exact)
+
     def test_unknown_route(self, capsys):
         rc, _, err = run_cli(
             capsys,

@@ -15,7 +15,7 @@ from nlgamma.hyp2f1 import (
     _log_branch,
     _series,
 )
-from nlgamma.quad import QuadConfig, integrate_finite
+from nlgamma.quad import QuadConfig, integrate_finite, pointwise
 
 _QCFG = QuadConfig(rel_tol=1e-12, abs_tol=5e-300, max_subdivisions=400)
 
@@ -84,7 +84,10 @@ class TestGauss2F1Values:
         for n in (0, 3, 8):
             for x in (0.3, 1.0, 7.0, 50.0):
                 q = integrate_finite(
-                    lambda u: u ** (n + 1) / (x * u + 1.0) ** (n + 2), 0.0, 1.0, _QCFG
+                    pointwise(lambda u: u ** (n + 1) / (x * u + 1.0) ** (n + 2)),
+                    0.0,
+                    1.0,
+                    _QCFG,
                 )
                 assert rel(gauss_2f1(n + 2.0, n + 2.0, n + 3.0, -x), (n + 2) * q.value) < 1e-11
 
@@ -94,7 +97,10 @@ class TestGauss2F1Values:
         for c in (3.0, 6.5):
             for z in (-20.0, -0.5, 0.6, 0.97):
                 q = integrate_finite(
-                    lambda t: (1.0 - t) ** (c - 2.0) / (1.0 - z * t), 0.0, 1.0, _QCFG
+                    pointwise(lambda t: (1.0 - t) ** (c - 2.0) / (1.0 - z * t)),
+                    0.0,
+                    1.0,
+                    _QCFG,
                 )
                 assert rel(gauss_2f1(1.0, 1.0, c, z), (c - 1.0) * q.value) < 1e-10
 

@@ -17,6 +17,7 @@ from nlgamma.quad import (
     integrate_unit_split,
     lemma2_transform,
     p1_integral,
+    pointwise,
 )
 from nlgamma.specfun import hurwitz_zeta
 
@@ -50,27 +51,29 @@ def test_config_rejects_non_finite_tolerances(kwargs):
 
 class TestIntegrateFinite:
     def test_linear(self):
-        r = integrate_finite(lambda u: u, 0.0, 1.0)
+        r = integrate_finite(pointwise(lambda u: u), 0.0, 1.0)
         assert abs(r.value - 0.5) < 1e-15
         assert r.converged and r.n_evals > 0
 
     def test_rational_with_antiderivative(self):
         # int_0^1 u/(u+1)^2 du = ln(u+1) + 1/(u+1) evaluated at the ends
-        r = integrate_finite(lambda u: u / (u + 1.0) ** 2, 0.0, 1.0)
+        r = integrate_finite(pointwise(lambda u: u / (u + 1.0) ** 2), 0.0, 1.0)
         assert abs(r.value - (math.log(2.0) - 0.5)) < 1e-14
 
     def test_hurwitz_moment(self):
         # int_0^1 u zeta(2, u+1) du = 1 - gamma
-        r = integrate_finite(lambda u: u * hurwitz_zeta(2.0, u + 1.0), 0.0, 1.0)
+        r = integrate_finite(
+            pointwise(lambda u: u * hurwitz_zeta(2.0, u + 1.0)), 0.0, 1.0
+        )
         assert abs(r.value - (1.0 - EULER_GAMMA)) < 1e-12
 
     def test_empty_interval(self):
-        r = integrate_finite(lambda u: u, 2.0, 2.0)
+        r = integrate_finite(pointwise(lambda u: u), 2.0, 2.0)
         assert r.value == 0.0 and r.converged
 
     def test_bad_interval(self):
         with pytest.raises(ValueError):
-            integrate_finite(lambda u: u, 1.0, 0.0)
+            integrate_finite(pointwise(lambda u: u), 1.0, 0.0)
 
     def test_error_estimate_honest(self):
         for f, a, b, exact in [
@@ -78,12 +81,14 @@ class TestIntegrateFinite:
             (lambda u: 1.0 / (1.0 + u * u), 0.0, 1.0, math.pi / 4.0),
             (lambda u: u ** 7.5, 0.0, 1.0, 1.0 / 8.5),
         ]:
-            r = integrate_finite(f, a, b)
+            r = integrate_finite(pointwise(f), a, b)
             assert abs(r.value - exact) <= 10.0 * max(r.abs_err_est, 1e-16)
 
     def test_converged_flag_respects_tolerance(self):
         cfg = QuadConfig(rel_tol=1e-11, abs_tol=1e-13)
-        r = integrate_finite(lambda u: math.sin(3.0 * u) ** 2 + u, 0.0, 4.0, cfg)
+        r = integrate_finite(
+            pointwise(lambda u: math.sin(3.0 * u) ** 2 + u), 0.0, 4.0, cfg
+        )
         assert r.converged
         assert r.abs_err_est <= max(cfg.abs_tol, cfg.rel_tol * abs(r.value))
 
@@ -95,22 +100,29 @@ class TestIntegrateFinite:
         m, x = 4, 0.20709585262878225
         cfg = QuadConfig(rel_tol=1e-12, abs_tol=5e-300)
         r = integrate_finite(
-            lambda t: laplace_integrand(m, x, t), 0.0, 50.0 + m * math.log(50.0), cfg
+            pointwise(lambda t: laplace_integrand(m, x, t)),
+            0.0,
+            50.0 + m * math.log(50.0),
+            cfg,
         )
         assert r.converged
         assert r.abs_err_est <= max(cfg.abs_tol, cfg.rel_tol * abs(r.value))
 
     def test_nonconvergence_flagged(self):
         cfg = QuadConfig(rel_tol=1e-14, abs_tol=1e-300, max_subdivisions=3)
-        r = integrate_finite(lambda u: abs(u - 1 / 3.0) ** 0.5, 0.0, 1.0, cfg)
+        r = integrate_finite(
+            pointwise(lambda u: abs(u - 1 / 3.0) ** 0.5), 0.0, 1.0, cfg
+        )
         assert not r.converged
 
     @given(c=st.floats(min_value=0.05, max_value=0.95))
     @settings(max_examples=25, deadline=None)
     def test_additivity(self, c):
         f = lambda u: math.exp(-u) * (1.0 + u * u)  # noqa: E731
-        whole = integrate_finite(f, 0.0, 1.0)
-        parts = integrate_finite(f, 0.0, c) + integrate_finite(f, c, 1.0)
+        whole = integrate_finite(pointwise(f), 0.0, 1.0)
+        parts = integrate_finite(pointwise(f), 0.0, c) + integrate_finite(
+            pointwise(f), c, 1.0
+        )
         assert abs(whole.value - parts.value) <= (
             whole.abs_err_est + parts.abs_err_est + 1e-14
         )
@@ -130,9 +142,9 @@ class TestBreakpoints:
 
     def test_seeded_pieces_give_the_same_integral(self):
         f = lambda u: 1.0 / (1e-3 + u)  # noqa: E731
-        plain = integrate_finite(f, 0.0, 1.0)
+        plain = integrate_finite(pointwise(f), 0.0, 1.0)
         breaks = graded_breaks(-1e-3, 1e-3, 1.0)
-        seeded = integrate_finite(f, 0.0, 1.0, breakpoints=breaks)
+        seeded = integrate_finite(pointwise(f), 0.0, 1.0, breakpoints=breaks)
         exact = math.log1p(1e3)
         for r in (plain, seeded):
             assert r.converged
@@ -144,7 +156,7 @@ class TestBreakpoints:
     )
     def test_rejects_breakpoints(self, breaks):
         with pytest.raises(ValueError):
-            integrate_finite(lambda u: u, 0.0, 1.0, breakpoints=breaks)
+            integrate_finite(pointwise(lambda u: u), 0.0, 1.0, breakpoints=breaks)
 
 
 class TestExactReplay:
@@ -207,7 +219,7 @@ class TestExactReplay:
     @pytest.mark.parametrize("name", sorted(FINITE))
     def test_many_splits(self, name):
         f, cfg, row = self.FINITE[name]
-        assert self._row(integrate_finite(f, 0.0, 1.0, cfg)) == row
+        assert self._row(integrate_finite(pointwise(f), 0.0, 1.0, cfg)) == row
 
     def test_laplace_like_integrand(self):
         # t^12/(e^t - 1)/(1 + 1000 t)^13: a layer at t ~ 1e-3 on [0, 96.9]
@@ -215,7 +227,7 @@ class TestExactReplay:
             return t**12 / math.expm1(t) / (1.0 + 1000.0 * t) ** 13 if t > 0 else 0.0
 
         cfg = QuadConfig(rel_tol=1e-12, abs_tol=5e-300)
-        assert self._row(integrate_finite(f, 0.0, 96.9, cfg)) == (
+        assert self._row(integrate_finite(pointwise(f), 0.0, 96.9, cfg)) == (
             8.079299887020283e-38, 3.718832658416656e-50, 885, True
         )
 
@@ -279,7 +291,7 @@ class TestPanelRule:
             calls += 1
             return f(u)
 
-        r = integrate_finite(counted, a, b)
+        r = integrate_finite(pointwise(counted), a, b)
         assert r.n_evals == calls
         assert r.n_evals % 15 == 0
 
@@ -331,7 +343,7 @@ class TestUnitSplit:
             integrate_unit_split((0.0, 1.0), ((0.0, 2.0),), 1.0, cfg),
             integrate_unit_split((0.0, 0.0, 0.0, 1.0), ((0.0, 4.0),), 1.0, cfg),
             p1_integral(((1.0, 4.0),), 0.0, cfg),
-            integrate_finite(lambda u: math.exp(-u), 0.0, 3.0, cfg),
+            integrate_finite(pointwise(lambda u: math.exp(-u)), 0.0, 3.0, cfg),
         ]
         for r in cases:
             assert r.converged
@@ -348,7 +360,9 @@ class TestUnitSplit:
             err = 0.0
             for l in range(1, 4000):
                 part = integrate_finite(
-                    lambda y, m=mdeg, l=l: y**m / (y + l + 1.0) ** (m + 2.0), 0.0, 1.0
+                    pointwise(lambda y, m=mdeg, l=l: y**m / (y + l + 1.0) ** (m + 2.0)),
+                    0.0,
+                    1.0,
                 )
                 summed += part.value
                 err += part.abs_err_est
@@ -544,7 +558,9 @@ class TestLemma2Transform:
         err = 0.0
         for j in range(4000):
             part = integrate_finite(
-                lambda x: frac(x / b) * (x + c) ** (-lam), j * b, (j + 1.0) * b
+                pointwise(lambda x: frac(x / b) * (x + c) ** (-lam)),
+                j * b,
+                (j + 1.0) * b,
             )
             direct += part.value
             err += part.abs_err_est

@@ -1,0 +1,61 @@
+#!/usr/bin/env python3
+"""Print one sha256 over the outputs of the quadrature and closed routes.
+
+2,400 seeded (m, x) draws, m uniform on 1..12 and x taken in turn from
+the four regions perfbench samples (|x| < 0.125 log-uniform from 1e-6,
+the seam band 0.125 <= |x| <= 0.26, (-1, -0.26], and (0.26, 1e6]
+log-uniform), each go through HURWITZ, LAPLACE, HYP, RECURRENCE and
+CLOSED.  Every (value, abs_err_est, n_evals, converged), or the name of
+the exception a route raised, is hashed in a fixed order, so a change
+that claims to leave the routes bit for bit as they were prints the same
+line on both commits:
+
+    python tools/route_digest.py
+"""
+
+import hashlib
+import math
+import random
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from nlgamma.delta import Route, delta_deriv  # noqa: E402
+
+DRAWS = 2400
+SEED = 20260
+ROUTES = (Route.HURWITZ, Route.LAPLACE, Route.HYP, Route.RECURRENCE, Route.CLOSED)
+
+
+def draw_x(rng, region):
+    if region == 0:
+        mag = math.exp(rng.uniform(math.log(1e-6), math.log(0.125)))
+        return mag if rng.random() < 0.5 else -mag
+    if region == 1:
+        mag = rng.uniform(0.125, 0.26)
+        return mag if rng.random() < 0.5 else -mag
+    if region == 2:
+        return -0.26 - 0.74 * rng.random()
+    return math.exp(rng.uniform(math.log(0.26), math.log(1e6)))
+
+
+def main():
+    rng = random.Random(SEED)
+    sha = hashlib.sha256()
+    for i in range(DRAWS):
+        m = rng.randint(1, 12)
+        x = draw_x(rng, i % 4)
+        for route in ROUTES:
+            try:
+                r = delta_deriv(m, x, route)
+                row = (r.value, r.abs_err_est, r.n_evals, r.converged)
+            except ValueError as exc:
+                row = type(exc).__name__
+            sha.update(f"{m} {x!r} {route.value} {row!r}\n".encode())
+    print(f"{sha.hexdigest()}  {DRAWS} draws")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -57,6 +57,8 @@ COMMANDS = [
     " --routes CLOSED,RECURRENCE,SERIES",
     "table --fn deriv --m 2 --start 1e-3 --stop 1e3 --count 13 --log"
     " --routes CLOSED,LAPLACE,HYP",
+    "table --fn delta --start 0.5 --stop 1 --count 2 --routes CLOSED,HURWITZ",
+    "table --fn deriv --m 8 --start 1e-6 --stop 1e-6 --count 1",
     "scan --m-max 8 --start -0.9 --stop 100 --count 40",
 ]
 
