@@ -294,13 +294,16 @@ def _sawtooth_tail(parts, factors, x, tol):
 
 @functools.lru_cache(maxsize=64)
 def _sawtooth_plan(coeffs):
-    """(mean, mean_mag, parts, horner) for phi(y) = sum_i coeffs[i] y^i.
+    """(mean, mean_mag, parts, horner, spread, rungs) for phi(y) = sum_i coeffs[i] y^i.
 
     phi = sum_k a_k B_k(y) with a_k = (phi^(k-1)(1) - phi^(k-1)(0))/k!
     (DLMF 24.2.3), C(i, k-1)/k for y^i; mean = a_0 and mean_mag =
     sum |coeffs[i]|/(i+1) bounds its rounding.  parts pairs each k >= 1
     with a_k != 0 and a_k (-1)^k B_n/n! k! (n-k-1)! for n = 2, 4, ..., 22
     (None while n <= k); horner is phi in s = y - 1/2, highest power first.
+    spread bounds |phi - mean| on [0, 1] from horner's coefficients, and
+    rungs holds, for each n past the highest k, the (log |weight|, n-k-1)
+    pairs of its parts, for _tail_start.
     """
     n = len(coeffs)
     mean = math.fsum(coeffs[i] / (i + 1) for i in range(n))
@@ -321,7 +324,95 @@ def _sawtooth_plan(coeffs):
         math.fsum(coeffs[i] * math.comb(i, j) * 0.5 ** (i - j) for i in range(j, n))
         for j in reversed(range(n))
     )
-    return mean, mean_mag, tuple(parts), horner
+    spread = abs(horner[-1] - mean) + math.fsum(
+        abs(h) * 0.5**j for j, h in enumerate(reversed(horner[:-1]), start=1)
+    )
+    top = parts[-1][0] if parts else 0
+    rungs = tuple(
+        tuple((math.log(abs(w[i])), 2 * i + 1 - k) for k, w in parts)
+        for i in range(len(_EM_WEIGHTS))
+        if 2 * i + 2 > top
+    )
+    return mean, mean_mag, tuple(parts), horner, spread, rungs if parts else ()
+
+
+@functools.lru_cache(maxsize=256)
+def _rung_logs(rungs, p):
+    """Per rung and part, (log |weight| + log C(p + d - 1, d), d), flat:
+    C(p + d - 1, d) (t + c)^(-p-d) is the size of Taylor coefficient d of
+    (t + c)^(-p)."""
+    lg = math.lgamma(p)
+    return tuple(
+        (lw + math.lgamma(p + d) - lg - math.lgamma(d + 1.0), d)
+        for rung in rungs
+        for lw, d in rung
+    )
+
+
+# X0 - start on most HYP and Proposition 2 calls: where _tail_start looks
+# first.  Only the number of bounds it evaluates depends on it.
+_X0_GUESS = 5.0
+
+
+def _tail_start(rungs, factors, start, tol, limit):
+    """X0: the first integer X in [start, limit] at which _sawtooth_tail
+    can return a value for a tolerance of tol or less; limit if none can.
+
+    At X, the size _sawtooth_tail compares with its tolerance for one n is
+    a sum over the parts of |weight| |g^(d)(X)/d!|.  The Leibniz products
+    making up g^(d)(X)/d! all have the sign (-1)^d, so each one bounds it
+    from below; the one taken here puts all d on a single factor,
+    g(X) C(p + d - 1, d) (X + c)^(-d), the largest over the factors.
+    Below X0 every such bound exceeds tol for every n, so no try there can
+    succeed.  The bounds fall as X grows, so X0 is bracketed by steps
+    that double away from start + _X0_GUESS and then bisected.  The bounds
+    are taken in log space, where neither a large pole factor nor a tiny
+    g overflows.  The slack of 1e-6 in the
+    log covers the rounding of both sides.
+    """
+    if not rungs:
+        return start
+    log_tol = math.log(tol) + 1e-6
+    width = len(rungs[0])  # parts per rung
+    tables = [(_rung_logs(rungs, p), c, p) for c, p in factors]
+
+    def hopeless(x):
+        log_g = 0.0
+        sizes = []
+        for table, c, p in tables:
+            log_u = math.log(x + c)
+            log_g -= p * log_u
+            sizes.append([k - d * log_u for k, d in table])
+        if len(sizes) > 1:
+            sizes = [list(map(max, *sizes))]
+        if width > 1:
+            sizes = [sizes[0][i::width] for i in range(width)]
+            sizes = [list(map(max, *sizes))]
+        return log_g + min(sizes[0]) > log_tol
+
+    # X0 brackets: lo is hopeless (or start - 1), hi is not (or limit)
+    x = min(start + _X0_GUESS, limit)
+    if hopeless(x):
+        lo, hi, step = x, limit, 1.0
+        while lo + step < limit:
+            if not hopeless(lo + step):
+                hi = lo + step
+                break
+            lo, step = lo + step, 2.0 * step
+    else:
+        lo, hi, step = start - 1.0, x, 1.0
+        while hi - step >= start:
+            if hopeless(hi - step):
+                lo = hi - step
+                break
+            hi, step = hi - step, 2.0 * step
+    while hi - lo > 1.0:
+        mid = lo + math.floor(0.5 * (hi - lo))
+        if hopeless(mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def integrate_unit_split(coeffs, factors, start, cfg=DEFAULT_CONFIG):
@@ -360,7 +451,7 @@ def integrate_unit_split(coeffs, factors, start, cfg=DEFAULT_CONFIG):
         0.0 < p < math.inf and 0.0 < start + c < math.inf for c, p in factors
     ):
         raise ValueError("integrate_unit_split needs p > 0 and start + c > 0")
-    mean, mean_mag, parts, horner = _sawtooth_plan(coeffs)
+    mean, mean_mag, parts, horner, spread, rungs = _sawtooth_plan(coeffs)
     if mean != 0.0 and (len(factors) != 1 or factors[0][1] <= 1.0):
         raise ValueError("a nonzero mean of phi needs one factor with p > 1")
     lead, rest = horner[0], horner[1:]
@@ -392,15 +483,27 @@ def integrate_unit_split(coeffs, factors, start, cfg=DEFAULT_CONFIG):
     }
     edges = [x, *sorted(breaks), x + 0.5, x + 1.0]
     (c0, p0), *_ = factors  # the only factor when mean != 0
+    # |value + mean tail| <= spread g(start)/2 + |mean| integral_start^inf g:
+    # on each unit interval phi - mean has zero integral against a weight
+    # of spread g(l) - g(l+1) at most.  Twice that bounds the tolerance of
+    # every try below, with room for the quadrature error.
+    size = 0.5 * spread * abs_density / 2e-15
+    if mean:
+        size += abs(mean) * (x + c0) ** (1.0 - p0) / (p0 - 1.0)
+    x0 = _tail_start(
+        rungs, factors, x, max(2e-16 * size, 5e-300), x + cfg.tail_intervals_max
+    )
     while True:
         # mean sums len(coeffs) terms of size up to mean_mag; x + c0 raised
         # to 1 - p0, the division and the product add p0 + 3 ulps
         big_g = (x + c0) ** (1.0 - p0) / (p0 - 1.0) if mean else 0.0
         mean_tail = mean * big_g
         mean_round = (len(coeffs) + p0 + 3) * 2.0**-53 * mean_mag * big_g
-        tail = _sawtooth_tail(
-            parts, factors, x, max(1e-16 * abs(value + mean_tail), 5e-300)
-        )
+        tail = None
+        if x >= x0:
+            tail = _sawtooth_tail(
+                parts, factors, x, max(1e-16 * abs(value + mean_tail), 5e-300)
+            )
         if tail is not None:
             value += tail[0] + mean_tail
             err += tail[1] + mean_round

@@ -6,9 +6,11 @@ the four regions perfbench samples (|x| < 0.125 log-uniform from 1e-6,
 the seam band 0.125 <= |x| <= 0.26, (-1, -0.26], and (0.26, 1e6]
 log-uniform), each go through HURWITZ, LAPLACE, HYP, RECURRENCE and
 CLOSED.  Every (value, abs_err_est, n_evals, converged), or the name of
-the exception a route raised, is hashed in a fixed order, so a change
-that claims to leave the routes bit for bit as they were prints the same
-line on both commits:
+the exception a route raised, is hashed in a fixed order.  One line per
+route comes first, then the line over all of them, so a change that
+claims to leave the routes bit for bit as they were prints the same last
+line on both commits, and a change that means to move one route shows
+which lines moved:
 
     python tools/route_digest.py
 """
@@ -43,6 +45,7 @@ def draw_x(rng, region):
 def main():
     rng = random.Random(SEED)
     sha = hashlib.sha256()
+    per_route = {route: hashlib.sha256() for route in ROUTES}
     for i in range(DRAWS):
         m = rng.randint(1, 12)
         x = draw_x(rng, i % 4)
@@ -52,7 +55,11 @@ def main():
                 row = (r.value, r.abs_err_est, r.n_evals, r.converged)
             except ValueError as exc:
                 row = type(exc).__name__
-            sha.update(f"{m} {x!r} {route.value} {row!r}\n".encode())
+            line = f"{m} {x!r} {route.value} {row!r}\n".encode()
+            sha.update(line)
+            per_route[route].update(line)
+    for route, route_sha in per_route.items():
+        print(f"{route_sha.hexdigest()}  {route.value}")
     print(f"{sha.hexdigest()}  {DRAWS} draws")
     return 0
 
