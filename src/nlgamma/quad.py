@@ -6,9 +6,11 @@ intervals, each one call of a panel integrand that maps the list of its
 nodes to the list of their values (pointwise(g) for a scalar g); one
 sawtooth integrator, integrate_unit_split, for integral_start^inf
 phi({t}) g(t) dt with phi a polynomial in the fractional part and g a
-product of powers, which marches a few unit intervals and then takes an
-exact periodic-Bernoulli (Euler-Maclaurin) tail with a proven bound
-(p1_integral is its phi = B_1 case); and the
+product of powers, which integrates [start, X0] in one call, X0 a
+proven lower bound on where its exact periodic-Bernoulli
+(Euler-Maclaurin) tail can meet its tolerance, and then tries that tail,
+with its proven bound, at X0, X0 + 1, ... (p1_integral is its phi = B_1
+case); and the
 periodization transform relating integrals of f({x/b})/(x+c)^lambda to
 finite Hurwitz-zeta moments.  The sawtooth tail keeps its own Bernoulli
 weights: HYP and the Proposition 2 right side, built on it, are
@@ -208,7 +210,7 @@ def integrate_finite(f, a, b, cfg=DEFAULT_CONFIG, breakpoints=()):
     return QuadResult(total, total_err, n_evals, converged)
 
 
-# B_2k/(2k)! for k = 1..11, the weights of the periodic-Bernoulli tail
+# B_2k/(2k)! for k = 1..15, the weights of the periodic-Bernoulli tail
 # (DLMF 24.17).  Written out here rather than taken from the Hurwitz-zeta
 # kernel, so the sawtooth route shares no code with what it cross-checks.
 _EM_WEIGHTS = (
@@ -223,6 +225,10 @@ _EM_WEIGHTS = (
     43867 / 5109094217170944000,
     -174611 / 802857662698291200000,
     77683 / 14101100039391805440000,
+    -236364091 / 1693824136731743669452800000,
+    657931 / 186134520519971831808000000,
+    -3392780147 / 37893265687455865519472640000000,
+    1723168255201 / 759790291646040068357842010112000000,
 )
 
 
@@ -294,16 +300,18 @@ def _sawtooth_tail(parts, factors, x, tol):
 
 @functools.lru_cache(maxsize=64)
 def _sawtooth_plan(coeffs):
-    """(mean, mean_mag, parts, horner, spread, rungs) for phi(y) = sum_i coeffs[i] y^i.
+    """(mean, mean_mag, parts, horner, spread, rungs) for phi(y) =
+    sum_i coeffs[i] y^i.
 
     phi = sum_k a_k B_k(y) with a_k = (phi^(k-1)(1) - phi^(k-1)(0))/k!
     (DLMF 24.2.3), C(i, k-1)/k for y^i; mean = a_0 and mean_mag =
     sum |coeffs[i]|/(i+1) bounds its rounding.  parts pairs each k >= 1
-    with a_k != 0 and a_k (-1)^k B_n/n! k! (n-k-1)! for n = 2, 4, ..., 22
+    with a_k != 0 and a_k (-1)^k B_n/n! k! (n-k-1)! for n = 2, 4, ..., 30
     (None while n <= k); horner is phi in s = y - 1/2, highest power first.
-    spread bounds |phi - mean| on [0, 1] from horner's coefficients, and
-    rungs holds, for each n past the highest k, the (log |weight|, n-k-1)
-    pairs of its parts, for _tail_start.
+    spread bounds the L2 norm of phi - mean on [0, 1], and so
+    integral_0^1 |phi - mean| dy; rungs holds, for each n past the highest
+    k, the (log |weight|, n-k-1) pairs of its parts.  _tail_start reads
+    both.
     """
     n = len(coeffs)
     mean = math.fsum(coeffs[i] / (i + 1) for i in range(n))
@@ -324,9 +332,19 @@ def _sawtooth_plan(coeffs):
         math.fsum(coeffs[i] * math.comb(i, j) * 0.5 ** (i - j) for i in range(j, n))
         for j in reversed(range(n))
     )
-    spread = abs(horner[-1] - mean) + math.fsum(
-        abs(h) * 0.5**j for j, h in enumerate(reversed(horner[:-1]), start=1)
-    )
+    # integral_0^1 (phi - mean)^2 dy from phi's coefficients in s, where
+    # s^j integrates to 0.5^j/(j + 1) for even j and to 0 for odd j; each
+    # term carries at most 4 roundings
+    psi = list(reversed(horner))
+    psi[0] -= mean
+    squares = [
+        psi[i] * psi[j] * (0.5 ** (i + j) / (i + j + 1))
+        for i in range(n)
+        for j in range(n)
+        if (i + j) % 2 == 0
+    ]
+    square = math.fsum(squares) + 1e-15 * math.fsum(map(abs, squares))
+    spread = math.sqrt(max(square, 0.0))
     top = parts[-1][0] if parts else 0
     rungs = tuple(
         tuple((math.log(abs(w[i])), 2 * i + 1 - k) for k, w in parts)
@@ -349,14 +367,27 @@ def _rung_logs(rungs, p):
     )
 
 
+# Unit intervals per integrate_finite call in integrate_unit_split: far
+# more than a march needs when g decays like a power, and few enough that
+# a slowly decaying g never puts a huge breakpoint list in one call.
+_UNITS_PER_CALL = 64
+
 # X0 - start on most HYP and Proposition 2 calls: where _tail_start looks
 # first.  Only the number of bounds it evaluates depends on it.
 _X0_GUESS = 5.0
 
 
-def _tail_start(rungs, factors, start, tol, limit):
-    """X0: the first integer X in [start, limit] at which _sawtooth_tail
-    can return a value for a tolerance of tol or less; limit if none can.
+def _tail_start(coeffs, factors, start, limit):
+    """(X0, tol): X0 is the first integer X in [start, limit] at which
+    integrate_unit_split's tail try can succeed, or limit if none can, and
+    tol bounds the tolerance of every such try.
+
+    tol is 1.01e-16 times a bound on |value + mean tail| at any X:
+    spread g(start)/2 + |mean| integral_start^inf g.  On [l, l+1],
+    phi - mean has zero integral against g(t) - g(l+1), which lies in
+    [0, g(l) - g(l+1)], so that piece is at most (g(l) - g(l+1)) times
+    integral_0^1 |phi - mean|/2, and spread bounds that integral.  The
+    extra 1% covers the quadrature error of the value.
 
     At X, the size _sawtooth_tail compares with its tolerance for one n is
     a sum over the parts of |weight| |g^(d)(X)/d!|.  The Leibniz products
@@ -364,14 +395,20 @@ def _tail_start(rungs, factors, start, tol, limit):
     from below; the one taken here puts all d on a single factor,
     g(X) C(p + d - 1, d) (X + c)^(-d), the largest over the factors.
     Below X0 every such bound exceeds tol for every n, so no try there can
-    succeed.  The bounds fall as X grows, so X0 is bracketed by steps
+    succeed, and a try that fails for tol fails for any smaller
+    tolerance.  The bounds fall as X grows, so X0 is bracketed by steps
     that double away from start + _X0_GUESS and then bisected.  The bounds
     are taken in log space, where neither a large pole factor nor a tiny
-    g overflows.  The slack of 1e-6 in the
-    log covers the rounding of both sides.
+    g overflows; the slack of 1e-6 in the log covers their rounding.
     """
+    mean, _, _, _, spread, rungs = _sawtooth_plan(coeffs)
+    size = 0.5 * spread * math.prod((start + c) ** -p for c, p in factors)
+    if mean:
+        ((c, p),) = factors
+        size += abs(mean) * (start + c) ** (1.0 - p) / (p - 1.0)
+    tol = max(1.01e-16 * size, 5e-300)
     if not rungs:
-        return start
+        return start, tol
     log_tol = math.log(tol) + 1e-6
     width = len(rungs[0])  # parts per rung
     tables = [(_rung_logs(rungs, p), c, p) for c, p in factors]
@@ -412,7 +449,7 @@ def _tail_start(rungs, factors, start, tol, limit):
             lo = mid
         else:
             hi = mid
-    return hi
+    return hi, tol
 
 
 def integrate_unit_split(coeffs, factors, start, cfg=DEFAULT_CONFIG):
@@ -422,22 +459,31 @@ def integrate_unit_split(coeffs, factors, start, cfg=DEFAULT_CONFIG):
     start + c > 0, start an integer, so g is completely monotone on
     [start, inf).  phi is evaluated in s = p1(t) = {t} - 1/2.
 
-    Unit intervals from start are integrated adaptively, one piece each;
-    the first is also split at its half-integer and wherever the distance
-    to a pole -c doubles.  The absolute allowance, 2e-15 g(start) per unit
-    length, is shared out by piece width.
+    [start, X0] is integrated in one integrate_finite call, seeded with
+    a piece per unit interval; the first unit is also split at its
+    half-integer and wherever the distance to a pole -c doubles, so no
+    panel straddles the jump of {t} at an integer or misses a pole layer.
+    The bisection and the stop test run over all pieces together, with an
+    absolute allowance of 2e-15 times the upper Riemann sum of g over the
+    pieces: g at each piece's left end times its width.  X0 comes from
+    _tail_start: below it the tail cannot meet its tolerance, so no try
+    is made there.  It is capped at start + cfg.tail_intervals_max, and a
+    run longer than _UNITS_PER_CALL unit intervals is split into calls of
+    that many.
 
-    At each integer X reached the tail is tried, exact in phi's
-    periodic-Bernoulli components phi = a_0 + sum_k a_k B_k({t}).  The
-    mean integrates in closed form, a_0 (X+c)^(1-p)/(p-1), so a nonzero
-    mean needs a single factor with p > 1.  Each B_k gets its
-    integration-by-parts series, up to 11 Bernoulli weights, whose
+    From X0 on, the tail is tried at each integer X, and one more unit
+    interval is integrated after each failed try.  The tail is exact in
+    phi's periodic-Bernoulli components phi = a_0 + sum_k a_k B_k({t}).
+    The mean integrates in closed form, a_0 (X+c)^(1-p)/(p-1), so a
+    nonzero mean needs a single factor with p > 1.  Each B_k gets its
+    integration-by-parts series, up to 15 Bernoulli weights (B_30), whose
     remainder is at most its first omitted term (_sawtooth_tail).  The
     march stops at the first X where those terms, weighted by |a_k|, sum
     to within 1e-16 |value|; that sum and the mean's rounding are charged
     as the tail's error.  The tolerance is the rounding floor of the sum,
     not cfg.rel_tol, because callers such as HYP cancel this value
-    against other terms.
+    against other terms.  A march that reaches start +
+    cfg.tail_intervals_max without a tail returns converged=False.
     """
     if start != math.floor(start):
         raise ValueError("integrate_unit_split expects an integer start")
@@ -446,12 +492,12 @@ def integrate_unit_split(coeffs, factors, start, cfg=DEFAULT_CONFIG):
     if not coeffs or not all(map(math.isfinite, coeffs)):
         raise ValueError("integrate_unit_split needs finite polynomial coefficients")
     if len(coeffs) > 2 * len(_EM_WEIGHTS):
-        raise ValueError("integrate_unit_split: degree > 21 has no weight past B_22")
+        raise ValueError("integrate_unit_split: degree > 29 has no weight past B_30")
     if not factors or not all(
         0.0 < p < math.inf and 0.0 < start + c < math.inf for c, p in factors
     ):
         raise ValueError("integrate_unit_split needs p > 0 and start + c > 0")
-    mean, mean_mag, parts, horner, spread, rungs = _sawtooth_plan(coeffs)
+    mean, mean_mag, parts, horner, _, _ = _sawtooth_plan(coeffs)
     if mean != 0.0 and (len(factors) != 1 or factors[0][1] <= 1.0):
         raise ValueError("a nonzero mean of phi needs one factor with p > 1")
     lead, rest = horner[0], horner[1:]
@@ -474,55 +520,58 @@ def integrate_unit_split(coeffs, factors, start, cfg=DEFAULT_CONFIG):
     err = 0.0
     n_evals = 0
     converged = True
-    intervals = 0
-    # absolute allowance per unit of length, shared out by piece width
-    abs_density = max(math.prod((x + c) ** -p for c, p in factors) * 2e-15, 1e-299)
-    # where the distance to a pole -c doubles, short of the half-integer
-    breaks = {
-        t for c, _ in factors for t in graded_breaks(-c, x + (x + c), x + 0.5)
-    }
-    edges = [x, *sorted(breaks), x + 0.5, x + 1.0]
     (c0, p0), *_ = factors  # the only factor when mean != 0
-    # |value + mean tail| <= spread g(start)/2 + |mean| integral_start^inf g:
-    # on each unit interval phi - mean has zero integral against a weight
-    # of spread g(l) - g(l+1) at most.  Twice that bounds the tolerance of
-    # every try below, with room for the quadrature error.
-    size = 0.5 * spread * abs_density / 2e-15
-    if mean:
-        size += abs(mean) * (x + c0) ** (1.0 - p0) / (p0 - 1.0)
-    x0 = _tail_start(
-        rungs, factors, x, max(2e-16 * size, 5e-300), x + cfg.tail_intervals_max
+    end, _ = _tail_start(coeffs, factors, x, x + cfg.tail_intervals_max)
+    # the first call's pieces, up to X0 but at least one unit and at most
+    # _UNITS_PER_CALL: the first unit is split where the distance to a
+    # pole -c doubles, short of the half-integer, and at the half-integer
+    poles = {t for c, _ in factors for t in graded_breaks(-c, x + (x + c), x + 0.5)}
+    units = range(1, min(max(int(end - x), 1), _UNITS_PER_CALL) + 1)
+    edges = [x, *sorted(poles), x + 0.5, *(x + i for i in units)]
+    # every call's absolute allowance: 2e-15 times the upper Riemann sum
+    # of g over those pieces, a bound on its integral there that stays
+    # tight next to a pole; later calls add far less than that
+    allowance = 2e-15 * math.fsum(
+        math.prod((a + c) ** -p for c, p in factors) * (b - a)
+        for a, b in zip(edges, edges[1:])
     )
+    allowance = max(allowance, 1e-299)
     while True:
+        if end > x:
+            stop = min(end, x + _UNITS_PER_CALL)
+            if x == start:
+                breaks = edges[1:-1]
+            else:
+                breaks = [x + i for i in range(1, int(stop - x))]
+            local = QuadConfig(
+                rel_tol=1e-12,
+                abs_tol=allowance,
+                max_subdivisions=60 * (len(breaks) + 1),
+            )
+            r = integrate_finite(f, x, stop, local, breaks)
+            value += r.value
+            err += r.abs_err_est
+            n_evals += r.n_evals
+            converged = converged and r.converged
+            x = stop
+            if x < end:
+                continue
         # mean sums len(coeffs) terms of size up to mean_mag; x + c0 raised
         # to 1 - p0, the division and the product add p0 + 3 ulps
         big_g = (x + c0) ** (1.0 - p0) / (p0 - 1.0) if mean else 0.0
         mean_tail = mean * big_g
         mean_round = (len(coeffs) + p0 + 3) * 2.0**-53 * mean_mag * big_g
-        tail = None
-        if x >= x0:
-            tail = _sawtooth_tail(
-                parts, factors, x, max(1e-16 * abs(value + mean_tail), 5e-300)
-            )
+        tail = _sawtooth_tail(
+            parts, factors, x, max(1e-16 * abs(value + mean_tail), 5e-300)
+        )
         if tail is not None:
             value += tail[0] + mean_tail
             err += tail[1] + mean_round
             break
-        if intervals >= cfg.tail_intervals_max:
+        if x - start >= cfg.tail_intervals_max:
             converged = False
             break
-        for a, b in zip(edges, edges[1:]):
-            local = QuadConfig(
-                rel_tol=1e-12, abs_tol=abs_density * (b - a), max_subdivisions=60
-            )
-            r = integrate_finite(f, a, b, local)
-            value += r.value
-            err += r.abs_err_est
-            n_evals += r.n_evals
-            converged = converged and r.converged
-        x += 1.0
-        intervals += 1
-        edges = (x, x + 1.0)
+        end = x + 1.0
     converged = converged and err <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
     return QuadResult(value, err, n_evals, converged)
 

@@ -163,18 +163,19 @@ class TestExactReplay:
     """Values, estimates and counts recorded with the exact math.fsum
     stop test.  integrate_finite takes those sums on every pass, as it
     did when these were recorded, so no split decision may move and every
-    result must match to the last bit."""
+    result must match to the last bit.  The P1 rows were recorded again
+    when integrate_unit_split began to integrate [start, X0] in one call."""
 
     P1 = {
-        (2.0, 1.0): (-0.07246703342411322, 3.71226623099441e-15, 180),
-        (2.0, 1.5): (-0.02295665582789521, 3.2144466108916406e-15, 150),
-        (2.0, 3.0): (-0.003022588979668775, 2.6051760946243845e-17, 120),
-        (3.0, 1.0): (-0.06735230105319809, 9.392410357486201e-15, 180),
-        (3.0, 1.5): (-0.014675983915596545, 9.682575359933101e-15, 150),
-        (3.0, 3.0): (-0.0009942763618400706, 2.823576072035834e-17, 120),
-        (5.0, 1.0): (-0.05738555102867399, 8.161152677658226e-15, 240),
-        (5.0, 1.5): (-0.005906814399181609, 2.9740932550936907e-16, 210),
-        (5.0, 3.0): (-0.00010674444431184535, 8.727988040731829e-19, 150),
+        (2.0, 1.0): (-0.07246703342411323, 3.711217229532458e-15, 165),
+        (2.0, 1.5): (-0.022956655827895207, 1.9025895028237948e-14, 105),
+        (2.0, 3.0): (-0.003022588979668774, 2.5839257474845438e-17, 90),
+        (3.0, 1.0): (-0.06735230105319812, 9.393229863942264e-15, 165),
+        (3.0, 1.5): (-0.014675983915596547, 9.682137262620326e-15, 135),
+        (3.0, 3.0): (-0.0009942763618400704, 2.824547973582216e-17, 90),
+        (5.0, 1.0): (-0.05738555102867399, 4.3820159145121565e-14, 165),
+        (5.0, 1.5): (-0.005906814399181608, 4.933841467967068e-16, 165),
+        (5.0, 3.0): (-0.00010674444431184535, 2.1332110347507655e-17, 105),
     }
     FINITE = {
         "peak": (
@@ -337,6 +338,39 @@ class TestUnitSplit:
         r = integrate_unit_split((0.0, 1.0), ((0.0, 2.0),), 1.0, cfg)
         assert not r.converged
 
+    def test_budget_caps_the_tail_start(self, monkeypatch):
+        # the first tail try could succeed near X = 7, past a budget of 3
+        # unit intervals: one call covers [1, 4], the try there fails,
+        # and the march stops
+        coeffs, factors = (0.0, 1.0), ((0.0, 2.0),)
+        assert quad._tail_start(coeffs, factors, 1.0, 1e6)[0] > 4.0
+        calls = []
+
+        def recorded(f, a, b, cfg=quad.DEFAULT_CONFIG, breakpoints=()):
+            calls.append((a, b, list(breakpoints)))
+            return integrate_finite(f, a, b, cfg, breakpoints)
+
+        monkeypatch.setattr(quad, "integrate_finite", recorded)
+        r = integrate_unit_split(coeffs, factors, 1.0, QuadConfig(tail_intervals_max=3))
+        assert not r.converged
+        assert calls == [(1.0, 4.0, [1.5, 2.0, 3.0])]
+
+    def test_long_run_is_split_into_calls(self, monkeypatch):
+        # y^29 over (t + 1)^3 has no tail within 200 unit intervals, so
+        # X0 is the budget; the run to it goes in calls of at most 64 units
+        coeffs, factors = (0.0,) * 29 + (1.0,), ((1.0, 3.0),)
+        assert quad._tail_start(coeffs, factors, 0.0, 200.0)[0] == 200.0
+        calls = []
+
+        def recorded(f, a, b, cfg=quad.DEFAULT_CONFIG, breakpoints=()):
+            calls.append((a, b))
+            return integrate_finite(f, a, b, cfg, breakpoints)
+
+        monkeypatch.setattr(quad, "integrate_finite", recorded)
+        cfg = QuadConfig(tail_intervals_max=200)
+        assert not integrate_unit_split(coeffs, factors, 0.0, cfg).converged
+        assert calls == [(0.0, 64.0), (64.0, 128.0), (128.0, 192.0), (192.0, 200.0)]
+
     def test_converged_implies_estimate_within_allowance(self):
         cfg = QuadConfig()
         cases = [
@@ -381,7 +415,7 @@ class TestUnitSplit:
             pytest.param((0.0, 1.0), (), 0.0, id="no_factor"),
             pytest.param((), ((1.0, 3.0),), 0.0, id="no_coefficient"),
             pytest.param((0.0, math.nan), ((1.0, 3.0),), 0.0, id="nan_coefficient"),
-            pytest.param((0.0,) * 22 + (1.0,), ((1.0, 3.0),), 0.0, id="degree_22"),
+            pytest.param((0.0,) * 30 + (1.0,), ((1.0, 3.0),), 0.0, id="degree_30"),
             # the mean 1/2 of y over (t + 1)^-1 diverges
             pytest.param((0.0, 1.0), ((1.0, 1.0),), 0.0, id="mean_with_p_one"),
             pytest.param((1.0,), ((1.0, 2.0), (2.0, 1.0)), 0.0, id="mean_two_factors"),

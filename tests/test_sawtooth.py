@@ -6,10 +6,12 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlgamma import quad
 from nlgamma.delta import Route, delta_deriv
-from nlgamma.quad import p1_integral
+from nlgamma.quad import integrate_finite, integrate_unit_split, p1_integral
 
 # x + 1 down to 1e-12; -0.9999 is -1 + 1e-4
 NEAR_MINUS_ONE_XS = (
@@ -44,20 +46,25 @@ RECURRENCE_ROUNDING_POINTS = (
 # n_evals pins with 10% headroom.  HYP and p1_integral were pinned when
 # the Euler-Maclaurin tail went in (the march it replaced took 117k evals
 # at m = 1), then tightened to the G7/K15 panel counts, 15/22 of the
-# 22-eval GL15 + GL7 panel's.  HURWITZ and LAPLACE are pinned at their
-# counts on the meshes graded from x.  Tighten a pin when its count
-# falls; never loosen one without saying why.
+# 22-eval GL15 + GL7 panel's, and again when [0, X0] became one
+# integrate_finite call and the tail gained B_24..B_30.  HURWITZ and
+# LAPLACE are pinned at their counts on the meshes graded from x.
+# Tighten a pin when its count falls; never loosen one without saying why.
 HEADROOM = 1.10
 HYP_PINS = {
-    (1, -0.5): 242, (1, 0.5): 182, (1, 1000.0): 152,
-    (2, -0.5): 272, (2, 0.5): 182, (2, 1000.0): 152,
-    (6, -0.5): 257, (6, 0.5): 242, (6, 1000.0): 152,
-    (12, -0.5): 272, (12, 0.5): 227, (12, 1000.0): 152,
+    (1, -0.5): 197, (1, 0.5): 167, (1, 1000.0): 107,
+    (2, -0.5): 227, (2, 0.5): 167, (2, 1000.0): 107,
+    (6, -0.5): 257, (6, 0.5): 167, (6, 1000.0): 107,
+    (12, -0.5): 272, (12, 0.5): 227, (12, 1000.0): 107,
 }
+# integrate_finite calls per HYP evaluation on the HYP_PINS grid: one for
+# [0, X0] and one per failed tail try after it (the unit-by-unit march
+# made 6 to 8)
+HYP_INTEGRATE_FINITE_CALLS = 2
 P1_PINS = {
-    (2.0, 1.0): 180, (2.0, 1.5): 150, (2.0, 3.0): 120,
-    (3.0, 1.0): 180, (3.0, 1.5): 150, (3.0, 3.0): 120,
-    (5.0, 1.0): 240, (5.0, 1.5): 210, (5.0, 3.0): 150,
+    (2.0, 1.0): 165, (2.0, 1.5): 105, (2.0, 3.0): 90,
+    (3.0, 1.0): 165, (3.0, 1.5): 135, (3.0, 3.0): 90,
+    (5.0, 1.0): 165, (5.0, 1.5): 165, (5.0, 3.0): 105,
 }
 HURWITZ_PINS = {
     (1, -0.99): 255, (1, -0.9): 135, (1, 0.125): 15,
@@ -154,6 +161,20 @@ class TestEvalCountPins:
         n = delta_deriv(m, x, Route.HYP).n_evals
         assert n <= HEADROOM * HYP_PINS[m, x], n
 
+    def test_hyp_integrate_finite_calls(self, monkeypatch):
+        calls = []
+
+        def recorded(f, a, b, *args, **kwargs):
+            calls.append((a, b))
+            return integrate_finite(f, a, b, *args, **kwargs)
+
+        monkeypatch.setattr(quad, "integrate_finite", recorded)
+        for m, x in sorted(HYP_PINS):
+            calls.clear()
+            delta_deriv(m, x, Route.HYP)
+            assert calls[0][0] == 0.0, (m, x, calls)
+            assert len(calls) <= HYP_INTEGRATE_FINITE_CALLS, (m, x, calls)
+
     @pytest.mark.parametrize("s,a", VERIFY_GRID)
     def test_p1_integral_verify_grid(self, s, a):
         n = p1_integral(((a, s + 1.0),), 0.0).n_evals
@@ -177,6 +198,57 @@ class TestEvalCountPins:
                 if x >= 0.0:
                     n += delta_deriv(m, x, Route.LAPLACE).n_evals
         assert n <= HEADROOM * BUDGET_EVALS, n
+
+
+def _assert_no_tail_below_x0(coeffs, factors, start):
+    """Every tail try below X0 fails, at a tolerance no smaller than the
+    march's own at any X, which is 1e-16 |value + mean tail| there."""
+    x0, tol = quad._tail_start(coeffs, factors, start, start + 10**6)
+    parts = quad._sawtooth_plan(coeffs)[2]
+    for x in range(int(start), int(x0)):
+        assert quad._sawtooth_tail(parts, factors, float(x), tol) is None, (x, x0)
+    r = integrate_unit_split(coeffs, factors, start)
+    assert r.converged
+    assert 1e-16 * abs(r.value) <= tol, (r.value, tol)
+    return x0
+
+
+class TestTailStart:
+    """X0 is sound: below it no tail try can succeed.  A try that fails at
+    one tolerance fails at every smaller one, so checking at the bound tol
+    covers the tolerance the march uses at each X."""
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_hyp_oracle_grid(self, m):
+        for x in ORACLE_XS:
+            _assert_no_tail_below_x0((-0.5, 1.0), ((1.0, 1.0), (x + 1.0, m + 1.0)), 0.0)
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_prop2_rows(self, m):
+        for j in range(5):
+            row = tuple(math.comb(m, i) * float(j) ** (m - i) for i in range(m + 1))
+            _assert_no_tail_below_x0(row, ((j + 1.0, m + 1.0),), 0.0)
+
+    @given(
+        c1=st.floats(min_value=1e-9, max_value=1e3),
+        p1=st.floats(min_value=0.25, max_value=13.0),
+        c2=st.floats(min_value=1e-9, max_value=1e3),
+        p2=st.floats(min_value=0.25, max_value=13.0),
+        start=st.sampled_from([0.0, 1.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_factor_pairs(self, c1, p1, c2, p2, start):
+        _assert_no_tail_below_x0((-0.5, 1.0), ((c1, p1), (c2, p2)), start)
+
+    def test_x0_is_close_to_the_stop(self):
+        # on the HYP pin grid the first try at X0 or the one after it
+        # succeeds: X0 saves every try the march used to make below it
+        for m, x in HYP_PINS:
+            factors = ((1.0, 1.0), (x + 1.0, m + 1.0))
+            x0 = _assert_no_tail_below_x0((-0.5, 1.0), factors, 0.0)
+            parts = quad._sawtooth_plan((-0.5, 1.0))[2]
+            value = p1_integral(factors, 0.0).value
+            assert quad._sawtooth_tail(parts, factors, x0 + 1.0, 1e-16 * abs(value))
 
 
 class TestNearMinusOne:
