@@ -235,10 +235,14 @@ class TestTailStart:
         c2=st.floats(min_value=1e-9, max_value=1e3),
         p2=st.floats(min_value=0.25, max_value=13.0),
         start=st.sampled_from([0.0, 1.0]),
+        q=st.lists(st.integers(min_value=-8, max_value=8), min_size=1, max_size=6),
     )
     @settings(max_examples=60, deadline=None)
-    def test_factor_pairs(self, c1, p1, c2, p2, start):
+    def test_factor_pairs(self, c1, p1, c2, p2, start, q):
         _assert_no_tail_below_x0((-0.5, 1.0), ((c1, p1), (c2, p2)), start)
+        # a polynomial with zero mean: coeffs[i]/(i + 1) sum to 0
+        coeffs = tuple((i + 1) * qi / 8.0 for i, qi in enumerate([-sum(q), *q]))
+        _assert_no_tail_below_x0(coeffs, ((c1, p1), (c2, p2)), start)
 
     def test_x0_is_close_to_the_stop(self):
         # on the HYP pin grid the first try at X0 or the one after it
