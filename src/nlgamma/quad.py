@@ -72,6 +72,8 @@ class QuadConfig:
             raise ValueError("need 0 < rel_tol < inf and 0 <= abs_tol < inf")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
+        if self.tail_intervals_max < 0:
+            raise ValueError("tail_intervals_max must be >= 0")
 
 
 DEFAULT_CONFIG = QuadConfig()

@@ -32,6 +32,8 @@ def test_config_validation():
         QuadConfig(rel_tol=0.0)
     with pytest.raises(ValueError):
         QuadConfig(max_subdivisions=0)
+    with pytest.raises(ValueError):
+        QuadConfig(tail_intervals_max=-1)
 
 
 @pytest.mark.parametrize(
