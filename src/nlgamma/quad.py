@@ -1,7 +1,7 @@
 """Quadrature engines.
 
-Adaptive Gauss-Kronrod panels (the 15-point Kronrod rule, with the
-7-point Gauss rule on its nodes for the error estimate) for finite
+Adaptive Gauss-Kronrod panels (the 21-point Kronrod rule, with the
+10-point Gauss rule on its nodes for the error estimate) for finite
 intervals, each one call of a panel integrand that maps the list of its
 nodes to the list of their values (pointwise(g) for a scalar g); one
 sawtooth integrator, integrate_unit_split, for integral_start^inf
@@ -38,24 +38,30 @@ __all__ = [
     "pointwise",
 ]
 
-# Gauss-Kronrod G7/K15 on [-1, 1] (Kronrod 1965; the QUADPACK QK15
-# constants, Piessens et al. 1983, rounded to double).  The 7 Gauss
-# nodes are the centre and every second positive node below; the Kronrod
-# rule adds 8 nodes and reuses all 7.  Rows: (node, K15 weight, G7
-# weight), G7 weight 0 on the Kronrod-only nodes.
-_GK15_CENTER = (0.20948214108472782, 0.4179591836734694)
-_GK15 = (
-    (0.9914553711208126, 0.022935322010529224, 0.0),
-    (0.9491079123427585, 0.06309209262997856, 0.1294849661688697),
-    (0.8648644233597691, 0.10479001032225019, 0.0),
-    (0.7415311855993945, 0.14065325971552592, 0.27970539148927664),
-    (0.5860872354676911, 0.1690047266392679, 0.0),
-    (0.4058451513773972, 0.19035057806478542, 0.3818300505051189),
-    (0.20778495500789848, 0.20443294007529889, 0.0),
+# Gauss-Kronrod G10/K21 on [-1, 1] (Kronrod 1965; the QUADPACK QK21
+# constants, Piessens et al. 1983, rounded to double).  The 10 Gauss
+# nodes are every second positive node below, mirrored; the Kronrod rule
+# adds the centre and 10 more nodes and reuses all 10.  Rows: (node, K21
+# weight, G10 weight), G10 weight 0 on the Kronrod-only nodes.  The
+# centre has a K21 weight only.
+_GK21_CENTER = 0.1494455540029169
+_GK21 = (
+    (0.9956571630258081, 0.011694638867371874, 0.0),
+    (0.9739065285171717, 0.032558162307964725, 0.06667134430868814),
+    (0.9301574913557082, 0.054755896574351995, 0.0),
+    (0.8650633666889845, 0.07503967481091996, 0.1494513491505806),
+    (0.7808177265864169, 0.0931254545836976, 0.0),
+    (0.6794095682990244, 0.10938715880229764, 0.21908636251598204),
+    (0.5627571346686047, 0.12349197626206584, 0.0),
+    (0.4333953941292472, 0.13470921731147334, 0.26926671930999635),
+    (0.2943928627014602, 0.14277593857706009, 0.0),
+    (0.14887433898163122, 0.14773910490133849, 0.29552422471475287),
 )
-# The 15 nodes in the order _panel reads them: the centre, then -xi, +xi
+# The 21 nodes in the order _panel reads them: the centre, then -xi, +xi
 # for each row.  mid + half * -xi is mid - half * xi exactly.
-_GK15_OFFSETS = (0.0, *(o for xi, _, _ in _GK15 for o in (-xi, xi)))
+_GK21_OFFSETS = (0.0, *(o for xi, _, _ in _GK21 for o in (-xi, xi)))
+# integrand values per panel, the unit of n_evals
+_PANEL_NODES = len(_GK21_OFFSETS)
 
 
 @dataclass(frozen=True)
@@ -103,18 +109,17 @@ class QuadResult:
 
 
 def _panel(f, a, b):
-    """K15 value with the |K15 - G7| error estimate (15 evals, one call)."""
+    """K21 value with the |K21 - G10| error estimate (21 evals, one call)."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    values = f([mid + half * o for o in _GK15_OFFSETS])
-    fc = values[0]
-    k15 = _GK15_CENTER[0] * fc
-    g7 = _GK15_CENTER[1] * fc
-    for (_, wk, wg), lo, hi in zip(_GK15, values[1::2], values[2::2]):
+    values = f([mid + half * o for o in _GK21_OFFSETS])
+    k21 = _GK21_CENTER * values[0]
+    g10 = 0.0
+    for (_, wk, wg), lo, hi in zip(_GK21, values[1::2], values[2::2]):
         pair = lo + hi
-        k15 += wk * pair
-        g7 += wg * pair
-    return half * k15, abs(half * (k15 - g7))
+        k21 += wk * pair
+        g10 += wg * pair
+    return half * k21, abs(half * (k21 - g10))
 
 
 def pointwise(g):
@@ -144,7 +149,7 @@ def graded_breaks(pole, first, end):
 def integrate_finite(f, a, b, cfg=DEFAULT_CONFIG, breakpoints=()):
     """Adaptive integral over [a, b] of the integrand whose panel form is f.
 
-    f takes the list of a panel's 15 nodes and returns their 15 values,
+    f takes the list of a panel's 21 nodes and returns their 21 values,
     in order; it is called once per panel, so n_evals counts nodes, not
     calls.  A scalar integrand g goes in as pointwise(g).
 
@@ -152,11 +157,12 @@ def integrate_finite(f, a, b, cfg=DEFAULT_CONFIG, breakpoints=()):
     is split until the error, the summed panel estimates plus a rounding
     term 2e-16 * sum |panel|, meets max(abs_tol, rel_tol*|I|, 4e-16*|I|)
     or the subdivision budget runs out (flagged via converged=False,
-    never silently).  Each panel is a Gauss-Kronrod G7/K15 pair: the
-    value is K15 and the estimate the raw |K15 - G7|, which tracks the
-    error of the cruder G7 rule, so it errs on the safe side for smooth
-    integrands.  QUADPACK's (200 err/resasc)^1.5 rescaling is not applied:
-    it is a heuristic, not a bound.
+    never silently).  Each panel is a Gauss-Kronrod G10/K21 pair: the
+    value is K21 and the estimate the raw |K21 - G10|, which tracks the
+    error of the cruder G10 rule (exact through degree 19, against K21's
+    31), so it errs on the safe side for smooth integrands.  QUADPACK's
+    (200 err/resasc)^1.5 rescaling is not applied: it is a heuristic, not
+    a bound.
 
     `breakpoints`, increasing and strictly inside (a, b), seed the heap
     with one panel per piece, as QUADPACK's QAGP does; the bisection and
@@ -183,7 +189,7 @@ def integrate_finite(f, a, b, cfg=DEFAULT_CONFIG, breakpoints=()):
         value, err = _panel(f, lo, hi)
         heap.append((-err, lo, hi, value))
     heapq.heapify(heap)
-    n_evals = 15 * len(heap)
+    n_evals = _PANEL_NODES * len(heap)
     frozen = []  # panels too narrow for their position to split: kept as they are
     n_splits = 0
     converged = True
@@ -205,7 +211,7 @@ def integrate_finite(f, a, b, cfg=DEFAULT_CONFIG, breakpoints=()):
             continue
         v1, e1 = _panel(f, pa, mid)
         v2, e2 = _panel(f, mid, pb)
-        n_evals += 30
+        n_evals += 2 * _PANEL_NODES
         heapq.heappush(heap, (-e1, pa, mid, v1))
         heapq.heappush(heap, (-e2, mid, pb, v2))
         n_splits += 1
@@ -381,7 +387,7 @@ _X0_GUESS = 5.0
 
 def _tail_start(coeffs, factors, start, limit):
     """(X0, tol): X0 is the first integer X in [start, limit] at which
-    integrate_unit_split's tail try can succeed, or limit if none can, and
+    integrate_unit_split's tail try can succeed, or None if none can, and
     tol bounds the tolerance of every such try.
 
     tol is 1.01e-16 times a bound on |value + mean tail| at any X:
@@ -398,10 +404,11 @@ def _tail_start(coeffs, factors, start, limit):
     g(X) C(p + d - 1, d) (X + c)^(-d), the largest over the factors.
     Below X0 every such bound exceeds tol for every n, so no try there can
     succeed, and a try that fails for tol fails for any smaller
-    tolerance.  The bounds fall as X grows, so X0 is bracketed by steps
-    that double away from start + _X0_GUESS and then bisected.  The bounds
-    are taken in log space, where neither a large pole factor nor a tiny
-    g overflows; the slack of 1e-6 in the log covers their rounding.
+    tolerance.  The bounds fall as X grows, so if they still exceed tol
+    at limit no try up to limit can succeed; otherwise X0 is bracketed by
+    steps that double away from start + _X0_GUESS and then bisected.  The
+    bounds are taken in log space, where neither a large pole factor nor a
+    tiny g overflows; the slack of 1e-6 in the log covers their rounding.
     """
     mean, _, _, _, spread, rungs = _sawtooth_plan(coeffs)
     size = 0.5 * spread * math.prod((start + c) ** -p for c, p in factors)
@@ -445,6 +452,8 @@ def _tail_start(coeffs, factors, start, limit):
                 lo = hi - step
                 break
             hi, step = hi - step, 2.0 * step
+    if hi == limit and hopeless(limit):
+        return None, tol
     while hi - lo > 1.0:
         mid = lo + math.floor(0.5 * (hi - lo))
         if hopeless(mid):
@@ -469,9 +478,10 @@ def integrate_unit_split(coeffs, factors, start, cfg=DEFAULT_CONFIG):
     absolute allowance of 2e-15 times the upper Riemann sum of g over the
     pieces: g at each piece's left end times its width.  X0 comes from
     _tail_start: below it the tail cannot meet its tolerance, so no try
-    is made there.  It is capped at start + cfg.tail_intervals_max, and a
-    run longer than _UNITS_PER_CALL unit intervals is split into calls of
-    that many.
+    is made there.  A run longer than _UNITS_PER_CALL unit intervals is
+    split into calls of that many.  If no try up to start +
+    cfg.tail_intervals_max can succeed, the first call is made and
+    converged=False returned with its value, without marching to the cap.
 
     From X0 on, the tail is tried at each integer X, and one more unit
     interval is integrated after each failed try.  The tail is exact in
@@ -523,7 +533,9 @@ def integrate_unit_split(coeffs, factors, start, cfg=DEFAULT_CONFIG):
     n_evals = 0
     converged = True
     (c0, p0), *_ = factors  # the only factor when mean != 0
-    end, _ = _tail_start(coeffs, factors, x, x + cfg.tail_intervals_max)
+    limit = x + cfg.tail_intervals_max
+    x0, _ = _tail_start(coeffs, factors, x, limit)
+    end = limit if x0 is None else x0
     # the first call's pieces, up to X0 but at least one unit and at most
     # _UNITS_PER_CALL: the first unit is split where the distance to a
     # pole -c doubles, short of the half-integer, and at the half-integer
@@ -556,6 +568,9 @@ def integrate_unit_split(coeffs, factors, start, cfg=DEFAULT_CONFIG):
             n_evals += r.n_evals
             converged = converged and r.converged
             x = stop
+            if x0 is None:  # no tail try up to limit can succeed
+                converged = False
+                break
             if x < end:
                 continue
         # mean sums len(coeffs) terms of size up to mean_mag; x + c0 raised

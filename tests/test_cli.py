@@ -47,14 +47,15 @@ class TestEval:
         assert out.strip().split("\t")[2] == "HURWITZ"
 
     def test_nonconverged_exits_1(self, capsys, monkeypatch):
-        # one split is not enough for the layer at u = 1
+        # one split is not enough for the layer at u = 1: the estimate
+        # stays at 5e-10 of the value against an allowance of 1e-11
         starved = QuadConfig(max_subdivisions=1)
         monkeypatch.setattr(cli, "DEFAULT_CONFIG", starved)
         rc, out, err = run_cli(
-            capsys, "eval", "--fn", "deriv", "--m", "3", "--x", "-0.9", "--route", "HURWITZ"
+            capsys, "eval", "--fn", "deriv", "--m", "12", "--x", "-0.5", "--route", "HURWITZ"
         )
         assert rc == 1
-        r = delta_deriv(3, -0.9, Route.HURWITZ, starved)
+        r = delta_deriv(12, -0.5, Route.HURWITZ, starved)
         assert not r.converged
         row = (fmt17(r.value), fmt17(r.abs_err_est), "HURWITZ", str(r.n_evals))
         assert out == "\t".join(row) + "\n"

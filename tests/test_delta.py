@@ -267,7 +267,9 @@ class TestConverged:
     TIGHT = QuadConfig(tail_intervals_max=1, max_subdivisions=1)
 
     def test_laplace_out_of_budget(self):
-        r = delta_deriv(1, 1e16, Route.LAPLACE, QuadConfig(max_subdivisions=1))
+        # one split leaves the estimate at 3.7e-12 of the value against
+        # an allowance of 1e-12
+        r = delta_deriv(11, 0.3, Route.LAPLACE, QuadConfig(max_subdivisions=1))
         assert not r.converged
 
     @pytest.mark.parametrize(
@@ -284,7 +286,7 @@ class TestConverged:
 
     @pytest.mark.parametrize(
         "route,m,x",
-        [(Route.HURWITZ, 3, -0.9), (Route.LAPLACE, 3, 50.0), (Route.HYP, 1, 0.5)],
+        [(Route.HURWITZ, 12, -0.5), (Route.LAPLACE, 11, 0.3), (Route.HYP, 1, 0.5)],
     )
     def test_quadrature_routes_carry_the_flag(self, route, m, x):
         assert delta_deriv(m, x, route).converged

@@ -10,7 +10,8 @@ the exception a route raised, is hashed in a fixed order.  One line per
 route comes first, then the line over all of them, so a change that
 claims to leave the routes bit for bit as they were prints the same last
 line on both commits, and a change that means to move one route shows
-which lines moved:
+which lines moved.  Each route's line also gives its total n_evals over
+the draws (0 for a draw that raised), outside the hashed text:
 
     python tools/route_digest.py
 """
@@ -46,6 +47,7 @@ def main():
     rng = random.Random(SEED)
     sha = hashlib.sha256()
     per_route = {route: hashlib.sha256() for route in ROUTES}
+    evals = dict.fromkeys(ROUTES, 0)
     for i in range(DRAWS):
         m = rng.randint(1, 12)
         x = draw_x(rng, i % 4)
@@ -53,13 +55,14 @@ def main():
             try:
                 r = delta_deriv(m, x, route)
                 row = (r.value, r.abs_err_est, r.n_evals, r.converged)
+                evals[route] += r.n_evals
             except ValueError as exc:
                 row = type(exc).__name__
             line = f"{m} {x!r} {route.value} {row!r}\n".encode()
             sha.update(line)
             per_route[route].update(line)
     for route, route_sha in per_route.items():
-        print(f"{route_sha.hexdigest()}  {route.value}")
+        print(f"{route_sha.hexdigest()}  {route.value}  {evals[route]} evals")
     print(f"{sha.hexdigest()}  {DRAWS} draws")
     return 0
 
