@@ -2,6 +2,7 @@
 integrals, asymptotics, and the sign-pattern certificate."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -284,13 +285,29 @@ class TestConverged:
         assert r.n_evals <= 1500, r.n_evals
         assert abs(r.value - closed.value) <= r.abs_err_est + closed.abs_err_est
 
+    # one split meets the default tolerances on these inputs, so TIGHT
+    # also asks for rel_tol 1e-15 with no abs_tol, which the default
+    # budget still meets
+    STRICT = {(Route.HURWITZ, 3, -0.9), (Route.LAPLACE, 3, 50.0)}
+
     @pytest.mark.parametrize(
         "route,m,x",
-        [(Route.HURWITZ, 12, -0.5), (Route.LAPLACE, 11, 0.3), (Route.HYP, 1, 0.5)],
+        [
+            (Route.HURWITZ, 12, -0.5),
+            (Route.LAPLACE, 11, 0.3),
+            (Route.HYP, 1, 0.5),
+            (Route.HURWITZ, 3, -0.9),
+            (Route.LAPLACE, 3, 50.0),
+        ],
     )
     def test_quadrature_routes_carry_the_flag(self, route, m, x):
+        tight = self.TIGHT
+        if (route, m, x) in self.STRICT:
+            strict = QuadConfig(rel_tol=1e-15, abs_tol=0.0)
+            assert delta_deriv(m, x, route, strict).converged
+            tight = replace(strict, tail_intervals_max=1, max_subdivisions=1)
         assert delta_deriv(m, x, route).converged
-        assert not delta_deriv(m, x, route, self.TIGHT).converged
+        assert not delta_deriv(m, x, route, tight).converged
 
     def test_recurrence_carries_its_base(self):
         assert _recurrence(3, 0.5, QuadConfig(), base=Route.HYP).converged

@@ -238,14 +238,32 @@ class TestExactReplay:
         )
 
 
+# QUADPACK's QK15 pair, the panel rule before G10/K21, kept here as the
+# baseline that test_estimate_beats_g7_k15 holds the new rule against.
+# Rows as quad._GK21: (node, K15 weight, G7 weight); the centre carries
+# both weights (K15, G7).
+_GK15_CENTER = (0.20948214108472782, 0.4179591836734694)
+_GK15 = (
+    (0.9914553711208126, 0.022935322010529224, 0.0),
+    (0.9491079123427585, 0.06309209262997856, 0.1294849661688697),
+    (0.8648644233597691, 0.10479001032225019, 0.0),
+    (0.7415311855993945, 0.14065325971552592, 0.27970539148927664),
+    (0.5860872354676911, 0.1690047266392679, 0.0),
+    (0.4058451513773972, 0.19035057806478542, 0.3818300505051189),
+    (0.20778495500789848, 0.20443294007529889, 0.0),
+)
+
+
 class TestPanelRule:
-    """The frozen G10/K21 constants: a typo in one node or weight breaks
-    exactness at some degree, so every degree is checked."""
+    """The frozen G10/K21 constants, and the G7/K15 baseline above: a typo
+    in one node or weight breaks exactness at some degree, so every degree
+    is checked."""
 
     @staticmethod
-    def _rules():
-        nodes = [(0.0, quad._GK21_CENTER, 0.0)]
-        for xi, wk, wg in quad._GK21:
+    def _rules(center=(quad._GK21_CENTER, 0.0), rows=quad._GK21):
+        wk0, wg0 = center
+        nodes = [(0.0, wk0, wg0)]
+        for xi, wk, wg in rows:
             nodes += [(-xi, wk, wg), (xi, wk, wg)]
         kronrod = [(x, wk) for x, wk, _ in nodes]
         gauss = [(x, wg) for x, _, wg in nodes if wg]
@@ -279,6 +297,40 @@ class TestPanelRule:
     def test_g10_not_exact_at_degree_20(self):
         _, gauss = self._rules()
         assert self._moment_error(gauss, 20) > 1e-6
+
+    @pytest.mark.parametrize("k", range(24))
+    def test_k15_exact_through_degree_23(self, k):
+        kronrod, _ = self._rules(_GK15_CENTER, _GK15)
+        assert self._moment_error(kronrod, k) <= 2.3e-16
+
+    @pytest.mark.parametrize("k", range(14))
+    def test_g7_exact_through_degree_13(self, k):
+        _, gauss = self._rules(_GK15_CENTER, _GK15)
+        assert self._moment_error(gauss, k) <= 2.3e-16
+
+    def test_g7_not_exact_at_degree_14(self):
+        _, gauss = self._rules(_GK15_CENTER, _GK15)
+        assert self._moment_error(gauss, 14) > 1e-5
+
+    @pytest.mark.parametrize("m,x", [(6, 0.5), (3, 50.0), (11, 0.3)])
+    def test_estimate_beats_g7_k15(self, m, x):
+        # summed over ratio-2 graded pieces of a Laplace integrand, the
+        # |K21 - G10| estimate is over 1000 times below |K15 - G7|
+        def g(t):
+            return laplace_integrand(m, x, t)
+
+        kronrod, gauss = self._rules(_GK15_CENTER, _GK15)
+        points = [0.0, *graded_breaks(0.0, 0.125, 60.0), 60.0]
+        k15_est = k21_est = 0.0
+        for a, b in zip(points, points[1:]):
+            half, mid = 0.5 * (b - a), 0.5 * (a + b)
+            k15, g7 = (
+                math.fsum(w * g(mid + half * u) for u, w in rule)
+                for rule in (kronrod, gauss)
+            )
+            k15_est += abs(half * (k15 - g7))
+            k21_est += quad._panel(pointwise(g), a, b)[1]
+        assert 1000.0 * k21_est < k15_est
 
     @pytest.mark.parametrize(
         "f,a,b",
