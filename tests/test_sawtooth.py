@@ -52,8 +52,9 @@ RECURRENCE_ROUNDING_POINTS = (
 # four were set again for the 21-node G10/K21 panel: where the 15-node
 # panels already met the tolerance with few or no splits, the wider
 # panels cost more, so those pins rose (HYP at x = 1000, P1 at a = 3 and
-# at (2, 1.5) and (3, 1.5), HURWITZ at x = 0.125, 1000 and 1e6); the rest
-# fell with the splits the finer estimate saves.  Tighten a pin when its
+# at (2, 1.5), HURWITZ at x = 0.125, 1000 and 1e6); the rest fell with the
+# splits the finer estimate saves.  (3, 1.5) now takes 147 evals, inside
+# its 135 pin's headroom, so that pin was kept.  Tighten a pin when its
 # count falls; never loosen one without saying why.
 HEADROOM = 1.10
 HYP_PINS = {
@@ -68,7 +69,7 @@ HYP_PINS = {
 HYP_INTEGRATE_FINITE_CALLS = 2
 P1_PINS = {
     (2.0, 1.0): 147, (2.0, 1.5): 147, (2.0, 3.0): 126,
-    (3.0, 1.0): 147, (3.0, 1.5): 147, (3.0, 3.0): 126,
+    (3.0, 1.0): 147, (3.0, 1.5): 135, (3.0, 3.0): 126,
     (5.0, 1.0): 147, (5.0, 1.5): 147, (5.0, 3.0): 147,
 }
 HURWITZ_PINS = {
