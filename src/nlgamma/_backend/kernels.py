@@ -33,7 +33,6 @@ __all__ = [
     "gamma_zero_series",
     "hurwitz_zeta",
     "hz_route_integrand",
-    "hz_route_integrand_reflected",
     "hz_route_panel",
     "hz_route_reflected_panel",
     "laplace_integrand",
@@ -326,18 +325,15 @@ def laplace_tail_weight(m, x, big_t):
     return bound
 
 
-def gamma_zero_series(x):
-    """Gamma(0, x) by the alternating series -(gamma + ln x + sum (-x)^k/(k k!)).
-
-    Accurate only while the alternating terms stay small; callers switch to
-    quadrature once cancellation would eat the 1e-11 budget (x > 5).
-    """
-    if x <= 0.0:
-        raise ValueError("gamma_zero_series requires x > 0")
+def _exp_integral_series(x, start):
+    """sum_{k>=start} (-x)^k/(k k!), stopped past k = x once a term is
+    under 1e-18 of the running sum, and then summed by math.fsum."""
     u = 1.0
+    for k in range(1, start):
+        u *= -x / k
     terms = []
     acc = 0.0
-    k = 1
+    k = start
     while True:
         u *= -x / k
         term = u / k
@@ -346,7 +342,18 @@ def gamma_zero_series(x):
         if abs(term) <= 1e-18 * (abs(acc) + 1e-300) and k > x:
             break
         k += 1
-    return -(EULER_GAMMA + math.log(x) + math.fsum(terms))
+    return math.fsum(terms)
+
+
+def gamma_zero_series(x):
+    """Gamma(0, x) by the alternating series -(gamma + ln x + sum (-x)^k/(k k!)).
+
+    Accurate only while the alternating terms stay small; callers switch to
+    quadrature once cancellation would eat the 1e-11 budget (x > 5).
+    """
+    if x <= 0.0:
+        raise ValueError("gamma_zero_series requires x > 0")
+    return -(EULER_GAMMA + math.log(x) + _exp_integral_series(x, 1))
 
 
 def _gamma_zero_asymp(x):
@@ -365,19 +372,7 @@ def ei_defect(t):
     if t <= 0.0:
         raise ValueError("ei_defect requires t > 0")
     if t <= 30.0:
-        u = -t
-        terms = []
-        acc = 0.0
-        k = 2
-        while True:
-            u *= -t / k
-            term = u / k
-            terms.append(term)
-            acc += term
-            if abs(term) <= 1e-18 * (abs(acc) + 1e-300) and k > t:
-                break
-            k += 1
-        return -math.fsum(terms)
+        return -_exp_integral_series(t, 2)
     return EULER_GAMMA + math.log(t) - t + _gamma_zero_asymp(t)
 
 
@@ -396,14 +391,8 @@ def hz_route_integrand(m, x, u):
 
 
 def hz_route_reflected_panel(m, x, nodes):
-    """hz_route_integrand_reflected(m, x, s) at each s in nodes, as a list."""
-    coefs = _zeta_coefs(m + 1.0)
-    xp1 = 1.0 + x
-    return [(1.0 - s) ** m * _zeta_sum(m + 1.0, coefs, xp1 - x * s) for s in nodes]
-
-
-def hz_route_integrand_reflected(m, x, s):
-    """(1-s)^m * zeta(m+1, (1+x) - x s): hz_route_integrand at u = 1 - s.
+    """(1-s)^m * zeta(m+1, (1+x) - x s), hz_route_integrand at u = 1 - s,
+    at each s in nodes, as a list.
 
     For -1 < x < 0 the integrand peaks at u = 1, within 1 + x of its
     pole.  Measured from there, a node s near 0 carries only relative
@@ -411,4 +400,6 @@ def hz_route_integrand_reflected(m, x, s):
     full relative precision however close x is to -1; in u, the rounding
     of a node near 1 would move that argument by 1e-16 absolute.
     """
-    return hz_route_reflected_panel(m, x, (s,))[0]
+    coefs = _zeta_coefs(m + 1.0)
+    xp1 = 1.0 + x
+    return [(1.0 - s) ** m * _zeta_sum(m + 1.0, coefs, xp1 - x * s) for s in nodes]

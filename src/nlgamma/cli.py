@@ -108,8 +108,9 @@ def _grid(start, stop, count, log_spacing):
             raise _CliError("--count 1 requires start == stop")
         return [start]
     if log_spacing:
-        if start <= 0.0:
-            raise _CliError("log spacing requires start > 0")
+        for flag, value in (("--start", start), ("--stop", stop)):
+            if value <= 0.0:
+                raise _CliError(f"log spacing requires {flag} > 0, got {value}")
         lo, hi = math.log(start), math.log(stop)
         return [math.exp(lo + (hi - lo) * i / (count - 1)) for i in range(count)]
     return [start + (stop - start) * i / (count - 1) for i in range(count)]

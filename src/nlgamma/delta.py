@@ -47,7 +47,7 @@ __all__ = [
 ]
 
 MAX_DERIV_ORDER = 12
-SERIES_DEFAULT_THRESHOLD = 0.125
+SERIES_DEFAULT_THRESHOLD = _ddarith.X_MAX  # the seam of AUTO and of CLOSED
 SERIES_DOMAIN_LIMIT = 0.26  # hard cap; the expansion has radius 1
 
 # Error charged to each double-kernel CLOSED term, relative to its size.
@@ -426,12 +426,10 @@ def _prop2_rhs(m, k, cfg):
 # ----------------------------------------------------- moment integrals
 
 
-def _delta_quadrature(square, cfg):
+def _delta_quadrature(square):
     f = quad.pointwise((lambda x: delta(x) ** 2) if square else delta)
     split = SERIES_DEFAULT_THRESHOLD  # keep the series seam on a panel edge
-    return quad.integrate_finite(f, 0.0, split, cfg) + quad.integrate_finite(
-        f, split, 1.0, cfg
-    )
+    return quad.integrate_finite(f, 0.0, split) + quad.integrate_finite(f, split, 1.0)
 
 
 def _alternating_zeta_sum():
@@ -444,14 +442,14 @@ def _alternating_zeta_sum():
     return acc
 
 
-def integral_delta(cfg=quad.DEFAULT_CONFIG):
+def integral_delta():
     """integral_0^1 D(x) dx three independent ways.
 
     Returns (quadrature, series, ei_form): adaptive quadrature of D; the
     alternating zeta series -gamma + sum (-1)^k zeta(k)/k^2; and
     -gamma - integral_0^inf [gamma - t + Gamma(0,t) + ln t]/(t(e^t-1)) dt.
     """
-    quadrature = _delta_quadrature(False, cfg)
+    quadrature = _delta_quadrature(False)
     series = -CONSTANTS.euler_gamma + _alternating_zeta_sum()
     local = quad.QuadConfig(rel_tol=1e-12, abs_tol=1e-16, max_subdivisions=800)
     big_t = 40.0
@@ -504,7 +502,7 @@ def _log_series_double_sum():
     return t11 + 2.0 * cross + tzz
 
 
-def integral_delta_squared(cfg=quad.DEFAULT_CONFIG):
+def integral_delta_squared():
     """integral_0^1 D(x)^2 dx by quadrature and by the double zeta series
 
       gamma^2 - 2 gamma sum_{k>=2} (-1)^k zeta(k)/k^2
@@ -514,7 +512,7 @@ def integral_delta_squared(cfg=quad.DEFAULT_CONFIG):
     see _log_series_double_sum) because the printed triangular truncation
     converges only algebraically; the regrouped tails are geometric.
     """
-    quadrature = _delta_quadrature(True, cfg)
+    quadrature = _delta_quadrature(True)
     g = CONSTANTS.euler_gamma
     series = g * g - 2.0 * g * _alternating_zeta_sum() + _log_series_double_sum()
     return quadrature, series
@@ -523,7 +521,7 @@ def integral_delta_squared(cfg=quad.DEFAULT_CONFIG):
 # ------------------------------------------------------ residual checks
 
 
-def recurrence_residual(m, x, base=Route.CLOSED, cfg=quad.DEFAULT_CONFIG):
+def recurrence_residual(m, x, base=Route.CLOSED):
     """Residual of the order-lowering recurrence
 
         (-1)^(m-1) D^(m)(x)/m! = (-1)^(m-2) D^(m-1)(x)/((m-1)! x)
@@ -535,8 +533,8 @@ def recurrence_residual(m, x, base=Route.CLOSED, cfg=quad.DEFAULT_CONFIG):
     _check_x(x)
     if x == 0.0:
         raise ValueError("recurrence_residual: need x != 0")
-    hi = delta_deriv(m, x, base, cfg)
-    lo = delta_deriv(m - 1, x, base, cfg)
+    hi = delta_deriv(m, x, base)
+    lo = delta_deriv(m - 1, x, base)
     lhs = _sign_for(m) * hi.value / math.factorial(m)
     rhs = _sign_for(m - 1) * lo.value / (math.factorial(m - 1) * x) - kernels.hurwitz_zeta(
         float(m), x + 1.0
@@ -551,7 +549,7 @@ def recurrence_residual(m, x, base=Route.CLOSED, cfg=quad.DEFAULT_CONFIG):
     )
 
 
-def check_complete_monotonicity(m_max, grid, cfg=quad.DEFAULT_CONFIG):
+def check_complete_monotonicity(m_max, grid):
     """Certify (-1)^(m-1) D^(m)(x) >= 0 numerically on a grid.
 
     Every (x, m) pair is evaluated by the default route and must be
@@ -564,7 +562,7 @@ def check_complete_monotonicity(m_max, grid, cfg=quad.DEFAULT_CONFIG):
     for x in grid:
         _check_x(x)
         for m in range(1, m_max + 1):
-            r = delta_deriv(m, x, None, cfg)
+            r = delta_deriv(m, x)
             signed = _sign_for(m) * r.value
             report.add(
                 IdentityResidual(

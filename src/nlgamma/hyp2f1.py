@@ -208,10 +208,10 @@ def hyp_recurrence_descent(n, x):
     return f_lo
 
 
-def _moment_integral(n, x):
-    """integral_0^1 u^(n+1) / (x u + 1)^(n+2) du by quadrature."""
+def _moment_integral(n, x, power):
+    """integral_0^1 u^(n+1) / (x u + 1)^power du by quadrature."""
     r = quad.integrate_finite(
-        quad.pointwise(lambda u: u ** (n + 1) / (x * u + 1.0) ** (n + 2)),
+        quad.pointwise(lambda u: u ** (n + 1) / (x * u + 1.0) ** power),
         0.0,
         1.0,
         _IDENTITY_QUAD_CFG,
@@ -219,18 +219,19 @@ def _moment_integral(n, x):
     return r.value
 
 
-def _second_moment_integral(n, x):
-    """integral_0^1 u^(n+1) / (x u + 1)^2 du by quadrature."""
+def _inner_integral(n, x):
+    """The inner integral of A5 and A6, integral_0^x (1 - v^n) / (v + 1) dv,
+    by quadrature (0 at x = 0)."""
     r = quad.integrate_finite(
-        quad.pointwise(lambda u: u ** (n + 1) / (x * u + 1.0) ** 2),
+        quad.pointwise(lambda v: (1.0 - v**n) / (v + 1.0)),
         0.0,
-        1.0,
+        x,
         _IDENTITY_QUAD_CFG,
     )
     return r.value
 
 
-def hyp_identity_residual(identity, n, x, abc=None, fd_step=1e-5):
+def hyp_identity_residual(identity, n, x, abc=None):
     """Evaluate both sides of a named hypergeometric identity.
 
     Tags: A1 (Euler transform of the diagonal family), A2 (moment
@@ -251,25 +252,20 @@ def hyp_identity_residual(identity, n, x, abc=None, fd_step=1e-5):
         return IdentityResidual.build("A1", point, lhs, rhs, 1e-10, relative_to=1e-300)
     if identity == "A2":
         lhs = gauss_2f1(n + 2.0, n + 2.0, n + 3.0, -x) / (n + 2.0)
-        rhs = _moment_integral(n, x)
+        rhs = _moment_integral(n, x, n + 2)
         return IdentityResidual.build("A2", point, lhs, rhs, 1e-10, relative_to=1e-300)
     if identity == "A4":
-        lhs = _second_moment_integral(n, x)
+        lhs = _moment_integral(n, x, 2)
         rhs = 1.0 / (1.0 + x) - ((n + 1.0) / (n + 2.0)) * gauss_2f1(
             1.0, n + 2.0, n + 3.0, -x
         )
         return IdentityResidual.build("A4", point, lhs, rhs, 1e-9, relative_to=1e-300)
     if identity == "A5":
-        lhs = _second_moment_integral(n, x)
+        lhs = _moment_integral(n, x, 2)
         if x == 0.0:
             rhs = 1.0 / (n + 2.0)  # removable limit of the closed form
         else:
-            inner = quad.integrate_finite(
-                quad.pointwise(lambda v: (1.0 - v**n) / (v + 1.0)),
-                0.0,
-                x,
-                _IDENTITY_QUAD_CFG,
-            ).value
+            inner = _inner_integral(n, x)
             rhs = (
                 ((n + 1.0) / x ** (n + 1.0)) * (math.log1p(x) - inner)
                 - 1.0 / (x + 1.0)
@@ -278,12 +274,7 @@ def hyp_identity_residual(identity, n, x, abc=None, fd_step=1e-5):
     if identity == "A6":
         if x > 1.0:
             raise ValueError("A6 holds on x in [0, 1]")
-        s1 = quad.integrate_finite(
-            quad.pointwise(lambda v: (1.0 - v**n) / (v + 1.0)),
-            0.0,
-            x,
-            _IDENTITY_QUAD_CFG,
-        ).value if x > 0.0 else 0.0
+        s1 = _inner_integral(n, x)
         s2 = x - x ** (n + 1.0) / (n + 1.0)
         slack = min(s2 - s1, x - s2)
         return IdentityResidual(
@@ -310,7 +301,7 @@ def hyp_identity_residual(identity, n, x, abc=None, fd_step=1e-5):
         return IdentityResidual.build("T26", point, lhs, rhs, 1e-10, relative_to=1e-300)
     if identity == "D25":
         a, b, c = abc if abc is not None else D25_TRIPLES[n % len(D25_TRIPLES)]
-        h = fd_step
+        h = 1e-5
         lhs = (gauss_2f1(a, b, c, -(x + h)) - gauss_2f1(a, b, c, -(x - h))) / (2.0 * h)
         rhs = -(a * b / c) * gauss_2f1(a + 1.0, b + 1.0, c + 1.0, -x)
         pt = dict(point, a=a, b=b, c=c)

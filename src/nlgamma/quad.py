@@ -71,15 +71,12 @@ class QuadConfig:
     rel_tol: float = 1e-11
     abs_tol: float = 1e-13
     max_subdivisions: int = 2000
-    tail_intervals_max: int = 10**6
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol < math.inf and 0.0 <= self.abs_tol < math.inf):
             raise ValueError("need 0 < rel_tol < inf and 0 <= abs_tol < inf")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-        if self.tail_intervals_max < 0:
-            raise ValueError("tail_intervals_max must be >= 0")
 
 
 DEFAULT_CONFIG = QuadConfig()
@@ -375,6 +372,10 @@ def _rung_logs(rungs, p):
     )
 
 
+# Unit intervals past start at which integrate_unit_split gives up on a
+# tail and returns converged=False.
+_TAIL_INTERVALS_MAX = 10**6
+
 # Unit intervals per integrate_finite call in integrate_unit_split: far
 # more than a march needs when g decays like a power, and few enough that
 # a slowly decaying g never puts a huge breakpoint list in one call.
@@ -480,7 +481,7 @@ def integrate_unit_split(coeffs, factors, start, cfg=DEFAULT_CONFIG):
     _tail_start: below it the tail cannot meet its tolerance, so no try
     is made there.  A run longer than _UNITS_PER_CALL unit intervals is
     split into calls of that many.  If no try up to start +
-    cfg.tail_intervals_max can succeed, the first call is made and
+    _TAIL_INTERVALS_MAX can succeed, the first call is made and
     converged=False returned with its value, without marching to the cap.
 
     From X0 on, the tail is tried at each integer X, and one more unit
@@ -495,7 +496,7 @@ def integrate_unit_split(coeffs, factors, start, cfg=DEFAULT_CONFIG):
     as the tail's error.  The tolerance is the rounding floor of the sum,
     not cfg.rel_tol, because callers such as HYP cancel this value
     against other terms.  A march that reaches start +
-    cfg.tail_intervals_max without a tail returns converged=False.
+    _TAIL_INTERVALS_MAX without a tail returns converged=False.
     """
     if start != math.floor(start):
         raise ValueError("integrate_unit_split expects an integer start")
@@ -533,7 +534,7 @@ def integrate_unit_split(coeffs, factors, start, cfg=DEFAULT_CONFIG):
     n_evals = 0
     converged = True
     (c0, p0), *_ = factors  # the only factor when mean != 0
-    limit = x + cfg.tail_intervals_max
+    limit = x + _TAIL_INTERVALS_MAX
     x0, _ = _tail_start(coeffs, factors, x, limit)
     end = limit if x0 is None else x0
     # the first call's pieces, up to X0 but at least one unit and at most
@@ -585,7 +586,7 @@ def integrate_unit_split(coeffs, factors, start, cfg=DEFAULT_CONFIG):
             value += tail[0] + mean_tail
             err += tail[1] + mean_round
             break
-        if x - start >= cfg.tail_intervals_max:
+        if x - start >= _TAIL_INTERVALS_MAX:
             converged = False
             break
         end = x + 1.0
@@ -599,7 +600,7 @@ def p1_integral(factors, start, cfg=DEFAULT_CONFIG):
     return integrate_unit_split((-0.5, 1.0), factors, start, cfg)
 
 
-def lemma2_transform(coeffs, b, c, lam, cfg=DEFAULT_CONFIG):
+def lemma2_transform(coeffs, b, c, lam):
     """Both sides of the periodization identity
 
         integral_0^inf f({x/b}) (x+c)^(-lambda) dx
@@ -618,9 +619,9 @@ def lemma2_transform(coeffs, b, c, lam, cfg=DEFAULT_CONFIG):
     if c <= 0.0:
         raise ValueError("lemma2_transform requires c > 0")
     scale = b ** (1.0 - lam)
-    lhs = integrate_unit_split(coeffs, ((c / b, lam),), 0.0, cfg)
+    lhs = integrate_unit_split(coeffs, ((c / b, lam),), 0.0)
     f = lambda y: sum(a * y**i for i, a in enumerate(coeffs))  # noqa: E731
     rhs = integrate_finite(
-        pointwise(lambda y: f(y) * hurwitz_zeta(lam, y + c / b)), 0.0, 1.0, cfg
+        pointwise(lambda y: f(y) * hurwitz_zeta(lam, y + c / b)), 0.0, 1.0
     )
     return lhs.scaled(scale), rhs.scaled(scale)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from . import quad
 from ._backend import kernels
 from ._backend.kernels import hurwitz_zeta, ln_gamma, upper_incomplete_gamma_int
+from ._ddarith import K_MAX
 from ._ddconsts import ZETA_DD
 
 __all__ = [
@@ -29,8 +30,6 @@ __all__ = [
     "riemann_zeta",
     "upper_incomplete_gamma_int",
 ]
-
-K_MAX = len(ZETA_DD) - 1
 
 # Gamma(0, x): the alternating series loses roughly 2x/ln(10) digits to
 # cancellation, so it is abandoned well before the documented 1e-11

@@ -261,6 +261,15 @@ class TestTable:
         assert rc == 2
         assert "log spacing" in err
 
+    def test_log_grid_needs_positive_stop(self, capsys):
+        rc, out, err = run_cli(
+            capsys,
+            "table", "--start", "1", "--stop", "0", "--count", "3", "--log",
+        )
+        assert rc == 2
+        assert out == ""
+        assert "--stop" in err
+
     def test_log_grid_values(self, capsys):
         rc, out, _ = run_cli(
             capsys,

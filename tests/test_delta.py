@@ -265,7 +265,8 @@ class TestFracRep:
 
 
 class TestConverged:
-    TIGHT = QuadConfig(tail_intervals_max=1, max_subdivisions=1)
+    # the tests below also patch quad._TAIL_INTERVALS_MAX to 1
+    TIGHT = QuadConfig(max_subdivisions=1)
 
     def test_laplace_out_of_budget(self):
         # one split leaves the estimate at 3.7e-12 of the value against
@@ -300,17 +301,19 @@ class TestConverged:
             (Route.LAPLACE, 3, 50.0),
         ],
     )
-    def test_quadrature_routes_carry_the_flag(self, route, m, x):
+    def test_quadrature_routes_carry_the_flag(self, route, m, x, monkeypatch):
         tight = self.TIGHT
         if (route, m, x) in self.STRICT:
             strict = QuadConfig(rel_tol=1e-15, abs_tol=0.0)
             assert delta_deriv(m, x, route, strict).converged
-            tight = replace(strict, tail_intervals_max=1, max_subdivisions=1)
+            tight = replace(strict, max_subdivisions=1)
         assert delta_deriv(m, x, route).converged
+        monkeypatch.setattr(quad, "_TAIL_INTERVALS_MAX", 1)
         assert not delta_deriv(m, x, route, tight).converged
 
-    def test_recurrence_carries_its_base(self):
+    def test_recurrence_carries_its_base(self, monkeypatch):
         assert _recurrence(3, 0.5, QuadConfig(), base=Route.HYP).converged
+        monkeypatch.setattr(quad, "_TAIL_INTERVALS_MAX", 1)
         assert not _recurrence(3, 0.5, self.TIGHT, base=Route.HYP).converged
 
     @pytest.mark.parametrize("route", [Route.CLOSED, Route.SERIES, Route.RECURRENCE])

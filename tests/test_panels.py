@@ -112,8 +112,6 @@ class TestPanelKernels:
     )
     def test_hz_route_reflected_panel(self, m, x):
         panel = kernels.hz_route_reflected_panel(m, x, S_NODES)
-        scalar = [kernels.hz_route_integrand_reflected(m, x, s) for s in S_NODES]
-        assert _bits(panel) == _bits(scalar)
         assert _bits(panel) == _bits(ref_hz_route_reflected(m, x, s) for s in S_NODES)
 
     @pytest.mark.parametrize("m", MS)

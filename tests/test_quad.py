@@ -33,8 +33,6 @@ def test_config_validation():
         QuadConfig(rel_tol=0.0)
     with pytest.raises(ValueError):
         QuadConfig(max_subdivisions=0)
-    with pytest.raises(ValueError):
-        QuadConfig(tail_intervals_max=-1)
 
 
 @pytest.mark.parametrize(
@@ -390,8 +388,9 @@ class TestUnitSplit:
         assert abs(r.value - 1.0) < 1e-15
         assert r.n_evals == 0
 
-    def test_budget_exhaustion_flagged(self):
-        cfg = QuadConfig(tail_intervals_max=2, abs_tol=1e-13)
+    def test_budget_exhaustion_flagged(self, monkeypatch):
+        monkeypatch.setattr(quad, "_TAIL_INTERVALS_MAX", 2)
+        cfg = QuadConfig(abs_tol=1e-13)
         r = integrate_unit_split((0.0, 1.0), ((0.0, 2.0),), 1.0, cfg)
         assert not r.converged
 
@@ -408,7 +407,8 @@ class TestUnitSplit:
             return integrate_finite(f, a, b, cfg, breakpoints)
 
         monkeypatch.setattr(quad, "integrate_finite", recorded)
-        r = integrate_unit_split(coeffs, factors, 1.0, QuadConfig(tail_intervals_max=3))
+        monkeypatch.setattr(quad, "_TAIL_INTERVALS_MAX", 3)
+        r = integrate_unit_split(coeffs, factors, 1.0)
         assert not r.converged
         assert calls == [(1.0, 4.0, [1.5, 2.0, 3.0])]
 
@@ -430,8 +430,8 @@ class TestUnitSplit:
         coeffs, factors = (0.0,) * 23 + (1.0,), ((1.0, 3.0),)
         assert quad._tail_start(coeffs, factors, 0.0, 200.0)[0] == 171.0
         calls = self._record_calls(monkeypatch)
-        cfg = QuadConfig(tail_intervals_max=200)
-        assert not integrate_unit_split(coeffs, factors, 0.0, cfg).converged
+        monkeypatch.setattr(quad, "_TAIL_INTERVALS_MAX", 200)
+        assert not integrate_unit_split(coeffs, factors, 0.0).converged
         spans = [(a, b) for a, b, _ in calls]
         assert spans[:3] == [(0.0, 64.0), (64.0, 128.0), (128.0, 171.0)]
         assert spans[3:] == [(x, x + 1.0) for x in range(171, 200)]

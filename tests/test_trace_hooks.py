@@ -1,6 +1,7 @@
-"""The names perfbench's tracer patches must exist and sit on the paths it
-expects: a rename in `quad` or `_ddarith` would otherwise only show up
-as missing counters in `perfbench/run.py --trace 1`."""
+"""The names perfbench's tracer patches, and the ones its worker calls,
+must exist and sit on the paths it expects: a rename in `quad`,
+`_ddarith` or the kernels would otherwise only show up as missing
+counters or a crash in `perfbench/run.py --trace 1`."""
 
 import sys
 from pathlib import Path
@@ -10,7 +11,10 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 tracing = pytest.importorskip("tracing")
 
+import nlgamma  # noqa: E402
+from nlgamma._backend import kernels  # noqa: E402
 from nlgamma.delta import Route, delta_deriv, frac_rep_prop2  # noqa: E402
+from nlgamma.specfun import CONSTANTS, SpecialConstants  # noqa: E402
 
 
 def test_sawtooth_spans_and_kernel_calls_recorded():
@@ -33,3 +37,13 @@ def test_double_double_closed_spans_recorded():
         delta_deriv(3, 0.5, Route.CLOSED)  # the double kernels: no span
     assert len(rec.durations.get("_ddarith.closed_product_rule_dd", ())) == 1
     assert rec.self_s["_ddarith.closed_product_rule_dd"] > 0.0
+
+
+def test_names_the_benchmark_reads_outside_instrument():
+    # perfbench/worker.py times these directly, next to the traced pass
+    micro = tracing.kernel_micro_run(kernels, calls=1, repeat=1)
+    assert sorted(micro) == sorted(
+        f"kernels.{name}.us_per_call" for name in tracing.MICRO_ARGS
+    )
+    assert SpecialConstants.build() == CONSTANTS
+    assert nlgamma.backend_name() == "python"
