@@ -4,7 +4,8 @@ Subcommands: `eval` (point evaluation), `verify` (identity suites),
 `table` (CSV grids), `scan` (sign-pattern certification).  Exit codes:
 0 success / all checks pass, 1 verification failures or an `eval` whose
 quadrature did not converge (the value is still printed, with a note on
-stderr), 2 usage or domain errors.  Standard output is deterministic:
+stderr), 2 usage or domain errors, or an output file that cannot be
+written.  Standard output is deterministic:
 fixed 17-significant-digit formatting, fixed iteration order, no timing
 information (wall time only goes into JSON report files).
 """
@@ -227,10 +228,7 @@ def main(argv=None):
         if args.command == "scan":
             return _cmd_scan(args)
         raise _CliError(f"unknown command {args.command}")
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as exc:
+    except (_CliError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,7 +23,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from . import _ddarith, quad
+from . import _ddarith, hyp2f1, quad
 from ._backend import kernels
 from .report import IdentityResidual, VerificationReport
 from .specfun import CONSTANTS, K_MAX
@@ -257,16 +257,14 @@ def _hyp(m, x, cfg):
     """(1.6)-style assembly: two 2F1 terms minus a sawtooth integral,
     scaled by (-1)^(m-1) m!.  From x = 2^53 on, z = x/(x + 1) rounds to
     1, where the first 2F1 diverges, so such x are refused."""
-    from .hyp2f1 import gauss_2f1  # deferred: avoid import cycle
-
     z = x / (x + 1.0)
     if z == 1.0:
         raise ValueError(
             f"domain error: HYP route needs x/(x + 1) < 1 in double precision "
             f"(x below about 2^53), got x = {x}"
         )
-    f1 = gauss_2f1(1.0, m + 1.0, m + 2.0, z)
-    f2 = gauss_2f1(1.0, float(m), m + 2.0, z)
+    f1 = hyp2f1.gauss_2f1(1.0, m + 1.0, m + 2.0, z)
+    f2 = hyp2f1.gauss_2f1(1.0, float(m), m + 2.0, z)
     xp1 = x + 1.0
     term1 = f1 * xp1 ** (-(m + 1.0)) / (2.0 * (m + 1.0))
     term2 = f2 * xp1 ** (-float(m)) / (m * (m + 1.0))

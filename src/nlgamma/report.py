@@ -13,7 +13,13 @@ def fmt17(x):
 
 @dataclass
 class IdentityResidual:
-    """One checked identity: both sides, their gap, and the verdict."""
+    """One checked identity: both sides, their gap, and the verdict.
+
+    `scale` is the factor `build` multiplied the stated tolerance by, so
+    `rejudge` can apply another tolerance the same way.  It is None on
+    records made by hand and on bounds that are not rounding tolerances
+    (signs, inequalities, truncation gaps); those keep their own.
+    """
 
     identity: str
     point: dict
@@ -22,27 +28,27 @@ class IdentityResidual:
     residual: float
     tolerance: float
     passed: bool
+    scale: float | None = None
 
     @classmethod
     def build(cls, identity, point, lhs, rhs, tolerance, relative_to=None):
         """Pass/fail on |lhs - rhs| <= tolerance * scale.
 
-        With relative_to=None the comparison is absolute; otherwise the
-        tolerance is scaled by max(|lhs|, |rhs|, relative_to).
+        With relative_to=None the comparison is absolute (scale 1);
+        otherwise scale is max(|lhs|, |rhs|, relative_to).
         """
-        residual = lhs - rhs
         scale = 1.0
         if relative_to is not None:
             scale = max(abs(lhs), abs(rhs), relative_to)
-        return cls(
-            identity=identity,
-            point=dict(point),
-            lhs=lhs,
-            rhs=rhs,
-            residual=residual,
-            tolerance=tolerance * scale,
-            passed=abs(residual) <= tolerance * scale,
-        )
+        r = cls(identity, dict(point), lhs, rhs, lhs - rhs, 0.0, False, scale)
+        r.rejudge(tolerance)
+        return r
+
+    def rejudge(self, tol):
+        """Re-judge in place against tol * scale; no-op without a scale."""
+        if self.scale is not None:
+            self.tolerance = tol * self.scale
+            self.passed = abs(self.residual) <= self.tolerance
 
     def to_dict(self):
         return {

@@ -2,14 +2,16 @@
 
 Each suite runs a fixed grid of identity checks and returns a
 VerificationReport; the CLI exposes them via `verify --suite NAME`.
-Default tolerances are the ones stated with each identity; a `tol`
-argument overrides them uniformly, except the asymptotic suite's bound
-on a truncation gap, which is not a rounding tolerance, and the sign and
-inequality checks, whose tolerance is 0.
+Each check carries the tolerance stated with its identity.  `run_suite`'s
+`tol` (`verify --tol`) re-judges every check made by
+`IdentityResidual.build` against `tol` times the scale that check was
+built with; the hand-built checks (signs, inequalities, `A6` and the
+asymptotic suite's truncation gaps) have no scale and keep their own.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 
@@ -38,19 +40,7 @@ APPENDIX_GRID_X = (0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 15.0, 20.0)
 A5_GRID_X = (0.0, 0.5, 1.0, 2.5, 5.0, 7.5, 10.0, 15.0, 20.0)
 
 
-def _tol(default, override):
-    return default if override is None else override
-
-
-def _rescaled(r, tol):
-    """Re-judge `r` against `tol` relative to max(|lhs|, |rhs|); no-op for None."""
-    if tol is not None:
-        r.tolerance = tol * max(abs(r.lhs), abs(r.rhs), 1e-300)
-        r.passed = abs(r.residual) <= r.tolerance
-    return r
-
-
-def suite_routes(tol=None):
+def suite_routes():
     """Pairwise route agreement plus the exact special values."""
     rep = VerificationReport(suite="routes")
     for m in range(1, 9):
@@ -69,14 +59,14 @@ def suite_routes(tol=None):
                             a.value,
                             b.value,
                             # max(1e-8 relative, 1e-10 absolute)
-                            _tol(1e-8, tol),
+                            1e-8,
                             relative_to=1e-2,
                         )
                     )
     g = specfun.CONSTANTS.euler_gamma
     rep.add(
         IdentityResidual.build(
-            "delta_at_zero", {"x": 0.0}, delta(0.0), -g, _tol(1e-11, tol), 1e-300
+            "delta_at_zero", {"x": 0.0}, delta(0.0), -g, 1e-11, 1e-300
         )
     )
     for m in range(1, 9):
@@ -93,7 +83,7 @@ def suite_routes(tol=None):
                     {"m": m},
                     delta_deriv(m, 0.0, route).value,
                     exact,
-                    _tol(1e-11, tol),
+                    1e-11,
                     1e-300,
                 )
             )
@@ -103,7 +93,7 @@ def suite_routes(tol=None):
             {"m": 1},
             delta_deriv(1, 1.0, Route.CLOSED).value,
             1.0 - g,
-            _tol(1e-11, tol),
+            1e-11,
             1e-300,
         )
     )
@@ -113,34 +103,30 @@ def suite_routes(tol=None):
             {"m": 2},
             delta_deriv(2, 1.0, Route.CLOSED).value,
             math.pi**2 / 6.0 - 3.0 + 2.0 * g,
-            _tol(1e-11, tol),
+            1e-11,
             1e-300,
         )
     )
     return rep
 
 
-def suite_recurrence(tol=None):
+def suite_recurrence():
     """Order-lowering recurrence residuals, base CLOSED."""
     rep = VerificationReport(suite="recurrence")
     for m in range(2, 11):
         for x in ROUTE_GRID_X:
-            rep.add(_rescaled(recurrence_residual(m, x, Route.CLOSED), tol))
+            rep.add(recurrence_residual(m, x, Route.CLOSED))
     return rep
 
 
-def suite_prop2(tol=None):
+def suite_prop2():
     """Fractional-part representation and the x = 1 closed sums."""
     rep = VerificationReport(suite="prop2")
     local = quad.QuadConfig(rel_tol=1e-11, abs_tol=1e-9)
     for m in range(1, 5):
         for k in range(1, 6):
             lhs, rhs = frac_rep_prop2(m, k, local)
-            tolerance = (
-                tol
-                if tol is not None
-                else min(1e-6, lhs.abs_err_est + rhs.abs_err_est + 1e-12)
-            )
+            tolerance = min(1e-6, lhs.abs_err_est + rhs.abs_err_est + 1e-12)
             rep.add(
                 IdentityResidual.build(
                     "frac_rep", {"m": m, "k": k}, lhs.value, rhs.value, tolerance
@@ -153,17 +139,17 @@ def suite_prop2(tol=None):
                 {"m": m},
                 delta_deriv_at_one(m),
                 delta_deriv(m, 1.0, Route.CLOSED).value,
-                _tol(1e-11, tol),
+                1e-11,
                 1e-300,
             )
         )
     return rep
 
 
-def suite_prop4(tol=None):
+def suite_prop4():
     """The moment integrals of D and D^2 over [0, 1], all routes pairwise."""
     rep = VerificationReport(suite="prop4")
-    t = _tol(1e-8, tol)
+    t = 1e-8
     q, s, e = integral_delta()
     rep.add(IdentityResidual.build("int_delta_quad_vs_series", {}, q.value, s, t))
     rep.add(IdentityResidual.build("int_delta_quad_vs_ei", {}, q.value, e.value, t))
@@ -195,15 +181,14 @@ def suite_prop4(tol=None):
     return rep
 
 
-def suite_appendix(tol=None):
+def suite_appendix():
     """Hypergeometric identity residuals, the descent check, and the
     near-unit-argument branch continuity."""
     rep = VerificationReport(suite="appendix")
     for tag in ("A1", "A2", "A4", "A5", "T26"):
         for n in range(0, 9):
             for x in A5_GRID_X if tag == "A5" else APPENDIX_GRID_X:
-                r = hyp2f1.hyp_identity_residual(tag, n, x)
-                rep.add(_rescaled(r, tol))
+                rep.add(hyp2f1.hyp_identity_residual(tag, n, x))
     for n in range(0, 9):
         for x in (0.1, 0.5, 1.0, 2.0, 10.0):
             descended = hyp2f1.hyp_recurrence_descent(n, x)
@@ -214,18 +199,16 @@ def suite_appendix(tol=None):
                     {"n": n, "x": x},
                     descended,
                     direct,
-                    _tol(1e-9, tol),
+                    1e-9,
                     1e-300,
                 )
             )
     for n in range(0, 7):
         for i in range(11):
-            r = hyp2f1.hyp_identity_residual("A6", n, i / 10.0)
-            rep.add(r)
+            rep.add(hyp2f1.hyp_identity_residual("A6", n, i / 10.0))
     for abc in hyp2f1.D25_TRIPLES:
         for x in (0.5, 2.0):
-            r = hyp2f1.hyp_identity_residual("D25", 0, x, abc=abc)
-            rep.add(_rescaled(r, tol))
+            rep.add(hyp2f1.hyp_identity_residual("D25", 0, x, abc=abc))
     for n in range(0, 7):
         y = n + 1.0
         for c_minus_b in (1, 2, 3):
@@ -236,19 +219,15 @@ def suite_appendix(tol=None):
                     {"y": y, "z": 0.9},
                     hyp2f1._series(1.0, y, c, 0.9),
                     hyp2f1._log_branch(y, c, 0.9),
-                    _tol(1e-10, tol),
+                    1e-10,
                     1e-300,
                 )
             )
     return rep
 
 
-def suite_asymptotic(tol=None):
-    """Leading-order ratio convergence along x = 1e2, 1e3, 1e4.
-
-    `tol` is ignored: no check here has a rounding tolerance.
-    """
-    del tol
+def suite_asymptotic():
+    """Leading-order ratio convergence along x = 1e2, 1e3, 1e4."""
     rep = VerificationReport(suite="asymptotic")
     for m in range(1, 5):
         gaps = []
@@ -269,10 +248,9 @@ def suite_asymptotic(tol=None):
                 )
             )
         # bounds the truncation gap of the leading form (4e-4 to 1.4e-3
-        # for m = 1..4), not rounding, so `tol` does not rescale it
-        rep.add(
-            IdentityResidual.build("ratio_gap_at_1e4", {"m": m}, gaps[2], 0.0, 5e-3)
-        )
+        # for m = 1..4), not rounding, so it has no scale for `tol`
+        gap = IdentityResidual.build("ratio_gap_at_1e4", {"m": m}, gaps[2], 0.0, 5e-3)
+        rep.add(dataclasses.replace(gap, scale=None))
         rep.add(
             IdentityResidual(
                 identity="ratio_gap_monotone",
@@ -287,7 +265,7 @@ def suite_asymptotic(tol=None):
     return rep
 
 
-def suite_halfint(tol=None):
+def suite_halfint():
     """Half-argument closed form against the CLOSED route at x = -1/2."""
     rep = VerificationReport(suite="halfint")
     for m in range(1, 11):
@@ -297,14 +275,14 @@ def suite_halfint(tol=None):
                 {"m": m},
                 delta_deriv_half_integer(m),
                 delta_deriv(m, -0.5, Route.CLOSED).value,
-                _tol(1e-10, tol),
+                1e-10,
                 1e-300,
             )
         )
     return rep
 
 
-def suite_specfun(tol=None):
+def suite_specfun():
     """Primitive-layer identities: telescoping, the shift equation,
     half-argument polygamma values, derivative consistency, and the
     sawtooth integral representations."""
@@ -317,7 +295,7 @@ def suite_specfun(tol=None):
                     {"s": s, "a": a},
                     specfun.hurwitz_zeta(s, a) - specfun.hurwitz_zeta(s, a + 1.0),
                     a**-s,
-                    _tol(1e-13, tol),
+                    1e-13,
                     1e-300,
                 )
             )
@@ -327,7 +305,7 @@ def suite_specfun(tol=None):
             rhs = (-1.0) ** j * math.factorial(j) / x ** (j + 1)
             rep.add(
                 IdentityResidual.build(
-                    "polygamma_shift", {"j": j, "x": x}, lhs, rhs, _tol(1e-12, tol),
+                    "polygamma_shift", {"j": j, "x": x}, lhs, rhs, 1e-12,
                     relative_to=max(
                         abs(specfun.polygamma(j, x + 1.0)), abs(specfun.polygamma(j, x))
                     ),
@@ -343,7 +321,7 @@ def suite_specfun(tol=None):
                 * math.factorial(n)
                 * (2.0 ** (n + 1) - 1.0)
                 * specfun.CONSTANTS.zeta_values[n + 1],
-                _tol(1e-12, tol),
+                1e-12,
                 1e-300,
             )
         )
@@ -357,7 +335,7 @@ def suite_specfun(tol=None):
                     {"j": j, "x": x},
                     fd,
                     specfun.polygamma(j + 1, x),
-                    _tol(1e-6, tol),
+                    1e-6,
                     1e-300,
                 )
             )
@@ -371,7 +349,7 @@ def suite_specfun(tol=None):
                     {"s": s, "a": a},
                     lhs,
                     specfun.hurwitz_zeta(s, a),
-                    _tol(1e-9, tol),
+                    1e-9,
                 )
             )
     p = quad.p1_integral(((1.0, 4.0),), 0.0)
@@ -382,7 +360,7 @@ def suite_specfun(tol=None):
             {"s": 3},
             lhs,
             specfun.riemann_zeta(3.0),
-            _tol(1e-10, tol),
+            1e-10,
         )
     )
     rep.add(
@@ -391,7 +369,7 @@ def suite_specfun(tol=None):
             {},
             specfun.CONSTANTS.euler_gamma,
             -specfun.polygamma(0, 1.0),
-            _tol(1e-14, tol),
+            1e-14,
         )
     )
     for k in (2, 3, 7, 33, 64):
@@ -401,7 +379,7 @@ def suite_specfun(tol=None):
                 {"k": k},
                 specfun.CONSTANTS.zeta_values[k],
                 specfun.riemann_zeta(float(k)),
-                _tol(1e-14, tol),
+                1e-14,
                 1e-300,
             )
         )
@@ -421,10 +399,16 @@ SUITES = {
 
 
 def run_suite(name, tol=None):
-    """Run a named suite; wall time lands in the report's wall_time_ms."""
+    """Run a named suite, re-judging every scaled check against `tol` if
+    given; wall time lands in the report's wall_time_ms."""
     if name not in SUITES:
         raise KeyError(name)
+    if tol is not None and not 0.0 < tol < math.inf:
+        raise ValueError(f"--tol must be positive and finite, got {tol}")
     t0 = time.perf_counter()
-    rep = SUITES[name](tol=tol)
+    rep = SUITES[name]()
+    if tol is not None:
+        for check in rep.checks:
+            check.rejudge(tol)
     rep.wall_time_ms = int(round((time.perf_counter() - t0) * 1000.0))
     return rep

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from nlgamma import cli
+from nlgamma import cli, verify
 from nlgamma.cli import main
 from nlgamma.delta import Route, delta_deriv
 from nlgamma.quad import QuadConfig
@@ -169,6 +169,40 @@ class TestVerify:
         rc, out, _ = run_cli(capsys, "verify", "--suite", "prop4", "--tol", "1e-30")
         assert rc == 1
         assert "FAIL" in out
+
+    @pytest.mark.parametrize("tol", ["inf", "-1", "nan", "0"])
+    def test_tol_outside_positive_finite_exits_2(self, capsys, tol):
+        # inf once passed every scaled check; -1, nan and 0 failed them
+        # and exited 1, the code for a wrong identity
+        rc, out, err = run_cli(capsys, "verify", "--suite", "halfint", f"--tol={tol}")
+        assert rc == 2
+        assert out == ""
+        assert "--tol" in err
+
+    def test_tol_rejudges_exactly_the_scaled_checks(self):
+        unscaled = set()
+        for name in verify.SUITES:
+            default = verify.run_suite(name).checks
+            rescaled = verify.run_suite(name, tol=1e-6).checks
+            assert [(c.identity, c.point, c.lhs, c.rhs, c.residual) for c in default] == [
+                (c.identity, c.point, c.lhs, c.rhs, c.residual) for c in rescaled
+            ]
+            for d, r in zip(default, rescaled):
+                assert d.scale == r.scale
+                if r.scale is None:
+                    unscaled.add(r.identity)
+                    assert (r.tolerance, r.passed) == (d.tolerance, d.passed)
+                else:
+                    assert r.tolerance == 1e-6 * r.scale
+                    assert r.passed == (abs(r.residual) <= r.tolerance)
+        assert unscaled == {
+            "int_delta_sq_positive",
+            "cauchy_schwarz",
+            "refinement_improves",
+            "ratio_gap_at_1e4",
+            "ratio_gap_monotone",
+            "A6",
+        }
 
     def test_determinism(self, capsys):
         outs = set()
@@ -442,6 +476,23 @@ class TestScan:
         doc = json.loads(path.read_text())
         assert doc["n_fail"] == 0
         assert len(doc["checks"]) == 6
+
+
+@pytest.mark.parametrize(
+    "args,flag",
+    [
+        (("verify", "--suite", "halfint"), "--json"),
+        (("table", "--m", "2", "--start", "0.5", "--stop", "1.5", "--count", "3"), "--out"),
+        (("scan", "--m-max", "2", "--start", "0", "--stop", "5", "--count", "3"), "--json"),
+    ],
+)
+def test_unwritable_output_path_exits_2(capsys, tmp_path, args, flag):
+    path = tmp_path / "missing" / "report.out"
+    rc, _, err = run_cli(capsys, *args, flag, str(path))
+    assert rc == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not path.exists()
 
 
 class TestProcessLevel:

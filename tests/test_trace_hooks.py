@@ -27,6 +27,7 @@ def test_sawtooth_spans_and_kernel_calls_recorded():
     assert rec.durations.get("quad.integrate_finite")
     assert rec.kernel_calls["p1"] > 0
     assert rec.n_evals["quad.integrate_unit_split"] > 0
+    assert len(rec.durations["hyp2f1.gauss_2f1"]) == 2  # HYP's two 2F1 terms
 
 
 def test_double_double_closed_spans_recorded():
