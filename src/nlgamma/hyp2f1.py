@@ -1,7 +1,8 @@
 """Gauss 2F1 evaluation for the parameter families this library needs.
 
 Covered: the a = 1 family (1, b; c; z) for real b, c; the diagonal
-family (p, p; p+1; -x); general real parameters at arguments reachable
+family (p, p; p+1; z), by its series for z > 0 and through the a = 1
+family for z < 0; general real parameters at arguments reachable
 from those via the Pfaff map z -> z/(z-1); z = 1 with positive parameter
 excess via the Gauss summation theorem.  Near-unit arguments of the
 a = 1 family with integer c - b >= 1 switch to the logarithmic expansion
@@ -127,17 +128,22 @@ def _gauss_sum(a, b, c):
 
 
 def _diagonal_family(p, c, z):
-    """(p, p; p+1; z) with p = c - 1 >= 2, for z <= 0.
+    """(p, p; p+1; z) with p = c - 1 >= 2, for z <= 0.9.
 
-    |z| <= 0.9 uses the plain series.  Beyond, the first parameter is
-    lowered once through the elementary relation
+    0 < z <= 0.9 uses the plain series, whose terms are all positive.
+    For z < 0 they alternate and cancel (at p = 12 the series is off by
+    1.1e-12 relative at z = -0.5 and 8.6e-4 at -0.9), so the first
+    parameter is lowered once through the elementary relation
 
       (p-1)/p * F(p, p; p+1; z) = (1-z)^(-(p-1)) - (1/p) F(p-1, p; p+1; z)
 
     and the remaining function drops to the a = 1 family by the Euler
-    transform F(p-1, p; p+1; z) = (1-z)^(2-p) F(2, 1; p+1; z).
+    transform F(p-1, p; p+1; z) = (1-z)^(2-p) F(2, 1; p+1; z); against
+    mpmath that is within 1.2e-15 relative for p = 2..12 on [-0.9, 0).
+    For z > 0 the two sides of the relation cancel instead, so past 0.9
+    the family is refused.
     """
-    if abs(z) <= _LOG_BRANCH_Z:
+    if 0.0 < z <= _LOG_BRANCH_Z:
         return _series(p, p, c, z)
     if z > 0.0:
         raise ValueError("diagonal 2F1 family implemented for z <= 0.9 only")
@@ -149,8 +155,9 @@ def _diagonal_family(p, c, z):
 def gauss_2f1(a, b, c, z):
     """2F1(a, b; c; z) on the implemented families (see module docstring).
 
-    Relative error ~1e-12 across z in [-50, 0] and z in [0, 1); z = 1
-    needs c - a - b > 0.  Raises ValueError outside the implemented
+    Relative error ~1e-12 across z in [-50, 0] and z in [0, 1) (the
+    diagonal family within 1.2e-15 of mpmath on [-0.9, 0) for p = 2..12);
+    z = 1 needs c - a - b > 0.  Raises ValueError outside the implemented
     families and ConvergenceError if a series stalls.
     """
     if _is_nonpositive_int(c):

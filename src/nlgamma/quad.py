@@ -373,8 +373,12 @@ def _rung_logs(rungs, p):
 
 
 # Unit intervals past start at which integrate_unit_split gives up on a
-# tail and returns converged=False.
-_TAIL_INTERVALS_MAX = 10**6
+# tail and returns converged=False.  HYP and the verify suites try their
+# first tail within 6 units of start; phi = y^d over (t + 1)^3 can first
+# try it 1,054 units out for d = 25 and 709,211 for d = 28.  At 1,000
+# units the run to a tail is at most 1,000 seeded pieces (21,000 evals
+# before splits); a cap of 10^6 let d = 28 take about 15 million first.
+_TAIL_INTERVALS_MAX = 1000
 
 # Unit intervals per integrate_finite call in integrate_unit_split: far
 # more than a march needs when g decays like a power, and few enough that

@@ -63,6 +63,17 @@ class TestGauss2F1Values:
         # (1/2) F(2,2;3;-1) equals the moment integral ln 2 - 1/2
         assert rel(gauss_2f1(2.0, 2.0, 3.0, -1.0), 2.0 * (math.log(2.0) - 0.5)) < 1e-13
 
+    @pytest.mark.parametrize("p", range(2, 13))
+    def test_diagonal_family_against_mpmath(self, p):
+        # the alternating series was off by up to 8.6e-4 relative here
+        # (p = 12, z = -0.9) and by 1.1e-12 at z = -0.5
+        mpmath = pytest.importorskip("mpmath")
+        zs = [-0.5 - 0.01 * i for i in range(41)] + [-0.3, -0.1, -1e-3, -1e-12]
+        with mpmath.workdps(40):
+            for z in zs:
+                exact = float(mpmath.hyp2f1(p, p, p + 1, z))
+                assert rel(gauss_2f1(float(p), float(p), p + 1.0, z), exact) < 2e-15, z
+
     def test_elementary_log_case(self):
         # F(1,1;2;z) = -ln(1-z)/z
         for z in (-5.0, -0.3, 0.4, 0.93):

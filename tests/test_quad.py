@@ -167,7 +167,9 @@ class TestExactReplay:
     result must match to the last bit.  The P1 rows were recorded again
     when integrate_unit_split began to integrate [start, X0] in one call,
     and every row when the panel became the G10/K21 pair; the budget row
-    then needed 15 splits, not 25, to stay short of its tolerance."""
+    then needed 15 splits, not 25, to stay short of its tolerance.  The
+    integral of D^2 was recorded again when ln Gamma's Taylor form became
+    a Horner sum; it is 9.5e-18 from mpmath's value."""
 
     P1 = {
         (2.0, 1.0): (-0.07246703342411322, 4.227747007288388e-17, 147),
@@ -217,7 +219,7 @@ class TestExactReplay:
             -0.25687452238873903, 2.1603597059113634e-15, 147, True
         )
         assert self._row(squared) == (
-            0.09311399418229538, 3.7704757072203956e-17, 42, True
+            0.09311399418229539, 2.5561692740366306e-17, 42, True
         )
 
     @pytest.mark.parametrize("name", sorted(FINITE))
@@ -438,7 +440,7 @@ class TestUnitSplit:
 
     def test_hopeless_march_stops_after_one_call(self, monkeypatch):
         # y^29 over (t + 1)^3 has no tail before 10^6: one call of
-        # _UNITS_PER_CALL units, not a march of 10^6 units to the cap
+        # _UNITS_PER_CALL units, not a march to the cap
         coeffs, factors = (0.0,) * 29 + (1.0,), ((1.0, 3.0),)
         assert quad._tail_start(coeffs, factors, 0.0, 1e6)[0] is None
         calls = self._record_calls(monkeypatch)
@@ -448,6 +450,19 @@ class TestUnitSplit:
         assert not r.converged
         assert [(a, b) for a, b, _ in calls] == [(0.0, float(quad._UNITS_PER_CALL))]
         assert r.n_evals == calls[0][2]
+
+    def test_far_tail_start_stops_after_one_call(self, monkeypatch):
+        # y^28 over (t + 1)^3 could first try its tail at 709,211 units:
+        # past the cap, so one call of _UNITS_PER_CALL units, not a march
+        # of some 15 million evals to X0
+        coeffs, factors = (0.0,) * 28 + (1.0,), ((1.0, 3.0),)
+        assert quad._tail_start(coeffs, factors, 0.0, 1e6)[0] == 709211.0
+        calls = self._record_calls(monkeypatch)
+        began = time.perf_counter()
+        r = integrate_unit_split(coeffs, factors, 0.0)
+        assert time.perf_counter() - began < 1.0
+        assert not r.converged
+        assert [(a, b) for a, b, _ in calls] == [(0.0, float(quad._UNITS_PER_CALL))]
 
     def test_reachable_tail_start_is_kept(self, monkeypatch):
         # y^20 over (t + 1)^3: X0 = 38, one call to it, then the march
