@@ -335,9 +335,16 @@ def delta_deriv(m, x, route=None, cfg=quad.DEFAULT_CONFIG):
     if route is None:
         route = default_route(m, x)
     if route is Route.ASYMPTOTIC:
-        lead = asymptotic_leading(m, x)
-        refined = asymptotic_leading(m, x, refine=True)
-        return EvalResult(lead, abs(refined - lead), Route.ASYMPTOTIC, 2)
+        try:
+            lead = asymptotic_leading(m, x)
+            err = abs(asymptotic_leading(m, x, refine=True) - lead)
+        except OverflowError:
+            err = math.inf  # (x + 1)^m or (x + 1)^(m + 1) past the double range
+        if not math.isfinite(err):
+            raise ValueError(
+                f"domain error: ASYMPTOTIC leaves the double range at m = {m}, x = {x}"
+            )
+        return EvalResult(lead, err, Route.ASYMPTOTIC, 2)
     impl = _ROUTE_IMPL.get(route)
     if impl is None:
         raise ValueError(f"unsupported route: {route}")
@@ -548,10 +555,12 @@ def recurrence_residual(m, x, base=Route.CLOSED):
 
 
 def check_complete_monotonicity(m_max, grid):
-    """Certify (-1)^(m-1) D^(m)(x) >= 0 numerically on a grid.
+    """Certify (-1)^(m-1) D^(m)(x) > 0 numerically on a grid.
 
-    Every (x, m) pair is evaluated by the default route and must be
-    nonnegative within its own error estimate; violations become failed
+    Every (x, m) pair is evaluated by the default route, and the signed
+    value must exceed its own error estimate, so the point is positive
+    whatever the error within that estimate; a value inside its estimate,
+    of either sign, certifies nothing and fails.  Failures become failed
     report entries rather than exceptions.
     """
     if not 1 <= m_max <= MAX_DERIV_ORDER:
@@ -570,7 +579,7 @@ def check_complete_monotonicity(m_max, grid):
                     rhs=0.0,
                     residual=signed,
                     tolerance=r.abs_err_est,
-                    passed=signed >= -r.abs_err_est,
+                    passed=signed > r.abs_err_est,
                 )
             )
     return report

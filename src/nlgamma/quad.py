@@ -6,11 +6,10 @@ intervals, each one call of a panel integrand that maps the list of its
 nodes to the list of their values (pointwise(g) for a scalar g); one
 sawtooth integrator, integrate_unit_split, for integral_start^inf
 phi({t}) g(t) dt with phi a polynomial in the fractional part and g a
-product of powers, which integrates [start, X0] in one call, X0 a
-proven lower bound on where its exact periodic-Bernoulli
-(Euler-Maclaurin) tail can meet its tolerance, and then tries that tail,
-with its proven bound, at X0, X0 + 1, ... (p1_integral is its phi = B_1
-case); and the
+product of powers, which integrates [start, start + 6] in one call and
+then tries its exact periodic-Bernoulli (Euler-Maclaurin) tail, with its
+proven bound, at start + 6, start + 7, ..., one unit interval more after
+each failed try (p1_integral is its phi = B_1 case); and the
 periodization transform relating integrals of f({x/b})/(x+c)^lambda to
 finite Hurwitz-zeta moments.  The sawtooth tail keeps its own Bernoulli
 weights: HYP and the Proposition 2 right side, built on it, are
@@ -25,7 +24,9 @@ import math
 import operator
 from dataclasses import dataclass
 
-from ._backend.kernels import hurwitz_zeta, p1
+# p1 stays bound for perfbench's tracer, which patches quad.p1; the
+# sawtooth integrand takes {t} inline and no longer calls it
+from ._backend.kernels import hurwitz_zeta, p1  # noqa: F401
 
 __all__ = [
     "QuadConfig",
@@ -305,18 +306,13 @@ def _sawtooth_tail(parts, factors, x, tol):
 
 @functools.lru_cache(maxsize=64)
 def _sawtooth_plan(coeffs):
-    """(mean, mean_mag, parts, horner, spread, rungs) for phi(y) =
-    sum_i coeffs[i] y^i.
+    """(mean, mean_mag, parts) for phi(y) = sum_i coeffs[i] y^i.
 
     phi = sum_k a_k B_k(y) with a_k = (phi^(k-1)(1) - phi^(k-1)(0))/k!
     (DLMF 24.2.3), C(i, k-1)/k for y^i; mean = a_0 and mean_mag =
     sum |coeffs[i]|/(i+1) bounds its rounding.  parts pairs each k >= 1
     with a_k != 0 and a_k (-1)^k B_n/n! k! (n-k-1)! for n = 2, 4, ..., 30
-    (None while n <= k); horner is phi in s = y - 1/2, highest power first.
-    spread bounds the L2 norm of phi - mean on [0, 1], and so
-    integral_0^1 |phi - mean| dy; rungs holds, for each n past the highest
-    k, the (log |weight|, n-k-1) pairs of its parts.  _tail_start reads
-    both.
+    (None while n <= k).
     """
     n = len(coeffs)
     mean = math.fsum(coeffs[i] / (i + 1) for i in range(n))
@@ -333,139 +329,21 @@ def _sawtooth_plan(coeffs):
                 for i, w in enumerate(_EM_WEIGHTS)
             )
             parts.append((k, weights))
-    horner = tuple(
-        math.fsum(coeffs[i] * math.comb(i, j) * 0.5 ** (i - j) for i in range(j, n))
-        for j in reversed(range(n))
-    )
-    # integral_0^1 (phi - mean)^2 dy from phi's coefficients in s, where
-    # s^j integrates to 0.5^j/(j + 1) for even j and to 0 for odd j; each
-    # term carries at most 4 roundings
-    psi = list(reversed(horner))
-    psi[0] -= mean
-    squares = [
-        psi[i] * psi[j] * (0.5 ** (i + j) / (i + j + 1))
-        for i in range(n)
-        for j in range(n)
-        if (i + j) % 2 == 0
-    ]
-    square = math.fsum(squares) + 1e-15 * math.fsum(map(abs, squares))
-    spread = math.sqrt(max(square, 0.0))
-    top = parts[-1][0] if parts else 0
-    rungs = tuple(
-        tuple((math.log(abs(w[i])), 2 * i + 1 - k) for k, w in parts)
-        for i in range(len(_EM_WEIGHTS))
-        if 2 * i + 2 > top
-    )
-    return mean, mean_mag, tuple(parts), horner, spread, rungs if parts else ()
-
-
-@functools.lru_cache(maxsize=256)
-def _rung_logs(rungs, p):
-    """Per rung and part, (log |weight| + log C(p + d - 1, d), d), flat:
-    C(p + d - 1, d) (t + c)^(-p-d) is the size of Taylor coefficient d of
-    (t + c)^(-p)."""
-    lg = math.lgamma(p)
-    return tuple(
-        (lw + math.lgamma(p + d) - lg - math.lgamma(d + 1.0), d)
-        for rung in rungs
-        for lw, d in rung
-    )
+    return mean, mean_mag, tuple(parts)
 
 
 # Unit intervals past start at which integrate_unit_split gives up on a
-# tail and returns converged=False.  HYP and the verify suites try their
-# first tail within 6 units of start; phi = y^d over (t + 1)^3 can first
-# try it 1,054 units out for d = 25 and 709,211 for d = 28.  At 1,000
-# units the run to a tail is at most 1,000 seeded pieces (21,000 evals
-# before splits); a cap of 10^6 let d = 28 take about 15 million first.
+# tail (converged=False).  HYP and the verify suites meet theirs within 8;
+# y^25 .. y^29 over (t + 1)^3 march here, 21,000 evals before splits.
 _TAIL_INTERVALS_MAX = 1000
 
-# Unit intervals per integrate_finite call in integrate_unit_split: far
-# more than a march needs when g decays like a power, and few enough that
-# a slowly decaying g never puts a huge breakpoint list in one call.
-_UNITS_PER_CALL = 64
-
-# X0 - start on most HYP and Proposition 2 calls: where _tail_start looks
-# first.  Only the number of bounds it evaluates depends on it.
-_X0_GUESS = 5.0
-
-
-def _tail_start(coeffs, factors, start, limit):
-    """(X0, tol): X0 is the first integer X in [start, limit] at which
-    integrate_unit_split's tail try can succeed, or None if none can, and
-    tol bounds the tolerance of every such try.
-
-    tol is 1.01e-16 times a bound on |value + mean tail| at any X:
-    spread g(start)/2 + |mean| integral_start^inf g.  On [l, l+1],
-    phi - mean has zero integral against g(t) - g(l+1), which lies in
-    [0, g(l) - g(l+1)], so that piece is at most (g(l) - g(l+1)) times
-    integral_0^1 |phi - mean|/2, and spread bounds that integral.  The
-    extra 1% covers the quadrature error of the value.
-
-    At X, the size _sawtooth_tail compares with its tolerance for one n is
-    a sum over the parts of |weight| |g^(d)(X)/d!|.  The Leibniz products
-    making up g^(d)(X)/d! all have the sign (-1)^d, so each one bounds it
-    from below; the one taken here puts all d on a single factor,
-    g(X) C(p + d - 1, d) (X + c)^(-d), the largest over the factors.
-    Below X0 every such bound exceeds tol for every n, so no try there can
-    succeed, and a try that fails for tol fails for any smaller
-    tolerance.  The bounds fall as X grows, so if they still exceed tol
-    at limit no try up to limit can succeed; otherwise X0 is bracketed by
-    steps that double away from start + _X0_GUESS and then bisected.  The
-    bounds are taken in log space, where neither a large pole factor nor a
-    tiny g overflows; the slack of 1e-6 in the log covers their rounding.
-    """
-    mean, _, _, _, spread, rungs = _sawtooth_plan(coeffs)
-    size = 0.5 * spread * math.prod((start + c) ** -p for c, p in factors)
-    if mean:
-        ((c, p),) = factors
-        size += abs(mean) * (start + c) ** (1.0 - p) / (p - 1.0)
-    tol = max(1.01e-16 * size, 5e-300)
-    if not rungs:
-        return start, tol
-    log_tol = math.log(tol) + 1e-6
-    width = len(rungs[0])  # parts per rung
-    tables = [(_rung_logs(rungs, p), c, p) for c, p in factors]
-
-    def hopeless(x):
-        log_g = 0.0
-        sizes = []
-        for table, c, p in tables:
-            log_u = math.log(x + c)
-            log_g -= p * log_u
-            sizes.append([k - d * log_u for k, d in table])
-        if len(sizes) > 1:
-            sizes = [list(map(max, *sizes))]
-        if width > 1:
-            sizes = [sizes[0][i::width] for i in range(width)]
-            sizes = [list(map(max, *sizes))]
-        return log_g + min(sizes[0]) > log_tol
-
-    # X0 brackets: lo is hopeless (or start - 1), hi is not (or limit)
-    x = min(start + _X0_GUESS, limit)
-    if hopeless(x):
-        lo, hi, step = x, limit, 1.0
-        while lo + step < limit:
-            if not hopeless(lo + step):
-                hi = lo + step
-                break
-            lo, step = lo + step, 2.0 * step
-    else:
-        lo, hi, step = start - 1.0, x, 1.0
-        while hi - step >= start:
-            if hopeless(hi - step):
-                lo = hi - step
-                break
-            hi, step = hi - step, 2.0 * step
-    if hi == limit and hopeless(limit):
-        return None, tol
-    while hi - lo > 1.0:
-        mid = lo + math.floor(0.5 * (hi - lo))
-        if hopeless(mid):
-            lo = mid
-        else:
-            hi = mid
-    return hi, tol
+# Unit intervals past start of the first tail try, all integrated in one
+# call.  Over 3,382 HYP calls (480 cross-check draws at seed 4242, the
+# 502-point oracle grid and the 2,400 route_digest draws) the tail first
+# met its tolerance at start + 6 or sooner on every call, and at exactly
+# start + 6 on 86-91% of them; the Proposition 2 suite meets it 2 to 7
+# units out, and specfun 5 to 6.
+_FIRST_TRY = 6
 
 
 def integrate_unit_split(coeffs, factors, start, cfg=DEFAULT_CONFIG):
@@ -473,34 +351,40 @@ def integrate_unit_split(coeffs, factors, start, cfg=DEFAULT_CONFIG):
 
     phi(y) = sum_i coeffs[i] y^i; factors are (c, p) pairs with p > 0 and
     start + c > 0, start an integer, so g is completely monotone on
-    [start, inf).  phi is evaluated in s = p1(t) = {t} - 1/2.
+    [start, inf).  phi is evaluated by Horner in y = {t} = t - floor(t),
+    which is exact near an integer, so a phi that vanishes at y = 0 keeps
+    its relative precision beside a pole at start.
 
-    [start, X0] is integrated in one integrate_finite call, seeded with
-    a piece per unit interval; the first unit is also split at its
-    half-integer and wherever the distance to a pole -c doubles, so no
-    panel straddles the jump of {t} at an integer or misses a pole layer.
-    The bisection and the stop test run over all pieces together, with an
-    absolute allowance of 2e-15 times the upper Riemann sum of g over the
-    pieces: g at each piece's left end times its width.  X0 comes from
-    _tail_start: below it the tail cannot meet its tolerance, so no try
-    is made there.  A run longer than _UNITS_PER_CALL unit intervals is
-    split into calls of that many.  If no try up to start +
-    _TAIL_INTERVALS_MAX can succeed, the first call is made and
-    converged=False returned with its value, without marching to the cap.
+    [start, start + _FIRST_TRY] is integrated in one integrate_finite
+    call, seeded with a piece per unit interval; the first unit is also
+    split at its half-integer and wherever the distance to a pole -c
+    doubles, so no panel straddles the jump of {t} at an integer or
+    misses a pole layer.  The bisection and the stop test run over all
+    pieces together, with an absolute allowance of 2e-15 times an upper
+    Riemann sum of |phi| g over the pieces: g at each piece's left end
+    times its width times sum |coeffs[i]| y^i at its right end in y.
 
-    From X0 on, the tail is tried at each integer X, and one more unit
+    The tail is then tried at start + _FIRST_TRY, and one more unit
     interval is integrated after each failed try.  The tail is exact in
     phi's periodic-Bernoulli components phi = a_0 + sum_k a_k B_k({t}).
     The mean integrates in closed form, a_0 (X+c)^(1-p)/(p-1), so a
-    nonzero mean needs a single factor with p > 1.  Each B_k gets its
-    integration-by-parts series, up to 15 Bernoulli weights (B_30), whose
-    remainder is at most its first omitted term (_sawtooth_tail).  The
-    march stops at the first X where those terms, weighted by |a_k|, sum
-    to within 1e-16 |value|; that sum and the mean's rounding are charged
-    as the tail's error.  The tolerance is the rounding floor of the sum,
-    not cfg.rel_tol, because callers such as HYP cancel this value
-    against other terms.  A march that reaches start +
+    nonzero mean needs a single factor with p > 1; a constant phi has no
+    other part and takes its tail at start, with no call.  Each B_k gets
+    its integration-by-parts series, up to 15 Bernoulli weights (B_30),
+    whose remainder is at most its first omitted term (_sawtooth_tail).
+    The march stops at the first X where those terms, weighted by |a_k|,
+    sum to within 1e-16 |value|; that sum and the mean's rounding are
+    charged as the tail's error.  The tolerance is the rounding floor of
+    the sum, not cfg.rel_tol, because callers such as HYP cancel this
+    value against other terms.  A march that reaches start +
     _TAIL_INTERVALS_MAX without a tail returns converged=False.
+
+    The estimate also charges the integrand's own rounding, which the
+    panels' 2e-16 sum |panel| misses for large p and where phi changes sign
+    in a panel: (t + c)^-p makes the 2^-53 rounding of t + c p-fold, the
+    power and each product add about one more, and Horner about 2 per
+    degree, all of sum |coeffs[i]| y^i g, which the trapezoid rule
+    integrates over each piece.
     """
     if start != math.floor(start):
         raise ValueError("integrate_unit_split expects an integer start")
@@ -514,70 +398,73 @@ def integrate_unit_split(coeffs, factors, start, cfg=DEFAULT_CONFIG):
         0.0 < p < math.inf and 0.0 < start + c < math.inf for c, p in factors
     ):
         raise ValueError("integrate_unit_split needs p > 0 and start + c > 0")
-    mean, mean_mag, parts, horner, _, _ = _sawtooth_plan(coeffs)
+    mean, mean_mag, parts = _sawtooth_plan(coeffs)
     if mean != 0.0 and (len(factors) != 1 or factors[0][1] <= 1.0):
         raise ValueError("a nonzero mean of phi needs one factor with p > 1")
-    lead, rest = horner[0], horner[1:]
+    lead, rest = coeffs[-1], coeffs[-2::-1]
+    floor = math.floor
 
     def f(nodes):
         out = []
         for t in nodes:
-            s = p1(t)
+            y = t - floor(t)
             v = lead
             for a in rest:
-                v = v * s + a
+                v = v * y + a
             g = 1.0
             for c, p in factors:
                 g *= (t + c) ** -p
             out.append(v * g)
         return out
 
+    mags = [abs(a) for a in reversed(coeffs)]
+
+    def sizes(a, b):
+        """(bound, magnitude) on the piece [a, b] inside one unit: g(a)
+        (b - a) sum |coeffs[i]| y_b^i, which bounds integral |phi| g there,
+        and the trapezoid rule for sum |coeffs[i]| y^i g."""
+        ends = []
+        for t in (a, b):
+            y = min(t - floor(a), 1.0)
+            w = 0.0
+            for m in mags:
+                w = w * y + m
+            g = 1.0
+            for c, p in factors:
+                g *= (t + c) ** -p
+            ends.append((g, w))
+        (ga, wa), (gb, wb) = ends
+        return ga * wb * (b - a), 0.5 * (ga * wa + gb * wb) * (b - a)
+
     x = float(start)
+    end = x + min(_FIRST_TRY, _TAIL_INTERVALS_MAX) if parts else x
+    poles = {t for c, _ in factors for t in graded_breaks(-c, x + (x + c), x + 0.5)}
+    edges = [x, *sorted(poles), x + 0.5, *(x + i for i in range(1, int(end - x) + 1))]
+    sized = [sizes(a, b) for a, b in zip(edges, edges[1:])]  # the first call's
+    # every call's allowance; later calls add far less than the first
+    allowance = max(2e-15 * math.fsum(bound for bound, _ in sized), 1e-299)
+    kappa = sum(p + 2.0 for _, p in factors) + 2.0 * (len(coeffs) - 1) + 1.0
+    magnitude = 0.0
     value = 0.0
     err = 0.0
     n_evals = 0
     converged = True
     (c0, p0), *_ = factors  # the only factor when mean != 0
-    limit = x + _TAIL_INTERVALS_MAX
-    x0, _ = _tail_start(coeffs, factors, x, limit)
-    end = limit if x0 is None else x0
-    # the first call's pieces, up to X0 but at least one unit and at most
-    # _UNITS_PER_CALL: the first unit is split where the distance to a
-    # pole -c doubles, short of the half-integer, and at the half-integer
-    poles = {t for c, _ in factors for t in graded_breaks(-c, x + (x + c), x + 0.5)}
-    units = range(1, min(max(int(end - x), 1), _UNITS_PER_CALL) + 1)
-    edges = [x, *sorted(poles), x + 0.5, *(x + i for i in units)]
-    # every call's absolute allowance: 2e-15 times the upper Riemann sum
-    # of g over those pieces, a bound on its integral there that stays
-    # tight next to a pole; later calls add far less than that
-    allowance = 2e-15 * math.fsum(
-        math.prod((a + c) ** -p for c, p in factors) * (b - a)
-        for a, b in zip(edges, edges[1:])
-    )
-    allowance = max(allowance, 1e-299)
     while True:
         if end > x:
-            stop = min(end, x + _UNITS_PER_CALL)
-            if x == start:
-                breaks = edges[1:-1]
-            else:
-                breaks = [x + i for i in range(1, int(stop - x))]
+            breaks = edges[1:-1] if x == start else []
             local = QuadConfig(
                 rel_tol=1e-12,
                 abs_tol=allowance,
                 max_subdivisions=60 * (len(breaks) + 1),
             )
-            r = integrate_finite(f, x, stop, local, breaks)
+            r = integrate_finite(f, x, end, local, breaks)
             value += r.value
             err += r.abs_err_est
             n_evals += r.n_evals
             converged = converged and r.converged
-            x = stop
-            if x0 is None:  # no tail try up to limit can succeed
-                converged = False
-                break
-            if x < end:
-                continue
+            magnitude += math.fsum(trapezoid for _, trapezoid in sized)
+            x = end
         # mean sums len(coeffs) terms of size up to mean_mag; x + c0 raised
         # to 1 - p0, the division and the product add p0 + 3 ulps
         big_g = (x + c0) ** (1.0 - p0) / (p0 - 1.0) if mean else 0.0
@@ -594,6 +481,8 @@ def integrate_unit_split(coeffs, factors, start, cfg=DEFAULT_CONFIG):
             converged = False
             break
         end = x + 1.0
+        sized = [sizes(x, end)]
+    err += kappa * 2.0**-53 * magnitude
     converged = converged and err <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
     return QuadResult(value, err, n_evals, converged)
 

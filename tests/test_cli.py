@@ -69,6 +69,21 @@ class TestEval:
         assert out == ""
         assert "domain error: HYP route" in err
 
+    @pytest.mark.parametrize(
+        "m,x",
+        [
+            ("3", "1e100"),  # (x + 1)^m overflows: once an OverflowError, exit 1
+            ("1", "5e-324"),  # the refined term's b/x: once an estimate of inf
+        ],
+    )
+    def test_asymptotic_outside_the_double_range_exits_2(self, capsys, m, x):
+        rc, out, err = run_cli(
+            capsys, "eval", "--fn", "deriv", "--m", m, "--x", x, "--route", "ASYMPTOTIC"
+        )
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: domain error: ASYMPTOTIC")
+
     def test_domain_error_exits_2(self, capsys):
         rc, out, err = run_cli(capsys, "eval", "--fn", "deriv", "--m", "1", "--x", "-2")
         assert rc == 2

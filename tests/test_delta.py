@@ -1,6 +1,7 @@
 """The normalized log-gamma function: routes, special values, moment
 integrals, asymptotics, and the sign-pattern certificate."""
 
+import importlib
 import math
 from dataclasses import replace
 
@@ -10,6 +11,7 @@ from nlgamma import quad, specfun
 from nlgamma._backend import kernels
 from nlgamma.delta import (
     MAX_DERIV_ORDER,
+    EvalResult,
     Route,
     _prop2_rhs,
     _recurrence,
@@ -438,3 +440,17 @@ class TestMonotonicity:
     def test_order_cap(self):
         with pytest.raises(ValueError):
             check_complete_monotonicity(13, [1.0])
+
+    @pytest.mark.parametrize("signed", [0.5e-15, 1e-15, -0.5e-15])
+    def test_value_within_its_estimate_fails(self, monkeypatch, signed):
+        # the sign is certified only when the signed value exceeds its
+        # estimate; at or inside it, either sign fits the error
+        def fake(m, x, route=None, cfg=None):
+            sign = 1.0 if m % 2 else -1.0
+            return EvalResult(sign * signed, 1e-15, Route.CLOSED, 1)
+
+        # the module, not the function nlgamma.delta that shadows its name
+        monkeypatch.setattr(importlib.import_module("nlgamma.delta"), "delta_deriv", fake)
+        rep = check_complete_monotonicity(2, [1.0])
+        assert rep.n_fail == 2
+        assert not any(c.passed for c in rep.checks)

@@ -331,10 +331,13 @@ class TestPanelContract:
 # when every quadrature node was a separate integrand call.  The HYP rows
 # were recorded again when the sawtooth march became one integrate_finite
 # call over [0, X0] with tail weights up to B_30, every row when the
-# panel became the G10/K21 pair, and the HURWITZ and LAPLACE rows when
+# panel became the G10/K21 pair, the HURWITZ and LAPLACE rows when
 # their kernels began to cut their sums by proven remainder bounds (no
-# n_evals moved).  test_route_replay_within_estimate checks each row
-# against mpmath.
+# n_evals moved), and the HYP rows when the sawtooth's first call became
+# [0, 6] (X0 had been 5, 2 and 5 at (4, -0.9), (12, -0.9) and (12, 0.02),
+# whose values or counts moved) and its estimate began to charge the
+# integrand's rounding (every HYP estimate rose, by up to 2.2x).
+# test_route_replay_within_estimate checks each row against mpmath.
 ROUTE_REPLAY = {
     ("HURWITZ", 1, -0.999999999999):
         (1000022122183.4489, 0.017372543697277486, 840, True),
@@ -427,41 +430,41 @@ ROUTE_REPLAY = {
     ("LAPLACE", 12, 100000.0):
         (-3.9892256883639086e-53, 8.996386281142364e-66, 483, True),
     ("HYP", 1, -0.9):
-        (8.80082320325403, 1.4036093722098069e-13, 191, True),
+        (8.80082320325403, 1.4740406237718062e-13, 191, True),
     ("HYP", 1, -0.15):
-        (0.9642432589046456, 9.133160087535548e-15, 149, True),
+        (0.9642432589046456, 9.711339103200242e-15, 149, True),
     ("HYP", 1, 0.02):
-        (0.8067578016162269, 7.721918681521228e-15, 149, True),
+        (0.8067578016162269, 8.174594750744531e-15, 149, True),
     ("HYP", 1, 0.4):
-        (0.5941193521145304, 5.819587337381817e-15, 149, True),
+        (0.5941193521145304, 6.1137938667359906e-15, 149, True),
     ("HYP", 1, 3.0):
-        (0.21962150400748295, 2.237658067191293e-15, 149, True),
+        (0.21962150400748295, 2.301372375648859e-15, 149, True),
     ("HYP", 1, 250.0):
-        (0.003949114629470538, 4.105904378890433e-17, 149, True),
+        (0.003949114629470538, 4.1090683593869007e-17, 149, True),
     ("HYP", 4, -0.9):
-        (-58165.89028336013, 1.2493395910630232e-08, 212, True),
+        (-58165.89028336013, 1.2587950296787241e-08, 233, True),
     ("HYP", 4, -0.15):
-        (-9.676224902282764, 1.496477061600778e-13, 149, True),
+        (-9.676224902282764, 1.6255596605057244e-13, 149, True),
     ("HYP", 4, 0.02):
-        (-4.590244746574044, 3.925568518226589e-14, 149, True),
+        (-4.590244746574044, 4.497963540586239e-14, 149, True),
     ("HYP", 4, 0.4):
-        (-1.2615331443226654, 1.0345567250797928e-14, 149, True),
+        (-1.2615331443226654, 1.17857708740227e-14, 149, True),
     ("HYP", 4, 3.0):
-        (-0.018547255061408773, 1.762626043089848e-16, 149, True),
+        (-0.018547255061408773, 1.925585162514227e-16, 149, True),
     ("HYP", 4, 250.0):
-        (-1.4711274950021858e-09, 1.52822376766414e-23, 149, True),
+        (-1.4711274950021858e-09, 1.534302648094097e-23, 149, True),
     ("HYP", 12, -0.9):
-        (-3.956094698821565e+19, 235014.82617179144, 233, True),
+        (-3.956094698821565e+19, 513459.2959319889, 317, True),
     ("HYP", 12, -0.15):
-        (-261883926.92589423, 2.028645389828614e-06, 191, True),
+        (-261883926.92589423, 3.190885337859096e-06, 191, True),
     ("HYP", 12, 0.02):
-        (-29015654.45740226, 2.1033808996982387e-07, 191, True),
+        (-29015654.457402263, 3.198990610241778e-07, 191, True),
     ("HYP", 12, 0.4):
-        (-632772.0045224164, 3.352872703180949e-08, 149, True),
+        (-632772.0045224164, 3.538005944096739e-08, 149, True),
     ("HYP", 12, 3.0):
-        (-1.9245792481359516, 1.5469203477254026e-14, 149, True),
+        (-1.9245792481359516, 1.9066860438019257e-14, 149, True),
     ("HYP", 12, 250.0):
-        (-6.011463371148904e-22, 6.230150695972936e-36, 149, True),
+        (-6.011463371148904e-22, 6.346281872897548e-36, 149, True),
 }
 
 

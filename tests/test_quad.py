@@ -166,21 +166,25 @@ class TestExactReplay:
     did when these were recorded, so no split decision may move and every
     result must match to the last bit.  The P1 rows were recorded again
     when integrate_unit_split began to integrate [start, X0] in one call,
-    and every row when the panel became the G10/K21 pair; the budget row
+    every row when the panel became the G10/K21 pair, and the P1 rows when
+    the first call became [start, start + 6] (X0 was 5 at a = 3, whose
+    values and counts moved) and the estimate began to charge the
+    integrand's rounding (every estimate rose; each row is within 0.04 of
+    its estimate of mpmath's value); the budget row
     then needed 15 splits, not 25, to stay short of its tolerance.  The
     integral of D^2 was recorded again when ln Gamma's Taylor form became
     a Horner sum; it is 9.5e-18 from mpmath's value."""
 
     P1 = {
-        (2.0, 1.0): (-0.07246703342411322, 4.227747007288388e-17, 147),
-        (2.0, 1.5): (-0.022956655827895214, 1.4437038758939076e-17, 147),
-        (2.0, 3.0): (-0.0030225889796687746, 2.9354865810891575e-18, 126),
-        (3.0, 1.0): (-0.0673523010531981, 2.5932469088474067e-17, 147),
-        (3.0, 1.5): (-0.014675983915596545, 9.284920342927806e-18, 147),
-        (3.0, 3.0): (-0.0009942763618400708, 7.338496090024809e-19, 126),
-        (5.0, 1.0): (-0.057385551028674, 2.2210693172457836e-16, 147),
-        (5.0, 1.5): (-0.005906814399181609, 2.7339635245149985e-18, 147),
-        (5.0, 3.0): (-0.00010674444431184535, 6.088958046563144e-20, 147),
+        (2.0, 1.0): (-0.07246703342411322, 4.1420343009042015e-16, 147),
+        (2.0, 1.5): (-0.022956655827895214, 1.7898471590272274e-16, 147),
+        (2.0, 3.0): (-0.003022588979668775, 4.259715624732454e-17, 147),
+        (3.0, 1.0): (-0.0673523010531981, 3.074710973943539e-16, 147),
+        (3.0, 1.5): (-0.014675983915596545, 9.21525968189079e-17, 147),
+        (3.0, 3.0): (-0.0009942763618400708, 1.1217731863475422e-17, 147),
+        (5.0, 1.0): (-0.057385551028674, 4.423818079221371e-16, 147),
+        (5.0, 1.5): (-0.005906814399181609, 2.968007586316043e-17, 147),
+        (5.0, 3.0): (-0.00010674444431184535, 9.099120958274021e-19, 147),
     }
     FINITE = {
         "peak": (
@@ -397,21 +401,16 @@ class TestUnitSplit:
         assert not r.converged
 
     def test_budget_caps_the_tail_start(self, monkeypatch):
-        # the first tail try could succeed near X = 7, past a budget of 3
-        # unit intervals: one call covers [1, 4], the try there fails,
-        # and the march stops
+        # y over t^2 from 1 meets its tail at the first try, 1 + 6 = 7, in
+        # one call; a budget of 3 unit intervals clamps that call to
+        # [1, 4], the try there fails, and the march stops
         coeffs, factors = (0.0, 1.0), ((0.0, 2.0),)
-        assert quad._tail_start(coeffs, factors, 1.0, 1e6)[0] > 4.0
-        calls = []
-
-        def recorded(f, a, b, cfg=quad.DEFAULT_CONFIG, breakpoints=()):
-            calls.append((a, b, list(breakpoints)))
-            return integrate_finite(f, a, b, cfg, breakpoints)
-
-        monkeypatch.setattr(quad, "integrate_finite", recorded)
+        calls = self._record_calls(monkeypatch)
+        assert integrate_unit_split(coeffs, factors, 1.0).converged
+        assert calls == [(1.0, 7.0, [1.5, 2.0, 3.0, 4.0, 5.0, 6.0])]
+        calls.clear()
         monkeypatch.setattr(quad, "_TAIL_INTERVALS_MAX", 3)
-        r = integrate_unit_split(coeffs, factors, 1.0)
-        assert not r.converged
+        assert not integrate_unit_split(coeffs, factors, 1.0).converged
         assert calls == [(1.0, 4.0, [1.5, 2.0, 3.0])]
 
     @staticmethod
@@ -419,58 +418,56 @@ class TestUnitSplit:
         calls = []
 
         def recorded(f, a, b, cfg=quad.DEFAULT_CONFIG, breakpoints=()):
-            r = integrate_finite(f, a, b, cfg, breakpoints)
-            calls.append((a, b, r.n_evals))
-            return r
+            calls.append((a, b, list(breakpoints)))
+            return integrate_finite(f, a, b, cfg, breakpoints)
 
         monkeypatch.setattr(quad, "integrate_finite", recorded)
         return calls
 
     def test_long_run_is_split_into_calls(self, monkeypatch):
-        # y^23 over (t + 1)^3 has X0 = 171: the run to it goes in calls of
-        # at most 64 units, then one unit per failed try up to the budget
+        # y^23 over (t + 1)^3 first meets its tail at 222: one call to the
+        # first try at 6, then one unit per failed try up to the budget
         coeffs, factors = (0.0,) * 23 + (1.0,), ((1.0, 3.0),)
-        assert quad._tail_start(coeffs, factors, 0.0, 200.0)[0] == 171.0
         calls = self._record_calls(monkeypatch)
         monkeypatch.setattr(quad, "_TAIL_INTERVALS_MAX", 200)
         assert not integrate_unit_split(coeffs, factors, 0.0).converged
         spans = [(a, b) for a, b, _ in calls]
-        assert spans[:3] == [(0.0, 64.0), (64.0, 128.0), (128.0, 171.0)]
-        assert spans[3:] == [(x, x + 1.0) for x in range(171, 200)]
+        assert spans == [(0.0, 6.0)] + [(x, x + 1.0) for x in range(6, 200)]
+        assert all(breaks == [] for _, _, breaks in calls[1:])
 
-    def test_hopeless_march_stops_after_one_call(self, monkeypatch):
-        # y^29 over (t + 1)^3 has no tail before 10^6: one call of
-        # _UNITS_PER_CALL units, not a march to the cap
-        coeffs, factors = (0.0,) * 29 + (1.0,), ((1.0, 3.0),)
-        assert quad._tail_start(coeffs, factors, 0.0, 1e6)[0] is None
+    @pytest.mark.parametrize("deg", [25, 28, 29])
+    def test_hopeless_march_stops_at_the_cap(self, monkeypatch, deg):
+        # y^25 .. y^29 over (t + 1)^3 meet no tail within 1,000 units (y^28
+        # would first meet it some 709,000 units out): the march stops at
+        # the cap, unconverged, well under a second
+        coeffs, factors = (0.0,) * deg + (1.0,), ((1.0, 3.0),)
         calls = self._record_calls(monkeypatch)
         began = time.perf_counter()
         r = integrate_unit_split(coeffs, factors, 0.0)
         assert time.perf_counter() - began < 1.0
         assert not r.converged
-        assert [(a, b) for a, b, _ in calls] == [(0.0, float(quad._UNITS_PER_CALL))]
-        assert r.n_evals == calls[0][2]
+        assert calls[0][:2] == (0.0, 6.0)
+        assert calls[-1][:2] == (quad._TAIL_INTERVALS_MAX - 1.0, quad._TAIL_INTERVALS_MAX)
+        assert len(calls) == quad._TAIL_INTERVALS_MAX - quad._FIRST_TRY + 1
 
-    def test_far_tail_start_stops_after_one_call(self, monkeypatch):
-        # y^28 over (t + 1)^3 could first try its tail at 709,211 units:
-        # past the cap, so one call of _UNITS_PER_CALL units, not a march
-        # of some 15 million evals to X0
-        coeffs, factors = (0.0,) * 28 + (1.0,), ((1.0, 3.0),)
-        assert quad._tail_start(coeffs, factors, 0.0, 1e6)[0] == 709211.0
-        calls = self._record_calls(monkeypatch)
-        began = time.perf_counter()
-        r = integrate_unit_split(coeffs, factors, 0.0)
-        assert time.perf_counter() - began < 1.0
-        assert not r.converged
-        assert [(a, b) for a, b, _ in calls] == [(0.0, float(quad._UNITS_PER_CALL))]
-
-    def test_reachable_tail_start_is_kept(self, monkeypatch):
-        # y^20 over (t + 1)^3: X0 = 38, one call to it, then the march
+    def test_reachable_tail_is_marched_to(self, monkeypatch):
+        # y^20 over (t + 1)^3: one call to the first try at 6, then the
+        # march, a unit per call, to its tail at 47
         coeffs, factors = (0.0,) * 20 + (1.0,), ((1.0, 3.0),)
-        assert quad._tail_start(coeffs, factors, 0.0, 1e6)[0] == 38.0
         calls = self._record_calls(monkeypatch)
         assert integrate_unit_split(coeffs, factors, 0.0).converged
-        assert calls[0][:2] == (0.0, 38.0)
+        spans = [(a, b) for a, b, _ in calls]
+        assert spans == [(0.0, 6.0)] + [(x, x + 1.0) for x in range(6, 47)]
+
+    def test_pole_beside_a_vanishing_phi(self, mp_unit_split):
+        # y over (t + 1e-6)^5: phi vanishes at the pole, where evaluating it
+        # as ({t} - 1/2) + 1/2 once left rounding noise of 1e-16 g(t) and
+        # returned 8.333333333418634e16 +- 2.1e5 as converged, 4x off
+        coeffs, factors = (0.0, 1.0), ((1e-6, 5.0),)
+        r = integrate_unit_split(coeffs, factors, 0.0)
+        ref = mp_unit_split(coeffs, factors, 0.0)
+        assert r.converged
+        assert abs(r.value - ref) <= r.abs_err_est, (r.value, ref, r.abs_err_est)
 
     def test_converged_implies_estimate_within_allowance(self):
         cfg = QuadConfig()
@@ -527,50 +524,6 @@ class TestUnitSplit:
             integrate_unit_split(coeffs, factors, start)
 
 
-def _mp_unit_split(coeffs, factors, start):
-    """integral_start^inf phi({t}) g(t) dt at 25 digits (mpmath):
-    integral_0^1 phi(y) S(y) dy with S(y) = sum_l g(y + l + start).  One
-    factor gives S = zeta(p, y + start + c).  Two factors with integer
-    powers are split into partial fractions: sum_l over (t + c)^(-i) is a
-    Hurwitz zeta for i >= 2, and the two 1/(t + c) parts carry opposite
-    weights, so together they sum to a difference of digammas."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(25):
-        poly = [mpmath.mpf(a) for a in reversed(coeffs)]
-        if len(factors) == 1:
-            ((c, p),) = factors
-
-            def s_sum(y):
-                return mpmath.zeta(p, y + start + c)
-
-        else:
-            (c1, p1), (c2, p2) = factors
-            p1, p2 = int(p1), int(p2)
-            d = mpmath.mpf(c2) - mpmath.mpf(c1)
-
-            def weight(i, p, q, gap):
-                # coefficient of (t + c)^(-i) in (t + c)^(-p) (t + c + gap)^(-q)
-                return (-1) ** (p - i) * mpmath.binomial(q + p - i - 1, p - i) * gap ** (
-                    i - p - q
-                )
-
-            w1 = [weight(i, p1, p2, d) for i in range(1, p1 + 1)]
-            w2 = [weight(j, p2, p1, -d) for j in range(1, p2 + 1)]
-
-            def s_sum(y):
-                a1, a2 = y + start + c1, y + start + c2
-                total = w1[0] * (mpmath.digamma(a2) - mpmath.digamma(a1))
-                total += mpmath.fsum(
-                    w1[i - 1] * mpmath.zeta(i, a1) for i in range(2, p1 + 1)
-                )
-                total += mpmath.fsum(
-                    w2[j - 1] * mpmath.zeta(j, a2) for j in range(2, p2 + 1)
-                )
-                return total
-
-        return float(mpmath.quad(lambda y: mpmath.polyval(poly, y) * s_sum(y), [0, 1]))
-
-
 def _dyadic_zero_mean(deg, seed):
     """Coefficients of degree deg with mean over [0, 1] exactly zero:
     coeffs[i]/(i + 1) are multiples of 1/8, summing to 0."""
@@ -603,25 +556,25 @@ ORACLE_TWO_FACTORS = [
 
 
 class TestUnitSplitOracle:
-    """The estimate bounds the error against a 25-digit oracle for
+    """The estimate bounds the error against a 40-digit oracle for
     polynomials of degree 0-8, one or two factors, c in (0, 10], p up to
     13 and start 0 or 1."""
 
     @staticmethod
-    def _check(coeffs, factors, start):
+    def _check(coeffs, factors, start, oracle):
         r = integrate_unit_split(coeffs, factors, start)
-        ref = _mp_unit_split(coeffs, factors, start)
+        ref = oracle(coeffs, factors, start)
         assert r.converged
         assert abs(r.value - ref) <= r.abs_err_est, (r.value, ref, r.abs_err_est)
 
     @pytest.mark.parametrize("deg,c,p,start", ORACLE_ONE_FACTOR)
-    def test_one_factor(self, deg, c, p, start):
+    def test_one_factor(self, deg, c, p, start, mp_unit_split):
         coeffs = tuple((-1.0) ** i * (1.0 + i / 3.0) for i in range(deg + 1))
-        self._check(coeffs, ((c, p),), start)
+        self._check(coeffs, ((c, p),), start, mp_unit_split)
 
     @pytest.mark.parametrize("deg,f1,f2,start", ORACLE_TWO_FACTORS)
-    def test_two_factors(self, deg, f1, f2, start):
-        self._check(_dyadic_zero_mean(deg, deg), (f1, f2), start)
+    def test_two_factors(self, deg, f1, f2, start, mp_unit_split):
+        self._check(_dyadic_zero_mean(deg, deg), (f1, f2), start, mp_unit_split)
 
     @pytest.mark.parametrize(
         "deg,factors,x,rel",
@@ -636,13 +589,13 @@ class TestUnitSplitOracle:
             (2, ((1.0, 1.0), (3.0, 2.0)), 10.0, 1e-12),
         ],
     )
-    def test_tail_bound(self, deg, factors, x, rel):
+    def test_tail_bound(self, deg, factors, x, rel, mp_unit_split):
         # the Bernoulli tail alone, stopped early enough that its
         # remainder stands far above rounding: the charged first omitted
         # terms must cover it
         coeffs = _dyadic_zero_mean(deg, deg)
         parts = quad._sawtooth_plan(coeffs)[2]
-        ref = _mp_unit_split(coeffs, factors, x)
+        ref = mp_unit_split(coeffs, factors, x)
         tail = quad._sawtooth_tail(parts, factors, x, rel * abs(ref))
         assert tail is not None
         value, bound = tail
@@ -671,6 +624,15 @@ class TestLemma2Transform:
             lhs, rhs = lemma2_transform(f, b, c, lam)
             assert lhs.converged and rhs.converged
             assert abs(lhs.value - rhs.value) < 1e-14, (name, b, c, lam)
+
+    @pytest.mark.parametrize("c", [1e-7, 1e-8, 1e-9])
+    def test_left_side_beside_a_pole(self, c, mp_unit_split):
+        # y^2 over (x + c)^3: the left side once missed by 4.2x, 1.07x and
+        # 2.8x, flagged unconverged, with phi evaluated in {x} - 1/2
+        lhs, _ = lemma2_transform((0.0, 0.0, 1.0), 1.0, c, 3.0)
+        ref = mp_unit_split((0.0, 0.0, 1.0), ((c, 3.0),), 0.0)
+        assert lhs.converged
+        assert abs(lhs.value - ref) <= lhs.abs_err_est, (lhs.value, ref)
 
     def test_trivial_telescoping_case(self):
         # f = 1, b = c = 1, lam = 2: both sides are exactly 1

@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nlgamma import quad
@@ -47,7 +47,9 @@ RECURRENCE_ROUNDING_POINTS = (
 # the Euler-Maclaurin tail went in (the march it replaced took 117k evals
 # at m = 1), then tightened to the G7/K15 panel counts, 15/22 of the
 # 22-eval GL15 + GL7 panel's, and again when [0, X0] became one
-# integrate_finite call and the tail gained B_24..B_30.  HURWITZ and
+# integrate_finite call and the tail gained B_24..B_30.  P1 at a = 3 was
+# set again (126 -> 147) when that call became [0, 6]: X0 had been 5
+# there, so the call spans one unit more.  HURWITZ and
 # LAPLACE are pinned at their counts on the meshes graded from x.  All
 # four were set again for the 21-node G10/K21 panel: where the 15-node
 # panels already met the tolerance with few or no splits, the wider
@@ -63,13 +65,13 @@ HYP_PINS = {
     (6, -0.5): 191, (6, 0.5): 149, (6, 1000.0): 149,
     (12, -0.5): 212, (12, 0.5): 149, (12, 1000.0): 149,
 }
-# integrate_finite calls per HYP evaluation on the HYP_PINS grid: one for
-# [0, X0] and one per failed tail try after it (the unit-by-unit march
-# made 6 to 8)
-HYP_INTEGRATE_FINITE_CALLS = 2
+# integrate_finite calls per HYP evaluation on the HYP_PINS grid: the one
+# over [0, 6], whose tail try succeeds (the unit-by-unit march made 6 to
+# 8, and the call to a proven X0 then one per failed try, up to 2)
+HYP_INTEGRATE_FINITE_CALLS = 1
 P1_PINS = {
-    (2.0, 1.0): 147, (2.0, 1.5): 147, (2.0, 3.0): 126,
-    (3.0, 1.0): 147, (3.0, 1.5): 135, (3.0, 3.0): 126,
+    (2.0, 1.0): 147, (2.0, 1.5): 147, (2.0, 3.0): 147,
+    (3.0, 1.0): 147, (3.0, 1.5): 135, (3.0, 3.0): 147,
     (5.0, 1.0): 147, (5.0, 1.5): 147, (5.0, 3.0): 147,
 }
 HURWITZ_PINS = {
@@ -207,58 +209,94 @@ class TestEvalCountPins:
         assert n <= HEADROOM * BUDGET_EVALS, n
 
 
-def _assert_no_tail_below_x0(coeffs, factors, start):
-    """Every tail try below X0 fails, at a tolerance no smaller than the
-    march's own at any X, which is 1e-16 |value + mean tail| there."""
-    x0, tol = quad._tail_start(coeffs, factors, start, start + 10**6)
-    parts = quad._sawtooth_plan(coeffs)[2]
-    for x in range(int(start), int(x0)):
-        assert quad._sawtooth_tail(parts, factors, float(x), tol) is None, (x, x0)
-    r = integrate_unit_split(coeffs, factors, start)
-    assert 1e-16 * abs(r.value) <= tol, (r.value, tol)
-    return x0
+def _tail_calls(monkeypatch, coeffs, factors, start):
+    """The (a, b) of each integrate_finite call integrate_unit_split makes
+    on its way to a converged value."""
+    calls = []
+
+    def recorded(f, a, b, *args, **kwargs):
+        calls.append((a, b))
+        return integrate_finite(f, a, b, *args, **kwargs)
+
+    monkeypatch.setattr(quad, "integrate_finite", recorded)
+    assert integrate_unit_split(coeffs, factors, start).converged
+    return calls
 
 
 class TestTailStart:
-    """X0 is sound: below it no tail try can succeed.  A try that fails at
-    one tolerance fails at every smaller one, so checking at the bound tol
-    covers the tolerance the march uses at each X."""
+    """The first tail try, at start + quad._FIRST_TRY, is where the callers'
+    tails meet their tolerance: the march after it is short, and the try
+    one unit earlier would mostly fail."""
 
     @pytest.mark.parametrize("m", range(1, 13))
-    def test_hyp_oracle_grid(self, m):
+    def test_hyp_oracle_grid(self, m, monkeypatch):
+        # every HYP sawtooth on the grid is one call, its first try succeeds
         for x in ORACLE_XS:
-            _assert_no_tail_below_x0((-0.5, 1.0), ((1.0, 1.0), (x + 1.0, m + 1.0)), 0.0)
+            factors = ((1.0, 1.0), (x + 1.0, m + 1.0))
+            assert _tail_calls(monkeypatch, (-0.5, 1.0), factors, 0.0) == [(0.0, 6.0)]
 
     @pytest.mark.parametrize("m", range(1, 9))
-    def test_prop2_rows(self, m):
+    def test_prop2_rows(self, m, monkeypatch):
+        # the Proposition 2 rows meet their tail by start + 8
         for j in range(5):
             row = tuple(math.comb(m, i) * float(j) ** (m - i) for i in range(m + 1))
-            _assert_no_tail_below_x0(row, ((j + 1.0, m + 1.0),), 0.0)
+            calls = _tail_calls(monkeypatch, row, ((j + 1.0, m + 1.0),), 0.0)
+            assert calls[0] == (0.0, 6.0) and len(calls) <= 3, (j, calls)
 
     @given(
-        c1=st.floats(min_value=1e-9, max_value=1e3),
-        p1=st.floats(min_value=0.25, max_value=13.0),
-        c2=st.floats(min_value=1e-9, max_value=1e3),
-        p2=st.floats(min_value=0.25, max_value=13.0),
+        log_c1=st.floats(min_value=-9.0, max_value=1.2),
+        p1=st.floats(min_value=1.05, max_value=13.0),
+        log_c2=st.floats(min_value=-9.0, max_value=1.2),
+        p2=st.integers(min_value=1, max_value=13),
+        two=st.booleans(),
         start=st.sampled_from([0.0, 1.0]),
+        vanish=st.booleans(),
         q=st.lists(st.integers(min_value=-8, max_value=8), min_size=1, max_size=6),
     )
-    @settings(max_examples=60, deadline=None)
-    def test_factor_pairs(self, c1, p1, c2, p2, start, q):
-        _assert_no_tail_below_x0((-0.5, 1.0), ((c1, p1), (c2, p2)), start)
-        # a polynomial with zero mean: coeffs[i]/(i + 1) sum to 0
-        coeffs = tuple((i + 1) * qi / 8.0 for i, qi in enumerate([-sum(q), *q]))
-        _assert_no_tail_below_x0(coeffs, ((c1, p1), (c2, p2)), start)
+    @settings(max_examples=25, deadline=None)
+    # y over (t + 1e-6)^5, once 4.0x off its estimate and converged
+    @example(
+        log_c1=-6.0, p1=5.0, log_c2=0.0, p2=1, two=False, start=0.0, vanish=True, q=[0, 4]
+    )
+    # (0, 0.25, -0.375) over ((1e-9, 2), (1, 1)), once unconverged
+    @example(
+        log_c1=-9.0, p1=2.0, log_c2=0.0, p2=1, two=True, start=0.0, vanish=True, q=[1, -1]
+    )
+    def test_factor_pairs(
+        self, log_c1, p1, log_c2, p2, two, start, vanish, q, mp_unit_split
+    ):
+        # against the oracle, c down to 1e-9 beside the start, with
+        # phi(0) = 0 (vanish) among the polynomials: one factor, or two
+        # with integer powers and a zero-mean phi
+        c1, c2 = 10.0**log_c1, 10.0**log_c2
+        if two:
+            # the oracle's partial fractions cancel by about scale^(p1 + p2 - 1)
+            assume(c1 != c2)
+            scale = (1.0 + start + max(c1, c2)) / abs(c1 - c2)
+            assume((round(p1) + p2 - 1) * math.log10(scale) <= 12.0)
+            factors = ((c1, float(round(p1))), (c2, float(p2)))
+            # coeffs[i]/(i + 1) sum to 0, over i >= 1 if phi(0) = 0
+            q = [0, *q] if vanish else q
+            q[int(vanish)] -= sum(q)
+        else:
+            factors = ((c1, p1),)
+            q = [0, *q[1:]] if vanish else q
+        coeffs = tuple((i + 1) * qi / 8.0 for i, qi in enumerate(q))
+        r = integrate_unit_split(coeffs, factors, start)
+        ref = mp_unit_split(coeffs, factors, start)
+        assert r.converged
+        assert abs(r.value - ref) <= r.abs_err_est, (r.value, ref, r.abs_err_est)
 
-    def test_x0_is_close_to_the_stop(self):
-        # on the HYP pin grid X0 is at most one unit short of the stop:
-        # the try at X0 + 1 meets the march's tolerance
+    def test_first_try_is_close_to_the_stop(self):
+        # on the HYP pin grid the try one unit before the first would meet
+        # the march's tolerance at one pin of twelve only
+        parts = quad._sawtooth_plan((-0.5, 1.0))[2]
+        early = 0
         for m, x in HYP_PINS:
             factors = ((1.0, 1.0), (x + 1.0, m + 1.0))
-            x0 = _assert_no_tail_below_x0((-0.5, 1.0), factors, 0.0)
-            parts = quad._sawtooth_plan((-0.5, 1.0))[2]
-            value = p1_integral(factors, 0.0).value
-            assert quad._sawtooth_tail(parts, factors, x0 + 1.0, 1e-16 * abs(value))
+            tol = 1e-16 * abs(p1_integral(factors, 0.0).value)
+            early += quad._sawtooth_tail(parts, factors, quad._FIRST_TRY - 1.0, tol) is not None
+        assert early <= 1, early
 
 
 class TestNearMinusOne:

@@ -10,8 +10,10 @@ the exception a route raised, is hashed in a fixed order.  One line per
 route comes first, then the line over all of them, so a change that
 claims to leave the routes bit for bit as they were prints the same last
 line on both commits, and a change that means to move one route shows
-which lines moved.  Each route's line also gives its total n_evals over
-the draws (0 for a draw that raised), outside the hashed text:
+which lines moved.  Each route's line also gives, outside the hashed
+text, its total n_evals over the draws (0 for a draw that raised) and
+how many `quad.integrate_finite` calls it made, counted by wrapping that
+function here:
 
     python tools/route_digest.py
 """
@@ -24,6 +26,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from nlgamma import quad  # noqa: E402
 from nlgamma.delta import Route, delta_deriv  # noqa: E402
 
 DRAWS = 2400
@@ -48,6 +51,14 @@ def main():
     sha = hashlib.sha256()
     per_route = {route: hashlib.sha256() for route in ROUTES}
     evals = dict.fromkeys(ROUTES, 0)
+    calls = dict.fromkeys(ROUTES, 0)
+    integrate_finite = quad.integrate_finite
+
+    def counted(*args, **kwargs):
+        calls[route] += 1  # the route of the draw being run
+        return integrate_finite(*args, **kwargs)
+
+    quad.integrate_finite = counted
     for i in range(DRAWS):
         m = rng.randint(1, 12)
         x = draw_x(rng, i % 4)
@@ -62,7 +73,10 @@ def main():
             sha.update(line)
             per_route[route].update(line)
     for route, route_sha in per_route.items():
-        print(f"{route_sha.hexdigest()}  {route.value}  {evals[route]} evals")
+        print(
+            f"{route_sha.hexdigest()}  {route.value}  {evals[route]} evals"
+            f"  {calls[route]} integrate_finite calls"
+        )
     print(f"{sha.hexdigest()}  {DRAWS} draws")
     return 0
 
