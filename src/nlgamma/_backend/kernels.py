@@ -1,9 +1,10 @@
 """Scalar kernels.
 
 These are the hot primitives everything else is built on: log-gamma,
-digamma, Hurwitz zeta via Euler-Maclaurin, the integer-order upper
-incomplete gamma, fractional-part helpers and a few fused integrands
-that quadrature loops evaluate millions of times.  Each route integrand
+digamma, Hurwitz zeta via Euler-Maclaurin (below a = 2 from Taylor
+tables built from it), the integer-order upper incomplete gamma,
+fractional-part helpers and a few fused integrands that quadrature
+loops evaluate millions of times.  Each route integrand
 has a panel form, taking a list of nodes and returning their values, that
 quad.integrate_finite calls once per panel; it looks up the constants
 that depend on m (or s) alone once, from a small cache, and loops over
@@ -15,11 +16,11 @@ with no test per term.
 
 zeta(k) and Euler's gamma come from the generated table in `_ddconsts`,
 the only one in the package; the Taylor form of ln Gamma around 1 and 2
-reads it.  The Hurwitz-zeta kernel computes its values on its own, so
-checking it against the table is not circular.  Compensated sums go
-through `math.fsum`.  `specfun` re-exports log-gamma, Hurwitz zeta and
-the incomplete gamma as they are, so their domain checks here are the
-only ones.
+reads it.  The Hurwitz-zeta kernel computes its values, Taylor tables
+included, on its own, so checking it against the table is not
+circular.  Compensated sums go through `math.fsum`.  `specfun`
+re-exports log-gamma, Hurwitz zeta and the incomplete gamma as they
+are, so their domain checks here are the only ones.
 """
 
 from __future__ import annotations
@@ -163,15 +164,87 @@ def _zeta_plan(s):
     return limits[0], tuple(limits), tuple(horners), s - 1.0
 
 
+# The Taylor path covers 0 < a < 2 for s up to here.  Its table holds
+# about s/2 + 20 coefficients a centre (30 at s = 13, 55 at s = 64), each
+# from its own Euler-Maclaurin plan, so its build grows like s^2 (3 ms at
+# s = 2, 11 ms at s = 64); past this s every a keeps to Euler-Maclaurin.
+_TAYLOR_S_MAX = 64.0
+
+
+@functools.lru_cache(maxsize=64)
+def _zeta_taylor(s):
+    """The Taylor path's table for s: for each eighth j = 0..7 of [1, 2),
+    the coefficients T_k = (s)_k/k! zeta(s+k, c), highest k first, of
+    zeta(s, c - h) = sum_k T_k h^k about the eighth's right end
+    c = 1 + (j+1)/8, where 0 < h <= 1/8 (DLMF 25.11.17).
+
+    Every term is positive, and zeta(s+k, c) <= c^-k zeta(s, c), so
+    term k is at most b_k = (s)_k/k! q^k of zeta(s, c), q = h/c, and
+    b_(k+1)/b_k = r_k = (s+k)/(k+1) q falls with k.  At q = 1/(8c) the
+    first K terms are kept, K the fewest with r_K < 1 and
+    b_K/(1 - r_K) < _TRUNC_REL: the rest is under that fraction of
+    zeta(s, c) <= zeta(s, c - h).  zeta(s+k, c) is c^-s c^-k plus the
+    Euler-Maclaurin path at c + 1, which reaches no table.  For s not an
+    integer, s + k may round (by up to 2^-47 near s = 64, which would
+    cost up to 40 ulps in c^-(s+k)); c^-s c^-k keeps the exponent
+    exact, and only the smaller zeta(s+k, c + 1) sees the rounding.
+    (s)_k/k! is exact, and each product with it is rounded once.
+    """
+    s_num, s_den = s.as_integer_ratio()
+    centres = [(j + 9) * 0.125 for j in range(8)]
+    sizes = []
+    for c in centres:
+        q = 0.125 / c
+        bound, k = 1.0, 0
+        while True:
+            ratio = (s + k) / (k + 1) * q
+            if ratio < 1.0 and bound < _TRUNC_REL * (1.0 - ratio):
+                break
+            bound *= ratio
+            k += 1
+        sizes.append(k)
+    num, den = 1, 1
+    coefs = [[] for _ in sizes]
+    for k in range(max(sizes)):
+        t = s + k
+        shifted = _zeta_values(t, _zeta_plan(t), [c + 1.0 for c in centres])
+        for j, size in enumerate(sizes):
+            if k < size:
+                c = centres[j]
+                z_num, z_den = (c**-s * c**-k + shifted[j]).as_integer_ratio()
+                coefs[j].append(num * z_num / (den * z_den))
+        num *= s_num + k * s_den
+        den *= (k + 1) * s_den
+    return tuple(tuple(reversed(c)) for c in coefs)
+
+
 def _zeta_values(s, plan, args):
     """hurwitz_zeta(s, a) at each a in args, given _zeta_plan(s), as a list."""
     top, limits, horners, sm1 = plan
     neg_s = -s
+    low = 2.0 if s <= _TAYLOR_S_MAX else 0.0  # below it, the Taylor path
+    taylor = None
     ceil, fsum, count = math.ceil, math.fsum, bisect.bisect_right
     out = []
     for a in args:
         if not a > 0.0:
             raise ValueError(f"hurwitz_zeta: need a > 0, got {a}")
+        if a < low:
+            if taylor is None:
+                taylor = _zeta_taylor(s)
+            # zeta(s, a) = a^-s + zeta(s, 1 + a) for a < 1; b = a' - 1
+            # for the a' in [1, 2) evaluated, and a - 1 is exact
+            if a < 1.0:
+                b, head = a, a**neg_s
+            else:
+                b, head = a - 1.0, 0.0
+            j = int(b * 8.0)
+            h = (j + 1) * 0.125 - b
+            p = 0.0
+            for c in taylor[j]:
+                p = p * h + c
+            out.append(head + p)
+            continue
         n = ceil(top - a)
         if n > 0:
             terms = [(a + k) ** neg_s for k in range(n)]
@@ -193,20 +266,37 @@ def _zeta_values(s, plan, args):
 def hurwitz_zeta(s, a):
     """Hurwitz zeta(s, a) = sum_{k>=0} (a+k)^(-s) for s > 1, a > 0.
 
-    Euler-Maclaurin at z = a + N: the N terms before z summed directly,
-    then z^(1-s)/(s-1) + z^(-s)/2 and M Bernoulli corrections through at
-    most B_30, summed by Horner in 1/z^2.  N and M come from Johansson's
-    remainder bound (see _zeta_plan) before anything is summed:
-    N = max(0, ceil(z_15 - a)) is the fewest direct terms after which 15
-    corrections leave out under 2^-60 of the value, and M is the fewest
-    corrections that do so at that z (N = 8 at s = 2 and a = 1, 16 at
-    s = 13).  The rest is rounding, charged as (s + 4) ulps of the value
-    in tests/test_panels.py: a + k rounds within an ulp, which moves
-    (a + k)^(-s) by up to s ulps, and the powers, the Horner tail and the
-    final math.fsum of the direct terms and the tail add a few more
-    (mpmath: at most 3.4 ulps for s <= 13, 10 at s = 60 next to a power
-    of 2).  Tiny a with large s can overflow the double range.  The plan
-    for the last 64 s is cached.
+    Two paths, chosen by a alone, with the seam at a = 2 (for s <= 64;
+    larger s always takes the second):
+
+    - a < 2, Taylor: for a < 1, a^-s is added and a + 1 evaluated (its
+      offset from the eighth's end is taken from a, so 1 + a is never
+      rounded).  [1, 2) is split into
+      eighths, and zeta(s, c - h) = sum_k (s)_k/k! zeta(s+k, c) h^k is
+      summed by Horner about the eighth's right end c, 0 < h <= 1/8.
+      Every term is positive, and the series is cut where a geometric
+      bound on the rest is under 2^-60 of zeta(s, c) (17 to 21 terms at
+      s = 2, 23 to 30 at s = 13).  The coefficients are built per s on
+      first use from the Euler-Maclaurin path (_zeta_taylor).
+    - a >= 2, Euler-Maclaurin at z = a + N: the N terms before z summed
+      directly, then z^(1-s)/(s-1) + z^(-s)/2 and M Bernoulli
+      corrections through at most B_30, summed by Horner in 1/z^2.  N
+      and M come from Johansson's remainder bound (see _zeta_plan)
+      before anything is summed: N = max(0, ceil(z_15 - a)) is the
+      fewest direct terms after which 15 corrections leave out under
+      2^-60 of the value (z_15 = 8.0, 12.3 and 16.6 at s = 2, 7, 13),
+      and M is the fewest corrections that do so at that z.
+
+    The rest is rounding, charged as (s + 4) ulps of the value in
+    tests/test_panels.py.  On Euler-Maclaurin, a + k rounds within an
+    ulp, which moves (a + k)^(-s) by up to s ulps, and the powers, the
+    Horner tail and the final math.fsum add a few more (mpmath: at most
+    3.4 ulps for s <= 13, 10 at s = 60 next to a power of 2).  On the
+    Taylor path, each coefficient is within a few ulps and the Horner sum
+    of positive terms adds little (mpmath, 11,000 draws: at most 2.9
+    ulps for s <= 13, 3.3 for s <= 64, and 0.32 of the charge).
+    Tiny a with large s can overflow the double range.  The plan and the
+    Taylor table for the last 64 s are cached.
     """
     return _zeta_values(s, _zeta_plan(s), (a,))[0]
 

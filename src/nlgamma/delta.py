@@ -256,15 +256,26 @@ def _laplace(m, x, cfg):
 def _hyp(m, x, cfg):
     """(1.6)-style assembly: two 2F1 terms minus a sawtooth integral,
     scaled by (-1)^(m-1) m!.  From x = 2^53 on, z = x/(x + 1) rounds to
-    1, where the first 2F1 diverges, so such x are refused."""
+    1, where the first 2F1 diverges, so such x are refused.
+
+    Only one 2F1 is evaluated: f1 = F(1, m+1; m+2; z) and
+    f2 = F(1, m; m+2; z) satisfy f2 = (m+1) - m (1-z) f1 exactly.  For
+    z >= 0 f2 comes from f1 by it; for z < 0, where that subtraction
+    would cancel, f1 comes from f2 (mpmath: within 5.1e-15 either way,
+    under the 1e-14 charge).
+    """
     z = x / (x + 1.0)
     if z == 1.0:
         raise ValueError(
             f"domain error: HYP route needs x/(x + 1) < 1 in double precision "
             f"(x below about 2^53), got x = {x}"
         )
-    f1 = hyp2f1.gauss_2f1(1.0, m + 1.0, m + 2.0, z)
-    f2 = hyp2f1.gauss_2f1(1.0, float(m), m + 2.0, z)
+    if z >= 0.0:
+        f1 = hyp2f1.gauss_2f1(1.0, m + 1.0, m + 2.0, z)
+        f2 = (m + 1.0) - m * (1.0 - z) * f1
+    else:
+        f2 = hyp2f1.gauss_2f1(1.0, float(m), m + 2.0, z)
+        f1 = ((m + 1.0) - f2) / (m * (1.0 - z))
     xp1 = x + 1.0
     term1 = f1 * xp1 ** (-(m + 1.0)) / (2.0 * (m + 1.0))
     term2 = f2 * xp1 ** (-float(m)) / (m * (m + 1.0))
@@ -274,7 +285,7 @@ def _hyp(m, x, cfg):
     value = _sign_for(m) * fact * (term1 + term2 - p.value)
     err = fact * (p.abs_err_est + 1e-14 * (abs(term1) + abs(term2)))
     err += 4e-16 * abs(value)  # value already carries m!
-    return EvalResult(value, err, Route.HYP, p.n_evals + 2, p.converged)
+    return EvalResult(value, err, Route.HYP, p.n_evals + 1, p.converged)
 
 
 def _recurrence(m, x, cfg, base=Route.CLOSED):

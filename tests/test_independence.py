@@ -51,6 +51,7 @@ SHARED = {
     "_ddarith.neg": {"CLOSED", "RECURRENCE"},
     "kernels._stirling_lgam": {"CLOSED", "RECURRENCE"},
     "kernels._zeta_plan": {"CLOSED", "HURWITZ", "RECURRENCE"},
+    "kernels._zeta_taylor": {"CLOSED", "HURWITZ", "RECURRENCE"},
     "kernels._zeta_values": {"CLOSED", "HURWITZ", "RECURRENCE"},
     "kernels.digamma": {"ASYMPTOTIC", "CLOSED", "HYP", "RECURRENCE"},
     "kernels.hurwitz_zeta": {"CLOSED", "RECURRENCE"},
@@ -139,7 +140,10 @@ def test_regions_have_the_expected_routes(reach):
 
 def test_hyp_sawtooth_never_reaches_the_zeta_kernel(reach):
     # on (-1, -0.26] HYP is the only applicable route that avoids it
-    zeta = {"kernels.hurwitz_zeta", "kernels._zeta_values", "kernels._zeta_plan"}
+    zeta = {
+        "kernels.hurwitz_zeta", "kernels._zeta_values", "kernels._zeta_plan",
+        "kernels._zeta_taylor",
+    }
     for region in REGIONS:
         assert not zeta & reach["HYP", region], region
     avoiders = {r for r, region in reach if region == 2 and not zeta & reach[r, region]}

@@ -6,6 +6,9 @@ baseline, have their mpmath error reported beside the kernels'), and the
 quadrature routes replayed against recorded values."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
@@ -274,11 +277,19 @@ class TestPanelKernels:
 
     @pytest.mark.parametrize("s", [2, 3, 13])
     def test_hurwitz_zeta_integer_s(self, s):
-        # the plan's coefficients are rounded once from exact integers, so
-        # an int s and the same float give the same bits
-        for a in (0.5, 1.0, 7.25, 40.0):
-            value = kernels.hurwitz_zeta(s, a)
-            assert value == kernels.hurwitz_zeta(float(s), a)
+        # the tables' coefficients are rounded once from exact integers, so
+        # an int s and the same float give the same bits, whichever built
+        # the Taylor table; the a cover both paths and the Taylor path's
+        # seams: a tiny a (a^-s still a double), the ends of every eighth
+        # of (0, 1) and [1, 2) with their neighbours, and the seam at 2
+        points = [1e-20, 0.5, 7.25, 40.0]
+        for end in (j / 8.0 for j in range(1, 17)):
+            points += [math.nextafter(end, 0.0), end, math.nextafter(end, 3.0)]
+        kernels._zeta_taylor.cache_clear()
+        by_int = [kernels.hurwitz_zeta(s, a) for a in points]
+        kernels._zeta_taylor.cache_clear()
+        assert _bits(by_int) == _bits(kernels.hurwitz_zeta(float(s), a) for a in points)
+        for a, value in zip(points, by_int):
             assert_within(
                 value, mp_zeta(s, a), zeta_charge(s), ref_hurwitz_zeta(s, a), (s, a)
             )
@@ -292,13 +303,35 @@ class TestPanelKernels:
             kernels.laplace_panel(3, -1.0, [0.5])
 
     def test_caches_are_bounded(self):
-        for plan in (kernels._zeta_plan, kernels._trunc_exp_plan):
-            assert plan.cache_info().maxsize == 64
+        caches = (kernels._zeta_plan, kernels._zeta_taylor, kernels._trunc_exp_plan)
+        for cache in caches:
+            assert cache.cache_info().maxsize == 64
         for i in range(200):
             kernels.hurwitz_zeta(1.5 + i / 7.0, 2.0)
             kernels.trunc_exp_factor(i, 1.0)
-        assert kernels._zeta_plan.cache_info().currsize <= 64
-        assert kernels._trunc_exp_plan.cache_info().currsize <= 64
+        for i in range(70):  # a < 2: a Taylor table for each s
+            kernels.hurwitz_zeta(1.5 + i / 5.0, 1.5)
+        for cache in caches:
+            assert cache.cache_info().currsize <= 64
+        # past _TAYLOR_S_MAX the table would grow like s^2: no table
+        kernels._zeta_taylor.cache_clear()
+        kernels.hurwitz_zeta(kernels._TAYLOR_S_MAX + 1.0, 1.5)
+        assert kernels._zeta_taylor.cache_info().currsize == 0
+
+    def test_setup_builds_no_taylor_table(self):
+        # the benchmark's setup path: D'(0.5) by CLOSED reaches no zeta
+        # value, so no table is built before the first a < 2 asks for one
+        code = (
+            "import nlgamma; nlgamma.delta_deriv(1, 0.5)\n"
+            "from nlgamma._backend import kernels\n"
+            "print(kernels._zeta_taylor.cache_info().currsize)"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "0"
 
 
 class TestPanelContract:
@@ -336,11 +369,14 @@ class TestPanelContract:
 # n_evals moved), and the HYP rows when the sawtooth's first call became
 # [0, 6] (X0 had been 5, 2 and 5 at (4, -0.9), (12, -0.9) and (12, 0.02),
 # whose values or counts moved) and its estimate began to charge the
-# integrand's rounding (every HYP estimate rose, by up to 2.2x).
+# integrand's rounding (every HYP estimate rose, by up to 2.2x).  Six
+# HURWITZ estimates moved in their last bits when the zeta kernel took
+# a < 2 from Taylor tables, and every HYP row lost one eval (and three
+# values moved by an ulp) when HYP began to evaluate one 2F1, not two.
 # test_route_replay_within_estimate checks each row against mpmath.
 ROUTE_REPLAY = {
     ("HURWITZ", 1, -0.999999999999):
-        (1000022122183.4489, 0.017372543697277486, 840, True),
+        (1000022122183.4489, 0.017372543697277434, 840, True),
     ("HURWITZ", 1, -0.999):
         (994.6561350885357, 1.7516154609728472e-11, 210, True),
     ("HURWITZ", 1, -0.6):
@@ -356,7 +392,7 @@ ROUTE_REPLAY = {
     ("HURWITZ", 1, 250.0):
         (0.003949114629470538, 9.322960977042697e-18, 168, True),
     ("HURWITZ", 1, 100000.0):
-        (9.999382459706765e-06, 2.2061694543948495e-20, 357, True),
+        (9.999382459706765e-06, 2.206168607361902e-20, 357, True),
     ("HURWITZ", 4, -0.999999999999):
         (-6.000530950644446e+48, 3.5506282285735415e+37, 840, True),
     ("HURWITZ", 4, -0.999):
@@ -366,15 +402,15 @@ ROUTE_REPLAY = {
     ("HURWITZ", 4, -0.15):
         (-9.676224902282764, 2.128769478502208e-14, 21, True),
     ("HURWITZ", 4, 0.02):
-        (-4.590244746574044, 1.1430806072013085e-14, 21, True),
+        (-4.590244746574044, 1.076467225723799e-14, 21, True),
     ("HURWITZ", 4, 0.4):
         (-1.261533144322665, 3.60804018597873e-15, 21, True),
     ("HURWITZ", 4, 3.0):
         (-0.018547255061408773, 4.127453046380031e-14, 42, True),
     ("HURWITZ", 4, 250.0):
-        (-1.4711274950021856e-09, 1.3604517383109314e-23, 168, True),
+        (-1.4711274950021856e-09, 1.36044786090181e-23, 168, True),
     ("HURWITZ", 4, 100000.0):
-        (-5.998647902696234e-20, 1.4424800083105694e-34, 357, True),
+        (-5.998647902696234e-20, 1.4424799518868404e-34, 357, True),
     ("HURWITZ", 12, -0.999999999999):
         (-3.992739786314676e+151, 3.3023686627402437e+140, 882, True),
     ("HURWITZ", 12, -0.999):
@@ -392,7 +428,7 @@ ROUTE_REPLAY = {
     ("HURWITZ", 12, 250.0):
         (-6.011463371148904e-22, 1.6900543938986422e-36, 168, True),
     ("HURWITZ", 12, 100000.0):
-        (-3.9892256883639086e-53, 9.865234083595007e-68, 357, True),
+        (-3.9892256883639086e-53, 9.865234084604953e-68, 357, True),
     ("LAPLACE", 1, 0.0):
         (0.8224670334241132, 1.4897389868398514e-15, 147, True),
     ("LAPLACE", 1, 0.02):
@@ -430,41 +466,41 @@ ROUTE_REPLAY = {
     ("LAPLACE", 12, 100000.0):
         (-3.9892256883639086e-53, 8.996386281142364e-66, 483, True),
     ("HYP", 1, -0.9):
-        (8.80082320325403, 1.4740406237718062e-13, 191, True),
+        (8.800823203254032, 1.4740406237718065e-13, 190, True),
     ("HYP", 1, -0.15):
-        (0.9642432589046456, 9.711339103200242e-15, 149, True),
+        (0.9642432589046456, 9.711339103200242e-15, 148, True),
     ("HYP", 1, 0.02):
-        (0.8067578016162269, 8.174594750744531e-15, 149, True),
+        (0.8067578016162269, 8.174594750744531e-15, 148, True),
     ("HYP", 1, 0.4):
-        (0.5941193521145304, 6.1137938667359906e-15, 149, True),
+        (0.5941193521145304, 6.1137938667359906e-15, 148, True),
     ("HYP", 1, 3.0):
-        (0.21962150400748295, 2.301372375648859e-15, 149, True),
+        (0.21962150400748295, 2.301372375648859e-15, 148, True),
     ("HYP", 1, 250.0):
-        (0.003949114629470538, 4.1090683593869007e-17, 149, True),
+        (0.003949114629470538, 4.1090683593869007e-17, 148, True),
     ("HYP", 4, -0.9):
-        (-58165.89028336013, 1.2587950296787241e-08, 233, True),
+        (-58165.89028336013, 1.2587950296787241e-08, 232, True),
     ("HYP", 4, -0.15):
-        (-9.676224902282764, 1.6255596605057244e-13, 149, True),
+        (-9.676224902282764, 1.6255596605057244e-13, 148, True),
     ("HYP", 4, 0.02):
-        (-4.590244746574044, 4.497963540586239e-14, 149, True),
+        (-4.590244746574044, 4.497963540586239e-14, 148, True),
     ("HYP", 4, 0.4):
-        (-1.2615331443226654, 1.17857708740227e-14, 149, True),
+        (-1.2615331443226654, 1.17857708740227e-14, 148, True),
     ("HYP", 4, 3.0):
-        (-0.018547255061408773, 1.925585162514227e-16, 149, True),
+        (-0.018547255061408773, 1.925585162514227e-16, 148, True),
     ("HYP", 4, 250.0):
-        (-1.4711274950021858e-09, 1.534302648094097e-23, 149, True),
+        (-1.4711274950021858e-09, 1.534302648094097e-23, 148, True),
     ("HYP", 12, -0.9):
-        (-3.956094698821565e+19, 513459.2959319889, 317, True),
+        (-3.956094698821565e+19, 513459.2959319889, 316, True),
     ("HYP", 12, -0.15):
-        (-261883926.92589423, 3.190885337859096e-06, 191, True),
+        (-261883926.92589423, 3.190885337859096e-06, 190, True),
     ("HYP", 12, 0.02):
-        (-29015654.457402263, 3.198990610241778e-07, 191, True),
+        (-29015654.457402267, 3.1989906102417785e-07, 190, True),
     ("HYP", 12, 0.4):
-        (-632772.0045224164, 3.538005944096739e-08, 149, True),
+        (-632772.0045224165, 3.538005944096739e-08, 148, True),
     ("HYP", 12, 3.0):
-        (-1.9245792481359516, 1.9066860438019257e-14, 149, True),
+        (-1.9245792481359516, 1.9066860438019254e-14, 148, True),
     ("HYP", 12, 250.0):
-        (-6.011463371148904e-22, 6.346281872897548e-36, 149, True),
+        (-6.011463371148904e-22, 6.346281872897548e-36, 148, True),
 }
 
 

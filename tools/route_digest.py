@@ -13,7 +13,9 @@ line on both commits, and a change that means to move one route shows
 which lines moved.  Each route's line also gives, outside the hashed
 text, its total n_evals over the draws (0 for a draw that raised) and
 how many `quad.integrate_finite` calls it made, counted by wrapping that
-function here:
+function here, and its CPU ms over all the draws, best of three passes
+run after the hashed one with that wrapper removed.  A change that keeps
+every n_evals still shows there where the time moved:
 
     python tools/route_digest.py
 """
@@ -22,6 +24,7 @@ import hashlib
 import math
 import random
 import sys
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -32,6 +35,7 @@ from nlgamma.delta import Route, delta_deriv  # noqa: E402
 DRAWS = 2400
 SEED = 20260
 ROUTES = (Route.HURWITZ, Route.LAPLACE, Route.HYP, Route.RECURRENCE, Route.CLOSED)
+TIMED_PASSES = 3
 
 
 def draw_x(rng, region):
@@ -46,8 +50,23 @@ def draw_x(rng, region):
     return math.exp(rng.uniform(math.log(0.26), math.log(1e6)))
 
 
+def cpu_ms(route, draws):
+    """CPU ms of the route over the draws, best of TIMED_PASSES passes."""
+    best = math.inf
+    for _ in range(TIMED_PASSES):
+        start = time.process_time()
+        for m, x in draws:
+            try:
+                delta_deriv(m, x, route)
+            except ValueError:
+                pass
+        best = min(best, time.process_time() - start)
+    return best * 1e3
+
+
 def main():
     rng = random.Random(SEED)
+    draws = []
     sha = hashlib.sha256()
     per_route = {route: hashlib.sha256() for route in ROUTES}
     evals = dict.fromkeys(ROUTES, 0)
@@ -62,6 +81,7 @@ def main():
     for i in range(DRAWS):
         m = rng.randint(1, 12)
         x = draw_x(rng, i % 4)
+        draws.append((m, x))
         for route in ROUTES:
             try:
                 r = delta_deriv(m, x, route)
@@ -72,10 +92,12 @@ def main():
             line = f"{m} {x!r} {route.value} {row!r}\n".encode()
             sha.update(line)
             per_route[route].update(line)
+    quad.integrate_finite = integrate_finite
     for route, route_sha in per_route.items():
         print(
             f"{route_sha.hexdigest()}  {route.value}  {evals[route]} evals"
             f"  {calls[route]} integrate_finite calls"
+            f"  {cpu_ms(route, draws):.0f} CPU ms"
         )
     print(f"{sha.hexdigest()}  {DRAWS} draws")
     return 0
