@@ -33,7 +33,6 @@ from .quad import (
 from .report import IdentityResidual, VerificationReport
 from .specfun import (
     CONSTANTS,
-    gamma_zero,
     hurwitz_zeta,
     ln_gamma,
     polygamma,
@@ -64,7 +63,6 @@ __all__ = [
     "delta_deriv_at_one",
     "delta_deriv_half_integer",
     "frac_rep_prop2",
-    "gamma_zero",
     "gauss_2f1",
     "hurwitz_zeta",
     "hyp_identity_residual",

@@ -3,7 +3,7 @@
 These are the hot primitives everything else is built on: log-gamma,
 digamma, Hurwitz zeta via Euler-Maclaurin (below a = 2 from Taylor
 tables built from it), the integer-order upper incomplete gamma,
-fractional-part helpers and a few fused integrands that quadrature
+the sawtooth p1 and a few fused integrands that quadrature
 loops evaluate millions of times.  Each route integrand
 has a panel form, taking a list of nodes and returning their values, that
 quad.integrate_finite calls once per panel; it looks up the constants
@@ -35,8 +35,6 @@ __all__ = [
     "EULER_GAMMA",
     "digamma",
     "ei_defect",
-    "frac",
-    "gamma_zero_series",
     "hurwitz_zeta",
     "hz_route_integrand",
     "hz_route_panel",
@@ -92,11 +90,6 @@ _LGAMMA_TAYLOR = tuple(
     tuple(((hi - s) + lo) / k for k, (hi, lo) in enumerate(ZETA_DD) if k >= 2)
     for s in (0, 1)
 )
-
-
-def frac(x):
-    """Fractional part x - floor(x), in [0, 1)."""
-    return x - math.floor(x)
 
 
 def p1(x):
@@ -552,15 +545,13 @@ def laplace_tail_weight(m, x, big_t):
     return bound
 
 
-def _exp_integral_series(x, start):
-    """sum_{k>=start} (-x)^k/(k k!), stopped past k = x once a term is
+def _exp_integral_series(x):
+    """sum_{k>=2} (-x)^k/(k k!), stopped past k = x once a term is
     under 1e-18 of the running sum, and then summed by math.fsum."""
-    u = 1.0
-    for k in range(1, start):
-        u *= -x / k
+    u = -x
     terms = []
     acc = 0.0
-    k = start
+    k = 2
     while True:
         u *= -x / k
         term = u / k
@@ -570,17 +561,6 @@ def _exp_integral_series(x, start):
             break
         k += 1
     return math.fsum(terms)
-
-
-def gamma_zero_series(x):
-    """Gamma(0, x) by the alternating series -(gamma + ln x + sum (-x)^k/(k k!)).
-
-    Accurate only while the alternating terms stay small; callers switch to
-    quadrature once cancellation would eat the 1e-11 budget (x > 5).
-    """
-    if x <= 0.0:
-        raise ValueError("gamma_zero_series requires x > 0")
-    return -(EULER_GAMMA + math.log(x) + _exp_integral_series(x, 1))
 
 
 def _gamma_zero_asymp(x):
@@ -599,7 +579,7 @@ def ei_defect(t):
     if t <= 0.0:
         raise ValueError("ei_defect requires t > 0")
     if t <= 30.0:
-        return -_exp_integral_series(t, 2)
+        return -_exp_integral_series(t)
     return EULER_GAMMA + math.log(t) - t + _gamma_zero_asymp(t)
 
 

@@ -2,8 +2,8 @@
 higher derivatives, evaluated by mathematically independent routes that
 cross-validate one another:
 
-CLOSED      Leibniz product rule over polygamma values (double-double
-            accumulation below |x| = 0.125 where the terms cancel).
+CLOSED      Leibniz product rule over polygamma values (below |x| = 0.125,
+            where the terms cancel, collected by powers of x once per m).
 HURWITZ     m! * integral_0^1 u^m zeta(m+1, x u + 1) du, up to sign.
 LAPLACE     integral_0^inf t^m/(e^t - 1) E_m(x t) dt (x >= 0).
 HYP         Gauss-2F1 representation plus a sawtooth-weighted integral.
@@ -117,16 +117,15 @@ def default_route(m, x):
 def _closed(m, x):
     """Leibniz expansion sum_j C(m,j) psi^(m-j-1)(x+1) (-1)^j j!/x^(j+1).
 
-    Below |x| = 0.125 the terms cancel like |x|^-(m+1), so
-    _ddarith.closed_product_rule_dd forms and sums them in double-double:
-    each psi^(j)(1+x), and ln Gamma(1+x), is one Horner pass over its
-    Taylor coefficients at 1 (a table built on first use), cut where a
-    geometric bound puts the omitted tail under 2^-112 of the leading
-    coefficient.  Elsewhere the terms come from the double kernels, and
-    each is charged _CLOSED_TERM_REL of its size for the kernel, the
-    rounding of x + 1 and x^(j+1), and the products.  Both paths refuse
-    an x whose x^(m+1) they cannot carry: here where it overflows, in
-    double-double below _ddarith.POW_MIN = 2^-969.
+    Below |x| = 0.125 the terms cancel like |x|^-(m+1).  There
+    _ddarith.closed_product_rule_dd sums the expansion collected by
+    powers of x instead: every negative power has weight 0, and each
+    power n >= 0 has one coefficient zeta(n+m+1) B(m, n), from a table
+    built once per m, summed by one Horner pass under a proven error
+    bound.  It answers down to |x| = 5e-324.  Elsewhere the terms come
+    from the double kernels, and each is charged _CLOSED_TERM_REL of its
+    size for the kernel, the rounding of x + 1 and x^(j+1), and the
+    products; x whose x^(m+1) overflows is refused.
     """
     if x == 0.0:
         raise ValueError("CLOSED route needs x != 0")
@@ -302,6 +301,11 @@ def _recurrence(m, x, cfg, base=Route.CLOSED):
     # the rounding of x + 1 moves zeta(m, x + 1) by up to m ulps
     err = (m / abs(x)) * prev.abs_err_est + 4e-16 * (abs(value) + abs(scaled_prev))
     err += (m + 4) * 1.2e-16 * abs(zeta_term / x)
+    if not (math.isfinite(value) and math.isfinite(err)):
+        raise ValueError(
+            f"domain error: RECURRENCE's m/x terms leave the double range "
+            f"at m = {m}, x = {x}"
+        )
     return EvalResult(value, err, Route.RECURRENCE, prev.n_evals + 1, prev.converged)
 
 

@@ -1,7 +1,7 @@
 """Double-precision special-function primitives.
 
-Log-gamma, digamma/polygamma, Hurwitz and Riemann zeta, the
-integer-parameter upper incomplete gamma, and Gamma(0, x).  Log-gamma,
+Log-gamma, digamma/polygamma, Hurwitz and Riemann zeta, and the
+integer-parameter upper incomplete gamma.  Log-gamma,
 Hurwitz zeta and the incomplete gamma are the scalar kernels themselves,
 which check their own domains; the rest are built on them here, next to
 double-precision views of the one zeta/gamma table (`_ddconsts`) that
@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from . import quad
 from ._backend import kernels
 from ._backend.kernels import hurwitz_zeta, ln_gamma, upper_incomplete_gamma_int
 from ._ddarith import K_MAX
@@ -23,18 +22,12 @@ __all__ = [
     "CONSTANTS",
     "K_MAX",
     "SpecialConstants",
-    "gamma_zero",
     "hurwitz_zeta",
     "ln_gamma",
     "polygamma",
     "riemann_zeta",
     "upper_incomplete_gamma_int",
 ]
-
-# Gamma(0, x): the alternating series loses roughly 2x/ln(10) digits to
-# cancellation, so it is abandoned well before the documented 1e-11
-# relative budget is at risk; quadrature takes over beyond this point.
-GAMMA_ZERO_SERIES_CUTOFF = 5.0
 
 
 def riemann_zeta(s):
@@ -60,25 +53,6 @@ def polygamma(order, x):
         return kernels.digamma(x)
     sign = 1.0 if order % 2 else -1.0
     return sign * math.factorial(order) * kernels.hurwitz_zeta(order + 1.0, x)
-
-
-def gamma_zero(x):
-    """Gamma(0, x) = integral_x^inf e^(-t)/t dt for x > 0.
-
-    Series below GAMMA_ZERO_SERIES_CUTOFF, quadrature of
-    e^(-x) integral_0^inf e^(-u)/(x+u) du above; relative error <= 1e-11.
-    """
-    if x <= 0.0:
-        raise ValueError(f"gamma_zero: need x > 0, got {x}")
-    if x <= GAMMA_ZERO_SERIES_CUTOFF:
-        return kernels.gamma_zero_series(x)
-    # integrand is positive and smooth; truncate where e^(-u) is spent
-    big = 60.0
-    cfg = quad.QuadConfig(rel_tol=1e-13, abs_tol=5e-300, max_subdivisions=400)
-    r = quad.integrate_finite(
-        quad.pointwise(lambda u: math.exp(-u) / (x + u)), 0.0, big, cfg
-    )
-    return math.exp(-x) * (r.value + math.exp(-big) / (x + big))
 
 
 @dataclass(frozen=True)

@@ -287,8 +287,11 @@ def suite_specfun():
     half-argument polygamma values, derivative consistency, and the
     sawtooth integral representations."""
     rep = VerificationReport(suite="specfun")
+    # a = 1.0 and 1.5 (x = 1.0 and 1.5 below) compare the Taylor path
+    # (a < 2) with Euler-Maclaurin at a + 1; for a < 1 both sides read the
+    # same table entry, so those rows check only the a^-s term
     for s in (1.5, 2.0, 3.25, 10.0):
-        for a in (0.1, 0.5, 1.0, 2.5, 7.0):
+        for a in (0.1, 0.5, 1.0, 1.5, 2.5, 7.0):
             rep.add(
                 IdentityResidual.build(
                     "hurwitz_telescoping",
@@ -300,7 +303,7 @@ def suite_specfun():
                 )
             )
     for j in range(0, 7):
-        for x in (0.1, 0.5, 1.0, 3.0, 10.0):
+        for x in (0.1, 0.5, 1.0, 1.5, 3.0, 10.0):
             lhs = specfun.polygamma(j, x + 1.0) - specfun.polygamma(j, x)
             rhs = (-1.0) ** j * math.factorial(j) / x ** (j + 1)
             rep.add(

@@ -37,6 +37,33 @@ def mp_deriv():
 
 
 @pytest.fixture(scope="session")
+def mp_taylor_deriv():
+    """D^(m)(x) for |x| <= 0.125 at 60 digits by its Taylor series at 0
+    (mpmath; the test is skipped without it):
+
+        sum_{k>m} (-1)^k zeta(k) (k-1)!/((k-1-m)! k) x^(k-1-m),
+
+    to k = 260, where the terms left out are under 8^-200 of the first.
+    Unlike mp_deriv, nothing cancels, so |x| down to 5e-324 costs no
+    extra digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        zetas = [None, None] + [mpmath.zeta(k) for k in range(2, 261)]
+
+    def deriv(m, x):
+        assert abs(x) <= 0.125
+        with mpmath.workdps(60):
+            xm = mpmath.mpf(x)
+            total = mpmath.mpf(0)
+            for k in range(260, m, -1):
+                c = zetas[k] * math.perm(k - 1, m) / k
+                total = total * xm + (-c if k % 2 else c)
+            return total
+
+    return deriv
+
+
+@pytest.fixture(scope="session")
 def mp_unit_split():
     """integral_start^inf phi({t}) g(t) dt at 40 digits (mpmath; the test
     is skipped without it), for phi(y) = sum_i coeffs[i] y^i and g one

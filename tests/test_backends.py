@@ -22,7 +22,7 @@ def test_backend_reports_name():
         ("hurwitz_zeta", (1.0, 1.0)),
         ("hurwitz_zeta", (2.0, 0.0)),
         ("upper_incomplete_gamma_int", (-1, 1.0)),
-        ("gamma_zero_series", (0.0,)),
+        ("digamma", (-1.0,)),
         ("ei_defect", (0.0,)),
     ],
 )

@@ -1,13 +1,12 @@
 """CLOSED on the double kernels (|x| >= 0.125): its estimate against a
 high-precision oracle over the seam band 0.125 <= |x| < 0.28 and beyond,
-RECURRENCE built on it, and the x^(m+1) range both CLOSED paths refuse
-outside."""
+RECURRENCE built on it, and the range of x both routes serve: CLOSED
+refuses where x^(m+1) overflows, and RECURRENCE also where m/x does."""
 
 import random
 
 import pytest
 
-from nlgamma import _ddarith
 from nlgamma.delta import Route, delta_deriv
 
 
@@ -61,25 +60,38 @@ def test_former_misses(m, x, mp_deriv):
 
 
 class TestRange:
-    @pytest.mark.parametrize("m,x", [(12, 1e-25), (12, -1e-25), (12, 1e24), (1, 1e160)])
+    @pytest.mark.parametrize("m,x", [(12, 1e24), (1, 1e160)])
     def test_refused(self, m, x):
         with pytest.raises(ValueError, match="domain error"):
             delta_deriv(m, x, Route.CLOSED)
 
-    @pytest.mark.parametrize("m,x", [(12, 1e-25), (2, 1e160)])
+    @pytest.mark.parametrize("m,x", [(2, 1e160)])
     def test_recurrence_inherits_the_refusal(self, m, x):
         with pytest.raises(ValueError, match="domain error"):
             delta_deriv(m, x, Route.RECURRENCE)
 
+    @pytest.mark.parametrize("m", [2, 12])
+    @pytest.mark.parametrize("x", [5e-324, -5e-324])
+    def test_recurrence_refuses_where_m_over_x_overflows(self, m, x):
+        # CLOSED answers there, but (m/x) D^(m-1)(x) is past the double range
+        assert delta_deriv(m - 1, x, Route.CLOSED).value != 0.0
+        with pytest.raises(ValueError, match="domain error"):
+            delta_deriv(m, x, Route.RECURRENCE)
+
+    @pytest.mark.parametrize("m", [2, 12])
+    @pytest.mark.parametrize("x", [1e-25, -1e-25])
+    def test_recurrence_answers_at_tiny_x(self, m, x, mp_taylor_deriv):
+        r = delta_deriv(m, x, Route.RECURRENCE)
+        assert abs(r.value - mp_taylor_deriv(m, x)) <= r.abs_err_est
+
     @pytest.mark.parametrize("m", [1, 2, 5, 8, 12])
     @pytest.mark.parametrize("side", [-1.0, 1.0])
     def test_double_double_edge(self, m, side, mp_deriv):
-        # just above the smallest |x| served, and just below it
-        x = _ddarith.POW_MIN ** (1.0 / (m + 1)) * 1.0000001
-        r = delta_deriv(m, side * x, Route.CLOSED)
-        assert abs(r.value - mp_deriv(m, side * x)) <= r.abs_err_est
-        with pytest.raises(ValueError, match="domain error"):
-            delta_deriv(m, side * x / 1.001, Route.CLOSED)
+        # CLOSED once refused |x|^(m+1) < 2^-969; it answers on both sides
+        x = 2.0 ** (-969 / (m + 1)) * 1.0000001
+        for y in (side * x, side * x / 1.001):
+            r = delta_deriv(m, y, Route.CLOSED)
+            assert abs(r.value - mp_deriv(m, y)) <= r.abs_err_est
 
     @pytest.mark.parametrize("m,x", [(1, 1e154), (2, 4.6e102), (5, 2.15e51), (12, 4.9e23)])
     def test_large_x_edge(self, m, x, mp_deriv):

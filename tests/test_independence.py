@@ -37,18 +37,10 @@ CHECKED = (
 
 # every function reached by more than one route: the routes that reach it
 SHARED = {
-    "_ddarith._horner": {"CLOSED", "RECURRENCE"},
-    "_ddarith._order_table": {"CLOSED", "RECURRENCE"},
-    "_ddarith._tail": {"CLOSED", "RECURRENCE"},
-    "_ddarith._two_prod": {"CLOSED", "RECURRENCE"},
-    "_ddarith._two_sum": {"CLOSED", "RECURRENCE"},
-    "_ddarith.add": {"CLOSED", "RECURRENCE"},
+    "_ddarith._bracket": {"CLOSED", "RECURRENCE"},
+    "_ddarith._table": {"CLOSED", "RECURRENCE"},
+    "_ddarith._weight": {"CLOSED", "RECURRENCE"},
     "_ddarith.closed_product_rule_dd": {"CLOSED", "RECURRENCE"},
-    "_ddarith.div": {"CLOSED", "RECURRENCE"},
-    "_ddarith.from_int": {"CLOSED", "RECURRENCE"},
-    "_ddarith.mul": {"CLOSED", "RECURRENCE"},
-    "_ddarith.mul_d": {"CLOSED", "RECURRENCE"},
-    "_ddarith.neg": {"CLOSED", "RECURRENCE"},
     "kernels._stirling_lgam": {"CLOSED", "RECURRENCE"},
     "kernels._zeta_plan": {"CLOSED", "HURWITZ", "RECURRENCE"},
     "kernels._zeta_taylor": {"CLOSED", "HURWITZ", "RECURRENCE"},

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nlgamma import quad
-from nlgamma._backend.kernels import frac, laplace_integrand, p1
+from nlgamma._backend.kernels import laplace_integrand, p1
 from nlgamma.delta import integral_delta, integral_delta_squared
 from nlgamma.quad import (
     QuadConfig,
@@ -360,9 +360,9 @@ class TestPanelRule:
 
 class TestFracHelpers:
     def test_values(self):
-        assert frac(2.75) == 0.75
-        assert frac(-0.25) == 0.75
         assert p1(2.75) == 0.25
+        assert p1(-0.25) == 0.25
+        assert p1(3.0) == -0.5
 
     @given(
         x=st.floats(
@@ -373,7 +373,7 @@ class TestFracHelpers:
     def test_periodicity_exact(self, x):
         # exact whenever x+1 is itself representable (no rounding in the shift)
         assume((x + 1.0) - 1.0 == x)
-        assert frac(x + 1.0) == frac(x)
+        assert p1(x + 1.0) == p1(x)
 
 
 class TestUnitSplit:
@@ -655,7 +655,7 @@ class TestLemma2Transform:
         err = 0.0
         for j in range(4000):
             part = integrate_finite(
-                pointwise(lambda x: frac(x / b) * (x + c) ** (-lam)),
+                pointwise(lambda x: (p1(x / b) + 0.5) * (x + c) ** (-lam)),
                 j * b,
                 (j + 1.0) * b,
             )

@@ -17,7 +17,6 @@ from nlgamma._backend.kernels import (
 from nlgamma.quad import DEFAULT_CONFIG, p1_integral
 from nlgamma.specfun import (
     CONSTANTS,
-    gamma_zero,
     hurwitz_zeta,
     ln_gamma,
     polygamma,
@@ -301,29 +300,34 @@ class TestRouteIntegrands:
             assert hz_route_reflected_panel(m, x, (1.0,))[0] == 0.0
 
 
+def gamma_zero(x):
+    """Gamma(0, x) from the one kernel that carries it: kernels.ei_defect(x)
+    is gamma - x + Gamma(0, x) + ln x."""
+    return kernels.ei_defect(x) - EULER_GAMMA + x - math.log(x)
+
+
 class TestGammaZero:
     def test_at_one(self):
         assert rel(gamma_zero(1.0), GAMMA0_AT_1_ORACLE) < 1e-12
 
-    def test_at_ten_quadrature_branch(self):
-        assert rel(gamma_zero(10.0), GAMMA0_AT_10_ORACLE) < 1e-11
+    def test_at_ten(self):
+        # Gamma(0, 10) is 6e-7 of ei_defect(10): only the kernel's own
+        # relative error can be checked there
+        expected = EULER_GAMMA - 10.0 + GAMMA0_AT_10_ORACLE + math.log(10.0)
+        assert rel(kernels.ei_defect(10.0), expected) < 1e-13
 
     def test_small_x_log_limit(self):
         # Gamma(0, x) + ln x + gamma -> 0 as x -> 0+
         x = 1e-8
         assert abs(gamma_zero(x) + math.log(x) + EULER_GAMMA) < 2e-8
 
-    def test_branch_seam(self):
-        below = gamma_zero(specfun.GAMMA_ZERO_SERIES_CUTOFF - 1e-9)
-        above = gamma_zero(specfun.GAMMA_ZERO_SERIES_CUTOFF + 1e-9)
-        assert rel(below, above) < 1e-8
-
     def test_derivative_identity(self):
-        # d/dx Gamma(0, x) = -e^-x / x
+        # d/dx Gamma(0, x) = -e^-x / x, so ei_defect' = (1 - e^-x)/x - 1;
+        # taken on ei_defect, as Gamma(0, 8) is 5e-6 of ei_defect(8)
         h = 1e-6
         for x in (0.5, 2.0, 8.0):
-            fd = (gamma_zero(x + h) - gamma_zero(x - h)) / (2.0 * h)
-            assert rel(fd, -math.exp(-x) / x) < 1e-8
+            fd = (kernels.ei_defect(x + h) - kernels.ei_defect(x - h)) / (2.0 * h)
+            assert rel(fd, -math.expm1(-x) / x - 1.0) < 1e-8
 
     def test_domain_error(self):
         with pytest.raises(ValueError):

@@ -9,8 +9,9 @@ every point; a domain refusal (ValueError) counts as refused, not as a
 value.  A value misses when |value - reference| > abs_err_est, the
 reference being perfbench/reference.py's mpmath value of D^(m)(x).  One
 line per route gives its values, refusals, misses, worst
-error-to-estimate ratio (with where), total n_evals and the calls that
-did not converge:
+error-to-estimate ratio (with where), widest estimate relative to the
+reference (with where: an estimate can be honest and still too wide to
+check anything), total n_evals and the calls that did not converge:
 
     python tools/oracle_report.py
 
@@ -57,6 +58,7 @@ def main():
     for route in Route:
         values = refused = misses = evals = unconverged = 0
         worst = (0.0, None, None)  # ratio, m, x
+        widest = (0.0, None, None)  # abs_err_est / |reference|, m, x
         for m, x in points:
             try:
                 r = delta_deriv(m, x, route)
@@ -67,6 +69,7 @@ def main():
             evals += r.n_evals
             unconverged += not r.converged
             err = abs(r.value - refs[m, x])
+            widest = max(widest, (r.abs_err_est / abs(refs[m, x]), m, x))
             misses += not err <= r.abs_err_est
             if err:
                 ratio = err / r.abs_err_est if r.abs_err_est else math.inf
@@ -74,6 +77,7 @@ def main():
         print(
             f"{route.value:<10}  values {values:4d}  refused {refused:3d}  "
             f"misses {misses:3d}  worst {worst[0]:.3g} at m={worst[1]} x={worst[2]!r}  "
+            f"widest {widest[0]:.3g} at m={widest[1]} x={widest[2]!r}  "
             f"evals {evals}  unconverged {unconverged}"
         )
         if route is not NOT_A_BOUND and (misses or unconverged):
