@@ -8,6 +8,12 @@ excess via the Gauss summation theorem.  Near-unit arguments of the
 a = 1 family with integer c - b >= 1 switch to the logarithmic expansion
 in (1 - z).  Everything else raises: full connection-formula machinery is
 out of scope.
+
+Every series the package sums has a, b, c > 0 and 0 < z < 1 once Pfaff
+has mapped z < 0 into (0, 1), so all its terms are positive.  There
+`_series` fixes its length before summing, from a proven bound on the
+rest (under 1e-17 of the sum), and sums by one Horner pass; only a
+non-positive parameter or z outside (0, 1) keeps the term-by-term loop.
 """
 
 from __future__ import annotations
@@ -29,6 +35,12 @@ __all__ = [
 
 MAX_SERIES_TERMS = 100_000
 _LOG_BRANCH_Z = 0.9
+
+# ln of the rest the all-positive series may leave out: 1e-17 of a sum
+# that is at least 1, halved for the rounding of math.lgamma
+_LOG_REST = math.log(0.5e-17)
+# extra terms worth summing to save a further lgamma step
+_LENGTH_SLACK = 8
 
 # derivative-rule check points: (a, b, c) with x in {0.5, 2}
 D25_TRIPLES = ((1.0, 2.0, 5.0), (2.0, 2.0, 3.0), (1.0, 4.0, 6.0))
@@ -56,13 +68,82 @@ def _is_nonpositive_int(v):
     return v <= 0.0 and v == math.floor(v)
 
 
+def _positive_length(a, b, c, z):
+    """Number of terms after which the rest of the all-positive series
+    (a, b, c > 0, 0 < z < 1) is proven under 1e-17 of its sum.
+
+    Past term k the ratios t_(j+1)/t_j = z (a+j)/(j+1) (b+j)/(c+j) are at
+    most rho_k = z max(1, (a+k)/(k+1)) max(1, (b+k)/(c+k)), each factor
+    being monotone in j, so where rho_k < 1 the rest from term k on is at
+    most t_k/(1 - rho_k) and t_(k+j) <= t_k rho_k^j.  ln t_k is taken
+    from math.lgamma; the target is halved to absorb its rounding.  From
+    the first k with rho_k < 1 (k = 0 when a <= 1 and b <= c, as on every
+    HYP call), each step stops at k if its rest is under the target, or
+    at the length the rho_k^j bound proves if that is within
+    _LENGTH_SLACK terms of the shortest the ratio at k allows; otherwise
+    it moves k to that shortest length and looks again.  The sum is at
+    least 1 and at least t_k at the first k.  Raises ConvergenceError
+    past MAX_SERIES_TERMS.
+    """
+    k = 0
+    rho = z * max(1.0, a) * max(1.0, b / c)
+    while rho >= 1.0:
+        k = 2 * k + 1
+        if k >= MAX_SERIES_TERMS:
+            break
+        rho = z * max(1.0, (a + k) / (k + 1.0)) * max(1.0, (b + k) / (c + k))
+    lz = math.log(z)
+    lg = math.lgamma
+    base = lg(c) - lg(a) - lg(b)
+    log_t = 0.0
+    if k:
+        log_t = base + lg(a + k) + lg(b + k) - lg(c + k) - lg(k + 1.0) + k * lz
+    target = _LOG_REST + max(log_t, 0.0)
+    while k < MAX_SERIES_TERMS:
+        over = log_t - math.log1p(-rho) - target
+        if over <= 0.0:
+            return k
+        # ln of the smaller of z and the ratio at k, taken factor by factor
+        # so that nothing underflows at a tiny z, a or b
+        log_g = math.log(a + k) + math.log(b + k)
+        log_g -= math.log(c + k) + math.log(k + 1.0)
+        slope = lz + min(0.0, log_g)
+        proven = k + math.ceil(over / -math.log(rho))
+        k += max(1, math.ceil(over / -slope))
+        if proven - k <= _LENGTH_SLACK:
+            k = proven
+            if k < MAX_SERIES_TERMS:
+                return k
+            break
+        log_t = base + lg(a + k) + lg(b + k) - lg(c + k) - lg(k + 1.0) + k * lz
+        rho = z * max(1.0, (a + k) / (k + 1.0)) * max(1.0, (b + k) / (c + k))
+    raise ConvergenceError(
+        f"2F1 series needs over {MAX_SERIES_TERMS} terms: a={a} b={b} c={c} z={z}"
+    )
+
+
 def _series(a, b, c, z):
     """Defining series sum_k (a)_k (b)_k / ((c)_k k!) z^k, |z| < 1.
 
-    The term ratios tend to |z|, eventually from one side, so the rest
-    after a term is at most |term| r/(1-r) with r the larger of the last
-    ratio and |z|; the sum stops once that is below 1e-17 of it.
+    For a, b, c > 0 and 0 < z < 1 every term is positive: the length is
+    fixed first by `_positive_length`'s proven bound on the rest (under
+    1e-17 of the sum), and the terms are summed by one Horner pass.  All
+    its roundings are relative to positive partial sums; against mpmath
+    it is within 4e-15 on the families the package reaches.
+
+    Otherwise the terms may change sign, and the loop keeps every term for
+    a final fsum.  The term ratios tend to |z|, eventually from one side,
+    so the rest after a term is at most |term| r/(1-r) with r the larger
+    of the last ratio and |z|; the sum stops once that is below 1e-17 of
+    it.
     """
+    if a > 0.0 and b > 0.0 and c > 0.0 and 0.0 < z < 1.0:
+        k = _positive_length(a, b, c, z) - 2.0
+        acc = 1.0
+        while k >= 0.0:
+            acc = 1.0 + acc * (a + k) * (b + k) * z / ((c + k) * (k + 1.0))
+            k -= 1.0
+        return acc
     term = 1.0
     terms = [term]
     acc = term
@@ -140,6 +221,9 @@ def _diagonal_family(p, c, z):
     and the remaining function drops to the a = 1 family by the Euler
     transform F(p-1, p; p+1; z) = (1-z)^(2-p) F(2, 1; p+1; z); against
     mpmath that is within 1.2e-15 relative for p = 2..12 on [-0.9, 0).
+    Further out the two sides of the relation cancel more as z/(z-1)
+    nears 1: 4.14e-15 at p = 12, z = -9.05, the worst of 33,000 points
+    with p = 2..12 and z in [-30, 0.9].
     For z > 0 the two sides of the relation cancel instead, so past 0.9
     the family is refused.
     """
@@ -178,7 +262,9 @@ def gauss_2f1(a, b, c, z):
         return (1.0 - z) ** (-a) * gauss_2f1(a, c - b, c, w)
     if z <= _LOG_BRANCH_Z:
         return _series(a, b, c, z)
-    if a == 1.0 and c - b >= 0.5 and abs(c - b - round(c - b)) < 1e-12:
+    # the log branch is exact for integer c - b only: allow the rounding of
+    # c and b, not more (an offset of 9e-13 cost 6.8e-13 relative)
+    if a == 1.0 and c - b >= 0.5 and abs(c - b - round(c - b)) <= 1e-15 * c:
         return _log_branch(b, c, z)
     # the defining series converges for any |z| < 1; close to 1 it merely
     # slows down, and the term budget flags a genuine stall

@@ -100,7 +100,9 @@ class VerificationReport:
         }
 
     def to_json(self):
-        return json.dumps(self.to_dict(), indent=2)
+        """The report as one line of JSON: without `indent`, json.dumps
+        runs its C encoder (pipe through `python -m json.tool` to read)."""
+        return json.dumps(self.to_dict())
 
     def write_json(self, path):
         with open(path, "w", encoding="utf-8") as fh:

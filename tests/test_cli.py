@@ -185,6 +185,18 @@ class TestVerify:
         # shortest-round-trip float serialization
         assert repr(doc["checks"][0]["lhs"]) in json.dumps(doc)
 
+    def test_json_report_is_the_report(self, capsys, tmp_path):
+        # written compactly, on one line, with the report's full content
+        path = tmp_path / "report.json"
+        rc, _, _ = run_cli(capsys, "verify", "--suite", "halfint", "--json", str(path))
+        assert rc == 0
+        text = path.read_text()
+        assert text.endswith("\n") and text.count("\n") == 1
+        doc = json.loads(text)
+        expected = verify.run_suite("halfint").to_dict()
+        doc["wall_time_ms"] = expected["wall_time_ms"] = None
+        assert doc == expected
+
     def test_stdout_has_no_timing(self, capsys):
         rc, out, _ = run_cli(capsys, "verify", "--suite", "prop4")
         assert rc == 0

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nlgamma.hyp2f1 import (
@@ -53,6 +53,10 @@ class TestPochhammer:
 class TestGauss2F1Values:
     def test_at_zero_is_one(self):
         assert gauss_2f1(2.5, -3.3, 7.1, 0.0) == 1.0
+        # the series length is found in logs, where a subnormal z or
+        # parameter is finite
+        assert gauss_2f1(1.0, 1.0, 3.0, 5e-324) == 1.0
+        assert gauss_2f1(1e-200, 1e-200, 1.0, 0.5) == 1.0
 
     @pytest.mark.parametrize("n", range(0, 7))
     def test_unit_argument_summation(self, n):
@@ -148,6 +152,60 @@ class TestGauss2F1Values:
         assert abs(lhs - rhs) <= 2e-10 * scale
 
 
+class TestAgainstMpmath:
+    """gauss_2f1 on the parameter families the package reaches, within the
+    4e-15 the log-branch test allows."""
+
+    @staticmethod
+    def check(a, b, c, z, tol=4e-15):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            ref = float(mpmath.hyp2f1(a, b, c, z))
+        assert rel(gauss_2f1(a, b, c, z), ref) < tol, (a, b, c, z)
+
+    @given(
+        b=st.integers(min_value=1, max_value=13),
+        c_minus_b=st.integers(min_value=1, max_value=14),
+        z=st.floats(min_value=-30.0, max_value=0.9),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_a1_family(self, b, c_minus_b, z):
+        # integer b and c, as HYP, A1, A4, T26 and D25 pass them
+        self.check(1.0, float(b), float(b + c_minus_b), z)
+
+    @given(
+        b=st.floats(min_value=0.5, max_value=13.0),
+        c_minus_b=st.floats(min_value=0.5, max_value=14.0),
+        z=st.floats(min_value=-30.0, max_value=0.9),
+    )
+    @example(b=1.0000000000009095, c_minus_b=1.0, z=-10.0)
+    @settings(max_examples=150, deadline=None)
+    def test_a1_family_real_parameters(self, b, c_minus_b, z):
+        # for z < 0 the Pfaff map rounds c - b to a double, which F can
+        # amplify: up to 9.4e-15 on 44,000 draws near integer b
+        self.check(1.0, b, b + c_minus_b, z, tol=2e-14)
+
+    @given(
+        p=st.integers(min_value=2, max_value=12),
+        z=st.floats(min_value=-30.0, max_value=0.9),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_diagonal_family(self, p, z):
+        # below z = -0.9 the elementary relation cancels as z/(z - 1) nears
+        # 1: 4.14e-15 at p = 12, z = -9.05, the worst of 33,000 points
+        self.check(float(p), float(p), p + 1.0, z, tol=5e-15)
+
+    @given(
+        i=st.integers(min_value=0, max_value=len(D25_TRIPLES) - 1),
+        shift=st.sampled_from([0.0, 1.0]),
+        z=st.floats(min_value=-30.0, max_value=0.9),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_d25_triples(self, i, shift, z):
+        a, b, c = D25_TRIPLES[i]
+        self.check(a + shift, b + shift, c + shift, z)
+
+
 class TestLogBranches:
     @pytest.mark.parametrize("n", range(0, 7))
     def test_branch_continuity_at_switch(self, n):
@@ -176,6 +234,17 @@ class TestLogBranches:
 
         with pytest.raises(ConvergenceError):
             _series(1.0, 1.0, 4.0, 0.9999)
+
+    @pytest.mark.parametrize(
+        "b,c,z", [(1.0, 14.0, 0.999999), (5.0, 18.0, 1.0 - 1e-9)]
+    )
+    def test_series_stops_near_one(self, b, c, z):
+        # c - b = 13 makes the terms fall like k^-13 as well as z^k; a
+        # length bound from z^k alone would pass the term budget here
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            ref = float(mpmath.hyp2f1(1, b, c, z))
+        assert rel(_series(1.0, b, c, z), ref) < 4e-15
 
     def test_deep_near_one(self):
         # against elementary closed forms at z = 0.999:

@@ -484,7 +484,7 @@ ROUTE_REPLAY = {
     ("HYP", 4, 0.02):
         (-4.590244746574044, 4.497963540586239e-14, 148, True),
     ("HYP", 4, 0.4):
-        (-1.2615331443226654, 1.17857708740227e-14, 148, True),
+        (-1.2615331443226658, 1.1785770874022704e-14, 148, True),
     ("HYP", 4, 3.0):
         (-0.018547255061408773, 1.925585162514227e-16, 148, True),
     ("HYP", 4, 250.0):
@@ -498,7 +498,7 @@ ROUTE_REPLAY = {
     ("HYP", 12, 0.4):
         (-632772.0045224165, 3.538005944096739e-08, 148, True),
     ("HYP", 12, 3.0):
-        (-1.9245792481359516, 1.9066860438019254e-14, 148, True),
+        (-1.9245792481359516, 1.9066860438019257e-14, 148, True),
     ("HYP", 12, 250.0):
         (-6.011463371148904e-22, 6.346281872897548e-36, 148, True),
 }

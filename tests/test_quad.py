@@ -220,7 +220,7 @@ class TestExactReplay:
             -0.256874522388739, 7.56610331414231e-17, 42, True
         )
         assert self._row(ei_form) == (
-            -0.25687452238873903, 2.1603597059113634e-15, 147, True
+            -0.25687452238873903, 2.091067890283914e-15, 147, True
         )
         assert self._row(squared) == (
             0.09311399418229539, 2.5561692740366306e-17, 42, True

@@ -316,6 +316,17 @@ class TestGammaZero:
         expected = EULER_GAMMA - 10.0 + GAMMA0_AT_10_ORACLE + math.log(10.0)
         assert rel(kernels.ei_defect(10.0), expected) < 1e-13
 
+    @pytest.mark.parametrize(
+        "t", [1.0, 5.0, 10.0, 13.9, 14.1, 20.0, 29.999, 30.001, 40.0]
+    )
+    def test_ei_defect_against_mpmath(self, t):
+        # the alternating series once used up to t = 30 lost 6.2e-12
+        # relative at t = 20 and 1.1e-7 at t = 29.999
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            ref = float(mpmath.euler + mpmath.log(t) - t + mpmath.e1(t))
+        assert rel(kernels.ei_defect(t), ref) < 2e-15
+
     def test_small_x_log_limit(self):
         # Gamma(0, x) + ln x + gamma -> 0 as x -> 0+
         x = 1e-8

@@ -11,12 +11,17 @@ reference being perfbench/reference.py's mpmath value of D^(m)(x).  One
 line per route gives its values, refusals, misses, worst
 error-to-estimate ratio (with where), widest estimate relative to the
 reference (with where: an estimate can be honest and still too wide to
-check anything), total n_evals and the calls that did not converge:
+check anything), total n_evals and the calls that did not converge.
+A last line checks gauss_2f1 itself: every (a, b, c, z) that reaches it
+from HYP on the grid and from one `appendix` suite run, with the worst
+relative error against mpmath's hyp2f1:
 
     python tools/oracle_report.py
 
 The exit code is 1 if a route other than ASYMPTOTIC, whose estimate is
-not a bound, misses or fails to converge; 2 without mpmath.
+not a bound, misses or fails to converge, or if a 2F1 value is off by
+more than 1e-14 relative (the charge the HYP route puts on its 2F1
+terms); 2 without mpmath.
 """
 
 import math
@@ -29,6 +34,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import reference  # noqa: E402
 import workloads  # noqa: E402
+from nlgamma import hyp2f1, verify  # noqa: E402
 from nlgamma.delta import Route, delta_deriv  # noqa: E402
 
 SEED = 777
@@ -40,12 +46,54 @@ FIXED_XS = (
 )
 # its estimate is |refined - lead|, not a bound
 NOT_A_BOUND = Route.ASYMPTOTIC
+# delta._hyp charges each 2F1 term 1e-14 of its size
+HYP_2F1_CHARGE = 1e-14
 
 
 def grid():
     draws = workloads.draws(random.Random(f"cross-check:{SEED}"))
     points = [next(draws)[:2] for _ in range(DRAWS)]
     return points + [(m, x) for m in FIXED_MS for x in FIXED_XS]
+
+
+def gauss_2f1_args(points):
+    """Every (a, b, c, z) that reaches hyp2f1.gauss_2f1, its own recursion
+    included, from HYP at `points` and from one `appendix` suite run."""
+    seen = set()
+    inner = hyp2f1.gauss_2f1
+
+    def recording(a, b, c, z):
+        seen.add((a, b, c, z))
+        return inner(a, b, c, z)
+
+    hyp2f1.gauss_2f1 = recording
+    try:
+        for m, x in points:
+            try:
+                delta_deriv(m, x, Route.HYP)
+            except ValueError:
+                pass
+        verify.run_suite("appendix")
+    finally:
+        hyp2f1.gauss_2f1 = inner
+    return sorted(seen)
+
+
+def check_2f1(points):
+    """Print the 2F1 line; True if some value is off by over the charge."""
+    mpmath = reference.mpmath
+    worst = (0.0, None)
+    args = gauss_2f1_args(points)
+    with mpmath.workdps(30):
+        for a, b, c, z in args:
+            ref = mpmath.hyp2f1(a, b, c, z)
+            err = float(abs(hyp2f1.gauss_2f1(a, b, c, z) - ref) / abs(ref))
+            worst = max(worst, (err, (a, b, c, z)))
+    print(
+        f"{'2F1':<10}  values {len(args):4d}  worst {worst[0]:.3g} relative "
+        f"at (a, b, c, z) = {worst[1]!r}"
+    )
+    return worst[0] > HYP_2F1_CHARGE
 
 
 def main():
@@ -82,6 +130,7 @@ def main():
         )
         if route is not NOT_A_BOUND and (misses or unconverged):
             failed = True
+    failed |= check_2f1(points)
     print(f"{len(points)} points, {len(refs)} distinct; seed {SEED}")
     return 1 if failed else 0
 
