@@ -1,19 +1,20 @@
 """Gauss 2F1 evaluation for the parameter families this library needs.
 
-Covered: the a = 1 family (1, b; c; z) for real b, c; the diagonal
-family (p, p; p+1; z), by its series for z > 0 and through the a = 1
-family for z < 0; general real parameters at arguments reachable
-from those via the Pfaff map z -> z/(z-1); z = 1 with positive parameter
-excess via the Gauss summation theorem.  Near-unit arguments of the
-a = 1 family with integer c - b >= 1 switch to the logarithmic expansion
-in (1 - z).  Everything else raises: full connection-formula machinery is
-out of scope.
+Covered: a, b, c > 0 at any z < 1 where the series (or the log branch)
+ends within MAX_SERIES_TERMS terms, and the exits that need no series:
+F = 1 at z = 0 or for a zero a or b, and z = 1 by the Gauss summation
+theorem where c - a - b > 0.  Any other non-positive parameter raises
+ValueError: full connection-formula machinery is out of scope.
 
-Every series the package sums has a, b, c > 0 and 0 < z < 1 once Pfaff
-has mapped z < 0 into (0, 1), so all its terms are positive.  There
-`_series` fixes its length before summing, from a proven bound on the
-rest (under 1e-17 of the sum), and sums by one Horner pass; only a
-non-positive parameter or z outside (0, 1) keeps the term-by-term loop.
+One reduction and two evaluators.  z < 0 is mapped into (0, 1) by Pfaff,
+F(a, b; c; z) = (1-z)^(-a) F(a, c-b; c; z/(z-1)), so there c - b must be
+positive as well (c = b gives F = (1-z)^(-a)).  On (0, 1) every term of
+the defining series is positive: `_series` fixes its length from a proven
+bound on the rest (under 1e-17 of the sum) and sums it by one Horner
+pass.  For the a = 1 family with integer c - b, where that length passes
+_LOG_BRANCH_TERMS, `_log_branch` expands in 1 - z instead (DLMF 15.8.10).
+The diagonal family (p, p; p+1; z) takes the same path: after Pfaff and
+the b = 1 swap it is (1-z)^(-p) F(1, p; p+1; z/(z-1)).
 """
 
 from __future__ import annotations
@@ -34,7 +35,9 @@ __all__ = [
 ]
 
 MAX_SERIES_TERMS = 100_000
-_LOG_BRANCH_Z = 0.9
+# the a = 1 family with integer c - b takes the log branch where the
+# series would need more terms than this
+_LOG_BRANCH_TERMS = 512
 
 # ln of the rest the all-positive series may leave out: 1e-17 of a sum
 # that is at least 1, halved for the rounding of math.lgamma
@@ -123,45 +126,32 @@ def _positive_length(a, b, c, z):
 
 
 def _series(a, b, c, z):
-    """Defining series sum_k (a)_k (b)_k / ((c)_k k!) z^k, |z| < 1.
+    """Defining series sum_k (a)_k (b)_k / ((c)_k k!) z^k for a, b, c > 0
+    and 0 < z < 1, where every term is positive.
 
-    For a, b, c > 0 and 0 < z < 1 every term is positive: the length is
-    fixed first by `_positive_length`'s proven bound on the rest (under
-    1e-17 of the sum), and the terms are summed by one Horner pass.  All
-    its roundings are relative to positive partial sums; against mpmath
-    it is within 4e-15 on the families the package reaches.
-
-    Otherwise the terms may change sign, and the loop keeps every term for
-    a final fsum.  The term ratios tend to |z|, eventually from one side,
-    so the rest after a term is at most |term| r/(1-r) with r the larger
-    of the last ratio and |z|; the sum stops once that is below 1e-17 of
-    it.
+    The length is fixed first by `_positive_length`'s proven bound on the
+    rest (under 1e-17 of the sum), and the terms are summed by one Horner
+    pass.  All its roundings are relative to positive partial sums, but
+    they add up over the length: within 4e-15 of mpmath up to the 512
+    terms gauss_2f1 lets the a = 1 family take, 6.1e-15 at the 7,816
+    terms of (12, 12; 13; 0.99).
     """
-    if a > 0.0 and b > 0.0 and c > 0.0 and 0.0 < z < 1.0:
-        k = _positive_length(a, b, c, z) - 2.0
-        acc = 1.0
-        while k >= 0.0:
-            acc = 1.0 + acc * (a + k) * (b + k) * z / ((c + k) * (k + 1.0))
-            k -= 1.0
-        return acc
-    term = 1.0
-    terms = [term]
-    acc = term
-    for k in range(1, MAX_SERIES_TERMS):
-        prev = abs(term)
-        term *= (a + k - 1.0) * (b + k - 1.0) * z / ((c + k - 1.0) * k)
-        terms.append(term)
-        acc += term
-        r = max(abs(term) / prev, abs(z)) if prev else abs(z)
-        if abs(term) * r <= 1e-17 * (1.0 - r) * (abs(acc) + 1e-300):
-            return math.fsum(terms)
-    raise ConvergenceError(
-        f"2F1 series stalled: a={a} b={b} c={c} z={z}"
-    )
+    return _horner(a, b, c, z, _positive_length(a, b, c, z))
+
+
+def _horner(a, b, c, z, n):
+    """The first n terms of the defining series, by one Horner pass."""
+    k = n - 2.0
+    acc = 1.0
+    while k >= 0.0:
+        acc = 1.0 + acc * (a + k) * (b + k) * z / ((c + k) * (k + 1.0))
+        k -= 1.0
+    return acc
 
 
 def _log_branch(b, c, z):
-    """(1, b; c; z) for z near 1 and integer c - b >= 1.
+    """(1, b; c; z) for z near 1 and integer c - b >= 1, where the series
+    is long.
 
     DLMF 15.8.10 with a = 1, m = c - b - 1 and w = 1 - z:
 
@@ -208,41 +198,17 @@ def _gauss_sum(a, b, c):
     return math.exp(ln_gamma(c) + ln_gamma(c - a - b) - ln_gamma(c - a) - ln_gamma(c - b))
 
 
-def _diagonal_family(p, c, z):
-    """(p, p; p+1; z) with p = c - 1 >= 2, for z <= 0.9.
-
-    0 < z <= 0.9 uses the plain series, whose terms are all positive.
-    For z < 0 they alternate and cancel (at p = 12 the series is off by
-    1.1e-12 relative at z = -0.5 and 8.6e-4 at -0.9), so the first
-    parameter is lowered once through the elementary relation
-
-      (p-1)/p * F(p, p; p+1; z) = (1-z)^(-(p-1)) - (1/p) F(p-1, p; p+1; z)
-
-    and the remaining function drops to the a = 1 family by the Euler
-    transform F(p-1, p; p+1; z) = (1-z)^(2-p) F(2, 1; p+1; z); against
-    mpmath that is within 1.2e-15 relative for p = 2..12 on [-0.9, 0).
-    Further out the two sides of the relation cancel more as z/(z-1)
-    nears 1: 4.14e-15 at p = 12, z = -9.05, the worst of 33,000 points
-    with p = 2..12 and z in [-30, 0.9].
-    For z > 0 the two sides of the relation cancel instead, so past 0.9
-    the family is refused.
-    """
-    if 0.0 < z <= _LOG_BRANCH_Z:
-        return _series(p, p, c, z)
-    if z > 0.0:
-        raise ValueError("diagonal 2F1 family implemented for z <= 0.9 only")
-    w = 1.0 - z
-    mid = w ** (2.0 - p) * gauss_2f1(1.0, 2.0, c, z)
-    return (p / (p - 1.0)) * (w ** (1.0 - p) - mid / p)
-
-
 def gauss_2f1(a, b, c, z):
-    """2F1(a, b; c; z) on the implemented families (see module docstring).
+    """2F1(a, b; c; z) on the implemented domain (see module docstring).
 
-    Relative error ~1e-12 across z in [-50, 0] and z in [0, 1) (the
-    diagonal family within 1.2e-15 of mpmath on [-0.9, 0) for p = 2..12);
-    z = 1 needs c - a - b > 0.  Raises ValueError outside the implemented
-    families and ConvergenceError if a series stalls.
+    Against mpmath on z in [-30, 0.9]: the a = 1 family with integer
+    b <= 13 and c - b <= 14 within 2.5e-15 relative (20,000 draws), the
+    diagonal (p, p; p+1; z) for p = 2..12 within 4.2e-15 (35,000 draws;
+    for z < 0 the roundings of z/(z-1) and of (1-z)^(-p) add to the
+    evaluator's).  Past 0.9 the diagonal is a series thousands of terms
+    long, up to 1.2e-14 off by z = 0.999.  z = 1 needs c - a - b > 0.
+    Raises ValueError outside the domain and ConvergenceError where the
+    series would pass its term budget.
     """
     if _is_nonpositive_int(c):
         raise ValueError(f"gauss_2f1: c must not be a non-positive integer, got {c}")
@@ -252,22 +218,29 @@ def gauss_2f1(a, b, c, z):
         return 1.0
     if z == 1.0:
         return _gauss_sum(a, b, c)
+    if a <= 0.0 or b <= 0.0 or c <= 0.0:
+        raise ValueError(
+            f"gauss_2f1: implemented for a, b, c > 0 only, got a={a} b={b} c={c}"
+        )
     if b == 1.0 and a != 1.0:
         a, b = b, a
-    if a == b and c == a + 1.0 and a >= 2.0:
-        return _diagonal_family(a, c, z)
     if z < 0.0:
         # Pfaff: (1-z)^(-a) F(a, c-b; c; z/(z-1)); keeps a = 1 in family
         w = z / (z - 1.0)
         return (1.0 - z) ** (-a) * gauss_2f1(a, c - b, c, w)
-    if z <= _LOG_BRANCH_Z:
-        return _series(a, b, c, z)
     # the log branch is exact for integer c - b only: allow the rounding of
-    # c and b, not more (an offset of 9e-13 cost 6.8e-13 relative)
+    # c and b, not more (an offset of 9e-13 cost 6.8e-13 relative).  Where
+    # w = 1 - z is not small, its bracket ln w - psi(1) + psi(b+m) and its
+    # two parts cancel (4.1e-15 relative at (1, 10; 12; 0.901)), so it
+    # serves only where the series would be long.
     if a == 1.0 and c - b >= 0.5 and abs(c - b - round(c - b)) <= 1e-15 * c:
-        return _log_branch(b, c, z)
-    # the defining series converges for any |z| < 1; close to 1 it merely
-    # slows down, and the term budget flags a genuine stall
+        try:
+            n = _positive_length(a, b, c, z)
+        except ConvergenceError:
+            n = MAX_SERIES_TERMS
+        if n > _LOG_BRANCH_TERMS:
+            return _log_branch(b, c, z)
+        return _horner(a, b, c, z, n)
     return _series(a, b, c, z)
 
 
@@ -287,12 +260,8 @@ def hyp_recurrence_descent(n, x):
     z = -x
     b = n + 2.0
     c = n + 3.0
-    f_top = gauss_2f1(n + 2.0, n + 2.0, c, z)  # a = n+2
-    if n == 0:
-        # a = n+1 is already 1
-        return (n + 2.0) * (x + 1.0) ** (-(n + 1.0)) - (n + 1.0) * f_top
-    f_hi = f_top
-    f_lo = (n + 2.0) * (x + 1.0) ** (-(n + 1.0)) - (n + 1.0) * f_top  # a = n+1
+    f_hi = gauss_2f1(n + 2.0, n + 2.0, c, z)  # a = n+2
+    f_lo = (n + 2.0) * (x + 1.0) ** (-(n + 1.0)) - (n + 1.0) * f_hi  # a = n+1
     a = n + 1.0
     while a > 1.0:
         f_prev = -((2.0 * a - c + (b - a) * z) * f_lo + a * (z - 1.0) * f_hi) / (c - a)

@@ -209,6 +209,8 @@ def suite_appendix():
     for abc in hyp2f1.D25_TRIPLES:
         for x in (0.5, 2.0):
             rep.add(hyp2f1.hyp_identity_residual("D25", 0, x, abc=abc))
+    # the series against the log branch at z = 0.9, where both apply;
+    # gauss_2f1 switches between them by the series' length, not at 0.9
     for n in range(0, 7):
         y = n + 1.0
         for c_minus_b in (1, 2, 3):

@@ -93,6 +93,8 @@ class TestGauss2F1Values:
         # F(a, b; b; z) = (1-z)^(-a) for any b (series telescopes)
         for z in (0.3, -0.7):
             assert rel(gauss_2f1(2.0, 4.0, 4.0, z), (1.0 - z) ** -2.0) < 1e-13
+        # for z < 0 Pfaff leaves F(2, 0; 4; w) = 1 times the power itself
+        assert gauss_2f1(2.0, 4.0, 4.0, -0.7) == 1.7**-2.0
 
     def test_moment_integral_representation(self):
         # F(n+2, n+2; n+3; -x) = (n+2) int_0^1 u^(n+1) (xu+1)^(-(n+2)) du
@@ -126,6 +128,12 @@ class TestGauss2F1Values:
             gauss_2f1(1.0, 2.0, 3.0, 1.5)  # argument beyond 1
         with pytest.raises(ValueError):
             gauss_2f1(1.0, 3.0, 3.5, 1.0)  # zero parameter excess at z = 1
+        with pytest.raises(ValueError):
+            gauss_2f1(1.0, 5.0, 3.0, -0.5)  # Pfaff image has c - b = -2
+        with pytest.raises(ValueError):
+            gauss_2f1(-0.5, 1.0, 2.0, 0.3)  # negative a
+        with pytest.raises(ValueError):
+            gauss_2f1(1.0, 2.0, -2.5, 0.3)  # negative c
 
     def test_series_stall_flagged(self):
         from nlgamma.hyp2f1 import ConvergenceError
@@ -168,6 +176,9 @@ class TestAgainstMpmath:
         c_minus_b=st.integers(min_value=1, max_value=14),
         z=st.floats(min_value=-30.0, max_value=0.9),
     )
+    # the log branch at w = 1 - z/(z-1) = 0.099 was 4.1e-15 off here: its
+    # bracket ln w - psi(1) + psi(11) and its two parts cancel
+    @example(b=2, c_minus_b=10, z=-9.09375)
     @settings(max_examples=150, deadline=None)
     def test_a1_family(self, b, c_minus_b, z):
         # integer b and c, as HYP, A1, A4, T26 and D25 pass them
@@ -191,9 +202,17 @@ class TestAgainstMpmath:
     )
     @settings(max_examples=100, deadline=None)
     def test_diagonal_family(self, p, z):
-        # below z = -0.9 the elementary relation cancels as z/(z - 1) nears
-        # 1: 4.14e-15 at p = 12, z = -9.05, the worst of 33,000 points
+        # for z < 0 Pfaff gives (1-z)^(-p) F(1, p; p+1; z/(z-1)): the
+        # roundings of z/(z-1) and of the power add to the evaluator's,
+        # 4.08e-15 at p = 12, z = -15.09, the worst of 33,000 points
         self.check(float(p), float(p), p + 1.0, z, tol=5e-15)
+
+    @pytest.mark.parametrize("z", [0.95, 0.99])
+    @pytest.mark.parametrize("p", [2, 12])
+    def test_diagonal_family_near_one(self, p, z):
+        # past z = 0.9 the plain series, whose rounding adds up over its
+        # length: 6.1e-15 at p = 12, z = 0.99 (7,816 terms)
+        self.check(float(p), float(p), p + 1.0, z, tol=1e-14)
 
     @given(
         i=st.integers(min_value=0, max_value=len(D25_TRIPLES) - 1),
@@ -209,6 +228,8 @@ class TestAgainstMpmath:
 class TestLogBranches:
     @pytest.mark.parametrize("n", range(0, 7))
     def test_branch_continuity_at_switch(self, n):
+        # the two evaluators at z = 0.9, where both apply; gauss_2f1
+        # switches between them by the series' length
         y = n + 1.0
         for c_minus_b in (1.0, 2.0, 3.0):
             c = y + c_minus_b

@@ -12,9 +12,13 @@ line per route gives its values, refusals, misses, worst
 error-to-estimate ratio (with where), widest estimate relative to the
 reference (with where: an estimate can be honest and still too wide to
 check anything), total n_evals and the calls that did not converge.
-A last line checks gauss_2f1 itself: every (a, b, c, z) that reaches it
-from HYP on the grid and from one `appendix` suite run, with the worst
-relative error against mpmath's hyp2f1:
+The last lines check gauss_2f1 itself against mpmath's hyp2f1: the
+worst relative error over every (a, b, c, z) that reaches it from HYP on
+the grid and from one `appendix` suite run, then, for each of its two
+evaluators (the series and the log branch), the worst over a seeded grid
+of each family tests/test_hyp2f1.py sweeps: a = 1 with integer b in
+1..13 and c - b in 1..14, and the diagonal (p, p; p+1; z) for p = 2..12,
+each with z uniform on [-30, 0.9]:
 
     python tools/oracle_report.py
 
@@ -48,6 +52,8 @@ FIXED_XS = (
 NOT_A_BOUND = Route.ASYMPTOTIC
 # delta._hyp charges each 2F1 term 1e-14 of its size
 HYP_2F1_CHARGE = 1e-14
+FAMILY_DRAWS = 4000
+DIAGONAL_DRAWS = 200  # for each p
 
 
 def grid():
@@ -79,21 +85,72 @@ def gauss_2f1_args(points):
     return sorted(seen)
 
 
+def family_grid():
+    """Seeded (family, (a, b, c, z)) over the a = 1 and diagonal families."""
+    rng = random.Random(f"2f1:{SEED}")
+    args = []
+    for _ in range(FAMILY_DRAWS):
+        b = rng.randint(1, 13)
+        c = b + rng.randint(1, 14)
+        args.append(("a = 1", (1.0, float(b), float(c), rng.uniform(-30.0, 0.9))))
+    for p in range(2, 13):
+        for _ in range(DIAGONAL_DRAWS):
+            z = rng.uniform(-30.0, 0.9)
+            args.append(("diagonal", (float(p), float(p), p + 1.0, z)))
+    return args
+
+
+def relative_error(a, b, c, z):
+    ref = reference.mpmath.hyp2f1(a, b, c, z)
+    return float(abs(hyp2f1.gauss_2f1(a, b, c, z) - ref) / abs(ref))
+
+
+def by_evaluator(args):
+    """{(family, evaluator): [(error, arg), ...]}, the evaluator ("series"
+    or "log branch") being the one that made gauss_2f1's value."""
+    inner = hyp2f1._log_branch
+    used = []
+
+    def recording(b, c, z):
+        used.append(True)
+        return inner(b, c, z)
+
+    out = {}
+    hyp2f1._log_branch = recording
+    try:
+        for family, arg in args:
+            used.clear()
+            err = relative_error(*arg)
+            key = (family, "log branch" if used else "series")
+            out.setdefault(key, []).append((err, arg))
+    finally:
+        hyp2f1._log_branch = inner
+    return out
+
+
+def worst(errors):
+    return max(errors, key=lambda e: e[0])
+
+
 def check_2f1(points):
-    """Print the 2F1 line; True if some value is off by over the charge."""
-    mpmath = reference.mpmath
-    worst = (0.0, None)
+    """Print the 2F1 lines; True if some value is off by over the charge."""
     args = gauss_2f1_args(points)
-    with mpmath.workdps(30):
-        for a, b, c, z in args:
-            ref = mpmath.hyp2f1(a, b, c, z)
-            err = float(abs(hyp2f1.gauss_2f1(a, b, c, z) - ref) / abs(ref))
-            worst = max(worst, (err, (a, b, c, z)))
+    with reference.mpmath.workdps(30):
+        found = worst([(relative_error(*arg), arg) for arg in args])
+        families = by_evaluator(family_grid())
     print(
-        f"{'2F1':<10}  values {len(args):4d}  worst {worst[0]:.3g} relative "
-        f"at (a, b, c, z) = {worst[1]!r}"
+        f"{'2F1':<10}  values {len(args):4d}  worst {found[0]:.3g} relative "
+        f"at (a, b, c, z) = {found[1]!r}"
     )
-    return worst[0] > HYP_2F1_CHARGE
+    failed = found[0] > HYP_2F1_CHARGE
+    for (family, name), errors in sorted(families.items()):
+        err, at = worst(errors)
+        print(
+            f"{'2F1 grid':<10}  {family:<8}  {name:<10}  values {len(errors):4d}  "
+            f"worst {err:.3g} relative at (a, b, c, z) = {at!r}"
+        )
+        failed |= err > HYP_2F1_CHARGE
+    return failed
 
 
 def main():
