@@ -20,11 +20,11 @@ import sys
 import time
 
 from . import verify
+from ._ddarith import X_MAX
 from .delta import (
     MAX_DERIV_ORDER,
     Route,
     check_complete_monotonicity,
-    default_route,
     delta,
     delta_deriv,
 )
@@ -110,12 +110,6 @@ def _check_writable(path):
         raise _CliError(f"cannot write {path}")
 
 
-def _route_for(name, m, x):
-    if name == "AUTO":
-        return default_route(m, x)
-    return Route[name]
-
-
 def _grid(start, stop, count, log_spacing):
     for flag, value in (("--start", start), ("--stop", stop)):
         if not math.isfinite(value):
@@ -138,15 +132,17 @@ def _grid(start, stop, count, log_spacing):
 def _delta_point(x):
     """D(x), a bound on its error, and the route that produced it.
 
-    ln_gamma and its Taylor form are good to 3.6 ulps of D (mpmath,
-    60,000 draws over -1 < x <= 1e300, a fifth of them on
-    0.125 <= |x| <= 1.5, against ln Gamma at the rounded x + 1), charged
-    as 6.  From |x| = 0.125 on, D is ln Gamma(x + 1)/x, and rounding
-    x + 1 moves ln Gamma by up to |psi(x + 1)| ulp(x + 1)/2, which
-    dominates near D's zero at x = 1.
+    On |x| <= X_MAX = 0.26 D is the Taylor form of ln Gamma(1 + x)
+    divided by x, labelled SERIES: within 1.2 ulps of D on 20,000 mpmath
+    draws over 0.125 <= |x| <= 0.26.  Past it D is ln Gamma(x + 1)/x,
+    labelled CLOSED: ln_gamma is good to 3.6 ulps of D there (mpmath,
+    60,000 draws over -1 < x <= 1e300, against ln Gamma at the rounded
+    x + 1).  Both are charged 6 ulps.  Past the seam rounding x + 1 also
+    moves ln Gamma by up to |psi(x + 1)| ulp(x + 1)/2, which dominates
+    near D's zero at x = 1.
     """
     value = delta(x)
-    route = default_route(0, x)
+    route = Route.SERIES if abs(x) <= X_MAX else Route.CLOSED
     err = 6.0 * abs(value)
     if route is Route.CLOSED:
         err += 2.0 * abs((x + 1.0) * polygamma(0, x + 1.0) / x)
@@ -160,9 +156,10 @@ def _cmd_eval(args):
         line = (fmt17(value), fmt17(err), route.value, "1")
         converged = True
     else:
-        route = _route_for(args.route, args.m, args.x)
-        r = delta_deriv(args.m, args.x, route, cfg)
-        line = (fmt17(r.value), fmt17(r.abs_err_est), r.route.value, str(r.n_evals))
+        requested = None if args.route == "AUTO" else Route[args.route]
+        r = delta_deriv(args.m, args.x, requested, cfg)
+        route = r.route
+        line = (fmt17(r.value), fmt17(r.abs_err_est), route.value, str(r.n_evals))
         converged = r.converged
     print("\t".join(line))
     if not converged:
@@ -203,9 +200,9 @@ def _cmd_table(args):
             lines.append(f"{fmt17(x)},{used.value},{fmt17(value)},{fmt17(err)}")
             continue
         for name in names:
-            used = _route_for(name, args.m, x)
-            if x == 0.0 and used in (Route.CLOSED, Route.RECURRENCE):
-                used = Route.SERIES  # exact value at the removable point
+            used = None if name == "AUTO" else Route[name]
+            if x == 0.0 and used is Route.RECURRENCE:
+                used = Route.SERIES  # RECURRENCE divides by x
             r = delta_deriv(args.m, x, used)
             lines.append(
                 f"{fmt17(x)},{r.route.value},{fmt17(r.value)},{fmt17(r.abs_err_est)}"

@@ -307,14 +307,22 @@ class TestTable:
         assert lines[0] == "x,route,value,abs_err_est"
         rows = [line.split(",") for line in lines[1:]]
         assert len(rows) == 22
-        # grid-major, route-minor ordering; at the removable point x = 0 the
-        # CLOSED request is served by the exact-value route and labeled so
-        assert rows[0][1] == "SERIES" and rows[1][1] == "HURWITZ"
+        # grid-major, route-minor ordering; CLOSED answers at the removable
+        # point x = 0 itself
+        assert rows[0][1] == "CLOSED" and rows[1][1] == "HURWITZ"
         assert rows[2][1] == "CLOSED"
         assert float(rows[0][0]) == float(rows[1][0]) == 0.0
         for i in range(0, 22, 2):
             a, b = float(rows[i][2]), float(rows[i + 1][2])
             assert abs(a - b) <= max(1e-8 * max(abs(a), abs(b)), 1e-10)
+        # RECURRENCE divides by x, so its column at 0 is served by SERIES
+        rc, out, _ = run_cli(
+            capsys,
+            "table", "--fn", "deriv", "--m", "2",
+            "--start", "0", "--stop", "0", "--count", "1", "--routes", "RECURRENCE",
+        )
+        assert rc == 0
+        assert out.splitlines()[1].split(",")[1] == "SERIES"
 
     def test_single_point(self, capsys):
         rc, out, _ = run_cli(
@@ -424,8 +432,7 @@ class TestTable:
 
     @pytest.mark.parametrize("x", ["1e-06", "-0.05", "0.2", "3"])
     def test_default_routes_are_auto(self, capsys, x):
-        # near 0 AUTO takes SERIES, where double-double CLOSED at m = 8
-        # keeps nothing of the value (it printed 0 at x = 1e-6)
+        # AUTO is CLOSED at every x, in `table` as in `eval`
         rc, out, _ = run_cli(
             capsys,
             "table", "--fn", "deriv", "--m", "8",
@@ -445,6 +452,7 @@ class TestTable:
         )
         value, err, route, _ = eval_out.split("\t")
         assert row[1:] == [route, value, err]
+        assert route == "CLOSED"
 
     def test_auto_route_near_zero_is_accurate(self, capsys, mp_deriv):
         rc, out, _ = run_cli(
@@ -454,7 +462,7 @@ class TestTable:
         )
         assert rc == 0
         x, route, value, err = out.splitlines()[1].split(",")
-        assert route == "SERIES"
+        assert route == "CLOSED"
         exact = mp_deriv(8, float(x))
         assert abs(float(value) - exact) <= float(err) <= 1e-12 * abs(exact)
 

@@ -1,12 +1,14 @@
-"""CLOSED on the double kernels (|x| >= 0.125): its estimate against a
-high-precision oracle over the seam band 0.125 <= |x| < 0.28 and beyond,
-RECURRENCE built on it, and the range of x both routes serve: CLOSED
-refuses where x^(m+1) overflows, and RECURRENCE also where m/x does."""
+"""CLOSED and RECURRENCE built on it, against a high-precision oracle
+over 0.125 <= |x| < 0.28, on both sides of the Taylor seam at 0.26, and
+beyond on the double kernels; the band below the seam, where both are
+sharp; and the range of x both routes serve: CLOSED refuses where
+x^(m+1) overflows, and RECURRENCE also where m/x does."""
 
 import random
 
 import pytest
 
+from nlgamma._ddarith import X_MAX
 from nlgamma.delta import Route, delta_deriv
 
 
@@ -49,6 +51,25 @@ def _misses(route, draws, mp_deriv, cache):
 @pytest.mark.parametrize("route", [Route.CLOSED, Route.RECURRENCE], ids=lambda r: r.value)
 def test_estimate_covers_the_error(route, region, mp_deriv, reference):
     assert _misses(route, DRAWS[region], mp_deriv, reference) == []
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_band_below_the_seam_is_sharp(m, mp_deriv):
+    # on 0.125 <= |x| <= 0.26 CLOSED sums the collected series: its
+    # estimate is under 2e-13 of the value (the double kernels left
+    # 1.4e-2 at m = 12, x = 0.125), and RECURRENCE over it is within
+    # 1e-12 of the value
+    rng = random.Random(9200 + m)
+    xs = [X_MAX, -X_MAX, 0.125, -0.125]
+    xs += [rng.choice((1.0, -1.0)) * rng.uniform(0.125, X_MAX) for _ in range(20)]
+    for x in xs:
+        exact = mp_deriv(m, x)
+        r = delta_deriv(m, x, Route.CLOSED)
+        assert abs(r.value - exact) <= r.abs_err_est <= 2e-13 * abs(exact), (m, x)
+        if m >= 2:
+            r = delta_deriv(m, x, Route.RECURRENCE)
+            assert abs(r.value - exact) <= r.abs_err_est, (m, x)
+            assert abs(r.value - exact) <= 1e-12 * abs(exact), (m, x)
 
 
 @pytest.mark.parametrize(

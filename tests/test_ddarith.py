@@ -1,7 +1,7 @@
-"""CLOSED below |x| = 0.125: the collected Leibniz coefficients (the
+"""CLOSED on |x| <= 0.26: the collected Leibniz coefficients (the
 bracket identity, the polygamma Taylor weights they are built from, and
 their rounding), and the values and estimates against high-precision
-oracles down to |x| = 5e-324."""
+oracles from the seam down to |x| = 5e-324 and at x = 0."""
 
 import math
 import os
@@ -107,41 +107,58 @@ def test_tables_are_built_lazily_and_stay_small():
     assert proc.stdout.strip() == "0"
     _ddarith._table.cache_clear()
     delta_deriv(1, 0.5)
-    delta_deriv(3, 0.2, Route.CLOSED)
+    delta_deriv(3, 0.5, Route.CLOSED)
     assert _ddarith._table.cache_info().currsize == 0
-    delta_deriv(3, 0.05, Route.CLOSED)
+    delta_deriv(3, 0.2, Route.CLOSED)
     assert _ddarith._table.cache_info().currsize == 1
     assert sum(len(_ddarith._table(m)[0]) for m in range(1, 13)) <= 1000
 
 
-@pytest.mark.parametrize("x", [0.0, 0.13, -0.2, math.inf, math.nan])
+@pytest.mark.parametrize(
+    "x", [0.0, 0.13, -0.2, 0.27, -0.3, math.inf, -math.inf, math.nan]
+)
 def test_domain(x):
-    with pytest.raises(ValueError, match=r"CLOSED needs 0 < \|x\|"):
-        _ddarith.closed_product_rule_dd(3, x)
+    # the whole disc |x| <= 0.26 is served, the removable point included;
+    # everything else is refused
+    if abs(x) <= _ddarith.X_MAX:
+        value, err = _ddarith.closed_product_rule_dd(3, x)
+        assert math.isfinite(value) and 0.0 < err <= 1e-13 * abs(value)
+    else:
+        with pytest.raises(ValueError, match=r"CLOSED needs \|x\| <= 0.26"):
+            _ddarith.closed_product_rule_dd(3, x)
 
 
 def test_seam_point_uses_the_top_table_row():
-    value, err = _ddarith.closed_product_rule_dd(2, 0.125)
-    closed = delta_deriv(2, 0.125, Route.CLOSED)  # the double kernels
-    assert abs(value - closed.value) <= err + closed.abs_err_est
+    # CLOSED takes the table at +-0.26 itself and the double kernels one
+    # double further out; both are honest, so they agree within the sum
+    for m, x in ((m, s * _ddarith.X_MAX) for m in (2, 12) for s in (1.0, -1.0)):
+        value, err = _ddarith.closed_product_rule_dd(m, x)
+        assert delta_deriv(m, x, Route.CLOSED).value == value
+        closed = delta_deriv(m, math.nextafter(x, 2.0 * x), Route.CLOSED)
+        assert abs(value - closed.value) <= err + closed.abs_err_est, (m, x)
 
 
 def test_region_zero_is_bounded_and_sharp(mp_taylor_deriv):
-    # seeded draws log-uniform on 1e-6 <= |x| < 0.125, the edges of the
-    # double range, and the seam itself: the estimate bounds the error and
-    # is under 1e-13 of the value, which is never 0
+    # seeded draws log-uniform on 1e-6 <= |x| < 0.125 and uniform on
+    # 0.125 <= |x| <= 0.26, the edges of the double range, x = 0 and the
+    # seam itself: the estimate bounds the error and is under 1e-13 of the
+    # value below 0.125 and under 2e-13 up to the seam (1.48e-13 at m = 12,
+    # x = 0.26); the value is never 0
     rng = random.Random(99)
     points = []
     for _ in range(300):
         mag = math.exp(rng.uniform(math.log(1e-6), math.log(0.125)))
         points.append((rng.randint(1, 12), rng.choice((1.0, -1.0)) * mag))
-    edges = (0.125, 1e-25, 1e-300, 5e-324)
+    for _ in range(150):
+        mag = rng.uniform(0.125, _ddarith.X_MAX)
+        points.append((rng.randint(1, 12), rng.choice((1.0, -1.0)) * mag))
+    edges = (_ddarith.X_MAX, 0.125, 1e-25, 1e-300, 5e-324, 0.0)
     points += [(m, s * a) for m in (1, 2, 7, 12) for a in edges for s in (1.0, -1.0)]
     for m, x in points:
         value, err = _ddarith.closed_product_rule_dd(m, x)
-        if abs(x) < _ddarith.X_MAX:
-            r = delta_deriv(m, x, Route.CLOSED)
-            assert (r.value, r.abs_err_est, r.n_evals) == (value, err, m + 1)
+        r = delta_deriv(m, x, Route.CLOSED)
+        assert (r.value, r.abs_err_est, r.n_evals) == (value, err, m + 1)
         assert value != 0.0
         assert abs(value - mp_taylor_deriv(m, x)) <= err, (m, x)
-        assert err <= 1e-13 * abs(value), (m, x, err / abs(value))
+        rel = 1e-13 if abs(x) <= 0.125 else 2e-13
+        assert err <= rel * abs(value), (m, x, err / abs(value))

@@ -17,7 +17,6 @@ from nlgamma.delta import (
     _recurrence,
     asymptotic_leading,
     check_complete_monotonicity,
-    default_route,
     delta,
     delta_deriv,
     delta_deriv_at_one,
@@ -119,8 +118,8 @@ class TestRouteAgreement:
         assert delta_deriv(2, 2.0**53 - 1.0, Route.HYP).converged
 
     def test_route_preconditions(self):
-        with pytest.raises(ValueError):
-            delta_deriv(1, 0.0, Route.CLOSED)
+        # CLOSED answers at the removable point x = 0
+        assert delta_deriv(1, 0.0, Route.CLOSED).route is Route.CLOSED
         with pytest.raises(ValueError):
             delta_deriv(1, -0.5, Route.LAPLACE)
         with pytest.raises(ValueError):
@@ -142,9 +141,8 @@ class TestRouteAgreement:
             delta_deriv(1, math.inf, route)
 
     def test_default_route_selection(self):
-        assert default_route(1, 0.0) is Route.SERIES
-        assert default_route(1, 0.1) is Route.SERIES
-        assert default_route(1, 0.2) is Route.CLOSED
+        for x in (0.0, 0.1, 0.2, 5.0):
+            assert delta_deriv(1, x).route is Route.CLOSED, x
 
     def test_recurrence_route_value(self):
         r = delta_deriv(2, 1.0, Route.RECURRENCE)
@@ -164,7 +162,8 @@ class TestSpecialValues:
             * CONSTANTS.zeta_values[m + 1]
             / (m + 1.0)
         )
-        for route in (Route.SERIES, Route.HURWITZ, Route.HYP, Route.LAPLACE):
+        routes = (Route.CLOSED, Route.SERIES, Route.HURWITZ, Route.HYP, Route.LAPLACE)
+        for route in routes:
             assert rel(delta_deriv(m, 0.0, route).value, exact) < 1e-11, route
 
     def test_first_derivative_at_one(self):

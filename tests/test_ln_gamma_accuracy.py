@@ -1,7 +1,7 @@
 """The Taylor form of ln Gamma around 1 and 2, in ulps against mpmath.
 
 The kernel's zone [0.5, 2.5], the downward shift from (2.5, 8) into it
-and D(x) = ln Gamma(1+x)/x below the |x| = 0.125 seam all read it.  The
+and D(x) = ln Gamma(1+x)/x up to the |x| = 0.26 seam all read it.  The
 bounds pin the figures measured when the zeta table became the correctly
 rounded one and x = 1.5 moved to the expansion around 2, and when (2.5, 8)
 moved from the upward shift to Stirling to the downward one; they sit
@@ -79,3 +79,15 @@ def test_delta_below_seam():
         ]
     assert statistics.mean(errs) <= 0.28
     assert max(errs) <= 1.2
+
+
+def test_delta_in_the_band():
+    # 0.125 <= |x| <= 0.26 takes the Taylor form too; as ln Gamma(x+1)/x
+    # it was 7.0 ulps off at worst (20,000 draws), now 1.16
+    with mp.workdps(40):
+        errs = [
+            _ulps(delta(s * x), mp.loggamma(1 + mp.mpf(s * x)) / (s * x))
+            for x in _grid(0.125, 0.26, 1001)
+            for s in (1.0, -1.0)
+        ]
+    assert max(errs) <= 2.0

@@ -217,13 +217,13 @@ class TestExactReplay:
         quadrature, _, ei_form = integral_delta()
         squared, _ = integral_delta_squared()
         assert self._row(quadrature) == (
-            -0.256874522388739, 7.56610331414231e-17, 42, True
+            -0.25687452238873903, 6.580780379787484e-17, 42, True
         )
         assert self._row(ei_form) == (
             -0.25687452238873903, 2.091067890283914e-15, 147, True
         )
         assert self._row(squared) == (
-            0.09311399418229539, 2.5561692740366306e-17, 42, True
+            0.09311399418229539, 1.8622798836459078e-17, 42, True
         )
 
     @pytest.mark.parametrize("name", sorted(FINITE))

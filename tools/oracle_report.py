@@ -4,9 +4,9 @@
 The grid is 400 (m, x) draws made as perfbench's cross-check workload
 makes them at seed 777 (m uniform on 1..12, x from its four regions),
 plus m in {1, 2, 3, 5, 8, 12} at 17 fixed x from -1 + 1e-12 to 1e6,
-the seams at |x| = 0.125 and 0.26 included.  Every route is tried at
-every point; a domain refusal (ValueError) counts as refused, not as a
-value.  A value misses when |value - reference| > abs_err_est, the
+the Taylor seam at |x| = 0.26 and the old one at 0.125 included.  Every
+route is tried at every point; a domain refusal (ValueError) counts as
+refused, not as a value.  A value misses when |value - reference| > abs_err_est, the
 reference being perfbench/reference.py's mpmath value of D^(m)(x).  One
 line per route gives its values, refusals, misses, worst
 error-to-estimate ratio (with where), widest estimate relative to the
@@ -23,9 +23,11 @@ each with z uniform on [-30, 0.9]:
     python tools/oracle_report.py
 
 The exit code is 1 if a route other than ASYMPTOTIC, whose estimate is
-not a bound, misses or fails to converge, or if a 2F1 value is off by
-more than 1e-14 relative (the charge the HYP route puts on its 2F1
-terms); 2 without mpmath.
+not a bound, misses, fails to converge or has an estimate wider than
+1e-6 of the reference (so the Taylor seam cannot quietly move back, nor
+a route turn honest but useless), or if a 2F1 value is off by more than
+1e-14 relative (the charge the HYP route puts on its 2F1 terms); 2
+without mpmath.
 """
 
 import math
@@ -50,6 +52,8 @@ FIXED_XS = (
 )
 # its estimate is |refined - lead|, not a bound
 NOT_A_BOUND = Route.ASYMPTOTIC
+# the widest abs_err_est/|reference| a bounded route may have anywhere
+WIDEST_MAX = 1e-6
 # delta._hyp charges each 2F1 term 1e-14 of its size
 HYP_2F1_CHARGE = 1e-14
 FAMILY_DRAWS = 4000
@@ -185,7 +189,8 @@ def main():
             f"widest {widest[0]:.3g} at m={widest[1]} x={widest[2]!r}  "
             f"evals {evals}  unconverged {unconverged}"
         )
-        if route is not NOT_A_BOUND and (misses or unconverged):
+        too_wide = widest[0] > WIDEST_MAX
+        if route is not NOT_A_BOUND and (misses or unconverged or too_wide):
             failed = True
     failed |= check_2f1(points)
     print(f"{len(points)} points, {len(refs)} distinct; seed {SEED}")

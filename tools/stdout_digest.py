@@ -29,7 +29,9 @@ COMMANDS = [
     *(f"verify --suite {s} --tol 1e-6" for s in sorted(verify.SUITES)),
     *(
         f"eval --fn delta --x {x}"
-        for x in ("-0.999999", "-0.3", "0", "0.13", "0.9", "1.5", "2.5", "8", "1e100")
+        for x in (
+            "-0.999999", "-0.3", "0", "0.13", "0.26", "0.9", "1.5", "2.5", "8", "1e100"
+        )
     ),
     *(
         f"eval --fn deriv --m {m} --x {x} --route {route}"
@@ -42,6 +44,8 @@ COMMANDS = [
             (6, "-0.2", "RECURRENCE"),
             (5, "0.01", "CLOSED"),
             (12, "1e-25", "CLOSED"),
+            (12, "0", "AUTO"),
+            (12, "-0.25", "AUTO"),
             (12, "1e24", "CLOSED"),
             (1, "1e160", "CLOSED"),
             (3, "2.5", "HURWITZ"),
