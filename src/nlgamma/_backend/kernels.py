@@ -10,9 +10,13 @@ quad.integrate_finite calls once per panel; it looks up the constants
 that depend on m (or s) alone once, from a small cache, and loops over
 the nodes itself.  The scalar forms, hurwitz_zeta and trunc_exp_factor
 among them, are those loops at one node.  The Hurwitz-zeta, E_m and ln
-Gamma Taylor sums fix their length before summing, from a proven bound
-on what they leave out (under 2^-60 of the value), and are Horner passes
-with no test per term.
+Gamma Taylor sums, and CLOSED's collected series in `_ddarith` (whose
+table sizes it with `_geometric_limit`), fix their length before
+summing, from a proven bound on what they leave out (under 2^-60 of the
+value, or of its leading term), and are Horner passes with no test per
+term.  The Hurwitz-zeta values come from one loop, `_zeta_values`, over
+(s, plan) pairs and arguments: the HURWITZ panels pass one s and many
+a, CLOSED one a and every order it needs.
 
 zeta(k) and Euler's gamma come from the generated table in `_ddconsts`,
 the only one in the package; the Taylor form of ln Gamma around 1 and 2
@@ -205,7 +209,7 @@ def _zeta_taylor(s):
     coefs = [[] for _ in sizes]
     for k in range(max(sizes)):
         t = s + k
-        shifted = _zeta_values(t, _zeta_plan(t), [c + 1.0 for c in centres])
+        shifted = _zeta_values(((t, _zeta_plan(t)),), [c + 1.0 for c in centres])
         for j, size in enumerate(sizes):
             if k < size:
                 c = centres[j]
@@ -216,48 +220,51 @@ def _zeta_taylor(s):
     return tuple(tuple(reversed(c)) for c in coefs)
 
 
-def _zeta_values(s, plan, args):
-    """hurwitz_zeta(s, a) at each a in args, given _zeta_plan(s), as a list."""
-    top, limits, horners, sm1 = plan
-    neg_s = -s
-    low = 2.0 if s <= _TAYLOR_S_MAX else 0.0  # below it, the Taylor path
-    taylor = None
+def _zeta_values(pairs, args):
+    """hurwitz_zeta(s, a) for each (s, _zeta_plan(s)) in pairs and each a
+    in args, as one list, s-major: the HURWITZ panels pass one s and the
+    nodes, CLOSED one a = x + 1 and the orders s = m, ..., 2 it needs.
+    Each value is the one hurwitz_zeta(s, a) returns, bit for bit."""
     ceil, fsum, count = math.ceil, math.fsum, bisect.bisect_right
     out = []
-    for a in args:
-        if not a > 0.0:
-            raise ValueError(f"hurwitz_zeta: need a > 0, got {a}")
-        if a < low:
-            if taylor is None:
-                taylor = _zeta_taylor(s)
-            # zeta(s, a) = a^-s + zeta(s, 1 + a) for a < 1; b = a' - 1
-            # for the a' in [1, 2) evaluated, and a - 1 is exact
-            if a < 1.0:
-                b, head = a, a**neg_s
+    for s, (top, limits, horners, sm1) in pairs:
+        neg_s = -s
+        low = 2.0 if s <= _TAYLOR_S_MAX else 0.0  # below it, the Taylor path
+        taylor = None
+        for a in args:
+            if not a > 0.0:
+                raise ValueError(f"hurwitz_zeta: need a > 0, got {a}")
+            if a < low:
+                if taylor is None:
+                    taylor = _zeta_taylor(s)
+                # zeta(s, a) = a^-s + zeta(s, 1 + a) for a < 1; b = a' - 1
+                # for the a' in [1, 2) evaluated, and a - 1 is exact
+                if a < 1.0:
+                    b, head = a, a**neg_s
+                else:
+                    b, head = a - 1.0, 0.0
+                j = int(b * 8.0)
+                h = (j + 1) * 0.125 - b
+                p = 0.0
+                for c in taylor[j]:
+                    p = p * h + c
+                out.append(head + p)
+                continue
+            n = ceil(top - a)
+            if n > 0:
+                terms = [(a + k) ** neg_s for k in range(n)]
+                z = a + n
             else:
-                b, head = a - 1.0, 0.0
-            j = int(b * 8.0)
-            h = (j + 1) * 0.125 - b
-            p = 0.0
-            for c in taylor[j]:
-                p = p * h + c
-            out.append(head + p)
-            continue
-        n = ceil(top - a)
-        if n > 0:
-            terms = [(a + k) ** neg_s for k in range(n)]
-            z = a + n
-        else:
-            terms = []
-            z = a
-        w = 1.0 / z
-        w2 = w * w
-        h = 0.0
-        for c in horners[count(limits, z)]:
-            h = h * w2 + c
-        zs1 = z ** (1.0 - s)
-        terms.append(zs1 / sm1 + zs1 * w * (0.5 + w * h))
-        out.append(fsum(terms))
+                terms = []
+                z = a
+            w = 1.0 / z
+            w2 = w * w
+            h = 0.0
+            for c in horners[count(limits, z)]:
+                h = h * w2 + c
+            zs1 = z ** (1.0 - s)
+            terms.append(zs1 / sm1 + zs1 * w * (0.5 + w * h))
+            out.append(fsum(terms))
     return out
 
 
@@ -296,7 +303,7 @@ def hurwitz_zeta(s, a):
     Tiny a with large s can overflow the double range.  The plan and the
     Taylor table for the last 64 s are cached.
     """
-    return _zeta_values(s, _zeta_plan(s), (a,))[0]
+    return _zeta_values(((s, _zeta_plan(s)),), (a,))[0]
 
 
 def _taylor_plan(s, lower):
@@ -616,7 +623,7 @@ def hz_route_panel(m, x, nodes):
     """hz_route_integrand(m, x, u) at each u in nodes, as a list."""
     s = m + 1.0
     zetas = _zeta_values(
-        s, _zeta_plan(s), [x * u + 1.0 if u > 0.0 else 1.0 for u in nodes]
+        ((s, _zeta_plan(s)),), [x * u + 1.0 if u > 0.0 else 1.0 for u in nodes]
     )
     return [u**m * zeta if u > 0.0 else 0.0 for u, zeta in zip(nodes, zetas)]
 
@@ -638,5 +645,5 @@ def hz_route_reflected_panel(m, x, nodes):
     """
     s = m + 1.0
     xp1 = 1.0 + x
-    zetas = _zeta_values(s, _zeta_plan(s), [xp1 - x * t for t in nodes])
+    zetas = _zeta_values(((s, _zeta_plan(s)),), [xp1 - x * t for t in nodes])
     return [(1.0 - t) ** m * zeta for t, zeta in zip(nodes, zetas)]

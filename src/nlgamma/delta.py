@@ -22,6 +22,7 @@ of the derivatives (complete monotonicity of D').
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -106,6 +107,21 @@ def delta(x):
 # ---------------------------------------------------------------- routes
 
 
+@functools.lru_cache(maxsize=None)
+def _closed_row(m):
+    """What _closed needs of m alone, built on first use: the (s,
+    _zeta_plan(s)) pairs for s = m, ..., 2, the signed (s-1)! that turns
+    each zeta(s, x + 1) into psi^(s-1)(x + 1), and for each term j the
+    signed comb(m, j) and j!."""
+    orders = range(m - 1, 0, -1)
+    pairs = tuple((order + 1.0, kernels._zeta_plan(order + 1.0)) for order in orders)
+    scales = tuple((1.0 if order % 2 else -1.0) * math.factorial(order) for order in orders)
+    weights = tuple(
+        ((-1.0) ** j * math.comb(m, j), float(math.factorial(j))) for j in range(m + 1)
+    )
+    return pairs, scales, weights
+
+
 def _closed(m, x):
     """Leibniz expansion sum_j C(m,j) psi^(m-j-1)(x+1) (-1)^j j!/x^(j+1).
 
@@ -113,30 +129,30 @@ def _closed(m, x):
     = 0.26 _ddarith.closed_product_rule_dd sums the expansion collected
     by powers of x instead: every negative power has weight 0, and each
     power n >= 0 has one coefficient zeta(n+m+1) B(m, n), from a table
-    built once per m, summed by one Horner pass under a proven error
-    bound.  It answers at x = 0 (the limit (-1)^(m-1) m! zeta(m+1)/(m+1)
-    rounded once) and down to |x| = 5e-324.  Elsewhere the terms come
-    from the double kernels, and each is charged _CLOSED_TERM_REL of its
+    built once per m, summed by one Horner pass over as many terms as a
+    proven bound on the rest asks for at |x|, with a proven error bound.
+    It answers at x = 0 (the limit (-1)^(m-1) m! zeta(m+1)/(m+1) rounded
+    once) and down to |x| = 5e-324.  Elsewhere the terms come from the
+    double kernels: ln Gamma and the digamma at x + 1, and every
+    zeta(s, x + 1) from one _zeta_values call over the orders of
+    _closed_row(m), with each term's products in the per-term order
+    comb(m, j) psi j!/x^(j+1), so the values are those of one kernel call
+    per term, bit for bit.  Each term is charged _CLOSED_TERM_REL of its
     size for the kernel, the rounding of x + 1 and x^(j+1), and the
     products; x whose x^(m+1) overflows is refused.
     """
     if abs(x) <= _ddarith.X_MAX:
         value, err = _ddarith.closed_product_rule_dd(m, x)
         return EvalResult(value, err, Route.CLOSED, m + 1)
+    pairs, scales, weights = _closed_row(m)
+    a = x + 1.0
+    psis = [c * z for c, z in zip(scales, kernels._zeta_values(pairs, (a,)))]
+    psis += (kernels.digamma(a), kernels.ln_gamma(a))
     terms = []
     xpow = 1.0
-    for j in range(m + 1):
+    for (comb, fact), psi in zip(weights, psis):
         xpow *= x
-        order = m - j - 1
-        if order == -1:
-            psi = kernels.ln_gamma(x + 1.0)
-        elif order == 0:
-            psi = kernels.digamma(x + 1.0)
-        else:
-            sign = 1.0 if order % 2 else -1.0
-            psi = sign * math.factorial(order) * kernels.hurwitz_zeta(order + 1.0, x + 1.0)
-        term = math.comb(m, j) * psi * math.factorial(j) / xpow
-        terms.append(-term if j % 2 else term)
+        terms.append(comb * psi * fact / xpow)
     if math.isinf(xpow):
         raise ValueError(
             f"domain error: CLOSED needs x^(m+1) inside the double range, "

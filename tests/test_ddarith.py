@@ -3,6 +3,7 @@ bracket identity, the polygamma Taylor weights they are built from, and
 their rounding), and the values and estimates against high-precision
 oracles from the seam down to |x| = 5e-324 and at x = 0."""
 
+import bisect
 import math
 import os
 import random
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from nlgamma import _ddarith
-from nlgamma.delta import Route, delta_deriv
+from nlgamma.delta import Route, _closed_row, delta_deriv
 
 ORACLE_MS = (1, 2, 3, 5, 8, 12)
 # 16 log-spaced magnitudes in [1e-6, 0.125), both signs
@@ -89,8 +90,8 @@ def test_coefficients_match_the_exact_series():
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
         for m in range(1, 13):
-            coefs, _ = _ddarith._table(m)
-            assert len(coefs) == _ddarith.K_MAX - m
+            coefs, limits, _ = _ddarith._table(m)
+            assert len(coefs) == len(limits) <= _ddarith.K_MAX - m
             for n, a in enumerate(reversed(coefs)):
                 k = n + m + 1
                 exact = mpmath.zeta(k) * math.perm(k - 1, m) / k
@@ -99,19 +100,38 @@ def test_coefficients_match_the_exact_series():
 
 
 def test_tables_are_built_lazily_and_stay_small():
+    # nothing at import; x = 0.5 builds CLOSED's double-kernel row for m
+    # and no table, x = 0.2 one table
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    probe = "import nlgamma._ddarith as d; print(d._table.cache_info().currsize)"
+    probe = (
+        "import nlgamma._ddarith as d; from nlgamma.delta import _closed_row as r; "
+        "print(d._table.cache_info().currsize, r.cache_info().currsize)"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
-    assert proc.stdout.strip() == "0"
+    assert proc.stdout.split() == ["0", "0"]
     _ddarith._table.cache_clear()
+    _closed_row.cache_clear()
     delta_deriv(1, 0.5)
     delta_deriv(3, 0.5, Route.CLOSED)
     assert _ddarith._table.cache_info().currsize == 0
+    assert _closed_row.cache_info().currsize == 2
     delta_deriv(3, 0.2, Route.CLOSED)
     assert _ddarith._table.cache_info().currsize == 1
     assert sum(len(_ddarith._table(m)[0]) for m in range(1, 13)) <= 1000
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_length_limits_ascend_to_the_seam(m):
+    # N terms serve |x| <= limits[N-1]; the last length serves the seam
+    coefs, limits, floors = _ddarith._table(m)
+    assert len(coefs) == len(limits) == len(floors)
+    assert all(a <= b for a, b in zip(limits, limits[1:]))
+    assert limits[-1] >= _ddarith.X_MAX and limits[-2] < _ddarith.X_MAX
+    # a_0 alone at x = 0, a few terms at 1e-6
+    assert limits[0] > 0.0
+    assert bisect.bisect_left(limits, 1e-6) + 1 <= 5
 
 
 @pytest.mark.parametrize(

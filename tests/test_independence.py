@@ -5,9 +5,10 @@ The routes cross-check one another only where they do not share the
 code under test.  sys.setprofile records every top-level function of
 the kernel layers (`_backend.kernels`, `_ddarith`, `hyp2f1`, `quad`) that
 a route calls, at any depth, on a grid of m and x covering the four
-regions the benchmark draws from.  Every cache in those modules is
-cleared before each call, so a table builder shows up whichever route
-asks for it first.  A change that makes two routes share a function must
+regions the benchmark draws from.  Every cache in those modules, and
+CLOSED's per-m row in `delta`, which holds zeta plans, is cleared before
+each call, so a table builder shows up whichever route asks for it
+first.  A change that makes two routes share a function must
 edit SHARED below, so the new sharing shows in its diff.
 """
 
@@ -18,7 +19,7 @@ import pytest
 
 from nlgamma import _ddarith, hyp2f1, quad
 from nlgamma._backend import kernels
-from nlgamma.delta import Route, delta_deriv
+from nlgamma.delta import Route, _closed_row, delta_deriv
 
 MODULES = {"kernels": kernels, "_ddarith": _ddarith, "hyp2f1": hyp2f1, "quad": quad}
 # region of the benchmark: (x, ...); 0: |x| < 0.125, 1: the seam band
@@ -41,12 +42,12 @@ SHARED = {
     "_ddarith._table": {"CLOSED", "RECURRENCE"},
     "_ddarith._weight": {"CLOSED", "RECURRENCE"},
     "_ddarith.closed_product_rule_dd": {"CLOSED", "RECURRENCE"},
+    "kernels._geometric_limit": {"CLOSED", "LAPLACE", "RECURRENCE"},  # sizes, no value
     "kernels._stirling_lgam": {"CLOSED", "RECURRENCE"},
     "kernels._zeta_plan": {"CLOSED", "HURWITZ", "RECURRENCE"},
     "kernels._zeta_taylor": {"CLOSED", "HURWITZ", "RECURRENCE"},
     "kernels._zeta_values": {"CLOSED", "HURWITZ", "RECURRENCE"},
     "kernels.digamma": {"ASYMPTOTIC", "CLOSED", "HYP", "RECURRENCE"},
-    "kernels.hurwitz_zeta": {"CLOSED", "RECURRENCE"},
     "kernels.ln_gamma": {"CLOSED", "RECURRENCE"},
     "kernels.ln_gamma_taylor": {"CLOSED", "RECURRENCE"},
     "quad._panel": {"HURWITZ", "HYP", "LAPLACE"},
@@ -73,7 +74,7 @@ def _reached(call):
     """The tracked names call() reaches, or None if it raised ValueError
     (the route does not apply there)."""
     codes, caches = _tracked()
-    for cache in caches:
+    for cache in (*caches, _closed_row):
         cache.cache_clear()
     seen = set()
 

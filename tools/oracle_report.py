@@ -4,7 +4,14 @@
 The grid is 400 (m, x) draws made as perfbench's cross-check workload
 makes them at seed 777 (m uniform on 1..12, x from its four regions),
 plus m in {1, 2, 3, 5, 8, 12} at 17 fixed x from -1 + 1e-12 to 1e6,
-the Taylor seam at |x| = 0.26 and the old one at 0.125 included.  Every
+the Taylor seam at |x| = 0.26 and the old one at 0.125 included, plus,
+for m in {1, 6, 12}, each x in [1e-6, 0.26) at which CLOSED's collected
+series changes length (the largest x it sums with N terms, and the next
+double, with N + 1).  Below 1e-6, where the fixed grid and the benchmark's
+draws stop too, RECURRENCE's (m/x) D^(m-1) step leaves an honest estimate
+wider than the 1e-6 gate below (3.7e4 of the value at m = 12, x = 7e-20);
+tests/test_closed.py checks CLOSED and RECURRENCE at every length-change
+point, the tiny ones included.  Every
 route is tried at every point; a domain refusal (ValueError) counts as
 refused, not as a value.  A value misses when |value - reference| > abs_err_est, the
 reference being perfbench/reference.py's mpmath value of D^(m)(x).  One
@@ -40,7 +47,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import reference  # noqa: E402
 import workloads  # noqa: E402
-from nlgamma import hyp2f1, verify  # noqa: E402
+from nlgamma import _ddarith, hyp2f1, verify  # noqa: E402
 from nlgamma.delta import Route, delta_deriv  # noqa: E402
 
 SEED = 777
@@ -50,6 +57,8 @@ FIXED_XS = (
     -1.0 + 1e-12, -0.999, -0.9, -0.5, -0.26, -0.125, -0.01, -1e-6,
     1e-6, 0.01, 0.125, 0.26, 0.5, 1.0, 10.0, 1000.0, 1e6,
 )
+LENGTH_MS = (1, 6, 12)
+LENGTH_X_MIN = 1e-6
 # its estimate is |refined - lead|, not a bound
 NOT_A_BOUND = Route.ASYMPTOTIC
 # the widest abs_err_est/|reference| a bounded route may have anywhere
@@ -63,7 +72,16 @@ DIAGONAL_DRAWS = 200  # for each p
 def grid():
     draws = workloads.draws(random.Random(f"cross-check:{SEED}"))
     points = [next(draws)[:2] for _ in range(DRAWS)]
-    return points + [(m, x) for m in FIXED_MS for x in FIXED_XS]
+    points += [(m, x) for m in FIXED_MS for x in FIXED_XS]
+    for m in LENGTH_MS:
+        limits = _ddarith._table(m)[1]
+        points += [
+            (m, y)
+            for x in limits
+            if LENGTH_X_MIN <= x < _ddarith.X_MAX
+            for y in (x, math.nextafter(x, 1.0))
+        ]
+    return points
 
 
 def gauss_2f1_args(points):
