@@ -9,14 +9,18 @@ has a panel form, taking a list of nodes and returning their values, that
 quad.integrate_finite calls once per panel; it looks up the constants
 that depend on m (or s) alone once, from a small cache, and loops over
 the nodes itself.  The scalar forms, hurwitz_zeta and trunc_exp_factor
-among them, are those loops at one node.  The Hurwitz-zeta, E_m and ln
-Gamma Taylor sums, and CLOSED's collected series in `_ddarith` (whose
-table sizes it with `_geometric_limit`), fix their length before
-summing, from a proven bound on what they leave out (under 2^-60 of the
-value, or of its leading term), and are Horner passes with no test per
-term.  The Hurwitz-zeta values come from one loop, `_zeta_values`, over
-(s, plan) pairs and arguments: the HURWITZ panels pass one s and many
-a, CLOSED one a and every order it needs.
+among them, are those loops at one node.  HURWITZ's integrand has three
+panel forms, each reaching zeta through `_zeta_values`: in u
+(hz_route_panel), in s = 1 - u (hz_route_reflected_panel), and in
+v = ln(a/b) of the zeta argument a (hz_route_log_panel, which multiplies
+each node by its own Jacobian; it has no scalar form).  The
+Hurwitz-zeta, E_m and ln Gamma Taylor sums, and CLOSED's collected
+series in `_ddarith` (whose table sizes it with `_geometric_limit`),
+fix their length before summing, from a proven bound on what they leave
+out (under 2^-60 of the value, or of its leading term), and are Horner
+passes with no test per term.  The Hurwitz-zeta values come from one
+loop, `_zeta_values`, over (s, plan) pairs and arguments: the HURWITZ
+panels pass one s and many a, CLOSED one a and every order it needs.
 
 zeta(k) and Euler's gamma come from the generated table in `_ddconsts`,
 the only one in the package; the Taylor form of ln Gamma around 1 and 2
@@ -41,6 +45,7 @@ __all__ = [
     "ei_defect",
     "hurwitz_zeta",
     "hz_route_integrand",
+    "hz_route_log_panel",
     "hz_route_panel",
     "hz_route_reflected_panel",
     "laplace_integrand",
@@ -647,3 +652,28 @@ def hz_route_reflected_panel(m, x, nodes):
     xp1 = 1.0 + x
     zetas = _zeta_values(((s, _zeta_plan(s)),), [xp1 - x * t for t in nodes])
     return [(1.0 - t) ** m * zeta for t, zeta in zip(nodes, zetas)]
+
+
+def hz_route_log_panel(m, x, nodes):
+    """hz_route_integrand in v = ln(a/b), a = x u + 1 the zeta argument,
+    times the Jacobian, at each v in nodes, as a list: for x > 0, b = 1,
+    u = expm1(v)/x and du/dv = e^v/x; for x < 0, b = 1 + x (exact), the
+    reflected variable s = 1 - u = (1 + x) expm1(v)/|x| and
+    ds/dv = (1 + x) e^v/|x|.  Each node carries its own Jacobian, so no
+    factor |x|^(-m-1) is formed outside the sum (it leaves the double
+    range at large x); near the pole, v ~ 0, the zeta argument keeps full
+    relative precision as in hz_route_reflected_panel.
+    """
+    s = m + 1.0
+    exp, expm1 = math.exp, math.expm1
+    if x > 0.0:
+        scale = x
+        args = [exp(v) for v in nodes]
+        us = [expm1(v) / x for v in nodes]
+    else:
+        xp1 = 1.0 + x
+        scale = -x
+        args = [xp1 * exp(v) for v in nodes]
+        us = [1.0 - xp1 * expm1(v) / scale for v in nodes]
+    zetas = _zeta_values(((s, _zeta_plan(s)),), args)
+    return [u**m * zeta * (a / scale) for u, zeta, a in zip(us, zetas, args)]

@@ -5,7 +5,9 @@ cross-validate one another:
 CLOSED      Leibniz product rule over polygamma values (on |x| <= 0.26,
             where the terms cancel, collected by powers of x once per m).
             route=None, and the CLI's AUTO, mean CLOSED at every x.
-HURWITZ     m! * integral_0^1 u^m zeta(m+1, x u + 1) du, up to sign.
+HURWITZ     m! * integral_0^1 u^m zeta(m+1, x u + 1) du, up to sign; for
+            x > 1 and x < -1/2 in v = ln of the zeta argument, over a few
+            pieces of width 2.
 LAPLACE     integral_0^inf t^m/(e^t - 1) E_m(x t) dt (x >= 0).
 HYP         Gauss-2F1 representation plus a sawtooth-weighted integral.
 RECURRENCE  one-step reduction to order m-1 plus a Hurwitz zeta value.
@@ -55,6 +57,18 @@ MAX_DERIV_ORDER = 12
 # of the digamma at 1.4616) after the 2.2e-15 |value| charge; on 3,000
 # fresh draws the errors stay under 0.46 of the estimate.
 _CLOSED_TERM_REL = 4e-15
+
+# The widest seed piece of HURWITZ in v = ln(a/b).  zeta(m+1, a) has its
+# poles at a = 0, -1, -2, ..., which a = b e^v reaches only at v = -inf
+# and on Im v = +-pi, so the integrand in v is analytic on the strip
+# |Im v| < pi whatever x is.  The largest Bernstein ellipse of a piece of
+# width W = 2 (foci at its ends) inside that strip has semi-minor axis pi,
+# so rho = pi + sqrt(pi^2 + 1) = 6.4, and G10, exact through degree 19,
+# errs by about rho^-20 = 1.5e-16 of the integrand's size on it
+# (Trefethen, ATAP ch. 19): one K21 panel for each factor e^2 of
+# distance to the pole, where the doubling mesh in u spent one for each
+# factor 2.
+_HZ_PIECE_WIDTH = 2.0
 
 
 class Route(enum.Enum):
@@ -204,29 +218,51 @@ def _graded_mesh(pole, first, end):
 def _hurwitz(m, x, cfg):
     """(-1)^(m-1) m! integral_0^1 u^m zeta(m+1, x u + 1) du.
 
-    zeta(m+1, x u + 1) has its pole at u = -1/x, and the integrand a
-    layer at the end of [0, 1] nearest it: at u ~ 1/x for x > 0, and at
-    u = 1 for x < 0, where the integral runs in s = 1 - u instead.  The
-    mesh is graded from that end, so bisection need not find the layer
-    by itself.  The estimate carries a 2e-15 |value| rounding floor for
-    the kernel, the panel sums and the scaling.
+    zeta(m+1, x u + 1) has its pole at u = -1/x.  On -1/2 <= x <= 1,
+    x = 0 included, it is at least a unit interval away and [0, 1] is
+    one piece, in u for x >= 0 and in s = 1 - u for x < 0.  Further out
+    the integrand has a layer at the end nearest the pole, u ~ 1/x for
+    x > 1 and u = 1 for x < -1/2, whose width shrinks with distance to
+    the pole, so the integral runs in the log of the zeta argument:
+    a = e^v on [0, ln(1 + x)] for x > 1, and a = (1 + x) e^v on
+    [0, -ln(1 + x)] for x < -1/2 (kernels.hz_route_log_panel, each node
+    with its own Jacobian).  In v the layer has a fixed width, as the
+    integrand is analytic on |Im v| < pi for every x, so equal seed
+    pieces no wider than _HZ_PIECE_WIDTH = 2 do: about ln(x)/2 of them
+    against log2(x) graded ones in u.
+
+    The estimate carries a 2e-15 |value| rounding floor for the kernel,
+    the panel sums and the scaling, and one 2^-1074 per node times m!
+    for values that fall among the subnormals at huge x.  For x > 1 the
+    integrand grows about like e^v up to the top end V = ln(1 + x), so
+    the ulp by which log1p may miss V moves the integral by up to
+    f(V) V 2^-52; against mpmath (m = 1..12, 1 < x <= 1e291)
+    f(V) V/integral <= V + 0.7 m + 0.75, its largest at x -> 1, so
+    (m + 2 + V) 2^-52 |value| is charged.  For x < -1/2 the integrand is 0 at V.
     """
     local = quad.QuadConfig(
         rel_tol=min(cfg.rel_tol, 1e-11),
         abs_tol=5e-300,  # integrand is positive: drive purely by rel_tol
         max_subdivisions=cfg.max_subdivisions,
     )
-    if x < 0.0:
-        pole = (1.0 + x) / x  # where (1 + x) - x s = 0
-        f = lambda ss: kernels.hz_route_reflected_panel(m, x, ss)  # noqa: E731
+    top, breaks, top_ulps = 1.0, (), 0.0
+    if -0.5 <= x <= 1.0:
+        if x < 0.0:
+            f = lambda ss: kernels.hz_route_reflected_panel(m, x, ss)  # noqa: E731
+        else:
+            f = lambda us: kernels.hz_route_panel(m, x, us)  # noqa: E731
     else:
-        pole = -1.0 / x if x else -math.inf  # x = 0: no pole, no mesh
-        f = lambda us: kernels.hz_route_panel(m, x, us)  # noqa: E731
-    breaks = _graded_mesh(pole, -pole, 1.0)
-    r = quad.integrate_finite(f, 0.0, 1.0, local, breaks)
+        top = abs(math.log1p(x))
+        pieces = math.ceil(top / _HZ_PIECE_WIDTH)
+        breaks = [top * k / pieces for k in range(1, pieces)]
+        f = lambda vs: kernels.hz_route_log_panel(m, x, vs)  # noqa: E731
+        if x > 0.0:
+            top_ulps = m + 2.0 + top
+    r = quad.integrate_finite(f, 0.0, top, local, breaks)
     fact = math.factorial(m)
     value = _sign_for(m) * fact * r.value
-    err = fact * r.abs_err_est + 2e-15 * abs(value)
+    err = fact * (r.abs_err_est + r.n_evals * 2.0**-1074)
+    err += (2e-15 + top_ulps * 2.0**-52) * abs(value)
     return EvalResult(value, err, Route.HURWITZ, r.n_evals, r.converged)
 
 

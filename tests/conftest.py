@@ -5,7 +5,7 @@ import math
 import pytest
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def mp_deriv():
     """D^(m)(x) at 60 digits (mpmath; the test is skipped without it):
 

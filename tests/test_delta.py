@@ -7,8 +7,9 @@ from dataclasses import replace
 
 import pytest
 
-from nlgamma import quad, specfun
+from nlgamma import quad, specfun, verify
 from nlgamma._backend import kernels
+from nlgamma._ddarith import X_MAX
 from nlgamma.delta import (
     MAX_DERIV_ORDER,
     EvalResult,
@@ -92,6 +93,22 @@ class TestRouteAgreement:
                     assert abs(a.value - b.value) <= 10.0 * (
                         a.abs_err_est + b.abs_err_est
                     ), (m, x, a.route, b.route)
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_pair_budget(self, m):
+        # every pair of applicable routes within the sum of their
+        # estimates, on the routes suite's grid and out to 1e6 and -0.99
+        for x in (*verify.ROUTE_GRID_X, 1e3, 1e6, -0.99):
+            routes = [Route.CLOSED, Route.HURWITZ, Route.HYP]
+            if x >= 0.0:
+                routes.append(Route.LAPLACE)
+            if abs(x) <= X_MAX:
+                routes.append(Route.SERIES)
+            vals = [delta_deriv(m, x, r) for r in routes]
+            for i, a in enumerate(vals):
+                for b in vals[i + 1 :]:
+                    gap = abs(a.value - b.value)
+                    assert gap <= a.abs_err_est + b.abs_err_est, (m, x, a, b)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_taylor_consistency_small_x(self, m):
@@ -290,7 +307,7 @@ class TestConverged:
     # one split meets the default tolerances on these inputs, so TIGHT
     # also asks for rel_tol 1e-15 with no abs_tol, which the default
     # budget still meets
-    STRICT = {(Route.HURWITZ, 3, -0.9), (Route.LAPLACE, 3, 50.0)}
+    STRICT = {(Route.HURWITZ, 12, -0.9), (Route.LAPLACE, 3, 50.0)}
 
     @pytest.mark.parametrize(
         "route,m,x",
@@ -298,7 +315,7 @@ class TestConverged:
             (Route.HURWITZ, 12, -0.5),
             (Route.LAPLACE, 11, 0.3),
             (Route.HYP, 1, 0.5),
-            (Route.HURWITZ, 3, -0.9),
+            (Route.HURWITZ, 12, -0.9),
             (Route.LAPLACE, 3, 50.0),
         ],
     )

@@ -51,7 +51,7 @@ SHARED = {
     "kernels.ln_gamma": {"CLOSED", "RECURRENCE"},
     "kernels.ln_gamma_taylor": {"CLOSED", "RECURRENCE"},
     "quad._panel": {"HURWITZ", "HYP", "LAPLACE"},
-    "quad.graded_breaks": {"HURWITZ", "HYP", "LAPLACE"},
+    "quad.graded_breaks": {"HYP", "LAPLACE"},
     "quad.integrate_finite": {"HURWITZ", "HYP", "LAPLACE"},
 }
 

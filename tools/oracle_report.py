@@ -7,7 +7,8 @@ plus m in {1, 2, 3, 5, 8, 12} at 17 fixed x from -1 + 1e-12 to 1e6,
 the Taylor seam at |x| = 0.26 and the old one at 0.125 included, plus,
 for m in {1, 6, 12}, each x in [1e-6, 0.26) at which CLOSED's collected
 series changes length (the largest x it sums with N terms, and the next
-double, with N + 1).  Below 1e-6, where the fixed grid and the benchmark's
+double, with N + 1), plus HURWITZ's pinned points (HURWITZ_PINS) not
+already on it.  Below 1e-6, where the fixed grid and the benchmark's
 draws stop too, RECURRENCE's (m/x) D^(m-1) step leaves an honest estimate
 wider than the 1e-6 gate below (3.7e4 of the value at m = 12, x = 7e-20);
 tests/test_closed.py checks CLOSED and RECURRENCE at every length-change
@@ -59,6 +60,23 @@ FIXED_XS = (
 )
 LENGTH_MS = (1, 6, 12)
 LENGTH_X_MIN = 1e-6
+# HURWITZ's pins (tests/test_hurwitz.py): both sides of x = -1/2 and
+# x = 1, where its integral changes variable, 1 + x down to 1e-15, two
+# tiny x where a log-variable form misses, and x = 1e9, 1e12, where an
+# ulp of the top end ln(1 + x) shows
+HURWITZ_PINS = (
+    *(
+        (m, x)
+        for m in (1, 12)
+        for x in (
+            -0.5, math.nextafter(-0.5, -1.0), 1.0, math.nextafter(1.0, 2.0),
+            -1.0 + 1e-12, -1.0 + 1e-15,
+        )
+    ),
+    (11, 3.5256368629591095e-05),
+    (11, 3.682837372672322e-05),
+    *((m, x) for m in (1, 6, 12) for x in (1e9, 1e12)),
+)
 # its estimate is |refined - lead|, not a bound
 NOT_A_BOUND = Route.ASYMPTOTIC
 # the widest abs_err_est/|reference| a bounded route may have anywhere
@@ -81,7 +99,7 @@ def grid():
             if LENGTH_X_MIN <= x < _ddarith.X_MAX
             for y in (x, math.nextafter(x, 1.0))
         ]
-    return points
+    return points + [p for p in HURWITZ_PINS if p not in points]
 
 
 def gauss_2f1_args(points):
