@@ -271,6 +271,17 @@ def _laplace(m, x, cfg):
 
     E_m(x t) turns from 1/(m+1) to m!/(x t)^(m+1) around t = m/x, so the
     mesh doubles from t = min(m/x, 1) up to T.
+
+    Where the values fall among the subnormals (x^m past about 1e300), a
+    rounding costs up to 2^-1075 absolute, not a share of the value.  The
+    estimate adds (n_evals + 9 T) 2^-1074 for that: each node's last
+    product, weighted by at most T in all; the 31 roundings of each
+    panel's K21 sum, times its half-width, 7.75 T 2^-1074 over the mesh;
+    and each panel's scaling and the rounding of t^m over e^t - 1 near
+    t = 0, under 2^-1074 a node.  Rounding m!/(x t)^(m+1) among the
+    subnormals moves the value by at most (m + 1) 2^(-1074/(m+1)) of
+    itself, which the panels' 2e-16 sum |panel| covers unless that too is
+    under 2^-1074.
     """
     if x < 0.0:
         raise ValueError("LAPLACE route needs x >= 0")
@@ -290,6 +301,7 @@ def _laplace(m, x, cfg):
     )
     value = _sign_for(m) * r.value
     err = r.abs_err_est + kernels.laplace_tail_weight(m, x, big_t)
+    err += (r.n_evals + 9.0 * big_t) * 2.0**-1074
     return EvalResult(value, err, Route.LAPLACE, r.n_evals, r.converged)
 
 
@@ -303,6 +315,13 @@ def _hyp(m, x, cfg):
     z >= 0 f2 comes from f1 by it; for z < 0, where that subtraction
     would cancel, f1 comes from f2 (mpmath: within 5.1e-15 either way,
     under the 1e-14 charge).
+
+    Both are evaluated at z as rounded, up to 2^-52 |z| off (x + 1 and
+    the division), and at large x that moves the value more than the
+    1e-14 charge: 1.9e-14 relative at m = 12, x = 1.9e14.  By Euler's
+    integrals f1' <= f1/(1-z) and f2' <= m f1 for z < 1, so with
+    1 - z = 1/(x + 1) the terms move by at most 3 (x + 1) |term1| |dz|,
+    and 3 2^-52 |x term1| is charged for it.
     """
     z = x / (x + 1.0)
     if z == 1.0:
@@ -324,6 +343,7 @@ def _hyp(m, x, cfg):
     fact = math.factorial(m)
     value = _sign_for(m) * fact * (term1 + term2 - p.value)
     err = fact * (p.abs_err_est + 1e-14 * (abs(term1) + abs(term2)))
+    err += fact * 3.0 * 2.0**-52 * abs(x * term1)  # the rounding of z
     err += 4e-16 * abs(value)  # value already carries m!
     return EvalResult(value, err, Route.HYP, p.n_evals + 1, p.converged)
 

@@ -13,8 +13,9 @@ the defining series is positive: `_series` fixes its length from a proven
 bound on the rest (under 1e-17 of the sum) and sums it by one Horner
 pass.  For the a = 1 family with integer c - b, where that length passes
 _LOG_BRANCH_TERMS, `_log_branch` expands in 1 - z instead (DLMF 15.8.10).
-The diagonal family (p, p; p+1; z) takes the same path: after Pfaff and
-the b = 1 swap it is (1-z)^(-p) F(1, p; p+1; z/(z-1)).
+The diagonal family (p, p; p+1; z) takes the same path: for z < 0, after
+Pfaff and the b = 1 swap, it is (1-z)^(-p) F(1, p; p+1; z/(z-1)), and
+past z = 0.9, by Euler's transform, (1-z)^(1-p) F(1, 1; p+1; z).
 """
 
 from __future__ import annotations
@@ -205,8 +206,9 @@ def gauss_2f1(a, b, c, z):
     b <= 13 and c - b <= 14 within 2.5e-15 relative (20,000 draws), the
     diagonal (p, p; p+1; z) for p = 2..12 within 4.2e-15 (35,000 draws;
     for z < 0 the roundings of z/(z-1) and of (1-z)^(-p) add to the
-    evaluator's).  Past 0.9 the diagonal is a series thousands of terms
-    long, up to 1.2e-14 off by z = 0.999.  z = 1 needs c - a - b > 0.
+    evaluator's).  Past 0.9 the diagonal with p > 1 goes through Euler's
+    transform to (1, 1; p+1; z): within 3.0e-16 for p = 2..12 up to
+    z = 1 - 1e-15 (3,000 draws).  z = 1 needs c - a - b > 0.
     Raises ValueError outside the domain and ConvergenceError where the
     series would pass its term budget.
     """
@@ -228,6 +230,11 @@ def gauss_2f1(a, b, c, z):
         # Pfaff: (1-z)^(-a) F(a, c-b; c; z/(z-1)); keeps a = 1 in family
         w = z / (z - 1.0)
         return (1.0 - z) ** (-a) * gauss_2f1(a, c - b, c, w)
+    if z > 0.9 and a == b and c == a + 1.0 and a > 1.0:
+        # Euler: the diagonal is (1-z)^(1-p) F(1, 1; p+1; z), short or on
+        # the log branch, where its own series runs to thousands of terms;
+        # 1 - z is exact past z = 1/2
+        return (1.0 - z) ** (1.0 - a) * gauss_2f1(1.0, 1.0, c, z)
     # the log branch is exact for integer c - b only: allow the rounding of
     # c and b, not more (an offset of 9e-13 cost 6.8e-13 relative).  Where
     # w = 1 - z is not small, its bracket ln w - psi(1) + psi(b+m) and its

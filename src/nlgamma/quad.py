@@ -61,6 +61,9 @@ _GK21 = (
 # The 21 nodes in the order _panel reads them: the centre, then -xi, +xi
 # for each row.  mid + half * -xi is mid - half * xi exactly.
 _GK21_OFFSETS = (0.0, *(o for xi, _, _ in _GK21 for o in (-xi, xi)))
+# the K21 and G10 weights of the rows, in _GK21's order
+_GK21_K = tuple(wk for _, wk, _ in _GK21)
+_GK21_G = tuple(wg for _, _, wg in _GK21)
 # integrand values per panel, the unit of n_evals
 _PANEL_NODES = len(_GK21_OFFSETS)
 
@@ -107,16 +110,31 @@ class QuadResult:
 
 
 def _panel(f, a, b):
-    """K21 value with the |K21 - G10| error estimate (21 evals, one call)."""
+    """K21 value with the |K21 - G10| error estimate (21 evals, one call).
+
+    Both sums run over the pairs f(mid - half xi) + f(mid + half xi),
+    left to right from the centre's term and from 0.0 (every row, the
+    G10 weight 0 of a Kronrod-only node included), written out rather
+    than looped for speed.
+    """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    values = f([mid + half * o for o in _GK21_OFFSETS])
-    k21 = _GK21_CENTER * values[0]
-    g10 = 0.0
-    for (_, wk, wg), lo, hi in zip(_GK21, values[1::2], values[2::2]):
-        pair = lo + hi
-        k21 += wk * pair
-        g10 += wg * pair
+    (
+        v0, l1, h1, l2, h2, l3, h3, l4, h4, l5, h5,
+        l6, h6, l7, h7, l8, h8, l9, h9, l10, h10,
+    ) = f([mid + half * o for o in _GK21_OFFSETS])
+    k1, k2, k3, k4, k5, k6, k7, k8, k9, k10 = _GK21_K
+    g1, g2, g3, g4, g5, g6, g7, g8, g9, g10 = _GK21_G
+    p1, p2, p3, p4, p5 = l1 + h1, l2 + h2, l3 + h3, l4 + h4, l5 + h5
+    p6, p7, p8, p9, p10 = l6 + h6, l7 + h7, l8 + h8, l9 + h9, l10 + h10
+    k21 = (
+        _GK21_CENTER * v0 + k1 * p1 + k2 * p2 + k3 * p3 + k4 * p4 + k5 * p5
+        + k6 * p6 + k7 * p7 + k8 * p8 + k9 * p9 + k10 * p10
+    )
+    g10 = (
+        0.0 + g1 * p1 + g2 * p2 + g3 * p3 + g4 * p4 + g5 * p5
+        + g6 * p6 + g7 * p7 + g8 * p8 + g9 * p9 + g10 * p10
+    )
     return half * k21, abs(half * (k21 - g10))
 
 
@@ -193,9 +211,10 @@ def integrate_finite(f, a, b, cfg=DEFAULT_CONFIG, breakpoints=()):
     converged = True
     while True:
         panels = heap + frozen
-        total = math.fsum(item[3] for item in panels)
-        err_sum = math.fsum(-item[0] for item in panels)
-        abs_sum = math.fsum(abs(item[3]) for item in panels)
+        values = [item[3] for item in panels]
+        total = math.fsum(values)
+        err_sum = math.fsum([-item[0] for item in panels])
+        abs_sum = math.fsum(map(abs, values))
         total_err = err_sum + 2e-16 * abs_sum
         if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total), 4e-16 * abs(total)):
             break
@@ -239,8 +258,9 @@ _EM_WEIGHTS = (
 
 
 def _product_coefficient(series, n):
-    """Coefficient n of the product of the power series in `series`."""
-    acc = series[0][: n + 1]
+    """Coefficient n of the product of the power series in `series`: for
+    two, sum_i a_i b_(n-i) left to right, map stopping at b's n + 1."""
+    acc = series[0]
     if len(series) == 1:
         return acc[n]
     for r in series[1:-1]:
@@ -265,16 +285,26 @@ def _sawtooth_tail(parts, factors, x, tol):
     that sum is the bound.  Once the ratio r of the last two sizes gives
     size r^(terms left) > tol, None is returned: x is still too close to
     the poles.  (For B_1 alone the sizes are log-convex in N, so no later
-    N could meet tol; otherwise this only decides to march on.)
+    N could meet tol; otherwise this only decides to march on.)  A
+    constant phi has no part, and its tail here is (0.0, 0.0).
 
     g^(d)(x)/d! comes from the Leibniz rule on the factors' own Taylor
-    coefficients, (-1)^d C(p+d-1, d) (x+c)^(-p-d), built only as far as
-    the terms go; every product in those sums has the sign (-1)^d.
+    coefficients, (-1)^d C(p+d-1, d) (x+c)^(-p-d), each factor's built in
+    one pass up to order 29 - min k, the highest the 15 weights reach;
+    every product in those sums has the sign (-1)^d.
     """
-    params = [(p, 1.0 / (x + c)) for c, p in factors]
-    series = [[u**p] for p, u in params]
-    taylor = [None] * (2 * len(_EM_WEIGHTS))
-    top = parts[-1][0] if parts else 0  # a constant phi has no B_k part
+    if not parts:
+        return 0.0, 0.0
+    order = 2 * len(_EM_WEIGHTS) - parts[0][0] - 1
+    series = []
+    for c, p in factors:
+        u = 1.0 / (x + c)
+        r = [u**p]
+        for j in range(order):
+            r.append(-r[j] * (p + j) * u / (j + 1))
+        series.append(r)
+    taylor = [None] * (order + 1)
+    top = parts[-1][0]
     value = 0.0
     prev = math.inf
     for i in range(len(_EM_WEIGHTS)):
@@ -286,9 +316,6 @@ def _sawtooth_tail(parts, factors, x, tol):
                 break
             d = n - k - 1
             if taylor[d] is None:
-                for (p, u), r in zip(params, series):
-                    for j in range(len(r) - 1, d):
-                        r.append(-r[j] * (p + j) * u / (j + 1))
                 taylor[d] = _product_coefficient(series, d)
             t = weights[i] * taylor[d]
             term += t
@@ -346,14 +373,74 @@ _TAIL_INTERVALS_MAX = 1000
 _FIRST_TRY = 6
 
 
+def _sawtooth_integrand(coeffs, factors):
+    """(f, g): the panel integrand phi({t}) g(t), and g at a list of points.
+
+    g(t) = prod (t + c)^(-p), multiplied left to right from 1.0, and phi
+    is Horner in y = {t} = t % 1.0, which is t - floor(t) exactly.  The
+    form follows the input's shape.  Up to two factors, g is one list
+    comprehension, a missing factor padded as (0, 0), whose power is
+    exactly 1.0; more take a loop over the factors at each node.  phi of
+    degree 1 over up to two factors, every HYP call, is one comprehension
+    for the whole integrand; other degrees run the Horner loop at each
+    node.  Every form gives the same values, bit for bit.
+    """
+    if len(factors) <= 2:
+        (c1, p1), (c2, p2) = (*factors, (0.0, 0.0))[:2]
+        q1, q2 = -p1, -p2
+
+        def g(ts):
+            return [(t + c1) ** q1 * (t + c2) ** q2 for t in ts]
+
+        if len(coeffs) == 2:
+            a0, a1 = coeffs
+
+            def f(nodes):
+                return [
+                    (a1 * (t % 1.0) + a0) * ((t + c1) ** q1 * (t + c2) ** q2)
+                    for t in nodes
+                ]
+
+            return f, g
+    else:
+        powers = tuple((c, -p) for c, p in factors)
+
+        def g(ts):
+            out = []
+            for t in ts:
+                w = 1.0
+                for c, q in powers:
+                    w *= (t + c) ** q
+                out.append(w)
+            return out
+
+    lead, rest = coeffs[-1], coeffs[-2::-1]
+
+    def f(nodes):
+        out = []
+        for t, w in zip(nodes, g(nodes)):
+            y = t % 1.0
+            v = lead
+            for a in rest:
+                v = v * y + a
+            out.append(v * w)
+        return out
+
+    return f, g
+
+
 def integrate_unit_split(coeffs, factors, start, cfg=DEFAULT_CONFIG):
     """integral_start^inf phi({t}) g(t) dt with g(t) = prod (t + c)^(-p).
 
     phi(y) = sum_i coeffs[i] y^i; factors are (c, p) pairs with p > 0 and
     start + c > 0, start an integer, so g is completely monotone on
-    [start, inf).  phi is evaluated by Horner in y = {t} = t - floor(t),
-    which is exact near an integer, so a phi that vanishes at y = 0 keeps
-    its relative precision beside a pole at start.
+    [start, inf).  phi is evaluated by Horner in y = {t}, which is exact
+    near an integer, so a phi that vanishes at y = 0 keeps its relative
+    precision beside a pole at start.  The integrand's form follows the
+    input's shape (_sawtooth_integrand): one list comprehension per panel
+    for degree 1 over at most two factors, per-node Horner loops for other
+    degrees and a per-node factor loop past two factors, the same values
+    in every form.
 
     [start, start + _FIRST_TRY] is integrated in one integrate_finite
     call, seeded with a piece per unit interval; the first unit is also
@@ -362,7 +449,8 @@ def integrate_unit_split(coeffs, factors, start, cfg=DEFAULT_CONFIG):
     misses a pole layer.  The bisection and the stop test run over all
     pieces together, with an absolute allowance of 2e-15 times an upper
     Riemann sum of |phi| g over the pieces: g at each piece's left end
-    times its width times sum |coeffs[i]| y^i at its right end in y.
+    times its width times sum |coeffs[i]| y^i at its right end in y.  g
+    is evaluated once at each mesh point, as the pieces share their ends.
 
     The tail is then tried at start + _FIRST_TRY, and one more unit
     interval is integrated after each failed try.  The tail is exact in
@@ -388,62 +476,56 @@ def integrate_unit_split(coeffs, factors, start, cfg=DEFAULT_CONFIG):
     """
     if start != math.floor(start):
         raise ValueError("integrate_unit_split expects an integer start")
-    coeffs = tuple(float(a) for a in coeffs)
-    factors = tuple((float(c), float(p)) for c, p in factors)
+    coeffs = tuple(map(float, coeffs))
     if not coeffs or not all(map(math.isfinite, coeffs)):
         raise ValueError("integrate_unit_split needs finite polynomial coefficients")
     if len(coeffs) > 2 * len(_EM_WEIGHTS):
         raise ValueError("integrate_unit_split: degree > 29 has no weight past B_30")
-    if not factors or not all(
-        0.0 < p < math.inf and 0.0 < start + c < math.inf for c, p in factors
-    ):
+    normed = []
+    kappa = 0.0  # the integrand's rounding in ulps: p + 2 a factor, ...
+    for c, p in factors:
+        c, p = float(c), float(p)
+        if not (0.0 < p < math.inf and 0.0 < start + c < math.inf):
+            raise ValueError("integrate_unit_split needs p > 0 and start + c > 0")
+        normed.append((c, p))
+        kappa += p + 2.0
+    if not normed:
         raise ValueError("integrate_unit_split needs p > 0 and start + c > 0")
+    factors = tuple(normed)
+    kappa = kappa + 2.0 * (len(coeffs) - 1) + 1.0  # ... 2 a degree, 1 more
     mean, mean_mag, parts = _sawtooth_plan(coeffs)
     if mean != 0.0 and (len(factors) != 1 or factors[0][1] <= 1.0):
         raise ValueError("a nonzero mean of phi needs one factor with p > 1")
-    lead, rest = coeffs[-1], coeffs[-2::-1]
+    f, g = _sawtooth_integrand(coeffs, factors)
+    mags = [abs(a) for a in reversed(coeffs)]
     floor = math.floor
 
-    def f(nodes):
-        out = []
-        for t in nodes:
-            y = t - floor(t)
-            v = lead
-            for a in rest:
-                v = v * y + a
-            g = 1.0
-            for c, p in factors:
-                g *= (t + c) ** -p
-            out.append(v * g)
-        return out
-
-    mags = [abs(a) for a in reversed(coeffs)]
-
-    def sizes(a, b):
-        """(bound, magnitude) on the piece [a, b] inside one unit: g(a)
-        (b - a) sum |coeffs[i]| y_b^i, which bounds integral |phi| g there,
-        and the trapezoid rule for sum |coeffs[i]| y^i g."""
-        ends = []
-        for t in (a, b):
-            y = min(t - floor(a), 1.0)
-            w = 0.0
+    def sizes(edges):
+        """(bound, magnitude) summed over the pieces between the edges,
+        each inside one unit: g(a) (b - a) sum |coeffs[i]| y_b^i on [a, b],
+        which bounds integral |phi| g there, and the trapezoid rule for
+        sum |coeffs[i]| y^i g."""
+        bounds = []
+        trapezoids = []
+        gs = g(edges)
+        for a, b, ga, gb in zip(edges, edges[1:], gs, gs[1:]):
+            ya = min(a - floor(a), 1.0)
+            yb = min(b - floor(a), 1.0)
+            wa = wb = 0.0
             for m in mags:
-                w = w * y + m
-            g = 1.0
-            for c, p in factors:
-                g *= (t + c) ** -p
-            ends.append((g, w))
-        (ga, wa), (gb, wb) = ends
-        return ga * wb * (b - a), 0.5 * (ga * wa + gb * wb) * (b - a)
+                wa = wa * ya + m
+                wb = wb * yb + m
+            bounds.append(ga * wb * (b - a))
+            trapezoids.append(0.5 * (ga * wa + gb * wb) * (b - a))
+        return math.fsum(bounds), math.fsum(trapezoids)
 
     x = float(start)
     end = x + min(_FIRST_TRY, _TAIL_INTERVALS_MAX) if parts else x
     poles = {t for c, _ in factors for t in graded_breaks(-c, x + (x + c), x + 0.5)}
     edges = [x, *sorted(poles), x + 0.5, *(x + i for i in range(1, int(end - x) + 1))]
-    sized = [sizes(a, b) for a, b in zip(edges, edges[1:])]  # the first call's
+    bound, trapezoid = sizes(edges)  # the first call's
     # every call's allowance; later calls add far less than the first
-    allowance = max(2e-15 * math.fsum(bound for bound, _ in sized), 1e-299)
-    kappa = sum(p + 2.0 for _, p in factors) + 2.0 * (len(coeffs) - 1) + 1.0
+    allowance = max(2e-15 * bound, 1e-299)
     magnitude = 0.0
     value = 0.0
     err = 0.0
@@ -463,7 +545,7 @@ def integrate_unit_split(coeffs, factors, start, cfg=DEFAULT_CONFIG):
             err += r.abs_err_est
             n_evals += r.n_evals
             converged = converged and r.converged
-            magnitude += math.fsum(trapezoid for _, trapezoid in sized)
+            magnitude += trapezoid
             x = end
         # mean sums len(coeffs) terms of size up to mean_mag; x + c0 raised
         # to 1 - p0, the division and the product add p0 + 3 ulps
@@ -481,7 +563,7 @@ def integrate_unit_split(coeffs, factors, start, cfg=DEFAULT_CONFIG):
             converged = False
             break
         end = x + 1.0
-        sized = [sizes(x, end)]
+        _, trapezoid = sizes([x, end])
     err += kappa * 2.0**-53 * magnitude
     converged = converged and err <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
     return QuadResult(value, err, n_evals, converged)

@@ -134,6 +134,19 @@ class TestRouteAgreement:
             delta_deriv(1, x, Route.HYP)
         assert delta_deriv(2, 2.0**53 - 1.0, Route.HYP).converged
 
+    @pytest.mark.parametrize(
+        "m,x,expected",
+        [(2, 1.0781075106225802e161, -8.4e-323), (10, 6.873199606905683e32, -1.5e-323)],
+    )
+    def test_laplace_range_edges_answer(self, m, x, expected, mp_deriv):
+        # among the subnormals each rounding is absolute: the estimate was
+        # 0.0 here, and -1e-323 at m = 10 missed; it now charges
+        # (n_evals + 9 T) 2^-1074
+        r = delta_deriv(m, x, Route.LAPLACE)
+        assert r.converged
+        assert abs(r.value - mp_deriv(m, x)) <= r.abs_err_est
+        assert abs(r.value - expected) <= r.abs_err_est
+
     def test_route_preconditions(self):
         # CLOSED answers at the removable point x = 0
         assert delta_deriv(1, 0.0, Route.CLOSED).route is Route.CLOSED

@@ -207,12 +207,14 @@ class TestAgainstMpmath:
         # 4.08e-15 at p = 12, z = -15.09, the worst of 33,000 points
         self.check(float(p), float(p), p + 1.0, z, tol=5e-15)
 
-    @pytest.mark.parametrize("z", [0.95, 0.99])
+    @pytest.mark.parametrize("z", [0.95, 0.99, 0.999, 0.9999, 1.0 - 1e-8])
     @pytest.mark.parametrize("p", [2, 12])
     def test_diagonal_family_near_one(self, p, z):
-        # past z = 0.9 the plain series, whose rounding adds up over its
-        # length: 6.1e-15 at p = 12, z = 0.99 (7,816 terms)
-        self.check(float(p), float(p), p + 1.0, z, tol=1e-14)
+        # past z = 0.9 Euler's (1-z)^(1-p) F(1, 1; p+1; z): within 3.0e-16
+        # on 3,000 draws (p = 2..12, z to 1 - 1e-15); the plain series it
+        # replaced was 6.1e-15 off at p = 12, z = 0.99 (7,816 terms), 1.2e-14
+        # by z = 0.999, and raised ConvergenceError at z = 0.9999
+        self.check(float(p), float(p), p + 1.0, z, tol=1e-15)
 
     @given(
         i=st.integers(min_value=0, max_value=len(D25_TRIPLES) - 1),

@@ -376,7 +376,9 @@ class TestPanelContract:
 # The 18 HURWITZ rows with x outside [-1/2, 1] were recorded again when
 # HURWITZ began to integrate there in v = ln(a/b) over pieces of width 2
 # (n_evals fell at 17 of them, 840 -> 294 at m = 1, x = -1 + 1e-12 for
-# one, and rose 42 -> 63 at m = 12, x = 3).
+# one, and rose 42 -> 63 at m = 12, x = 3).  Every HYP estimate rose,
+# by 0.04% to 104% (m = 12, x = 250), when HYP began to charge the
+# rounding of z = x/(x + 1), 3 2^-52 m! |x term1|; no value or count moved.
 # test_route_replay_within_estimate checks each row against mpmath.
 ROUTE_REPLAY = {
     ("HURWITZ", 1, -0.999999999999):
@@ -470,41 +472,41 @@ ROUTE_REPLAY = {
     ("LAPLACE", 12, 100000.0):
         (-3.9892256883639086e-53, 8.996386281142364e-66, 483, True),
     ("HYP", 1, -0.9):
-        (8.800823203254032, 1.4740406237718065e-13, 190, True),
+        (8.800823203254032, 1.4988260378892258e-13, 190, True),
     ("HYP", 1, -0.15):
-        (0.9642432589046456, 9.711339103200242e-15, 148, True),
+        (0.9642432589046456, 9.742318008724455e-15, 148, True),
     ("HYP", 1, 0.02):
-        (0.8067578016162269, 8.174594750744531e-15, 148, True),
+        (0.8067578016162269, 8.177838558615589e-15, 148, True),
     ("HYP", 1, 0.4):
-        (0.5941193521145304, 6.1137938667359906e-15, 148, True),
+        (0.5941193521145304, 6.156058351070739e-15, 148, True),
     ("HYP", 1, 3.0):
-        (0.21962150400748295, 2.301372375648859e-15, 148, True),
+        (0.21962150400748295, 2.3720152406643048e-15, 148, True),
     ("HYP", 1, 250.0):
-        (0.003949114629470538, 4.1090683593869007e-17, 148, True),
+        (0.003949114629470538, 4.71251058928886e-17, 148, True),
     ("HYP", 4, -0.9):
-        (-58165.89028336013, 1.2587950296787241e-08, 232, True),
+        (-58165.89028336013, 1.260538555088238e-08, 232, True),
     ("HYP", 4, -0.15):
-        (-9.676224902282764, 1.6255596605057244e-13, 148, True),
+        (-9.676224902282764, 1.6302737000400519e-13, 148, True),
     ("HYP", 4, 0.02):
-        (-4.590244746574044, 4.497963540586239e-14, 148, True),
+        (-4.590244746574044, 4.5009076924126125e-14, 148, True),
     ("HYP", 4, 0.4):
-        (-1.2615331443226658, 1.1785770874022704e-14, 148, True),
+        (-1.2615331443226658, 1.1942243670641796e-14, 148, True),
     ("HYP", 4, 3.0):
-        (-0.018547255061408773, 1.925585162514227e-16, 148, True),
+        (-0.018547255061408773, 2.0591255497759094e-16, 148, True),
     ("HYP", 4, 250.0):
-        (-1.4711274950021858e-09, 1.534302648094097e-23, 148, True),
+        (-1.4711274950021858e-09, 2.2419367047621085e-23, 148, True),
     ("HYP", 12, -0.9):
-        (-3.956094698821565e+19, 513459.2959319889, 316, True),
+        (-3.956094698821565e+19, 525318.093972006, 316, True),
     ("HYP", 12, -0.15):
-        (-261883926.92589423, 3.190885337859096e-06, 190, True),
+        (-261883926.92589423, 3.2039684903170135e-06, 190, True),
     ("HYP", 12, 0.02):
-        (-29015654.457402267, 3.1989906102417785e-07, 190, True),
+        (-29015654.457402267, 3.200923173939164e-07, 190, True),
     ("HYP", 12, 0.4):
-        (-632772.0045224165, 3.538005944096739e-08, 148, True),
+        (-632772.0045224165, 3.546429463017451e-08, 148, True),
     ("HYP", 12, 3.0):
-        (-1.9245792481359516, 1.9066860438019257e-14, 148, True),
+        (-1.9245792481359516, 2.0915259158265332e-14, 148, True),
     ("HYP", 12, 250.0):
-        (-6.011463371148904e-22, 6.346281872897548e-36, 148, True),
+        (-6.011463371148904e-22, 1.2956304907696283e-35, 148, True),
 }
 
 

@@ -602,6 +602,68 @@ class TestUnitSplitOracle:
         assert abs(value - ref) <= bound <= rel * abs(ref)
 
 
+# one input of each shape integrate_unit_split tells apart: degree 0 and
+# 1 over one factor, degree 1 over two (every HYP call), degree >= 2 over
+# one and two factors, and three factors
+SHAPES = {
+    "deg0-one": ((1.5,), ((0.5, 2.5),), 0.0),
+    "deg1-one": ((0.25, 1.0), ((0.5, 2.5),), 0.0),
+    "deg1-one-zero-mean": ((-0.5, 1.0), ((1e-3, 4.0),), 1.0),
+    "deg1-two": ((-0.5, 1.0), ((1.0, 1.0), (0.3, 7.0)), 0.0),
+    "deg2-one": ((0.1, -0.4, 0.9), ((2.0, 4.0),), 0.0),
+    "deg3-two": (_dyadic_zero_mean(3, 1), ((1.0, 2.0), (0.5, 3.0)), 1.0),
+    "deg1-three": ((-0.5, 1.0), ((1.0, 1.0), (2.0, 1.0), (0.5, 2.0)), 0.0),
+}
+
+
+class TestIntegrandShapes:
+    """Each integrand form against the oracle, and the forms against each
+    other: the one-comprehension form of degree 1 over up to two factors
+    gives the per-node loops' values, bit for bit."""
+
+    @pytest.mark.parametrize("shape", [s for s in SHAPES if s != "deg1-three"])
+    def test_against_oracle(self, shape, mp_unit_split):
+        coeffs, factors, start = SHAPES[shape]
+        r = integrate_unit_split(coeffs, factors, start)
+        ref = mp_unit_split(coeffs, factors, start)
+        assert r.converged
+        assert abs(r.value - ref) <= r.abs_err_est, (r.value, ref, r.abs_err_est)
+
+    def test_three_factors_against_two(self, mp_unit_split):
+        # (t + 1)^-1 (t + 2)^-1 (t + 0.5)^-2 has no two-factor oracle;
+        # (t + 1)^-1 (t + 2)^-1 = (t + 1)^-1 - (t + 2)^-1 splits it in two
+        coeffs, factors, start = SHAPES["deg1-three"]
+        r = integrate_unit_split(coeffs, factors, start)
+        ref = mp_unit_split(coeffs, ((1.0, 1.0), (0.5, 2.0)), start) - mp_unit_split(
+            coeffs, ((2.0, 1.0), (0.5, 2.0)), start
+        )
+        assert r.converged
+        assert abs(r.value - ref) <= r.abs_err_est + 1e-15 * abs(ref), (r.value, ref)
+
+    @pytest.mark.parametrize("factors", [((0.3, 2.5),), ((1.0, 1.0), (4.7, 7.0))])
+    @pytest.mark.parametrize("coeffs", [(-0.5, 1.0), (0.25, -3.0)])
+    def test_forms_agree_bit_for_bit(self, coeffs, factors):
+        # a zero lead coefficient and a third factor (0, 0), whose power
+        # is 1.0, send the same integrand through the per-node loops
+        fast, g_fast = quad._sawtooth_integrand(coeffs, factors)
+        padded = factors + ((0.0, 0.0),) * (3 - len(factors))
+        loop, g_loop = quad._sawtooth_integrand((*coeffs, 0.0), padded)
+        bits = lambda values: [v.hex() for v in values]  # noqa: E731
+        for a in (0.0, 0.25, 3.0, 41.0):
+            nodes = [a + 0.5 * (1.0 + o) for o in quad._GK21_OFFSETS]
+            assert bits(fast(nodes)) == bits(loop(nodes))
+            assert bits(g_fast(nodes)) == bits(g_loop(nodes))
+
+    def test_constant_phi_tail_is_zero_at_once(self, monkeypatch):
+        # no B_k part: (0.0, 0.0) without building a Taylor coefficient
+        def refuse(*args):
+            raise AssertionError("no coefficient needed")
+
+        monkeypatch.setattr(quad, "_product_coefficient", refuse)
+        assert quad._sawtooth_plan((2.0,))[2] == ()
+        assert quad._sawtooth_tail((), ((0.5, 2.5),), 6.0, 1e-20) == (0.0, 0.0)
+
+
 class TestP1Integral:
     def test_against_zeta_form(self):
         # integral_0^inf p1(t)/(t+a)^(s+1) dt relates to zeta(s, a)

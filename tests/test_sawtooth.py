@@ -99,6 +99,44 @@ BUDGET_XS = (
 BUDGET_EVALS = 10962
 
 
+# HYP's range, x from -1 + 1e-15 to 1e15: log-uniform in 1 + x below 0
+# and in |x| on both sides of 0, and uniform over the seam band
+_HYP_X = st.one_of(
+    st.floats(min_value=-0.26, max_value=0.26),
+    st.builds(lambda e: 10.0**e, st.floats(min_value=-12.0, max_value=15.0)),
+    st.builds(lambda e: -(10.0**e), st.floats(min_value=-12.0, max_value=-0.6)),
+    st.builds(lambda e: -1.0 + 10.0**e, st.floats(min_value=-15.0, max_value=0.0)),
+)
+
+
+@given(m=st.integers(min_value=1, max_value=12), x=_HYP_X)
+@settings(max_examples=150, deadline=None)
+@example(m=1, x=0.0)
+@example(m=12, x=0.0)
+@example(m=1, x=-1.0 + 1e-12)
+@example(m=12, x=-1.0 + 1e-12)
+@example(m=1, x=1e12)
+@example(m=12, x=1e12)
+# either side of where gauss_2f1 takes the log branch: for x > 0 at
+# F(1, m+1; m+2; x/(x+1)), for x < 0 at F(1, 2; m+2; -x) after Pfaff
+@example(m=1, x=13.335898726849978)
+@example(m=1, x=13.33589872684998)
+@example(m=12, x=12.71546652338514)
+@example(m=12, x=12.715466523385142)
+@example(m=1, x=-0.9302450429475285)
+@example(m=1, x=-0.9302450429475286)
+@example(m=12, x=-0.9999967812811679)
+@example(m=12, x=-0.999996781281168)
+# 1.84x and 1.34x past the estimate before it charged the rounding of z
+@example(m=12, x=189588041481594.28)
+@example(m=10, x=69524776180793.72)
+def test_hyp_sweep_within_estimate(m, x, mp_deriv, mp_taylor_deriv):
+    r = delta_deriv(m, x, Route.HYP)
+    assert r.converged, (m, x)
+    exact = mp_taylor_deriv(m, x) if abs(x) <= 0.26 else mp_deriv(m, x)
+    assert abs(r.value - exact) <= r.abs_err_est, (m, x, r.value, exact, r.abs_err_est)
+
+
 class TestOracle:
     @pytest.mark.parametrize("m", ORACLE_MS)
     def test_hyp_within_estimate(self, m, mp_deriv):

@@ -14,8 +14,11 @@ which lines moved.  Each route's line also gives, outside the hashed
 text, its total n_evals over the draws (0 for a draw that raised) and
 how many `quad.integrate_finite` calls it made, counted by wrapping that
 function here, and its CPU ms over all the draws, best of three passes
-run after the hashed one with that wrapper removed.  A change that keeps
-every n_evals still shows there where the time moved:
+run after the hashed one with that wrapper removed.  Three more passes,
+with `quad.integrate_finite` and `quad._sawtooth_tail` each wrapped by a
+CPU timer, split out the ms spent inside each of the two (best of the
+three for each), so a change that keeps every n_evals still shows where
+the time moved, down to the stage:
 
     python tools/route_digest.py
 """
@@ -64,6 +67,48 @@ def cpu_ms(route, draws):
     return best * 1e3
 
 
+def stage_ms(route, draws):
+    """CPU ms of the route inside quad.integrate_finite and inside
+    quad._sawtooth_tail over the draws, best of TIMED_PASSES passes each."""
+    names = ("integrate_finite", "_sawtooth_tail")
+    best = dict.fromkeys(names, math.inf)
+    for _ in range(TIMED_PASSES):
+        for name, ms in _stage_pass(route, draws, names).items():
+            best[name] = min(best[name], ms)
+    return best
+
+
+def _stage_pass(route, draws, names):
+    """{name: CPU ms inside quad.<name>} over one pass of the draws."""
+    spent = dict.fromkeys(names, 0.0)
+    originals = {name: getattr(quad, name) for name in names}
+
+    def timed(name):
+        fn = originals[name]
+
+        def wrapper(*args, **kwargs):
+            start = time.process_time()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spent[name] += time.process_time() - start
+
+        return wrapper
+
+    for name in names:
+        setattr(quad, name, timed(name))
+    try:
+        for m, x in draws:
+            try:
+                delta_deriv(m, x, route)
+            except ValueError:
+                pass
+    finally:
+        for name, fn in originals.items():
+            setattr(quad, name, fn)
+    return {name: ms * 1e3 for name, ms in spent.items()}
+
+
 def main():
     rng = random.Random(SEED)
     draws = []
@@ -94,10 +139,13 @@ def main():
             per_route[route].update(line)
     quad.integrate_finite = integrate_finite
     for route, route_sha in per_route.items():
+        stages = stage_ms(route, draws)
         print(
             f"{route_sha.hexdigest()}  {route.value}  {evals[route]} evals"
             f"  {calls[route]} integrate_finite calls"
             f"  {cpu_ms(route, draws):.0f} CPU ms"
+            f" ({stages['integrate_finite']:.0f} in integrate_finite,"
+            f" {stages['_sawtooth_tail']:.0f} in _sawtooth_tail)"
         )
     print(f"{sha.hexdigest()}  {DRAWS} draws")
     return 0
