@@ -464,76 +464,119 @@ def _series_limit(m, n):
     return _geometric_limit(room, n, m + 2.0 + n)
 
 
+def _negligible_sum_start(m):
+    """A y >= m + 1 past which e^(-y) sum_{i<=m} y^i/i! <= 2^-56.
+
+    For y >= m the terms y^i/i! rise with i, so the sum is at most
+    (m + 1) e^(-y) y^m/m!, and that falls as y rises; the bisection
+    keeps its upper end, where the log of that bound is at most
+    -56 ln 2 - 1e-9, the 1e-9 covering the rounding of the logs.  Any
+    sum under 2^-54 leaves 1.0 - sum at 1.0 when rounded.
+    """
+    room = -56.0 * _LN_2 - 1e-9 - math.log(m + 1.0) + math.lgamma(m + 1.0)
+
+    def within(y):
+        return m * math.log(y) - y <= room
+
+    lo, hi = m + 1.0, 2.0 * (m + 1.0)
+    while not within(hi):
+        lo, hi = hi, 2.0 * hi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if within(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 @functools.lru_cache(maxsize=64)
 def _trunc_exp_plan(m):
-    """The m-only part of trunc_exp_factor: (m!, m + 1, edge, limits,
-    coefs, _inv_factorials(m)).
+    """The m-only part of trunc_exp_factor: (m!, -(m + 1), seam, cut,
+    limits, series, _inv_factorials(m)).
 
-    edge = m + 1 + 2 sqrt(m+1) is where the series gives way to the
-    closed form.  limits[j] is _series_limit(m, j + 1), up to the first
-    one at or past the edge, and coefs holds the series coefficients
-    1/((m+1)...(m+1+i)) for i < len(limits), correctly rounded, highest
-    first, so that the last j + 1 of them are the first j + 1 terms.  m!
-    is a float where it fits one; past m = 170 the closed form raises
-    OverflowError.
+    seam = m + 1 is where the series gives way to the closed form (see
+    trunc_exp_factor).  limits[j] is _series_limit(m, j + 1), up to the
+    first one at or past the seam, and series[j] holds the first j + 1
+    series coefficients 1/((m+1)...(m+1+i)), correctly rounded, highest
+    first, so that a y with j limits below it sums series[j] by Horner
+    and no node slices a tuple.  At m = 12 the longest is 45 terms.  Past
+    cut, the smaller of _negligible_sum_start(m) and the 745.2 where
+    e^(-y) underflows, the closed form is m!/y^(m+1): its Poisson sum is
+    at most 2^-56 there, and 1.0 minus it rounds to 1.0.  m! is a float
+    where it fits one; past m = 170 the closed form raises OverflowError.
     """
-    edge = m + 1 + 2.0 * math.sqrt(m + 1)
+    seam = m + 1.0
     limits = [_series_limit(m, 1)]
-    while limits[-1] < edge:
+    while limits[-1] < seam:
         limits.append(_series_limit(m, len(limits) + 1))
     coefs = [1 / math.prod(range(m + 1, m + 2 + i)) for i in range(len(limits))]
+    series = tuple(tuple(reversed(coefs[: j + 1])) for j in range(len(coefs)))
+    cut = min(_negligible_sum_start(m), _EXP_UNDERFLOW)
     fact = math.factorial(m)
     if m <= 170:
         fact = float(fact)
-    return fact, m + 1, edge, tuple(limits), tuple(reversed(coefs)), _inv_factorials(m)
+    return fact, -(m + 1), seam, cut, tuple(limits), series, _inv_factorials(m)
 
 
-def _trunc_exp_values(plan, ys):
-    """trunc_exp_factor(m, y) at each y in ys, given _trunc_exp_plan(m)."""
-    fact, mp1, edge, limits, coefs, inv_fact = plan
-    exp, terms_for = math.exp, bisect.bisect_left
-    last = len(coefs) - 1
+def _trunc_exp_values(m, x, ts, weighted):
+    """E_m(x t) at each t in ts, as a list, in one loop: the
+    trunc_exp_factor body.  If weighted, each is multiplied by
+    t^m/(e^t - 1), and t <= 0 gives that product's limit at 0: the
+    laplace_panel body."""
+    fact, power, seam, cut, limits, series, inv_fact = _trunc_exp_plan(m)
+    exp, expm1, terms_for = math.exp, math.expm1, bisect.bisect_left
+    at_zero = 0.5 if m == 1 else 0.0
     out = []
-    for y in ys:
-        if y < 0.0:
-            raise ValueError("trunc_exp_factor requires y >= 0")
-        if y <= edge:
+    append = out.append
+    for t in ts:
+        if weighted:
+            if t <= 0.0:
+                append(at_zero)
+                continue
+            w = t**m / expm1(t)
+        y = x * t
+        if y <= seam:
+            if y < 0.0:
+                raise ValueError("trunc_exp_factor requires y >= 0")
             acc = 0.0
-            for c in coefs[last - terms_for(limits, y) :]:
+            for c in series[terms_for(limits, y)]:
                 acc = acc * y + c
-            out.append(exp(-y) * acc)
-        elif y > _EXP_UNDERFLOW:
-            out.append(fact * y**-mp1)
+            em = exp(-y) * acc
+        elif y > cut:
+            em = fact * y**power
         else:
-            out.append(fact * y**-mp1 * (1.0 - _exp_partial_sum(inv_fact, y)))
+            acc = 0.0
+            for c in inv_fact:
+                acc = acc * y + c
+            em = fact * y**power * (1.0 - exp(-y) * acc)
+        append(w * em if weighted else em)
     return out
 
 
 def trunc_exp_factor(m, y):
     """E_m(y) = integral_0^1 u^m e^(-y u) du = [m! - Gamma(m+1, y)] / y^(m+1).
 
-    Up to y = m + 1 + 2 sqrt(m+1), the all-positive series
+    Up to y = m + 1, the all-positive series
     e^(-y) sum_{i>=0} y^i/((m+1)...(m+1+i)), summed by Horner in y to
     the fewest terms whose geometric tail bound is under 2^-60 of the sum
-    (see _series_limit): at y = 0 one term, near the edge about 60.  Past
-    it, Gamma(m+1, y)/m! (a Poisson tail, two deviations out) is small,
-    so the closed form m! y^-(m+1) (1 - e^(-y) sum_{i<=m} y^i/i!), whose
-    sum is one Horner pass over 1/i!, loses nothing to cancellation and
-    costs m + 1 terms.  Once e^(-y) underflows (y > 745.2) Gamma(m+1, y)
-    is 0 and the result is m!/y^(m+1).
+    (see _series_limit): at y = 0 one term, at the seam 45 at m = 12.
+    Past it, the closed form m! y^-(m+1) (1 - Q) with the Poisson sum
+    Q = e^(-y) sum_{i<=m} y^i/i!, one Horner pass over 1/i! (m + 1
+    terms).  Q = P(Pois(y) <= m) falls as y rises, and at the integer
+    mean y = m + 1 it is under 1/2 (the Poisson median is the mean for
+    an integer mean: Ramanujan's problem, Choi, Proc. AMS 1994), so
+    1 - Q >= 1/2 on the whole closed-form side: its subtraction loses at
+    most a bit to cancellation.  Once Q is proven at most 2^-56
+    (_negligible_sum_start), or e^(-y) underflows (y > 745.2), 1.0 - Q
+    rounds to 1.0 and the result is m!/y^(m+1), with no sum.
     """
-    return _trunc_exp_values(_trunc_exp_plan(m), (y,))[0]
+    return _trunc_exp_values(m, y, (1.0,), False)[0]
 
 
 def laplace_panel(m, x, nodes):
     """laplace_integrand(m, x, t) at each t in nodes, as a list."""
-    at_zero = 0.5 if m == 1 else 0.0
-    ems = _trunc_exp_values(
-        _trunc_exp_plan(m), [x * t if t > 0.0 else 0.0 for t in nodes]
-    )
-    return [
-        t**m / math.expm1(t) * em if t > 0.0 else at_zero for t, em in zip(nodes, ems)
-    ]
+    return _trunc_exp_values(m, x, nodes, True)
 
 
 def laplace_integrand(m, x, t):

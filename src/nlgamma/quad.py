@@ -289,20 +289,18 @@ def _sawtooth_tail(parts, factors, x, tol):
     constant phi has no part, and its tail here is (0.0, 0.0).
 
     g^(d)(x)/d! comes from the Leibniz rule on the factors' own Taylor
-    coefficients, (-1)^d C(p+d-1, d) (x+c)^(-p-d), each factor's built in
-    one pass up to order 29 - min k, the highest the 15 weights reach;
-    every product in those sums has the sign (-1)^d.
+    coefficients, (-1)^d C(p+d-1, d) (x+c)^(-p-d); every product in
+    those sums has the sign (-1)^d.  Each factor's series holds its
+    leading coefficient, all that a tail stopping at its first term
+    needs, until the stop test first reaches past it; then it is built
+    in one pass up to order 29 - min k, the highest the 15 weights reach.
+    Most tails that go on reach order 14 or more, where each further
+    chunk would cost more than the terms it saves.
     """
     if not parts:
         return 0.0, 0.0
     order = 2 * len(_EM_WEIGHTS) - parts[0][0] - 1
-    series = []
-    for c, p in factors:
-        u = 1.0 / (x + c)
-        r = [u**p]
-        for j in range(order):
-            r.append(-r[j] * (p + j) * u / (j + 1))
-        series.append(r)
+    series = [[(1.0 / (x + c)) ** p] for c, p in factors]
     taylor = [None] * (order + 1)
     top = parts[-1][0]
     value = 0.0
@@ -316,6 +314,11 @@ def _sawtooth_tail(parts, factors, x, tol):
                 break
             d = n - k - 1
             if taylor[d] is None:
+                if len(series[0]) <= d:  # past the leading coefficients
+                    for (c, p), r in zip(factors, series):
+                        u = 1.0 / (x + c)
+                        for j in range(order):
+                            r.append(-r[j] * (p + j) * u / (j + 1))
                 taylor[d] = _product_coefficient(series, d)
             t = weights[i] * taylor[d]
             term += t

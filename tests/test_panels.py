@@ -11,7 +11,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nlgamma import quad
@@ -109,7 +109,9 @@ def zeta_charge(s):
 
 # Relative rounding charge of trunc_exp_factor: the Horner sums, e^(-y)
 # and the powers.  Measured worst: 5.5 ULP on 30,000 draws of m = 0..29,
-# y up to 800 (the reference body reached 13.0 ULP on 3,000 of them).
+# y up to 800 (the reference body reached 13.0 ULP on 3,000 of them);
+# with the seam at y = m + 1, 6.9 ULP on 30,000 draws with a third in the
+# band (m + 1)/2 .. m + 1 + 3 sqrt(m + 1) (5.3 ULP before the move).
 TRUNC_EXP_CHARGE = 8.0 * ULP
 # u^m or t^m / expm1(t) and the product, on top of the kernel's charge
 PANEL_EXTRA = 4.0 * ULP
@@ -208,12 +210,16 @@ class TestPanelKernels:
     @pytest.mark.parametrize("m", MS)
     def test_laplace_panel_every_em_branch(self, m):
         edge = m + 1 + 2.0 * math.sqrt(m + 1)
-        # x t = 0 (x = 0), the series up to its edge, the closed form past
-        # it, and past 745.2 where e^(-y) underflows; t <= 0 as well
+        seam, cut = m + 1.0, kernels._trunc_exp_plan(m)[3]
+        # x t = 0 (x = 0), the series up to its seam at m + 1, the closed
+        # form past it (and past the old edge), with no sum past the cut,
+        # and past 745.2 where e^(-y) underflows; t <= 0 as well
         cases = [
             (0.0, [0.0, 0.5, 7.0, 80.0]),
             (1.0, [-1.0, 0.0, 1e-8, 0.3, edge / 2, edge, math.nextafter(edge, 0.0)]),
             (1.0, [math.nextafter(edge, math.inf), edge + 1.0, 100.0]),
+            (1.0, [math.nextafter(seam, 0.0), seam, math.nextafter(seam, math.inf)]),
+            (1.0, [math.nextafter(cut, 0.0), cut, math.nextafter(cut, math.inf)]),
             (10.0, [74.52, 74.53, 90.0, 96.9]),
         ]
         mp = _mp()
@@ -231,11 +237,16 @@ class TestPanelKernels:
 
     @pytest.mark.parametrize("m", range(0, 30))
     def test_trunc_exp_factor_series_edge(self, m):
-        # y = 0, the series at its longest on both sides of the edge, the
-        # closed form, and past 745.2 where e^(-y) underflows
+        # y = 0, both sides of the old edge m + 1 + 2 sqrt(m + 1), the
+        # closed form, and past 745.2 where e^(-y) underflows; then the
+        # seam at m + 1, where the series is at its longest and the closed
+        # form takes over, and the cut past which its Poisson sum is
+        # dropped, each with the doubles either side
         edge = m + 1 + 2.0 * math.sqrt(m + 1)
         ys = (0.0, math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf))
         ys += (2.0 * edge, 745.2, math.nextafter(745.2, math.inf), 1e4)
+        for y in (m + 1.0, kernels._trunc_exp_plan(m)[3]):
+            ys += (math.nextafter(y, 0.0), y, math.nextafter(y, math.inf))
         for y in ys:
             assert_within(
                 kernels.trunc_exp_factor(m, y),
@@ -244,6 +255,21 @@ class TestPanelKernels:
                 ref_trunc_exp_factor(m, y),
                 (m, y),
             )
+
+    @pytest.mark.parametrize("m", range(0, 30))
+    def test_trunc_exp_factor_proofs(self, m):
+        # both facts the closed form rests on, at 40 digits: the Poisson sum
+        # Q = e^(-y) sum_{i<=m} y^i/i! is under 1/2 at the seam y = m + 1,
+        # so 1 - Q >= 1/2 past it; and Q <= 2^-56 at the cut (it falls as
+        # y rises), so 1.0 - Q rounds to 1.0 past it
+        mp = _mp()
+        _, _, seam, cut, _, _, _ = kernels._trunc_exp_plan(m)
+        assert seam == m + 1 and m < cut <= 745.2
+        with mp.workdps(40):
+            assert mp.gammainc(m + 1, seam, regularized=True) < 0.5
+            q = mp.gammainc(m + 1, cut, regularized=True)
+            assert q <= mp.mpf(2) ** -56
+        assert 1.0 - float(q) == 1.0
 
     @given(
         m=st.integers(min_value=0, max_value=29),
@@ -379,6 +405,10 @@ class TestPanelContract:
 # one, and rose 42 -> 63 at m = 12, x = 3).  Every HYP estimate rose,
 # by 0.04% to 104% (m = 12, x = 250), when HYP began to charge the
 # rounding of z = x/(x + 1), 3 2^-52 m! |x term1|; no value or count moved.
+# Two LAPLACE estimates moved in their last digits, (4, 0.4) from
+# 3.389772979726666e-14 and (4, 100000.0) from 1.6062727025340771e-34,
+# when E_m's closed form took over at y = m + 1 instead of
+# m + 1 + 2 sqrt(m + 1); no value or count moved.
 # test_route_replay_within_estimate checks each row against mpmath.
 ROUTE_REPLAY = {
     ("HURWITZ", 1, -0.999999999999):
@@ -452,13 +482,13 @@ ROUTE_REPLAY = {
     ("LAPLACE", 4, 0.02):
         (-4.590244746574045, 1.0669902006821903e-13, 147, True),
     ("LAPLACE", 4, 0.4):
-        (-1.261533144322665, 3.389772979726666e-14, 147, True),
+        (-1.261533144322665, 3.389773149133255e-14, 147, True),
     ("LAPLACE", 4, 3.0):
         (-0.018547255061408773, 1.714400937979831e-16, 147, True),
     ("LAPLACE", 4, 250.0):
         (-1.4711274950021856e-09, 4.0380960769153764e-24, 273, True),
     ("LAPLACE", 4, 100000.0):
-        (-5.998647902696235e-20, 1.6062727025340771e-34, 462, True),
+        (-5.998647902696235e-20, 1.586551179903552e-34, 462, True),
     ("LAPLACE", 12, 0.0):
         (-36850798.453063965, 2.5313020470614905e-05, 210, True),
     ("LAPLACE", 12, 0.02):
@@ -520,3 +550,26 @@ def test_route_replay(route, m, x):
 def test_route_replay_within_estimate(route, m, x, mp_deriv):
     value, err, _, _ = ROUTE_REPLAY[route, m, x]
     assert abs(value - mp_deriv(m, x)) <= err
+
+
+# x = 0, and x log-uniform from 1e-12 to 1e15
+_LAPLACE_X = st.one_of(
+    st.just(0.0),
+    st.builds(lambda e: 10.0**e, st.floats(min_value=-12.0, max_value=15.0)),
+)
+
+
+@given(m=st.integers(min_value=1, max_value=12), x=_LAPLACE_X)
+@settings(max_examples=150, deadline=None)
+# values among the subnormals, where the estimate's absolute floor counts
+@example(m=2, x=1.0781075106225802e161)
+@example(m=10, x=6.873199606905683e32)
+# x = m + 1: the node t = 1 lands on E_m's seam
+@example(m=1, x=2.0)
+@example(m=6, x=7.0)
+@example(m=12, x=13.0)
+def test_laplace_sweep_within_estimate(m, x, mp_deriv, mp_taylor_deriv):
+    r = delta_deriv(m, x, Route.LAPLACE)
+    assert r.converged, (m, x)
+    exact = mp_taylor_deriv(m, x) if x <= 0.26 else mp_deriv(m, x)
+    assert abs(r.value - exact) <= r.abs_err_est, (m, x, r.value, exact, r.abs_err_est)

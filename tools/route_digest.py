@@ -15,10 +15,13 @@ text, its total n_evals over the draws (0 for a draw that raised) and
 how many `quad.integrate_finite` calls it made, counted by wrapping that
 function here, and its CPU ms over all the draws, best of three passes
 run after the hashed one with that wrapper removed.  Three more passes,
-with `quad.integrate_finite` and `quad._sawtooth_tail` each wrapped by a
-CPU timer, split out the ms spent inside each of the two (best of the
-three for each), so a change that keeps every n_evals still shows where
-the time moved, down to the stage:
+with `quad.integrate_finite`, `quad._sawtooth_tail` and
+`kernels.laplace_panel` each wrapped by a CPU timer, split out the ms
+spent inside each of the three (best of the three passes for each), so a
+change that keeps every n_evals still shows where the time moved, down
+to the stage.  `laplace_panel` runs inside `integrate_finite`, so its
+timer's own cost, about a microsecond a panel, lands in the latter's
+figure:
 
     python tools/route_digest.py
 """
@@ -33,12 +36,19 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from nlgamma import quad  # noqa: E402
+from nlgamma._backend import kernels  # noqa: E402
 from nlgamma.delta import Route, delta_deriv  # noqa: E402
 
 DRAWS = 2400
 SEED = 20260
 ROUTES = (Route.HURWITZ, Route.LAPLACE, Route.HYP, Route.RECURRENCE, Route.CLOSED)
 TIMED_PASSES = 3
+# (module, function) pairs timed by the stage split, in column order
+STAGES = (
+    (quad, "integrate_finite"),
+    (quad, "_sawtooth_tail"),
+    (kernels, "laplace_panel"),
+)
 
 
 def draw_x(rng, region):
@@ -68,20 +78,21 @@ def cpu_ms(route, draws):
 
 
 def stage_ms(route, draws):
-    """CPU ms of the route inside quad.integrate_finite and inside
-    quad._sawtooth_tail over the draws, best of TIMED_PASSES passes each."""
-    names = ("integrate_finite", "_sawtooth_tail")
+    """CPU ms of the route inside each of STAGES over the draws, best of
+    TIMED_PASSES passes each."""
+    names = [name for _, name in STAGES]
     best = dict.fromkeys(names, math.inf)
     for _ in range(TIMED_PASSES):
-        for name, ms in _stage_pass(route, draws, names).items():
+        for name, ms in _stage_pass(route, draws).items():
             best[name] = min(best[name], ms)
     return best
 
 
-def _stage_pass(route, draws, names):
-    """{name: CPU ms inside quad.<name>} over one pass of the draws."""
-    spent = dict.fromkeys(names, 0.0)
-    originals = {name: getattr(quad, name) for name in names}
+def _stage_pass(route, draws):
+    """{name: CPU ms inside module.name} for STAGES over one pass of the
+    draws."""
+    spent = {name: 0.0 for _, name in STAGES}
+    originals = {name: getattr(module, name) for module, name in STAGES}
 
     def timed(name):
         fn = originals[name]
@@ -95,8 +106,8 @@ def _stage_pass(route, draws, names):
 
         return wrapper
 
-    for name in names:
-        setattr(quad, name, timed(name))
+    for module, name in STAGES:
+        setattr(module, name, timed(name))
     try:
         for m, x in draws:
             try:
@@ -104,8 +115,8 @@ def _stage_pass(route, draws, names):
             except ValueError:
                 pass
     finally:
-        for name, fn in originals.items():
-            setattr(quad, name, fn)
+        for module, name in STAGES:
+            setattr(module, name, originals[name])
     return {name: ms * 1e3 for name, ms in spent.items()}
 
 
@@ -145,7 +156,8 @@ def main():
             f"  {calls[route]} integrate_finite calls"
             f"  {cpu_ms(route, draws):.0f} CPU ms"
             f" ({stages['integrate_finite']:.0f} in integrate_finite,"
-            f" {stages['_sawtooth_tail']:.0f} in _sawtooth_tail)"
+            f" {stages['_sawtooth_tail']:.0f} in _sawtooth_tail,"
+            f" {stages['laplace_panel']:.0f} in laplace_panel)"
         )
     print(f"{sha.hexdigest()}  {DRAWS} draws")
     return 0
