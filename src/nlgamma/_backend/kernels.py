@@ -9,16 +9,15 @@ has a panel form, taking a list of nodes and returning their values, that
 quad.integrate_finite calls once per panel; it looks up the constants
 that depend on m (or s) alone once, from a small cache, and loops over
 the nodes itself.  The scalar forms, hurwitz_zeta and trunc_exp_factor
-among them, are those loops at one node.  HURWITZ's integrand has three
+among them, are those loops at one node.  HURWITZ's integrand has two
 panel forms, each reaching zeta through `_zeta_values`: in u
-(hz_route_panel), in s = 1 - u (hz_route_reflected_panel), and in
-v = ln(a/b) of the zeta argument a (hz_route_log_panel, which multiplies
-each node by its own Jacobian; it has no scalar form).  The
-Hurwitz-zeta, E_m and ln Gamma Taylor sums, and CLOSED's collected
-series in `_ddarith` (whose table sizes it with `_geometric_limit`),
-fix their length before summing, from a proven bound on what they leave
-out (under 2^-60 of the value, or of its leading term), and are Horner
-passes with no test per term.  The Hurwitz-zeta values come from one
+(hz_route_panel) and in v = ln(a/b) of the zeta argument a
+(hz_route_log_panel, which multiplies each node by its own Jacobian; it
+has no scalar form).  The Hurwitz-zeta, E_m and ln Gamma Taylor sums,
+and CLOSED's collected series in `_ddarith` (whose table sizes it with
+`_geometric_limit`), fix their length before summing, from a proven
+bound on what they leave out (under 2^-60 of the value, or of its
+leading term), and are Horner passes with no test per term.  The Hurwitz-zeta values come from one
 loop, `_zeta_values`, over (s, plan) pairs and arguments: the HURWITZ
 panels pass one s and many a, CLOSED one a and every order it needs.
 
@@ -47,7 +46,6 @@ __all__ = [
     "hz_route_integrand",
     "hz_route_log_panel",
     "hz_route_panel",
-    "hz_route_reflected_panel",
     "laplace_integrand",
     "laplace_panel",
     "laplace_tail_weight",
@@ -681,22 +679,6 @@ def hz_route_integrand(m, x, u):
     return hz_route_panel(m, x, (u,))[0]
 
 
-def hz_route_reflected_panel(m, x, nodes):
-    """(1-s)^m * zeta(m+1, (1+x) - x s), hz_route_integrand at u = 1 - s,
-    at each s in nodes, as a list.
-
-    For -1 < x < 0 the integrand peaks at u = 1, within 1 + x of its
-    pole.  Measured from there, a node s near 0 carries only relative
-    rounding and 1 + x is exact (Sterbenz), so the zeta argument keeps
-    full relative precision however close x is to -1; in u, the rounding
-    of a node near 1 would move that argument by 1e-16 absolute.
-    """
-    s = m + 1.0
-    xp1 = 1.0 + x
-    zetas = _zeta_values(((s, _zeta_plan(s)),), [xp1 - x * t for t in nodes])
-    return [(1.0 - t) ** m * zeta for t, zeta in zip(nodes, zetas)]
-
-
 def hz_route_log_panel(m, x, nodes):
     """hz_route_integrand in v = ln(a/b), a = x u + 1 the zeta argument,
     times the Jacobian, at each v in nodes, as a list: for x > 0, b = 1,
@@ -704,8 +686,10 @@ def hz_route_log_panel(m, x, nodes):
     reflected variable s = 1 - u = (1 + x) expm1(v)/|x| and
     ds/dv = (1 + x) e^v/|x|.  Each node carries its own Jacobian, so no
     factor |x|^(-m-1) is formed outside the sum (it leaves the double
-    range at large x); near the pole, v ~ 0, the zeta argument keeps full
-    relative precision as in hz_route_reflected_panel.
+    range at large x).  Near the pole, v ~ 0, the zeta argument keeps
+    full relative precision however close x is to -1: 1 + x is exact
+    (Sterbenz) and e^v carries only relative rounding, where x u + 1 at a
+    node u next to 1 would carry that node's 1e-16 absolute rounding.
     """
     s = m + 1.0
     exp, expm1 = math.exp, math.expm1

@@ -139,13 +139,16 @@ def _delta_point(x):
     60,000 draws over -1 < x <= 1e300, against ln Gamma at the rounded
     x + 1).  Both are charged 6 ulps.  Past the seam rounding x + 1 also
     moves ln Gamma by up to |psi(x + 1)| ulp(x + 1)/2, which dominates
-    near D's zero at x = 1.
+    near D's zero at x = 1.  (x + 1) psi(x + 1) overflows past x =
+    2.556e305, where (x + 1)/x rounds to 1, so psi(x + 1) stands for it.
     """
     value = delta(x)
     route = Route.SERIES if abs(x) <= X_MAX else Route.CLOSED
     err = 6.0 * abs(value)
     if route is Route.CLOSED:
-        err += 2.0 * abs((x + 1.0) * polygamma(0, x + 1.0) / x)
+        psi = polygamma(0, x + 1.0)
+        slope = (x + 1.0) * psi
+        err += 2.0 * abs(slope / x if slope != math.inf else psi)
     return value, err * 2.0**-53, route
 
 

@@ -110,12 +110,19 @@ def delta(x):
 
     On |x| <= _ddarith.X_MAX = 0.26 the log-gamma kernel's Taylor form
     gives D directly, -gamma + sum_{k>=2} (-1)^k zeta(k) x^(k-1)/k; the
-    two branches agree to ~1e-15 at the seam.
+    two branches agree to ~1e-15 at the seam.  Past x = 2.556e305
+    ln Gamma(x+1) overflows, though D ~ ln x - 1 stays under 710; there
+    Stirling's terms are divided by x before they are summed, and its
+    Bernoulli sum, under 1/(12 x), is far below an ulp of D.
     """
     _check_x(x)
     if abs(x) <= _ddarith.X_MAX:
         return kernels.ln_gamma_taylor(0, x)
-    return kernels.ln_gamma(x + 1.0) / x
+    value = kernels.ln_gamma(x + 1.0) / x
+    if value == math.inf:
+        z = x + 1.0
+        value = (z - 0.5) / x * math.log(z) - z / x + kernels._LN_SQRT_TWO_PI / x
+    return value
 
 
 # ---------------------------------------------------------------- routes
@@ -220,7 +227,7 @@ def _hurwitz(m, x, cfg):
 
     zeta(m+1, x u + 1) has its pole at u = -1/x.  On -1/2 <= x <= 1,
     x = 0 included, it is at least a unit interval away and [0, 1] is
-    one piece, in u for x >= 0 and in s = 1 - u for x < 0.  Further out
+    one piece in u (kernels.hz_route_panel).  Further out
     the integrand has a layer at the end nearest the pole, u ~ 1/x for
     x > 1 and u = 1 for x < -1/2, whose width shrinks with distance to
     the pole, so the integral runs in the log of the zeta argument:
@@ -247,10 +254,7 @@ def _hurwitz(m, x, cfg):
     )
     top, breaks, top_ulps = 1.0, (), 0.0
     if -0.5 <= x <= 1.0:
-        if x < 0.0:
-            f = lambda ss: kernels.hz_route_reflected_panel(m, x, ss)  # noqa: E731
-        else:
-            f = lambda us: kernels.hz_route_panel(m, x, us)  # noqa: E731
+        f = lambda us: kernels.hz_route_panel(m, x, us)  # noqa: E731
     else:
         top = abs(math.log1p(x))
         pieces = math.ceil(top / _HZ_PIECE_WIDTH)

@@ -379,43 +379,36 @@ _FIRST_TRY = 6
 def _sawtooth_integrand(coeffs, factors):
     """(f, g): the panel integrand phi({t}) g(t), and g at a list of points.
 
-    g(t) = prod (t + c)^(-p), multiplied left to right from 1.0, and phi
-    is Horner in y = {t} = t % 1.0, which is t - floor(t) exactly.  The
-    form follows the input's shape.  Up to two factors, g is one list
-    comprehension, a missing factor padded as (0, 0), whose power is
-    exactly 1.0; more take a loop over the factors at each node.  phi of
-    degree 1 over up to two factors, every HYP call, is one comprehension
-    for the whole integrand; other degrees run the Horner loop at each
-    node.  Every form gives the same values, bit for bit.
+    g(t) = prod (t + c)^(-p) is a loop over the factors at each node,
+    multiplied left to right from 1.0, and phi is Horner in y = {t} =
+    t % 1.0, which is t - floor(t) exactly.  phi of degree 1 over at most
+    two factors, every HYP call, is one list comprehension for the whole
+    integrand, a missing factor padded as (0, 0), whose power is exactly
+    1.0; every other shape runs the Horner loop at each node over g.  Both
+    forms give the same values, bit for bit.
     """
-    if len(factors) <= 2:
-        (c1, p1), (c2, p2) = (*factors, (0.0, 0.0))[:2]
-        q1, q2 = -p1, -p2
+    powers = tuple((c, -p) for c, p in factors)
 
-        def g(ts):
-            return [(t + c1) ** q1 * (t + c2) ** q2 for t in ts]
+    def g(ts):
+        out = []
+        for t in ts:
+            w = 1.0
+            for c, q in powers:
+                w *= (t + c) ** q
+            out.append(w)
+        return out
 
-        if len(coeffs) == 2:
-            a0, a1 = coeffs
+    if len(coeffs) == 2 and len(powers) <= 2:
+        a0, a1 = coeffs
+        (c1, q1), (c2, q2) = (*powers, (0.0, 0.0))[:2]
 
-            def f(nodes):
-                return [
-                    (a1 * (t % 1.0) + a0) * ((t + c1) ** q1 * (t + c2) ** q2)
-                    for t in nodes
-                ]
+        def f(nodes):
+            return [
+                (a1 * (t % 1.0) + a0) * ((t + c1) ** q1 * (t + c2) ** q2)
+                for t in nodes
+            ]
 
-            return f, g
-    else:
-        powers = tuple((c, -p) for c, p in factors)
-
-        def g(ts):
-            out = []
-            for t in ts:
-                w = 1.0
-                for c, q in powers:
-                    w *= (t + c) ** q
-                out.append(w)
-            return out
+        return f, g
 
     lead, rest = coeffs[-1], coeffs[-2::-1]
 
@@ -439,11 +432,10 @@ def integrate_unit_split(coeffs, factors, start, cfg=DEFAULT_CONFIG):
     start + c > 0, start an integer, so g is completely monotone on
     [start, inf).  phi is evaluated by Horner in y = {t}, which is exact
     near an integer, so a phi that vanishes at y = 0 keeps its relative
-    precision beside a pole at start.  The integrand's form follows the
-    input's shape (_sawtooth_integrand): one list comprehension per panel
-    for degree 1 over at most two factors, per-node Horner loops for other
-    degrees and a per-node factor loop past two factors, the same values
-    in every form.
+    precision beside a pole at start.  The integrand has two forms, with
+    the same values (_sawtooth_integrand): one list comprehension per
+    panel for degree 1 over at most two factors, and a loop at each node
+    over the factors and phi's Horner terms for every other shape.
 
     [start, start + _FIRST_TRY] is integrated in one integrate_finite
     call, seeded with a piece per unit interval; the first unit is also

@@ -2,16 +2,17 @@
 over 0.125 <= |x| < 0.28, on both sides of the Taylor seam at 0.26, and
 beyond on the double kernels; the band below the seam, where both are
 sharp; a hypothesis sweep of the whole disc |x| <= 0.26, pinned at every
-point where the collected series changes length; the double-kernel side
-pinned bit for bit to the plain per-term Leibniz loop; and the range of
-x both routes serve: CLOSED refuses where x^(m+1) overflows, and
-RECURRENCE also where m/x does."""
+point where the collected series changes length, and of SERIES there; a
+hypothesis sweep of CLOSED on the double kernels past the seam; the
+double-kernel side pinned bit for bit to the plain per-term Leibniz
+loop; and the range of x both routes serve: CLOSED refuses where
+x^(m+1) overflows, and RECURRENCE also where m/x does."""
 
 import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nlgamma import _ddarith
@@ -110,6 +111,53 @@ _DISC = st.one_of(
 def test_disc_sweep_within_estimate(m, x, mp_taylor_deriv):
     # uniform and log-uniform |x| over the whole Taylor disc
     _within_estimate(m, x, mp_taylor_deriv(m, x))
+
+
+@given(m=st.integers(min_value=1, max_value=12), x=_DISC)
+@settings(max_examples=200, deadline=None)
+def test_series_sweep_within_estimate(m, x, mp_taylor_deriv):
+    r = delta_deriv(m, x, Route.SERIES)
+    exact = mp_taylor_deriv(m, x)
+    assert r.converged
+    assert abs(r.value - exact) <= r.abs_err_est, (m, x, r.value, exact)
+
+
+# past the seam on the double kernels: uniform on (-1, -0.26) and
+# log-uniform on (0.26, 1e6]
+_PAST_SEAM = st.one_of(
+    st.floats(min_value=-1.0, max_value=-X_MAX, exclude_min=True, exclude_max=True),
+    st.builds(
+        lambda e: 10.0**e,
+        st.floats(min_value=math.log10(X_MAX), max_value=6.0, exclude_min=True),
+    ),
+)
+
+
+@given(m=st.integers(min_value=1, max_value=12), x=_PAST_SEAM)
+@settings(max_examples=200, deadline=None)
+# just past the seam, where the Leibniz terms cancel most
+@example(m=11, x=0.2601)
+@example(m=12, x=0.2601)
+@example(m=11, x=-0.2601)
+@example(m=12, x=-0.2601)
+@example(m=11, x=0.27)
+@example(m=12, x=0.27)
+@example(m=11, x=-0.27)
+@example(m=12, x=-0.27)
+@example(m=11, x=0.3)
+@example(m=12, x=0.3)
+# beside the zero of the digamma at x + 1 = 1.4616
+@example(m=6, x=0.4691)
+# the largest x whose x^(m+1) is finite
+@example(m=1, x=1.3407807929942596e154)
+@example(m=12, x=5.15111442105967e23)
+def test_double_kernel_sweep_within_estimate(m, x, mp_deriv):
+    # honesty only: just past the seam the estimate is wide, up to 6.8e-6
+    # of the value at m = 12
+    r = delta_deriv(m, x, Route.CLOSED)
+    exact = mp_deriv(m, x)
+    assert r.converged
+    assert abs(r.value - exact) <= r.abs_err_est, (m, x, r.value, exact)
 
 
 @pytest.mark.parametrize("m", [1, 6, 12])

@@ -1,5 +1,5 @@
 """HURWITZ against a high-precision oracle on both sides of x = -1/2 and
-x = 1, where its integral moves from one piece in u (or s = 1 - u) to
+x = 1, where its integral moves from one piece in u to
 pieces of width 2 in the log variable v; the range edges at huge x,
 where no factor |x|^(-m-1) may be formed outside the sum; and its work
 there, one K21 panel a piece."""

@@ -16,6 +16,7 @@ import pytest
 mp = pytest.importorskip("mpmath")
 
 from nlgamma._backend import kernels  # noqa: E402
+from nlgamma.cli import _delta_point  # noqa: E402
 from nlgamma.delta import Route, delta, delta_deriv  # noqa: E402
 
 
@@ -91,3 +92,29 @@ def test_delta_in_the_band():
             for s in (1.0, -1.0)
         ]
     assert max(errs) <= 2.0
+
+
+# ln Gamma(x + 1) is finite up to this double and overflows from the next
+_LN_GAMMA_EDGE = 2.5563481638716906e305
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        _LN_GAMMA_EDGE,
+        math.nextafter(_LN_GAMMA_EDGE, math.inf),
+        1e306,
+        1e308,
+        1.7976931348623157e308,
+    ],
+)
+def test_delta_past_ln_gamma_overflow(x):
+    # D ~ ln x - 1 is under 710 at every double, but ln Gamma(x + 1)/x
+    # gave inf (and its printed estimate inf) from the edge's next double on
+    value, err, route = _delta_point(x)
+    assert route is Route.CLOSED
+    with mp.workdps(40):
+        exact = mp.loggamma(mp.mpf(x) + 1) / x
+    assert abs(value - exact) <= err < 1e-12, (x, value, err)
+    if x == _LN_GAMMA_EDGE:
+        assert value == kernels.ln_gamma(x + 1.0) / x

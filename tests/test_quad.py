@@ -617,9 +617,9 @@ SHAPES = {
 
 
 class TestIntegrandShapes:
-    """Each integrand form against the oracle, and the forms against each
-    other: the one-comprehension form of degree 1 over up to two factors
-    gives the per-node loops' values, bit for bit."""
+    """Each integrand shape against the oracle, and the two forms against
+    each other: the one-comprehension form of degree 1 over up to two
+    factors gives the general per-node loop's values, bit for bit."""
 
     @pytest.mark.parametrize("shape", [s for s in SHAPES if s != "deg1-three"])
     def test_against_oracle(self, shape, mp_unit_split):
@@ -644,7 +644,7 @@ class TestIntegrandShapes:
     @pytest.mark.parametrize("coeffs", [(-0.5, 1.0), (0.25, -3.0)])
     def test_forms_agree_bit_for_bit(self, coeffs, factors):
         # a zero lead coefficient and a third factor (0, 0), whose power
-        # is 1.0, send the same integrand through the per-node loops
+        # is 1.0, send the same integrand through the per-node loop
         fast, g_fast = quad._sawtooth_integrand(coeffs, factors)
         padded = factors + ((0.0, 0.0),) * (3 - len(factors))
         loop, g_loop = quad._sawtooth_integrand((*coeffs, 0.0), padded)

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from nlgamma import specfun
 from nlgamma._backend import kernels
 from nlgamma._backend.kernels import (
-    hz_route_integrand,
-    hz_route_reflected_panel,
     laplace_tail_weight,
     trunc_exp_factor,
 )
@@ -290,14 +288,6 @@ class TestRouteIntegrands:
         # tight to about e^-T relative: only rounding may put it below
         assert tail <= (1.0 + 4e-15) * weight, (tail, weight)
         assert weight <= 1.1 * tail, (tail, weight)
-
-    @pytest.mark.parametrize("x", [-0.5, -0.9, -0.999])
-    def test_reflected_integrand(self, x):
-        for m in (1, 6):
-            for s in (0.1, 0.5, 0.75):
-                direct = hz_route_integrand(m, x, 1.0 - s)
-                assert rel(hz_route_reflected_panel(m, x, (s,))[0], direct) < 1e-13
-            assert hz_route_reflected_panel(m, x, (1.0,))[0] == 0.0
 
 
 def gamma_zero(x):

@@ -13,15 +13,19 @@ line on both commits, and a change that means to move one route shows
 which lines moved.  Each route's line also gives, outside the hashed
 text, its total n_evals over the draws (0 for a draw that raised) and
 how many `quad.integrate_finite` calls it made, counted by wrapping that
-function here, and its CPU ms over all the draws, best of three passes
-run after the hashed one with that wrapper removed.  Three more passes,
-with `quad.integrate_finite`, `quad._sawtooth_tail` and
-`kernels.laplace_panel` each wrapped by a CPU timer, split out the ms
-spent inside each of the three (best of the three passes for each), so a
-change that keeps every n_evals still shows where the time moved, down
-to the stage.  `laplace_panel` runs inside `integrate_finite`, so its
-timer's own cost, about a microsecond a panel, lands in the latter's
-figure:
+function here, and its CPU ms over all the draws, with that wrapper
+removed.  A stage split gives the ms spent inside each of
+`quad.integrate_finite`, `quad._sawtooth_tail` and
+`kernels.laplace_panel`, each wrapped by a CPU timer, so a change that
+keeps every n_evals still shows where the time moved, down to the stage.
+`laplace_panel` runs inside `integrate_finite`, so its timer's own cost,
+a microsecond or two a panel, lands in the latter's figure.
+
+The timed passes run after the hashed one and are interleaved: each of
+the five passes runs every route in turn, once bare and once with the
+stage timers, and each column reports its best over the passes.  So
+every column is sampled across the same stretch of the run, and a slow
+spell of the machine weighs on all the columns alike, not on one route's:
 
     python tools/route_digest.py
 """
@@ -42,7 +46,7 @@ from nlgamma.delta import Route, delta_deriv  # noqa: E402
 DRAWS = 2400
 SEED = 20260
 ROUTES = (Route.HURWITZ, Route.LAPLACE, Route.HYP, Route.RECURRENCE, Route.CLOSED)
-TIMED_PASSES = 3
+TIMED_PASSES = 5
 # (module, function) pairs timed by the stage split, in column order
 STAGES = (
     (quad, "integrate_finite"),
@@ -63,29 +67,28 @@ def draw_x(rng, region):
     return math.exp(rng.uniform(math.log(0.26), math.log(1e6)))
 
 
-def cpu_ms(route, draws):
-    """CPU ms of the route over the draws, best of TIMED_PASSES passes."""
-    best = math.inf
+def timed_columns(draws):
+    """{route: {column: CPU ms}} over the draws, each column the best of
+    TIMED_PASSES interleaved passes: column "total" is the route run bare,
+    and one column per STAGES name the ms inside that function."""
+    best = {route: {} for route in ROUTES}
     for _ in range(TIMED_PASSES):
-        start = time.process_time()
-        for m, x in draws:
-            try:
-                delta_deriv(m, x, route)
-            except ValueError:
-                pass
-        best = min(best, time.process_time() - start)
-    return best * 1e3
-
-
-def stage_ms(route, draws):
-    """CPU ms of the route inside each of STAGES over the draws, best of
-    TIMED_PASSES passes each."""
-    names = [name for _, name in STAGES]
-    best = dict.fromkeys(names, math.inf)
-    for _ in range(TIMED_PASSES):
-        for name, ms in _stage_pass(route, draws).items():
-            best[name] = min(best[name], ms)
+        for route in ROUTES:
+            start = time.process_time()
+            _run(route, draws)
+            ms = {"total": (time.process_time() - start) * 1e3}
+            ms.update(_stage_pass(route, draws))
+            for column, value in ms.items():
+                best[route][column] = min(best[route].get(column, math.inf), value)
     return best
+
+
+def _run(route, draws):
+    for m, x in draws:
+        try:
+            delta_deriv(m, x, route)
+        except ValueError:
+            pass
 
 
 def _stage_pass(route, draws):
@@ -109,11 +112,7 @@ def _stage_pass(route, draws):
     for module, name in STAGES:
         setattr(module, name, timed(name))
     try:
-        for m, x in draws:
-            try:
-                delta_deriv(m, x, route)
-            except ValueError:
-                pass
+        _run(route, draws)
     finally:
         for module, name in STAGES:
             setattr(module, name, originals[name])
@@ -149,12 +148,13 @@ def main():
             sha.update(line)
             per_route[route].update(line)
     quad.integrate_finite = integrate_finite
+    columns = timed_columns(draws)
     for route, route_sha in per_route.items():
-        stages = stage_ms(route, draws)
+        stages = columns[route]
         print(
             f"{route_sha.hexdigest()}  {route.value}  {evals[route]} evals"
             f"  {calls[route]} integrate_finite calls"
-            f"  {cpu_ms(route, draws):.0f} CPU ms"
+            f"  {stages['total']:.0f} CPU ms"
             f" ({stages['integrate_finite']:.0f} in integrate_finite,"
             f" {stages['_sawtooth_tail']:.0f} in _sawtooth_tail,"
             f" {stages['laplace_panel']:.0f} in laplace_panel)"

@@ -30,7 +30,8 @@ COMMANDS = [
     *(
         f"eval --fn delta --x {x}"
         for x in (
-            "-0.999999", "-0.3", "0", "0.13", "0.26", "0.9", "1.5", "2.5", "8", "1e100"
+            "-0.999999", "-0.3", "0", "0.13", "0.26", "0.9", "1.5", "2.5", "8", "1e100",
+            "1e308",
         )
     ),
     *(
