@@ -54,6 +54,8 @@ COMMANDS = [
             (3, "7.0", "LAPLACE"),
             (2, "0.5", "HYP"),
             (5, "0.2", "SERIES"),
+            (3, "1e4", "ASYMPTOTIC"),
+            (3, "1e100", "ASYMPTOTIC"),
         )
     ),
     "table --fn delta --start -0.9 --stop 2 --count 30",
