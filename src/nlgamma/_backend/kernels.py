@@ -141,7 +141,7 @@ def _zeta_plan(s):
     coefficients for M = 16 - j, highest first (horners[0] also M = 15,
     for a z rounded an ulp short of z_15).
     """
-    if s <= 1.0:
+    if not s > 1.0:
         raise ValueError(f"hurwitz_zeta: need s > 1, got {s}")
     # (s)_(2k-1) = num/den exactly, with s = s_num/s_den; int / int
     # rounds once
@@ -306,6 +306,8 @@ def hurwitz_zeta(s, a):
     Tiny a with large s can overflow the double range.  The plan and the
     Taylor table for the last 64 s are cached.
     """
+    if not (math.isfinite(s) and math.isfinite(a)):
+        raise ValueError(f"hurwitz_zeta: need finite s and a, got s = {s}, a = {a}")
     return _zeta_values(((s, _zeta_plan(s)),), (a,))[0]
 
 
@@ -378,7 +380,7 @@ _LGAMMA_SEAM = 1.4
 
 
 def ln_gamma(x):
-    """ln Gamma(x) for x > 0.
+    """ln Gamma(x) for x > 0; inf at x = inf.
 
     Taylor series around the zeros at 1 and 2 on [0.5, 2.5], split at
     1.4, which keeps the *relative* error small where ln Gamma itself
@@ -389,14 +391,14 @@ def ln_gamma(x):
     cancels (an upward shift to Stirling's range would subtract logs of
     about the size of the result).  Stirling from 8 on.
     """
-    if x <= 0.0:
+    if not x > 0.0:
         raise ValueError(f"ln_gamma: need x > 0, got {x}")
     if 0.5 <= x < _LGAMMA_SEAM:
         return (x - 1.0) * ln_gamma_taylor(0, x - 1.0)
     if x < 0.5:
         return x * ln_gamma_taylor(0, x) - math.log(x)
     if x >= 8.0:
-        return _stirling_lgam(x)
+        return _stirling_lgam(x) if x < math.inf else x
     prod = 1.0
     while x > 2.5:
         x -= 1.0  # exact: x < 8
@@ -405,8 +407,8 @@ def ln_gamma(x):
 
 
 def digamma(x):
-    """psi(x) = d/dx ln Gamma(x) for x > 0."""
-    if x <= 0.0:
+    """psi(x) = d/dx ln Gamma(x) for x > 0; inf at x = inf."""
+    if not x > 0.0:
         raise ValueError("digamma requires x > 0")
     acc = 0.0
     z = x
@@ -442,8 +444,8 @@ def upper_incomplete_gamma_int(n, x):
     """Gamma(n+1, x) = n! e^(-x) sum_{m=0}^n x^m/m!, the sum by Horner."""
     if n < 0:
         raise ValueError(f"upper_incomplete_gamma_int: need n >= 0, got {n}")
-    if x < 0.0:
-        raise ValueError(f"upper_incomplete_gamma_int: need x >= 0, got {x}")
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"upper_incomplete_gamma_int: need 0 <= x < inf, got {x}")
     if n > 170:
         raise ValueError("upper_incomplete_gamma_int: n too large for double range")
     return float(math.factorial(n)) * _exp_partial_sum(_inv_factorials(n), x)
@@ -569,6 +571,8 @@ def trunc_exp_factor(m, y):
     (_negligible_sum_start), or e^(-y) underflows (y > 745.2), 1.0 - Q
     rounds to 1.0 and the result is m!/y^(m+1), with no sum.
     """
+    if not 0.0 <= y < math.inf:
+        raise ValueError("trunc_exp_factor requires 0 <= y < inf")
     return _trunc_exp_values(m, y, (1.0,), False)[0]
 
 
@@ -658,8 +662,8 @@ def ei_defect(t):
     series.  Against mpmath (3,000 points on (0, 33]) it is within 1.4e-15
     relative up to the seam and 4e-16 above it.
     """
-    if t <= 0.0:
-        raise ValueError("ei_defect requires t > 0")
+    if not 0.0 < t < math.inf:
+        raise ValueError("ei_defect requires 0 < t < inf")
     if t <= _EI_SEAM:
         return _ei_defect_series(t)
     return EULER_GAMMA + math.log(t) - t + _gamma_zero_asymp(t)

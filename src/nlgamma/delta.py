@@ -10,10 +10,10 @@ HURWITZ     m! * integral_0^1 u^m zeta(m+1, x u + 1) du, up to sign; for
             pieces of width 2.
 LAPLACE     integral_0^inf t^m/(e^t - 1) E_m(x t) dt (x >= 0).
 HYP         Gauss-2F1 representation plus a sawtooth-weighted integral.
-RECURRENCE  one-step reduction to order m-1 plus a Hurwitz zeta value.
+RECURRENCE  one-step reduction to CLOSED at order m-1 plus a zeta value.
 SERIES      term-wise differentiated Taylor expansion around 0 (|x| <= 0.26),
             a cross-check with its own loop and coefficient formula.
-ASYMPTOTIC  the large-x leading term, optionally refined by one order.
+ASYMPTOTIC  the large-x leading term, charged its distance to the refined form.
 
 Also: closed-form special values at x = 1 and x = -1/2, the
 fractional-part integral representations, the two moment integrals of D
@@ -100,9 +100,10 @@ def _check_x(x):
         raise ValueError(f"domain error: need -1 < x < inf, got {x}")
 
 
-def _check_m(m):
-    if not 1 <= m <= MAX_DERIV_ORDER:
-        raise ValueError(f"domain error: need 1 <= m <= {MAX_DERIV_ORDER}, got {m}")
+def _check_m(m, name="m", lo=1, hi=MAX_DERIV_ORDER, where="domain error"):
+    """Refuse an order that is not an int in [lo, hi], 2.0 included."""
+    if not (isinstance(m, int) and lo <= m <= hi):
+        raise ValueError(f"{where}: need an integer {lo} <= {name} <= {hi}, got {m}")
 
 
 def delta(x):
@@ -343,7 +344,7 @@ def _hyp(m, x, cfg):
     term1 = f1 * xp1 ** (-(m + 1.0)) / (2.0 * (m + 1.0))
     term2 = f2 * xp1 ** (-float(m)) / (m * (m + 1.0))
 
-    p = quad.p1_integral(((1.0, 1.0), (xp1, m + 1.0)), 0.0, cfg)
+    p = quad.p1_integral(((1.0, 1.0), (xp1, m + 1.0)), cfg)
     fact = math.factorial(m)
     value = _sign_for(m) * fact * (term1 + term2 - p.value)
     err = fact * (p.abs_err_est + 1e-14 * (abs(term1) + abs(term2)))
@@ -352,13 +353,13 @@ def _hyp(m, x, cfg):
     return EvalResult(value, err, Route.HYP, p.n_evals + 1, p.converged)
 
 
-def _recurrence(m, x, cfg, base=Route.CLOSED):
-    """D^(m)(x) = -(m/x) D^(m-1)(x) - (-1)^(m-1) (m-1)! zeta(m, x+1)/x."""
+def _recurrence(m, x, cfg):
+    """D^(m) = -(m/x) D^(m-1) - (-1)^(m-1) (m-1)! zeta(m, x+1)/x, D^(m-1) by CLOSED."""
     if m < 2:
         raise ValueError("RECURRENCE route needs m >= 2")
     if x == 0.0:
         raise ValueError("RECURRENCE route needs x != 0")
-    prev = delta_deriv(m - 1, x, base, cfg)
+    prev = delta_deriv(m - 1, x, Route.CLOSED)  # no quadrature: always converges
     zeta_term = math.factorial(m - 1) * kernels.hurwitz_zeta(float(m), x + 1.0)
     scaled_prev = (m / x) * prev.value
     value = -scaled_prev - _sign_for(m) * zeta_term / x
@@ -371,7 +372,7 @@ def _recurrence(m, x, cfg, base=Route.CLOSED):
             f"domain error: RECURRENCE's m/x terms leave the double range "
             f"at m = {m}, x = {x}"
         )
-    return EvalResult(value, err, Route.RECURRENCE, prev.n_evals + 1, prev.converged)
+    return EvalResult(value, err, Route.RECURRENCE, prev.n_evals + 1)
 
 
 def asymptotic_leading(m, x, refine=False):
@@ -393,6 +394,20 @@ def asymptotic_leading(m, x, refine=False):
     return _sign_for(m) * math.factorial(m) * (term1 + term2)
 
 
+def _asymptotic(m, x, cfg):
+    """The leading term, charged its distance to the refined form (no bound)."""
+    try:
+        lead = asymptotic_leading(m, x)
+        err = abs(asymptotic_leading(m, x, refine=True) - lead)
+    except OverflowError:
+        err = math.inf  # (x + 1)^m or (x + 1)^(m + 1) past the double range
+    if not math.isfinite(err):
+        raise ValueError(
+            f"domain error: ASYMPTOTIC leaves the double range at m = {m}, x = {x}"
+        )
+    return EvalResult(lead, err, Route.ASYMPTOTIC, 2)
+
+
 _ROUTE_IMPL = {
     Route.CLOSED: lambda m, x, cfg: _closed(m, x),
     Route.SERIES: lambda m, x, cfg: _series(m, x),
@@ -400,30 +415,18 @@ _ROUTE_IMPL = {
     Route.LAPLACE: _laplace,
     Route.HYP: _hyp,
     Route.RECURRENCE: _recurrence,
+    Route.ASYMPTOTIC: _asymptotic,
 }
 
 
 def delta_deriv(m, x, route=None, cfg=quad.DEFAULT_CONFIG):
-    """m-th derivative of D at x, by the requested route.
+    """m-th derivative of D at x, by the route's entry in _ROUTE_IMPL.
 
-    route=None is CLOSED, at every x, x = 0 included.
-    """
+    route=None is CLOSED, at every x, x = 0 included.  Only HURWITZ,
+    LAPLACE and HYP read cfg."""
     _check_m(m)
     _check_x(x)
-    if route is None:
-        route = Route.CLOSED
-    if route is Route.ASYMPTOTIC:
-        try:
-            lead = asymptotic_leading(m, x)
-            err = abs(asymptotic_leading(m, x, refine=True) - lead)
-        except OverflowError:
-            err = math.inf  # (x + 1)^m or (x + 1)^(m + 1) past the double range
-        if not math.isfinite(err):
-            raise ValueError(
-                f"domain error: ASYMPTOTIC leaves the double range at m = {m}, x = {x}"
-            )
-        return EvalResult(lead, err, Route.ASYMPTOTIC, 2)
-    impl = _ROUTE_IMPL.get(route)
+    impl = _ROUTE_IMPL.get(Route.CLOSED if route is None else route)
     if impl is None:
         raise ValueError(f"unsupported route: {route}")
     return impl(m, x, cfg)
@@ -455,8 +458,7 @@ def delta_deriv_half_integer(m):
     built from the half-argument polygamma values and validated against
     the CLOSED route at x = -1/2 for every supported order.
     """
-    if not 1 <= m <= 10:
-        raise ValueError(f"delta_deriv_half_integer: need 1 <= m <= 10, got {m}")
+    _check_m(m, hi=10, where="delta_deriv_half_integer")
     n = m - 1
     acc = 0.0
     for j in range(n):
@@ -484,10 +486,8 @@ def frac_rep_prop2(m, k, cfg=quad.DEFAULT_CONFIG):
 
     for integer k >= 1, 1 <= m <= 8.  Returns (lhs, rhs) QuadResults.
     """
-    if k < 1:
-        raise ValueError("frac_rep_prop2: need k >= 1")
-    if not 1 <= m <= 8:
-        raise ValueError("frac_rep_prop2: need 1 <= m <= 8")
+    _check_m(k, "k", hi=math.inf, where="frac_rep_prop2")
+    _check_m(m, hi=8, where="frac_rep_prop2")
     lhs = quad.integrate_finite(
         lambda us: kernels.hz_route_panel(m, float(k), us), 0.0, 1.0, cfg
     )
@@ -502,7 +502,7 @@ def _prop2_rhs(m, k, cfg):
     total = quad.QuadResult(0.0, 0.0, 0, True)
     for j in range(k):
         row = [math.comb(m, i) * float(j) ** (m - i) for i in range(m + 1)]
-        total = total + quad.integrate_unit_split(row, ((j + 1.0, m + 1.0),), 0.0, cfg)
+        total = total + quad.integrate_unit_split(row, ((j + 1.0, m + 1.0),), cfg)
     return total.scaled(float(k) ** (-(m + 1.0)))
 
 
@@ -604,27 +604,25 @@ def integral_delta_squared():
 # ------------------------------------------------------ residual checks
 
 
-def recurrence_residual(m, x, base=Route.CLOSED):
+def recurrence_residual(m, x):
     """Residual of the order-lowering recurrence
 
         (-1)^(m-1) D^(m)(x)/m! = (-1)^(m-2) D^(m-1)(x)/((m-1)! x)
                                   - zeta(m, x+1)/(m x)
 
-    with both derivatives computed via `base`."""
-    if not 2 <= m <= MAX_DERIV_ORDER:
-        raise ValueError(f"recurrence_residual: need 2 <= m <= {MAX_DERIV_ORDER}")
-    _check_x(x)
+    with both derivatives computed by CLOSED, which the point names."""
+    _check_m(m, lo=2, where="recurrence_residual")
     if x == 0.0:
         raise ValueError("recurrence_residual: need x != 0")
-    hi = delta_deriv(m, x, base)
-    lo = delta_deriv(m - 1, x, base)
+    hi = delta_deriv(m, x, Route.CLOSED)
+    lo = delta_deriv(m - 1, x, Route.CLOSED)
     lhs = _sign_for(m) * hi.value / math.factorial(m)
     rhs = _sign_for(m - 1) * lo.value / (math.factorial(m - 1) * x) - kernels.hurwitz_zeta(
         float(m), x + 1.0
     ) / (m * x)
     return IdentityResidual.build(
         "recurrence",
-        {"m": m, "x": x, "base": base.value},
+        {"m": m, "x": x, "base": Route.CLOSED.value},
         lhs,
         rhs,
         1e-9,
@@ -641,11 +639,9 @@ def check_complete_monotonicity(m_max, grid):
     of either sign, certifies nothing and fails.  Failures become failed
     report entries rather than exceptions.
     """
-    if not 1 <= m_max <= MAX_DERIV_ORDER:
-        raise ValueError(f"check_complete_monotonicity: need m_max <= {MAX_DERIV_ORDER}")
+    _check_m(m_max, "m_max", where="check_complete_monotonicity")
     report = VerificationReport(suite="monotonicity")
     for x in grid:
-        _check_x(x)
         for m in range(1, m_max + 1):
             r = delta_deriv(m, x)
             signed = _sign_for(m) * r.value

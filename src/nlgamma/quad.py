@@ -4,12 +4,12 @@ Adaptive Gauss-Kronrod panels (the 21-point Kronrod rule, with the
 10-point Gauss rule on its nodes for the error estimate) for finite
 intervals, each one call of a panel integrand that maps the list of its
 nodes to the list of their values (pointwise(g) for a scalar g); one
-sawtooth integrator, integrate_unit_split, for integral_start^inf
+sawtooth integrator, integrate_unit_split, for integral_0^inf
 phi({t}) g(t) dt with phi a polynomial in the fractional part and g a
-product of powers, which integrates [start, start + 6] in one call and
-then tries its exact periodic-Bernoulli (Euler-Maclaurin) tail, with its
-proven bound, at start + 6, start + 7, ..., one unit interval more after
-each failed try (p1_integral is its phi = B_1 case); and the
+product of powers, which integrates [0, 6] in one call and then tries
+its exact periodic-Bernoulli (Euler-Maclaurin) tail, with its proven
+bound, at 6, 7, ..., one unit interval more after each failed try
+(p1_integral is its phi = B_1 case); and the
 periodization transform relating integrals of f({x/b})/(x+c)^lambda to
 finite Hurwitz-zeta moments.  The sawtooth tail keeps its own Bernoulli
 weights: HYP and the Proposition 2 right side, built on it, are
@@ -362,17 +362,17 @@ def _sawtooth_plan(coeffs):
     return mean, mean_mag, tuple(parts)
 
 
-# Unit intervals past start at which integrate_unit_split gives up on a
-# tail (converged=False).  HYP and the verify suites meet theirs within 8;
+# The t at which integrate_unit_split gives up on a tail
+# (converged=False).  HYP and the verify suites meet theirs within 8;
 # y^25 .. y^29 over (t + 1)^3 march here, 21,000 evals before splits.
 _TAIL_INTERVALS_MAX = 1000
 
-# Unit intervals past start of the first tail try, all integrated in one
+# The t of the first tail try; [0, _FIRST_TRY] is integrated in one
 # call.  Over 3,382 HYP calls (480 cross-check draws at seed 4242, the
 # 502-point oracle grid and the 2,400 route_digest draws) the tail first
-# met its tolerance at start + 6 or sooner on every call, and at exactly
-# start + 6 on 86-91% of them; the Proposition 2 suite meets it 2 to 7
-# units out, and specfun 5 to 6.
+# met its tolerance at t = 6 or sooner on every call, and at exactly 6 on
+# 86-91% of them; the Proposition 2 suite meets it at 2 to 7, and
+# specfun at 5 to 6.
 _FIRST_TRY = 6
 
 
@@ -425,42 +425,43 @@ def _sawtooth_integrand(coeffs, factors):
     return f, g
 
 
-def integrate_unit_split(coeffs, factors, start, cfg=DEFAULT_CONFIG):
-    """integral_start^inf phi({t}) g(t) dt with g(t) = prod (t + c)^(-p).
+def integrate_unit_split(coeffs, factors, cfg=DEFAULT_CONFIG):
+    """integral_0^inf phi({t}) g(t) dt with g(t) = prod (t + c)^(-p).
 
     phi(y) = sum_i coeffs[i] y^i; factors are (c, p) pairs with p > 0 and
-    start + c > 0, start an integer, so g is completely monotone on
-    [start, inf).  phi is evaluated by Horner in y = {t}, which is exact
-    near an integer, so a phi that vanishes at y = 0 keeps its relative
-    precision beside a pole at start.  The integrand has two forms, with
-    the same values (_sawtooth_integrand): one list comprehension per
-    panel for degree 1 over at most two factors, and a loop at each node
-    over the factors and phi's Horner terms for every other shape.
+    c > 0, so g is completely monotone on [0, inf).  An integral from an
+    integer n is the one from 0 with each c raised by n.  phi is evaluated
+    by Horner in y = {t}, which is exact near an integer, so a phi that
+    vanishes at y = 0 keeps its relative precision beside a pole at 0.
+    The integrand has two forms, with the same values
+    (_sawtooth_integrand): one list comprehension per panel for degree 1
+    over at most two factors, and a loop at each node over the factors and
+    phi's Horner terms for every other shape.
 
-    [start, start + _FIRST_TRY] is integrated in one integrate_finite
-    call, seeded with a piece per unit interval; the first unit is also
-    split at its half-integer and wherever the distance to a pole -c
-    doubles, so no panel straddles the jump of {t} at an integer or
-    misses a pole layer.  The bisection and the stop test run over all
-    pieces together, with an absolute allowance of 2e-15 times an upper
-    Riemann sum of |phi| g over the pieces: g at each piece's left end
-    times its width times sum |coeffs[i]| y^i at its right end in y.  g
-    is evaluated once at each mesh point, as the pieces share their ends.
+    [0, _FIRST_TRY] is integrated in one integrate_finite call, seeded
+    with a piece per unit interval; the first unit is also split at its
+    half-integer and wherever the distance to a pole -c doubles, so no
+    panel straddles the jump of {t} at an integer or misses a pole layer.
+    The bisection and the stop test run over all pieces together, with an
+    absolute allowance of 2e-15 times an upper Riemann sum of |phi| g over
+    the pieces: g at each piece's left end times its width times
+    sum |coeffs[i]| y^i at its right end in y.  g is evaluated once at
+    each mesh point, as the pieces share their ends.
 
-    The tail is then tried at start + _FIRST_TRY, and one more unit
-    interval is integrated after each failed try.  The tail is exact in
-    phi's periodic-Bernoulli components phi = a_0 + sum_k a_k B_k({t}).
-    The mean integrates in closed form, a_0 (X+c)^(1-p)/(p-1), so a
-    nonzero mean needs a single factor with p > 1; a constant phi has no
-    other part and takes its tail at start, with no call.  Each B_k gets
-    its integration-by-parts series, up to 15 Bernoulli weights (B_30),
-    whose remainder is at most its first omitted term (_sawtooth_tail).
-    The march stops at the first X where those terms, weighted by |a_k|,
-    sum to within 1e-16 |value|; that sum and the mean's rounding are
-    charged as the tail's error.  The tolerance is the rounding floor of
-    the sum, not cfg.rel_tol, because callers such as HYP cancel this
-    value against other terms.  A march that reaches start +
-    _TAIL_INTERVALS_MAX without a tail returns converged=False.
+    The tail is then tried at _FIRST_TRY, and one more unit interval is
+    integrated after each failed try.  The tail is exact in phi's
+    periodic-Bernoulli components phi = a_0 + sum_k a_k B_k({t}).  The
+    mean integrates in closed form, a_0 (X+c)^(1-p)/(p-1), so a nonzero
+    mean needs a single factor with p > 1; a constant phi has no other
+    part and takes its tail at 0, with no call.  Each B_k gets its
+    integration-by-parts series, up to 15 Bernoulli weights (B_30), whose
+    remainder is at most its first omitted term (_sawtooth_tail).  The
+    march stops at the first X where those terms, weighted by |a_k|, sum
+    to within 1e-16 |value|; that sum and the mean's rounding are charged
+    as the tail's error.  The tolerance is the rounding floor of the sum,
+    not cfg.rel_tol, because callers such as HYP cancel this value against
+    other terms.  A march that reaches _TAIL_INTERVALS_MAX without a tail
+    returns converged=False.
 
     The estimate also charges the integrand's own rounding, which the
     panels' 2e-16 sum |panel| misses for large p and where phi changes sign
@@ -469,8 +470,6 @@ def integrate_unit_split(coeffs, factors, start, cfg=DEFAULT_CONFIG):
     degree, all of sum |coeffs[i]| y^i g, which the trapezoid rule
     integrates over each piece.
     """
-    if start != math.floor(start):
-        raise ValueError("integrate_unit_split expects an integer start")
     coeffs = tuple(map(float, coeffs))
     if not coeffs or not all(map(math.isfinite, coeffs)):
         raise ValueError("integrate_unit_split needs finite polynomial coefficients")
@@ -480,12 +479,12 @@ def integrate_unit_split(coeffs, factors, start, cfg=DEFAULT_CONFIG):
     kappa = 0.0  # the integrand's rounding in ulps: p + 2 a factor, ...
     for c, p in factors:
         c, p = float(c), float(p)
-        if not (0.0 < p < math.inf and 0.0 < start + c < math.inf):
-            raise ValueError("integrate_unit_split needs p > 0 and start + c > 0")
+        if not (0.0 < p < math.inf and 0.0 < c < math.inf):
+            raise ValueError("integrate_unit_split needs p > 0 and c > 0")
         normed.append((c, p))
         kappa += p + 2.0
     if not normed:
-        raise ValueError("integrate_unit_split needs p > 0 and start + c > 0")
+        raise ValueError("integrate_unit_split needs p > 0 and c > 0")
     factors = tuple(normed)
     kappa = kappa + 2.0 * (len(coeffs) - 1) + 1.0  # ... 2 a degree, 1 more
     mean, mean_mag, parts = _sawtooth_plan(coeffs)
@@ -514,10 +513,10 @@ def integrate_unit_split(coeffs, factors, start, cfg=DEFAULT_CONFIG):
             trapezoids.append(0.5 * (ga * wa + gb * wb) * (b - a))
         return math.fsum(bounds), math.fsum(trapezoids)
 
-    x = float(start)
-    end = x + min(_FIRST_TRY, _TAIL_INTERVALS_MAX) if parts else x
-    poles = {t for c, _ in factors for t in graded_breaks(-c, x + (x + c), x + 0.5)}
-    edges = [x, *sorted(poles), x + 0.5, *(x + i for i in range(1, int(end - x) + 1))]
+    x = 0.0
+    end = float(min(_FIRST_TRY, _TAIL_INTERVALS_MAX)) if parts else x
+    poles = {t for c, _ in factors for t in graded_breaks(-c, c, 0.5)}
+    edges = [x, *sorted(poles), 0.5, *map(float, range(1, int(end) + 1))]
     bound, trapezoid = sizes(edges)  # the first call's
     # every call's allowance; later calls add far less than the first
     allowance = max(2e-15 * bound, 1e-299)
@@ -529,7 +528,7 @@ def integrate_unit_split(coeffs, factors, start, cfg=DEFAULT_CONFIG):
     (c0, p0), *_ = factors  # the only factor when mean != 0
     while True:
         if end > x:
-            breaks = edges[1:-1] if x == start else []
+            breaks = edges[1:-1] if x == 0.0 else []
             local = QuadConfig(
                 rel_tol=1e-12,
                 abs_tol=allowance,
@@ -554,7 +553,7 @@ def integrate_unit_split(coeffs, factors, start, cfg=DEFAULT_CONFIG):
             value += tail[0] + mean_tail
             err += tail[1] + mean_round
             break
-        if x - start >= _TAIL_INTERVALS_MAX:
+        if x >= _TAIL_INTERVALS_MAX:
             converged = False
             break
         end = x + 1.0
@@ -564,10 +563,10 @@ def integrate_unit_split(coeffs, factors, start, cfg=DEFAULT_CONFIG):
     return QuadResult(value, err, n_evals, converged)
 
 
-def p1_integral(factors, start, cfg=DEFAULT_CONFIG):
-    """integral_start^inf p1(t) g(t) dt: integrate_unit_split with
+def p1_integral(factors, cfg=DEFAULT_CONFIG):
+    """integral_0^inf p1(t) g(t) dt: integrate_unit_split with
     phi(y) = y - 1/2 = B_1(y), the sawtooth of HYP's sawtooth integral."""
-    return integrate_unit_split((-0.5, 1.0), factors, start, cfg)
+    return integrate_unit_split((-0.5, 1.0), factors, cfg)
 
 
 def lemma2_transform(coeffs, b, c, lam):
@@ -589,7 +588,7 @@ def lemma2_transform(coeffs, b, c, lam):
     if c <= 0.0:
         raise ValueError("lemma2_transform requires c > 0")
     scale = b ** (1.0 - lam)
-    lhs = integrate_unit_split(coeffs, ((c / b, lam),), 0.0)
+    lhs = integrate_unit_split(coeffs, ((c / b, lam),))
     f = lambda y: sum(a * y**i for i, a in enumerate(coeffs))  # noqa: E731
     rhs = integrate_finite(
         pointwise(lambda y: f(y) * hurwitz_zeta(lam, y + c / b)), 0.0, 1.0

@@ -32,8 +32,8 @@ __all__ = [
 
 def riemann_zeta(s):
     """zeta(s) for s > 1; identical to hurwitz_zeta(s, 1) bit for bit."""
-    if s <= 1.0:
-        raise ValueError(f"riemann_zeta: need s > 1, got {s}")
+    if not 1.0 < s < math.inf:
+        raise ValueError(f"riemann_zeta: need 1 < s < inf, got {s}")
     return kernels.hurwitz_zeta(s, 1.0)
 
 
@@ -45,7 +45,7 @@ def polygamma(order, x):
     """
     if order < -1:
         raise ValueError(f"polygamma: need order >= -1, got {order}")
-    if x <= 0.0:
+    if not x > 0.0:
         raise ValueError(f"polygamma: need x > 0, got {x}")
     if order == -1:
         return kernels.ln_gamma(x)

@@ -115,7 +115,7 @@ def suite_recurrence():
     rep = VerificationReport(suite="recurrence")
     for m in range(2, 11):
         for x in ROUTE_GRID_X:
-            rep.add(recurrence_residual(m, x, Route.CLOSED))
+            rep.add(recurrence_residual(m, x))
     return rep
 
 
@@ -346,7 +346,7 @@ def suite_specfun():
             )
     for s in (2.0, 3.0, 5.0):
         for a in (1.0, 1.5, 3.0):
-            p = quad.p1_integral(((a, s + 1.0),), 0.0)
+            p = quad.p1_integral(((a, s + 1.0),))
             lhs = a**-s / 2.0 + a ** (1.0 - s) / (s - 1.0) - s * p.value
             rep.add(
                 IdentityResidual.build(
@@ -357,7 +357,7 @@ def suite_specfun():
                     1e-9,
                 )
             )
-    p = quad.p1_integral(((1.0, 4.0),), 0.0)
+    p = quad.p1_integral(((1.0, 4.0),))
     lhs = 0.5 + 0.5 - 3.0 * p.value
     rep.add(
         IdentityResidual.build(

@@ -115,7 +115,7 @@ def mp_unit_split():
             total += b * (mpmath.log1p(1 / a) if e == 0 else ((a + 1) ** e - a**e) / e)
         return total
 
-    def unit_split(coeffs, factors, start):
+    def unit_split(coeffs, factors, start=0.0):
         with mpmath.workdps(40):
             cs = [mpmath.mpf(a) for a in coeffs]
             parts = [(w, start + c, s) for w, c, s in terms(factors)]

@@ -79,7 +79,7 @@ def test_c03_recurrence():
     worst = 0.0
     for m in range(2, 11):
         for x in X_GRID:
-            r = recurrence_residual(m, x, Route.CLOSED)
+            r = recurrence_residual(m, x)
             worst = max(worst, abs(r.residual) / max(abs(r.lhs), abs(r.rhs), 1e-300))
     report(3, "recurrence", worst <= 1e-9, f"worst rel residual {worst:.2e}")
 
@@ -221,10 +221,10 @@ def test_c10_primitive_suite():
     worst_saw = 0.0
     for s in (2.0, 3.0, 5.0):
         for a in (1.0, 1.5, 3.0):
-            r = p1_integral(((a, s + 1.0),), 0.0, DEFAULT_CONFIG)
+            r = p1_integral(((a, s + 1.0),), DEFAULT_CONFIG)
             lhs = a**-s / 2.0 + a ** (1.0 - s) / (s - 1.0) - s * r.value
             worst_saw = max(worst_saw, abs(lhs - hurwitz_zeta(s, a)))
-    r = p1_integral(((1.0, 4.0),), 0.0)
+    r = p1_integral(((1.0, 4.0),))
     riemann_gap = abs(0.5 + 0.5 - 3.0 * r.value - riemann_zeta(3.0))
     ok = (
         worst_tel <= 1e-13

@@ -5,6 +5,7 @@ import math
 import pytest
 
 import nlgamma
+from nlgamma import specfun
 from nlgamma._backend import kernels
 
 
@@ -24,11 +25,34 @@ def test_backend_reports_name():
         ("upper_incomplete_gamma_int", (-1, 1.0)),
         ("digamma", (-1.0,)),
         ("ei_defect", (0.0,)),
+        # NaN fails every check, and infinity every one but ln_gamma's
+        # and digamma's, which return inf
+        ("ln_gamma", (math.nan,)),
+        ("digamma", (math.nan,)),
+        ("polygamma", (0, math.nan)),
+        ("upper_incomplete_gamma_int", (3, math.nan)),
+        ("ei_defect", (math.nan,)),
+        ("trunc_exp_factor", (3, math.nan)),
+        ("upper_incomplete_gamma_int", (3, math.inf)),
+        ("ei_defect", (math.inf,)),
+        ("trunc_exp_factor", (3, math.inf)),
+        ("hurwitz_zeta", (math.nan, 2.0)),
+        ("riemann_zeta", (math.nan,)),
+        ("hurwitz_zeta", (math.inf, 2.0)),
+        ("hurwitz_zeta", (2.0, math.inf)),
+        ("hurwitz_zeta", (2.0, math.nan)),
+        ("riemann_zeta", (math.inf,)),
+        ("polygamma", (2, math.inf)),
     ],
 )
 def test_kernel_domain_errors(fn, args):
     with pytest.raises(ValueError):
-        getattr(kernels, fn)(*args)
+        getattr(kernels if hasattr(kernels, fn) else specfun, fn)(*args)
+
+
+@pytest.mark.parametrize("fn", [kernels.ln_gamma, kernels.digamma])
+def test_infinite_argument_gives_infinity(fn):
+    assert fn(math.inf) == math.inf
 
 
 def test_pure_backend_self_contained():

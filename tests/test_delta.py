@@ -13,9 +13,9 @@ from nlgamma._ddarith import X_MAX
 from nlgamma.delta import (
     MAX_DERIV_ORDER,
     EvalResult,
+    _ROUTE_IMPL,
     Route,
     _prop2_rhs,
-    _recurrence,
     asymptotic_leading,
     check_complete_monotonicity,
     delta,
@@ -169,6 +169,17 @@ class TestRouteAgreement:
     def test_infinite_x_rejected(self, route):
         with pytest.raises(ValueError, match="domain"):
             delta_deriv(1, math.inf, route)
+
+    @pytest.mark.parametrize("route", [None] + list(Route))
+    @pytest.mark.parametrize("m", [2.5, 2.0])
+    def test_non_integer_m_rejected(self, route, m):
+        with pytest.raises(ValueError, match="domain error: need an integer"):
+            delta_deriv(m, 0.5, route)
+
+    def test_one_table_entry_per_route(self):
+        assert set(_ROUTE_IMPL) == set(Route)
+        with pytest.raises(ValueError, match="unsupported route"):
+            delta_deriv(1, 0.5, "CLOSED")
 
     def test_default_route_selection(self):
         for x in (0.0, 0.1, 0.2, 5.0):
@@ -342,11 +353,6 @@ class TestConverged:
         monkeypatch.setattr(quad, "_TAIL_INTERVALS_MAX", 1)
         assert not delta_deriv(m, x, route, tight).converged
 
-    def test_recurrence_carries_its_base(self, monkeypatch):
-        assert _recurrence(3, 0.5, QuadConfig(), base=Route.HYP).converged
-        monkeypatch.setattr(quad, "_TAIL_INTERVALS_MAX", 1)
-        assert not _recurrence(3, 0.5, self.TIGHT, base=Route.HYP).converged
-
     @pytest.mark.parametrize("route", [Route.CLOSED, Route.SERIES, Route.RECURRENCE])
     def test_direct_routes_converge(self, route):
         assert delta_deriv(3, 0.1, route).converged
@@ -426,21 +432,24 @@ class TestAsymptotic:
 
 class TestRecurrenceResidual:
     def test_exact_point(self):
-        r = recurrence_residual(2, 1.0, Route.CLOSED)
+        r = recurrence_residual(2, 1.0)
         assert abs(r.residual) < 1e-11 * max(abs(r.lhs), abs(r.rhs))
 
     def test_half_point(self):
-        r = recurrence_residual(2, -0.5, Route.CLOSED)
+        r = recurrence_residual(2, -0.5)
         assert abs(r.residual) < 1e-10 * max(abs(r.lhs), abs(r.rhs))
 
     def test_hurwitz_base(self):
-        r = recurrence_residual(5, 3.0, Route.HURWITZ)
-        assert r.passed
+        # the identity on another route's values than the residual's CLOSED
+        hi, lo = (delta_deriv(k, 3.0, Route.HURWITZ).value for k in (5, 4))
+        lhs = hi / math.factorial(5)
+        rhs = -lo / (math.factorial(4) * 3.0) - kernels.hurwitz_zeta(5.0, 4.0) / 15.0
+        assert abs(lhs - rhs) <= 1e-9 * abs(rhs)
 
     @pytest.mark.parametrize("m", range(2, 11))
     def test_grid(self, m):
         for x in ROUTE_GRID:
-            r = recurrence_residual(m, x, Route.CLOSED)
+            r = recurrence_residual(m, x)
             assert r.passed, (m, x, r.residual, r.tolerance)
 
     def test_domain(self):
@@ -483,3 +492,20 @@ class TestMonotonicity:
         rep = check_complete_monotonicity(2, [1.0])
         assert rep.n_fail == 2
         assert not any(c.passed for c in rep.checks)
+
+
+@pytest.mark.parametrize(
+    "fn,args",
+    [
+        (recurrence_residual, (2.0, 0.5)),
+        (delta_deriv_half_integer, (2.0,)),
+        (frac_rep_prop2, (2.0, 1)),
+        (frac_rep_prop2, (2, 1.0)),
+        (check_complete_monotonicity, (2.0, (0.5,))),
+        (delta_deriv_at_one, (2.5,)),
+        (asymptotic_leading, (2.0, 10.0)),
+    ],
+)
+def test_non_integer_order_rejected(fn, args):
+    with pytest.raises(ValueError, match="need an integer"):
+        fn(*args)

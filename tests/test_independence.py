@@ -143,6 +143,6 @@ def test_hyp_sawtooth_never_reaches_the_zeta_kernel(reach):
     assert avoiders == {"HYP"}
     # the sawtooth alone reaches no kernel at all, not even p1
     for x in (-0.97, 0.15, 300.0):
-        got = _reached(lambda: quad.p1_integral(((1.0, 1.0), (x + 1.0, 13.0)), 0.0))
+        got = _reached(lambda: quad.p1_integral(((1.0, 1.0), (x + 1.0, 13.0))))
         assert not {n for n in got if n.startswith("kernels.")}, (x, got)
         assert "quad._sawtooth_tail" in got

@@ -165,9 +165,9 @@ class TestExactReplay:
     stop test.  integrate_finite takes those sums on every pass, as it
     did when these were recorded, so no split decision may move and every
     result must match to the last bit.  The P1 rows were recorded again
-    when integrate_unit_split began to integrate [start, X0] in one call,
+    when integrate_unit_split began to integrate [0, X0] in one call,
     every row when the panel became the G10/K21 pair, and the P1 rows when
-    the first call became [start, start + 6] (X0 was 5 at a = 3, whose
+    the first call became [0, 6] (X0 was 5 at a = 3, whose
     values and counts moved) and the estimate began to charge the
     integrand's rounding (every estimate rose; each row is within 0.04 of
     its estimate of mpmath's value); the budget row
@@ -210,7 +210,7 @@ class TestExactReplay:
 
     @pytest.mark.parametrize("s,a", sorted(P1))
     def test_p1_integral(self, s, a):
-        r = p1_integral(((a, s + 1.0),), 0.0)
+        r = p1_integral(((a, s + 1.0),))
         assert self._row(r) == (*self.P1[s, a], True)
 
     def test_integral_delta_quadratures(self):
@@ -378,40 +378,40 @@ class TestFracHelpers:
 
 class TestUnitSplit:
     def test_sawtooth_over_square(self):
-        r = integrate_unit_split((0.0, 1.0), ((0.0, 2.0),), 1.0)
+        r = integrate_unit_split((0.0, 1.0), ((1.0, 2.0),))
         assert abs(r.value - ONE_MINUS_GAMMA) < 5e-13
         assert abs(r.value - ONE_MINUS_GAMMA) <= r.abs_err_est
 
     def test_sawtooth_squared_over_cube(self):
         # equals (3 - pi^2/6 - 2 gamma)/2, the second closed moment at 1
-        r = integrate_unit_split((0.0, 0.0, 1.0), ((0.0, 3.0),), 1.0)
+        r = integrate_unit_split((0.0, 0.0, 1.0), ((1.0, 3.0),))
         exact = (3.0 - math.pi**2 / 6.0 - 2.0 * EULER_GAMMA) / 2.0
         assert abs(r.value - exact) < 1e-15
 
     def test_plain_inverse_square(self):
         # constant periodic factor: the closed-form mean is the whole tail
-        r = integrate_unit_split((1.0,), ((0.0, 2.0),), 1.0)
+        r = integrate_unit_split((1.0,), ((1.0, 2.0),))
         assert abs(r.value - 1.0) < 1e-15
         assert r.n_evals == 0
 
     def test_budget_exhaustion_flagged(self, monkeypatch):
         monkeypatch.setattr(quad, "_TAIL_INTERVALS_MAX", 2)
         cfg = QuadConfig(abs_tol=1e-13)
-        r = integrate_unit_split((0.0, 1.0), ((0.0, 2.0),), 1.0, cfg)
+        r = integrate_unit_split((0.0, 1.0), ((1.0, 2.0),), cfg)
         assert not r.converged
 
     def test_budget_caps_the_tail_start(self, monkeypatch):
-        # y over t^2 from 1 meets its tail at the first try, 1 + 6 = 7, in
-        # one call; a budget of 3 unit intervals clamps that call to
-        # [1, 4], the try there fails, and the march stops
-        coeffs, factors = (0.0, 1.0), ((0.0, 2.0),)
+        # y over (t + 1)^2 meets its tail at the first try, 6, in one
+        # call; a budget of 3 unit intervals clamps that call to [0, 3],
+        # the try there fails, and the march stops
+        coeffs, factors = (0.0, 1.0), ((1.0, 2.0),)
         calls = self._record_calls(monkeypatch)
-        assert integrate_unit_split(coeffs, factors, 1.0).converged
-        assert calls == [(1.0, 7.0, [1.5, 2.0, 3.0, 4.0, 5.0, 6.0])]
+        assert integrate_unit_split(coeffs, factors).converged
+        assert calls == [(0.0, 6.0, [0.5, 1.0, 2.0, 3.0, 4.0, 5.0])]
         calls.clear()
         monkeypatch.setattr(quad, "_TAIL_INTERVALS_MAX", 3)
-        assert not integrate_unit_split(coeffs, factors, 1.0).converged
-        assert calls == [(1.0, 4.0, [1.5, 2.0, 3.0])]
+        assert not integrate_unit_split(coeffs, factors).converged
+        assert calls == [(0.0, 3.0, [0.5, 1.0, 2.0])]
 
     @staticmethod
     def _record_calls(monkeypatch):
@@ -430,7 +430,7 @@ class TestUnitSplit:
         coeffs, factors = (0.0,) * 23 + (1.0,), ((1.0, 3.0),)
         calls = self._record_calls(monkeypatch)
         monkeypatch.setattr(quad, "_TAIL_INTERVALS_MAX", 200)
-        assert not integrate_unit_split(coeffs, factors, 0.0).converged
+        assert not integrate_unit_split(coeffs, factors).converged
         spans = [(a, b) for a, b, _ in calls]
         assert spans == [(0.0, 6.0)] + [(x, x + 1.0) for x in range(6, 200)]
         assert all(breaks == [] for _, _, breaks in calls[1:])
@@ -443,7 +443,7 @@ class TestUnitSplit:
         coeffs, factors = (0.0,) * deg + (1.0,), ((1.0, 3.0),)
         calls = self._record_calls(monkeypatch)
         began = time.perf_counter()
-        r = integrate_unit_split(coeffs, factors, 0.0)
+        r = integrate_unit_split(coeffs, factors)
         assert time.perf_counter() - began < 1.0
         assert not r.converged
         assert calls[0][:2] == (0.0, 6.0)
@@ -455,7 +455,7 @@ class TestUnitSplit:
         # march, a unit per call, to its tail at 47
         coeffs, factors = (0.0,) * 20 + (1.0,), ((1.0, 3.0),)
         calls = self._record_calls(monkeypatch)
-        assert integrate_unit_split(coeffs, factors, 0.0).converged
+        assert integrate_unit_split(coeffs, factors).converged
         spans = [(a, b) for a, b, _ in calls]
         assert spans == [(0.0, 6.0)] + [(x, x + 1.0) for x in range(6, 47)]
 
@@ -464,17 +464,17 @@ class TestUnitSplit:
         # as ({t} - 1/2) + 1/2 once left rounding noise of 1e-16 g(t) and
         # returned 8.333333333418634e16 +- 2.1e5 as converged, 4x off
         coeffs, factors = (0.0, 1.0), ((1e-6, 5.0),)
-        r = integrate_unit_split(coeffs, factors, 0.0)
-        ref = mp_unit_split(coeffs, factors, 0.0)
+        r = integrate_unit_split(coeffs, factors)
+        ref = mp_unit_split(coeffs, factors)
         assert r.converged
         assert abs(r.value - ref) <= r.abs_err_est, (r.value, ref, r.abs_err_est)
 
     def test_converged_implies_estimate_within_allowance(self):
         cfg = QuadConfig()
         cases = [
-            integrate_unit_split((0.0, 1.0), ((0.0, 2.0),), 1.0, cfg),
-            integrate_unit_split((0.0, 0.0, 0.0, 1.0), ((0.0, 4.0),), 1.0, cfg),
-            p1_integral(((1.0, 4.0),), 0.0, cfg),
+            integrate_unit_split((0.0, 1.0), ((1.0, 2.0),), cfg),
+            integrate_unit_split((0.0, 0.0, 0.0, 1.0), ((1.0, 4.0),), cfg),
+            p1_integral(((1.0, 4.0),), cfg),
             integrate_finite(pointwise(lambda u: math.exp(-u)), 0.0, 3.0, cfg),
         ]
         for r in cases:
@@ -482,12 +482,12 @@ class TestUnitSplit:
             assert r.abs_err_est <= max(cfg.abs_tol, cfg.rel_tol * abs(r.value))
 
     def test_lemma1_unit_split_equals_shifted_sums(self):
-        # int_1^inf f({x}) g(x) dx = sum_l int_0^1 f(y) g(y+l) dy
+        # int_0^inf f({t}) g(t) dt = sum_l int_0^1 f(y) g(y+l) dy, here
+        # with g(t) = (t + 2)^-p, which the loop sums from l = 1 as
+        # (y + l + 1)^-p
         for mdeg in range(0, 4):
             g_pow = mdeg + 2.0
-            direct = integrate_unit_split(
-                (0.0,) * mdeg + (1.0,), ((1.0, g_pow),), 1.0
-            )
+            direct = integrate_unit_split((0.0,) * mdeg + (1.0,), ((2.0, g_pow),))
             summed = 0.0
             err = 0.0
             for l in range(1, 4000):
@@ -505,23 +505,21 @@ class TestUnitSplit:
             )
 
     @pytest.mark.parametrize(
-        "coeffs,factors,start",
+        "coeffs,factors",
         [
-            pytest.param((0.0, 1.0), ((1.0, 3.0),), 0.5, id="non_integer_start"),
-            pytest.param((0.0, 1.0), ((-1.0, 3.0),), 1.0, id="start_plus_c_zero"),
-            pytest.param((0.0, 1.0), ((1.0, 0.0),), 0.0, id="p_zero"),
-            pytest.param((0.0, 1.0), (), 0.0, id="no_factor"),
-            pytest.param((), ((1.0, 3.0),), 0.0, id="no_coefficient"),
-            pytest.param((0.0, math.nan), ((1.0, 3.0),), 0.0, id="nan_coefficient"),
-            pytest.param((0.0,) * 30 + (1.0,), ((1.0, 3.0),), 0.0, id="degree_30"),
+            pytest.param((0.0, 1.0), ((1.0, 0.0),), id="p_zero"),
+            pytest.param((0.0, 1.0), (), id="no_factor"),
+            pytest.param((), ((1.0, 3.0),), id="no_coefficient"),
+            pytest.param((0.0, math.nan), ((1.0, 3.0),), id="nan_coefficient"),
+            pytest.param((0.0,) * 30 + (1.0,), ((1.0, 3.0),), id="degree_30"),
             # the mean 1/2 of y over (t + 1)^-1 diverges
-            pytest.param((0.0, 1.0), ((1.0, 1.0),), 0.0, id="mean_with_p_one"),
-            pytest.param((1.0,), ((1.0, 2.0), (2.0, 1.0)), 0.0, id="mean_two_factors"),
+            pytest.param((0.0, 1.0), ((1.0, 1.0),), id="mean_with_p_one"),
+            pytest.param((1.0,), ((1.0, 2.0), (2.0, 1.0)), id="mean_two_factors"),
         ],
     )
-    def test_domain_errors(self, coeffs, factors, start):
+    def test_domain_errors(self, coeffs, factors):
         with pytest.raises(ValueError):
-            integrate_unit_split(coeffs, factors, start)
+            integrate_unit_split(coeffs, factors)
 
 
 def _dyadic_zero_mean(deg, seed):
@@ -532,17 +530,20 @@ def _dyadic_zero_mean(deg, seed):
     return tuple((i + 1) * qi for i, qi in enumerate(q))
 
 
-# (degree, c, p, start) with one factor; the polynomial has a nonzero mean
+# (degree, c, p, shift) with one factor (c + shift, p); the polynomial has
+# a nonzero mean.  Shift 1 gives the integral from t = 1 of the factor
+# (c, p).
 ORACLE_ONE_FACTOR = [
-    (deg, c, p, start)
+    (deg, c, p, shift)
     for deg, c, p in [
         (0, 0.05, 3.3), (1, 0.5, 13.0), (2, 1.0, 3.0), (3, 2.5, 5.0),
         (4, 10.0, 8.0), (5, 0.3, 1.5), (6, 4.0, 13.0), (7, 0.05, 9.0),
         (8, 7.0, 2.5),
     ]
-    for start in (0.0, 1.0)
+    for shift in (0.0, 1.0)
 ]
-# (degree, (c1, p1), (c2, p2), start); the polynomial has zero mean
+# (degree, (c1, p1), (c2, p2), shift), shift added to both c; the
+# polynomial has zero mean
 ORACLE_TWO_FACTORS = [
     (1, (1.0, 1), (0.5, 13), 0.0),
     (2, (0.25, 2), (3.0, 3), 1.0),
@@ -557,24 +558,25 @@ ORACLE_TWO_FACTORS = [
 
 class TestUnitSplitOracle:
     """The estimate bounds the error against a 40-digit oracle for
-    polynomials of degree 0-8, one or two factors, c in (0, 10], p up to
-    13 and start 0 or 1."""
+    polynomials of degree 0-8, one or two factors, c in (0, 11], p up to
+    13, each c also raised by 1."""
 
     @staticmethod
-    def _check(coeffs, factors, start, oracle):
-        r = integrate_unit_split(coeffs, factors, start)
-        ref = oracle(coeffs, factors, start)
+    def _check(coeffs, factors, shift, oracle):
+        factors = tuple((c + shift, p) for c, p in factors)
+        r = integrate_unit_split(coeffs, factors)
+        ref = oracle(coeffs, factors)
         assert r.converged
         assert abs(r.value - ref) <= r.abs_err_est, (r.value, ref, r.abs_err_est)
 
-    @pytest.mark.parametrize("deg,c,p,start", ORACLE_ONE_FACTOR)
-    def test_one_factor(self, deg, c, p, start, mp_unit_split):
+    @pytest.mark.parametrize("deg,c,p,shift", ORACLE_ONE_FACTOR)
+    def test_one_factor(self, deg, c, p, shift, mp_unit_split):
         coeffs = tuple((-1.0) ** i * (1.0 + i / 3.0) for i in range(deg + 1))
-        self._check(coeffs, ((c, p),), start, mp_unit_split)
+        self._check(coeffs, ((c, p),), shift, mp_unit_split)
 
-    @pytest.mark.parametrize("deg,f1,f2,start", ORACLE_TWO_FACTORS)
-    def test_two_factors(self, deg, f1, f2, start, mp_unit_split):
-        self._check(_dyadic_zero_mean(deg, deg), (f1, f2), start, mp_unit_split)
+    @pytest.mark.parametrize("deg,f1,f2,shift", ORACLE_TWO_FACTORS)
+    def test_two_factors(self, deg, f1, f2, shift, mp_unit_split):
+        self._check(_dyadic_zero_mean(deg, deg), (f1, f2), shift, mp_unit_split)
 
     @pytest.mark.parametrize(
         "deg,factors,x,rel",
@@ -606,13 +608,13 @@ class TestUnitSplitOracle:
 # 1 over one factor, degree 1 over two (every HYP call), degree >= 2 over
 # one and two factors, and three factors
 SHAPES = {
-    "deg0-one": ((1.5,), ((0.5, 2.5),), 0.0),
-    "deg1-one": ((0.25, 1.0), ((0.5, 2.5),), 0.0),
-    "deg1-one-zero-mean": ((-0.5, 1.0), ((1e-3, 4.0),), 1.0),
-    "deg1-two": ((-0.5, 1.0), ((1.0, 1.0), (0.3, 7.0)), 0.0),
-    "deg2-one": ((0.1, -0.4, 0.9), ((2.0, 4.0),), 0.0),
-    "deg3-two": (_dyadic_zero_mean(3, 1), ((1.0, 2.0), (0.5, 3.0)), 1.0),
-    "deg1-three": ((-0.5, 1.0), ((1.0, 1.0), (2.0, 1.0), (0.5, 2.0)), 0.0),
+    "deg0-one": ((1.5,), ((0.5, 2.5),)),
+    "deg1-one": ((0.25, 1.0), ((0.5, 2.5),)),
+    "deg1-one-zero-mean": ((-0.5, 1.0), ((1.0 + 1e-3, 4.0),)),
+    "deg1-two": ((-0.5, 1.0), ((1.0, 1.0), (0.3, 7.0))),
+    "deg2-one": ((0.1, -0.4, 0.9), ((2.0, 4.0),)),
+    "deg3-two": (_dyadic_zero_mean(3, 1), ((2.0, 2.0), (1.5, 3.0))),
+    "deg1-three": ((-0.5, 1.0), ((1.0, 1.0), (2.0, 1.0), (0.5, 2.0))),
 }
 
 
@@ -623,19 +625,19 @@ class TestIntegrandShapes:
 
     @pytest.mark.parametrize("shape", [s for s in SHAPES if s != "deg1-three"])
     def test_against_oracle(self, shape, mp_unit_split):
-        coeffs, factors, start = SHAPES[shape]
-        r = integrate_unit_split(coeffs, factors, start)
-        ref = mp_unit_split(coeffs, factors, start)
+        coeffs, factors = SHAPES[shape]
+        r = integrate_unit_split(coeffs, factors)
+        ref = mp_unit_split(coeffs, factors)
         assert r.converged
         assert abs(r.value - ref) <= r.abs_err_est, (r.value, ref, r.abs_err_est)
 
     def test_three_factors_against_two(self, mp_unit_split):
         # (t + 1)^-1 (t + 2)^-1 (t + 0.5)^-2 has no two-factor oracle;
         # (t + 1)^-1 (t + 2)^-1 = (t + 1)^-1 - (t + 2)^-1 splits it in two
-        coeffs, factors, start = SHAPES["deg1-three"]
-        r = integrate_unit_split(coeffs, factors, start)
-        ref = mp_unit_split(coeffs, ((1.0, 1.0), (0.5, 2.0)), start) - mp_unit_split(
-            coeffs, ((2.0, 1.0), (0.5, 2.0)), start
+        coeffs, factors = SHAPES["deg1-three"]
+        r = integrate_unit_split(coeffs, factors)
+        ref = mp_unit_split(coeffs, ((1.0, 1.0), (0.5, 2.0))) - mp_unit_split(
+            coeffs, ((2.0, 1.0), (0.5, 2.0))
         )
         assert r.converged
         assert abs(r.value - ref) <= r.abs_err_est + 1e-15 * abs(ref), (r.value, ref)
@@ -668,13 +670,9 @@ class TestP1Integral:
     def test_against_zeta_form(self):
         # integral_0^inf p1(t)/(t+a)^(s+1) dt relates to zeta(s, a)
         for s, a in [(2.0, 1.0), (3.0, 1.5), (5.0, 3.0)]:
-            r = p1_integral(((a, s + 1.0),), 0.0)
+            r = p1_integral(((a, s + 1.0),))
             expected = (a**-s / 2.0 + a ** (1.0 - s) / (s - 1.0) - hurwitz_zeta(s, a)) / s
             assert abs(r.value - expected) < 1e-10
-
-    def test_requires_integer_start(self):
-        with pytest.raises(ValueError):
-            p1_integral(((1.0, 3.0),), 0.5)
 
 
 class TestLemma2Transform:

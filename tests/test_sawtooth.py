@@ -181,7 +181,7 @@ class TestOracle:
     def test_p1_integral_closed_form(self, s, a):
         # integral_0^inf p1(t) (t+a)^(-s-1) dt = (a^-s/2 + a^(1-s)/(s-1) - zeta(s,a))/s
         mpmath = pytest.importorskip("mpmath")
-        r = p1_integral(((a, s + 1.0),), 0.0)
+        r = p1_integral(((a, s + 1.0),))
         with mpmath.workdps(40):
             sm, am = mpmath.mpf(s), mpmath.mpf(a)
             ref = float(
@@ -224,7 +224,7 @@ class TestEvalCountPins:
 
     @pytest.mark.parametrize("s,a", VERIFY_GRID)
     def test_p1_integral_verify_grid(self, s, a):
-        n = p1_integral(((a, s + 1.0),), 0.0).n_evals
+        n = p1_integral(((a, s + 1.0),)).n_evals
         assert n <= HEADROOM * P1_PINS[s, a], n
 
     @pytest.mark.parametrize("m,x", sorted(HURWITZ_PINS))
@@ -247,7 +247,7 @@ class TestEvalCountPins:
         assert n <= HEADROOM * BUDGET_EVALS, n
 
 
-def _tail_calls(monkeypatch, coeffs, factors, start):
+def _tail_calls(monkeypatch, coeffs, factors):
     """The (a, b) of each integrate_finite call integrate_unit_split makes
     on its way to a converged value."""
     calls = []
@@ -257,12 +257,12 @@ def _tail_calls(monkeypatch, coeffs, factors, start):
         return integrate_finite(f, a, b, *args, **kwargs)
 
     monkeypatch.setattr(quad, "integrate_finite", recorded)
-    assert integrate_unit_split(coeffs, factors, start).converged
+    assert integrate_unit_split(coeffs, factors).converged
     return calls
 
 
 class TestTailStart:
-    """The first tail try, at start + quad._FIRST_TRY, is where the callers'
+    """The first tail try, at quad._FIRST_TRY, is where the callers'
     tails meet their tolerance: the march after it is short, and the try
     one unit earlier would mostly fail."""
 
@@ -271,14 +271,14 @@ class TestTailStart:
         # every HYP sawtooth on the grid is one call, its first try succeeds
         for x in ORACLE_XS:
             factors = ((1.0, 1.0), (x + 1.0, m + 1.0))
-            assert _tail_calls(monkeypatch, (-0.5, 1.0), factors, 0.0) == [(0.0, 6.0)]
+            assert _tail_calls(monkeypatch, (-0.5, 1.0), factors) == [(0.0, 6.0)]
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_prop2_rows(self, m, monkeypatch):
-        # the Proposition 2 rows meet their tail by start + 8
+        # the Proposition 2 rows meet their tail by t = 8
         for j in range(5):
             row = tuple(math.comb(m, i) * float(j) ** (m - i) for i in range(m + 1))
-            calls = _tail_calls(monkeypatch, row, ((j + 1.0, m + 1.0),), 0.0)
+            calls = _tail_calls(monkeypatch, row, ((j + 1.0, m + 1.0),))
             assert calls[0] == (0.0, 6.0) and len(calls) <= 3, (j, calls)
 
     @given(
@@ -287,30 +287,31 @@ class TestTailStart:
         log_c2=st.floats(min_value=-9.0, max_value=1.2),
         p2=st.integers(min_value=1, max_value=13),
         two=st.booleans(),
-        start=st.sampled_from([0.0, 1.0]),
+        shift=st.sampled_from([0.0, 1.0]),
         vanish=st.booleans(),
         q=st.lists(st.integers(min_value=-8, max_value=8), min_size=1, max_size=6),
     )
     @settings(max_examples=25, deadline=None)
     # y over (t + 1e-6)^5, once 4.0x off its estimate and converged
     @example(
-        log_c1=-6.0, p1=5.0, log_c2=0.0, p2=1, two=False, start=0.0, vanish=True, q=[0, 4]
+        log_c1=-6.0, p1=5.0, log_c2=0.0, p2=1, two=False, shift=0.0, vanish=True, q=[0, 4]
     )
     # (0, 0.25, -0.375) over ((1e-9, 2), (1, 1)), once unconverged
     @example(
-        log_c1=-9.0, p1=2.0, log_c2=0.0, p2=1, two=True, start=0.0, vanish=True, q=[1, -1]
+        log_c1=-9.0, p1=2.0, log_c2=0.0, p2=1, two=True, shift=0.0, vanish=True, q=[1, -1]
     )
     def test_factor_pairs(
-        self, log_c1, p1, log_c2, p2, two, start, vanish, q, mp_unit_split
+        self, log_c1, p1, log_c2, p2, two, shift, vanish, q, mp_unit_split
     ):
-        # against the oracle, c down to 1e-9 beside the start, with
-        # phi(0) = 0 (vanish) among the polynomials: one factor, or two
-        # with integer powers and a zero-mean phi
-        c1, c2 = 10.0**log_c1, 10.0**log_c2
+        # against the oracle, c down to 1e-9 beside t = 0, with phi(0) = 0
+        # (vanish) among the polynomials: one factor, or two with integer
+        # powers and a zero-mean phi; shift 1 raises both c by 1, the
+        # integral from t = 1 of the unshifted factors
+        c1, c2 = 10.0**log_c1 + shift, 10.0**log_c2 + shift
         if two:
             # the oracle's partial fractions cancel by about scale^(p1 + p2 - 1)
             assume(c1 != c2)
-            scale = (1.0 + start + max(c1, c2)) / abs(c1 - c2)
+            scale = (1.0 + max(c1, c2)) / abs(c1 - c2)
             assume((round(p1) + p2 - 1) * math.log10(scale) <= 12.0)
             factors = ((c1, float(round(p1))), (c2, float(p2)))
             # coeffs[i]/(i + 1) sum to 0, over i >= 1 if phi(0) = 0
@@ -320,8 +321,8 @@ class TestTailStart:
             factors = ((c1, p1),)
             q = [0, *q[1:]] if vanish else q
         coeffs = tuple((i + 1) * qi / 8.0 for i, qi in enumerate(q))
-        r = integrate_unit_split(coeffs, factors, start)
-        ref = mp_unit_split(coeffs, factors, start)
+        r = integrate_unit_split(coeffs, factors)
+        ref = mp_unit_split(coeffs, factors)
         assert r.converged
         assert abs(r.value - ref) <= r.abs_err_est, (r.value, ref, r.abs_err_est)
 
@@ -332,7 +333,7 @@ class TestTailStart:
         early = 0
         for m, x in HYP_PINS:
             factors = ((1.0, 1.0), (x + 1.0, m + 1.0))
-            tol = 1e-16 * abs(p1_integral(factors, 0.0).value)
+            tol = 1e-16 * abs(p1_integral(factors).value)
             early += quad._sawtooth_tail(parts, factors, quad._FIRST_TRY - 1.0, tol) is not None
         assert early <= 1, early
 
@@ -368,10 +369,10 @@ class TestArguments:
     )
     def test_rejects_factors(self, factors):
         with pytest.raises(ValueError):
-            p1_integral(factors, 0.0)
+            p1_integral(factors)
 
     def test_more_factors_than_hyp_uses(self):
         # (t+1)^-2 (t+2)^-1 split as three factors gives the same integral
-        two = p1_integral(((1.0, 2.0), (2.0, 1.0)), 0.0)
-        three = p1_integral(((1.0, 1.0), (2.0, 1.0), (1.0, 1.0)), 0.0)
+        two = p1_integral(((1.0, 2.0), (2.0, 1.0)))
+        three = p1_integral(((1.0, 1.0), (2.0, 1.0), (1.0, 1.0)))
         assert abs(two.value - three.value) <= two.abs_err_est + three.abs_err_est

@@ -186,7 +186,7 @@ class TestRiemannZeta:
 
     def test_sawtooth_integral_form(self):
         # zeta(3) = 1/2 + 1/2 + 3 * integral_1^inf p1(x)/x^4 dx residual
-        r = p1_integral(((1.0, 4.0),), 0.0)
+        r = p1_integral(((1.0, 4.0),))
         lhs = 0.5 + 0.5 - 3.0 * r.value
         assert abs(lhs - riemann_zeta(3.0)) < 1e-10
 
@@ -247,7 +247,7 @@ class TestOneDomainCheck:
             (
                 upper_incomplete_gamma_int,
                 (2, -1.0),
-                "upper_incomplete_gamma_int: need x >= 0, got -1.0",
+                "upper_incomplete_gamma_int: need 0 <= x < inf, got -1.0",
             ),
         ],
     )
@@ -353,6 +353,6 @@ class TestConstants:
     def test_sawtooth_zeta_representation_grid(self):
         for s in (2.0, 3.0, 5.0):
             for a in (1.0, 1.5, 3.0):
-                r = p1_integral(((a, s + 1.0),), 0.0, DEFAULT_CONFIG)
+                r = p1_integral(((a, s + 1.0),), DEFAULT_CONFIG)
                 lhs = a**-s / 2.0 + a ** (1.0 - s) / (s - 1.0) - s * r.value
                 assert abs(lhs - hurwitz_zeta(s, a)) < 1e-9
