@@ -7,10 +7,10 @@ plus m in {1, 2, 3, 5, 8, 12} at 17 fixed x from -1 + 1e-12 to 1e6,
 the Taylor seam at |x| = 0.26 and the old one at 0.125 included, plus,
 for m in {1, 6, 12}, each x in [1e-6, 0.26) at which CLOSED's collected
 series changes length (the largest x it sums with N terms, and the next
-double, with N + 1), plus HURWITZ's pinned points (HURWITZ_PINS) not
-already on it.  Below 1e-6, where the fixed grid and the benchmark's
-draws stop too, RECURRENCE's (m/x) D^(m-1) step leaves an honest estimate
-wider than the 1e-6 gate below (3.7e4 of the value at m = 12, x = 7e-20);
+double, with N + 1), plus HURWITZ's pinned points (HURWITZ_PINS) and
+LAPLACE's (LAPLACE_PINS) not already on it.  Below 1e-6, where the
+fixed grid and the benchmark's draws stop too, RECURRENCE's (m/x)
+D^(m-1) step leaves an honest estimate wider than the 1e-6 gate below (3.7e4 of the value at m = 12, x = 7e-20);
 tests/test_closed.py checks CLOSED and RECURRENCE at every length-change
 point, the tiny ones included.  Every
 route is tried at every point; a domain refusal (ValueError) counts as
@@ -19,7 +19,9 @@ reference being perfbench/reference.py's mpmath value of D^(m)(x).  One
 line per route gives its values, refusals, misses, worst
 error-to-estimate ratio (with where), widest estimate relative to the
 reference (with where: an estimate can be honest and still too wide to
-check anything), total n_evals and the calls that did not converge.
+check anything; only where the reference is a normal double, as below
+2^-1022 a few 2^-1074 of absolute floor is as narrow as a value can be
+told), total n_evals and the calls that did not converge.
 The last lines check gauss_2f1 itself against mpmath's hyp2f1: the
 worst relative error over every (a, b, c, z) that reaches it from HYP on
 the grid and from one `appendix` suite run, then, for each of its two
@@ -49,6 +51,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import reference  # noqa: E402
 import workloads  # noqa: E402
 from nlgamma import _ddarith, hyp2f1, verify  # noqa: E402
+from nlgamma._backend import kernels  # noqa: E402
 from nlgamma.delta import Route, delta_deriv  # noqa: E402
 
 SEED = 777
@@ -77,10 +80,26 @@ HURWITZ_PINS = (
     (11, 3.682837372672322e-05),
     *((m, x) for m in (1, 6, 12) for x in (1e9, 1e12)),
 )
+# LAPLACE's pins: x = cut_m, past which E_m(y) is m!/y^(m+1) for every
+# y >= x t with t >= 1, and the doubles on either side of it, for m in
+# LAPLACE_SEAM_MS; and huge x, where the value nears or leaves the
+# normal range (it is 0.0 in double at m = 12, x = 1e30)
+LAPLACE_SEAM_MS = (1, 6, 12)
+LAPLACE_PINS = (
+    *(
+        (m, y)
+        for m in LAPLACE_SEAM_MS
+        for x in (kernels._trunc_exp_plan(m)[3],)
+        for y in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))
+    ),
+    *((m, x) for m in (1, 3, 12) for x in (1e30, 1e100, 1e300)),
+)
 # its estimate is |refined - lead|, not a bound
 NOT_A_BOUND = Route.ASYMPTOTIC
 # the widest abs_err_est/|reference| a bounded route may have anywhere
+# the reference is at least NORMAL_MIN, the least normal double
 WIDEST_MAX = 1e-6
+NORMAL_MIN = 2.0**-1022
 # delta._hyp charges each 2F1 term 1e-14 of its size
 HYP_2F1_CHARGE = 1e-14
 FAMILY_DRAWS = 4000
@@ -99,7 +118,10 @@ def grid():
             if LENGTH_X_MIN <= x < _ddarith.X_MAX
             for y in (x, math.nextafter(x, 1.0))
         ]
-    return points + [p for p in HURWITZ_PINS if p not in points]
+    for pin in (*HURWITZ_PINS, *LAPLACE_PINS):
+        if pin not in points:
+            points.append(pin)
+    return points
 
 
 def gauss_2f1_args(points):
@@ -214,7 +236,8 @@ def main():
             evals += r.n_evals
             unconverged += not r.converged
             err = abs(r.value - refs[m, x])
-            widest = max(widest, (r.abs_err_est / abs(refs[m, x]), m, x))
+            if abs(refs[m, x]) >= NORMAL_MIN:
+                widest = max(widest, (r.abs_err_est / abs(refs[m, x]), m, x))
             misses += not err <= r.abs_err_est
             if err:
                 ratio = err / r.abs_err_est if r.abs_err_est else math.inf

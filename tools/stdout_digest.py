@@ -52,6 +52,8 @@ COMMANDS = [
             (3, "2.5", "HURWITZ"),
             (4, "-0.9", "HURWITZ"),
             (3, "7.0", "LAPLACE"),
+            (12, "1e6", "LAPLACE"),
+            (1, "1e300", "LAPLACE"),
             (2, "0.5", "HYP"),
             (5, "0.2", "SERIES"),
             (3, "1e4", "ASYMPTOTIC"),
