@@ -104,6 +104,15 @@ _LGAMMA_TAYLOR = tuple(
 )
 
 
+def _check_order(where, name, n, lo=0):
+    """Refuse an order that is not an int (2.0 included) or is below lo,
+    before any cached plan or factorial sees it."""
+    if not isinstance(n, int):
+        raise ValueError(f"{where}: need an integer {name}, got {n}")
+    if n < lo:
+        raise ValueError(f"{where}: need {name} >= {lo}, got {n}")
+
+
 def p1(x):
     """Sawtooth frac(x) - 1/2, the first periodized Bernoulli polynomial."""
     return x - math.floor(x) - 0.5
@@ -442,8 +451,7 @@ def _exp_partial_sum(coefs, y):
 
 def upper_incomplete_gamma_int(n, x):
     """Gamma(n+1, x) = n! e^(-x) sum_{m=0}^n x^m/m!, the sum by Horner."""
-    if n < 0:
-        raise ValueError(f"upper_incomplete_gamma_int: need n >= 0, got {n}")
+    _check_order("upper_incomplete_gamma_int", "n", n)
     if not 0.0 <= x < math.inf:
         raise ValueError(f"upper_incomplete_gamma_int: need 0 <= x < inf, got {x}")
     if n > 170:
@@ -571,6 +579,7 @@ def trunc_exp_factor(m, y):
     (_negligible_sum_start), or e^(-y) underflows (y > 745.2), 1.0 - Q
     rounds to 1.0 and the result is m!/y^(m+1), with no sum.
     """
+    _check_order("trunc_exp_factor", "m", m)
     if not 0.0 <= y < math.inf:
         raise ValueError("trunc_exp_factor requires 0 <= y < inf")
     return _trunc_exp_values(m, y, (1.0,), False)[0]
@@ -578,6 +587,7 @@ def trunc_exp_factor(m, y):
 
 def laplace_panel(m, x, nodes):
     """laplace_integrand(m, x, t) at each t in nodes, as a list."""
+    _check_order("laplace_panel", "m", m)
     return _trunc_exp_values(m, x, nodes, True)
 
 
@@ -599,6 +609,7 @@ def laplace_tail_weight(m, x, big_t):
     m!/x^(m+1) E_1(T)/(1 - e^(-T)) <= m!/x^(m+1) e^(-T)/(T (1 - e^(-T))).
     The smaller is returned.
     """
+    _check_order("laplace_tail_weight", "m", m)
     scale = -math.expm1(-big_t)
     bound = upper_incomplete_gamma_int(m, big_t) / ((m + 1) * scale)
     if x * big_t > m + 1:

@@ -8,7 +8,10 @@ CLOSED      Leibniz product rule over polygamma values (on |x| <= 0.26,
 HURWITZ     m! * integral_0^1 u^m zeta(m+1, x u + 1) du, up to sign; for
             x > 1 and x < -1/2 in v = ln of the zeta argument, over a few
             pieces of width 2.
-LAPLACE     integral_0^inf t^m/(e^t - 1) E_m(x t) dt (x >= 0).
+LAPLACE     integral_0^inf t^m/(e^t - 1) E_m(x t) dt (x >= 0); from x = cut_m
+            (43 to 73), where E_m is m!/y^(m+1) past t_c = cut_m/x <= 1,
+            two Bernoulli series with no quadrature: the tail in closed
+            form and a table of E_m's moments built once per m.
 HYP         Gauss-2F1 representation plus a sawtooth-weighted integral.
 RECURRENCE  one-step reduction to CLOSED at order m-1 plus a zeta value.
 SERIES      term-wise differentiated Taylor expansion around 0 (|x| <= 0.26),
@@ -271,25 +274,191 @@ def _hurwitz(m, x, cfg):
     return EvalResult(value, err, Route.HURWITZ, r.n_evals, r.converged)
 
 
+# b_2k = B_2k/(2k)! for k = 1..13, the even Taylor coefficients of
+# t/(e^t - 1) = 1 - t/2 + sum_k b_2k t^2k (DLMF 24.2.1), as exact
+# rationals rendered once.  Written out here rather than taken from the
+# Hurwitz-zeta kernel or the sawtooth's weights, so LAPLACE shares no
+# Bernoulli table with the routes it cross-checks.  |b_2k| =
+# 2 zeta(2k)/(2 pi)^2k and zeta(2k) falls with k, so |b_2k| falls by at
+# least (2 pi)^-2 a step, and a tail at t <= 1 is at most its first term
+# times _LAPLACE_TAIL.
+_LAPLACE_B2K = (
+    1 / 12,
+    -1 / 720,
+    1 / 30240,
+    -1 / 1209600,
+    1 / 47900160,
+    -691 / 1307674368000,
+    1 / 74724249600,
+    -3617 / 10670622842880000,
+    43867 / 5109094217170944000,
+    -174611 / 802857662698291200000,
+    77683 / 14101100039391805440000,
+    -236364091 / 1693824136731743669452800000,
+    657931 / 186134520519971831808000000,
+)
+_LAPLACE_TAIL = 1.0 / (1.0 - (2.0 * math.pi) ** -2)
+# C = (gamma - ln 2 pi)/2 = -0.63033070075390631148 (mpmath), the constant
+# of J(a) (see _laplace): the finite part at s = 0 of the Mellin transform
+# Gamma(s) zeta(s) of 1/(e^t - 1)
+_LAPLACE_J_CONST = -0.6303307007539063
+# J(1) = 0.28679243094929734072 (mpmath), rounded down: the least of
+# G(a) = a J(a) on (0, 1], as G(a) = integral_1^inf a/(s (e^(a s) - 1)) ds
+# falls as a rises
+_LAPLACE_J_ONE = 0.2867924309492973
+# the relative error of one rounding
+_ROUNDING = 2.0**-53
+
+
+def _bernoulli_terms(room, weight):
+    """The fewest (k, b_2k), k = 1..n, after which the omitted terms
+    |b_2k| t^2k weight(k), for t <= 1 and weight(k) not rising with k,
+    are proven to sum to at most room."""
+    for n, b in enumerate(_LAPLACE_B2K):
+        if abs(b) * weight(n + 1) * _LAPLACE_TAIL <= room:
+            return tuple(enumerate(_LAPLACE_B2K[:n], 1))
+    raise ValueError("LAPLACE's Bernoulli table is too short for its bound")
+
+
+# b_2k/(2k-1), highest k first, for the terms of G kept: its terms
+# |b_2k| t^2k/(2k-1) are cut under 2^-60 J(1) <= 2^-60 G
+_LAPLACE_J_POLY = tuple(
+    b / (2 * k - 1)
+    for k, b in reversed(_bernoulli_terms(2.0**-60 * _LAPLACE_J_ONE, lambda k: 1 / (2 * k - 1)))
+)
+# (k, b_k) for the terms of I1 kept: its term 2k is at most
+# 2 |b_2k| t_c^2k of I1, cut under 2^-60 of it
+_LAPLACE_I1_TERMS = ((0, 1.0), (1, -0.5)) + tuple(
+    (2 * k, b) for k, b in _bernoulli_terms(2.0**-60, lambda k: 2.0)
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _laplace_row(m):
+    """What _laplace needs of m alone from x = cut on, built on first
+    use: (cut, m!, head, evens, converged).
+
+    cut is kernels._trunc_exp_plan(m)[3].  I1's coefficients are
+    c_k = b_k M_k/cut^k for the k of _LAPLACE_I1_TERMS, with
+    M_k = integral_0^cut y^(m+k-1) E_m(y) dy each from
+    quad.integrate_finite over kernels._trunc_exp_values.  Each goes with
+    its estimate: |c_k| times the moment's relative estimate plus 8
+    roundings for the coefficient's own and its share of the sums.  head
+    holds (c_0, est), (c_1, est) and evens the pairs for c_2K, ..., c_4,
+    c_2.  converged is False if any moment's quadrature did not converge.
+    """
+    cut = kernels._trunc_exp_plan(m)[3]
+    local = quad.QuadConfig(rel_tol=1e-15, abs_tol=0.0)
+    pairs, converged = [], True
+    for k, b in _LAPLACE_I1_TERMS:
+        power = m + k - 1
+        r = quad.integrate_finite(
+            lambda ys: [
+                y**power * e for y, e in zip(ys, kernels._trunc_exp_values(m, 1.0, ys, False))
+            ],
+            0.0,
+            cut,
+            local,
+        )
+        c = b * r.value / cut**k
+        pairs.append((c, abs(c) * (r.abs_err_est / r.value + 8.0 * _ROUNDING)))
+        converged &= r.converged
+    return cut, float(math.factorial(m)), tuple(pairs[:2]), tuple(pairs[:1:-1]), converged
+
+
+def _laplace_g(t):
+    """G(t) = t J(t) = 1 + t (C + ln(t)/2 - t sum_k j_k t^(2k-2)) for
+    0 < t <= 1, j_k = _LAPLACE_J_POLY, and a bound on its error: the
+    series' tail, under 2^-60 of G, and 8 roundings of the terms' sizes."""
+    p = 0.0
+    t2 = t * t
+    for c in _LAPLACE_J_POLY:
+        p = p * t2 + c
+    half_log = 0.5 * math.log(t)
+    g = 1.0 + t * (_LAPLACE_J_CONST + half_log - t * p)
+    size = 1.0 + t * (-_LAPLACE_J_CONST - half_log + t * abs(p))
+    return g, 2.0**-60 * g + 8.0 * _ROUNDING * size
+
+
+def _laplace_closed(m, x):
+    """LAPLACE from x = cut on, as I1 + I2 with no quadrature (see _laplace)."""
+    cut, fact, ((c0, e0), (c1, e1)), evens, converged = _laplace_row(m)
+    t = cut / x
+    t2 = t * t
+    # I1 x^m = c_0 + c_1 t + t^2 sum_k c_2k t^(2k-2), and its estimate
+    acc = acc_err = 0.0
+    for c, e in evens:
+        acc = acc * t2 + c
+        acc_err = acc_err * t2 + e
+    i1 = c0 + t * (c1 + t * acc)
+    i1_err = e0 + t * (e1 + t * acc_err) + 2.0**-59 * i1
+    g, g_err = _laplace_g(t)
+    i2 = fact * g / cut  # I2 x^m
+    i2_err = fact * (2.0**-56 * g + g_err) / cut
+    # x^-m = f^-m 2^(-m e) for x = f 2^e: only the last rounding can fall
+    # among the subnormals
+    f, e = math.frexp(x)
+    scale = f**-m
+    value = math.ldexp((i1 + i2) * scale, -m * e)
+    n_terms = len(_LAPLACE_I1_TERMS) + len(_LAPLACE_J_POLY) + 3  # 1, C, ln(t)/2
+    err = math.ldexp((i1_err + i2_err) * scale, -m * e)
+    err += 4.0 * _ROUNDING * value + n_terms * 2.0**-1074
+    return EvalResult(_sign_for(m) * value, err, Route.LAPLACE, n_terms, converged)
+
+
 def _laplace(m, x, cfg):
     """(-1)^(m-1) integral_0^inf t^m/(e^t-1) E_m(xt) dt for x >= 0.
 
-    E_m(x t) turns from 1/(m+1) to m!/(x t)^(m+1) around t = m/x, so the
-    mesh doubles from t = min(m/x, 1) up to T.
+    Below x = cut = kernels._trunc_exp_plan(m)[3] (43.3 at m = 1, 72.9 at
+    m = 12) it is a quadrature.  E_m(x t) turns from 1/(m+1) to
+    m!/(x t)^(m+1) around t = m/x, so the mesh doubles from
+    t = min(m/x, 1) up to T.  Where the values fall among the subnormals
+    (x^m past about 1e300), a rounding costs up to 2^-1075 absolute, not
+    a share of the value.  The estimate adds (n_evals + 9 T) 2^-1074 for
+    that: each node's last product, weighted by at most T in all; the 31
+    roundings of each panel's K21 sum, times its half-width, 7.75 T
+    2^-1074 over the mesh; and each panel's scaling and the rounding of
+    t^m over e^t - 1 near t = 0, under 2^-1074 a node.  Rounding
+    m!/(x t)^(m+1) among the subnormals moves the value by at most
+    (m + 1) 2^(-1074/(m+1)) of itself, which the panels' 2e-16
+    sum |panel| covers unless that too is under 2^-1074.
 
-    Where the values fall among the subnormals (x^m past about 1e300), a
-    rounding costs up to 2^-1075 absolute, not a share of the value.  The
-    estimate adds (n_evals + 9 T) 2^-1074 for that: each node's last
-    product, weighted by at most T in all; the 31 roundings of each
-    panel's K21 sum, times its half-width, 7.75 T 2^-1074 over the mesh;
-    and each panel's scaling and the rounding of t^m over e^t - 1 near
-    t = 0, under 2^-1074 a node.  Rounding m!/(x t)^(m+1) among the
-    subnormals moves the value by at most (m + 1) 2^(-1074/(m+1)) of
-    itself, which the panels' 2e-16 sum |panel| covers unless that too is
-    under 2^-1074.
+    From x = cut on, t_c = cut/x <= 1 splits the integral into two
+    series, and no mesh is built (_laplace_closed):
+
+    - I2, over t >= t_c, where y = x t >= cut and E_m(y) is
+      m! y^-(m+1) (1 - Q) with a Poisson sum 0 <= Q <= 2^-56
+      (trunc_exp_factor).  So I2 = m! x^-(m+1) J(t_c), at most 2^-56 of
+      itself too large, with J(a) = integral_a^inf dt/(t (e^t - 1)).
+      Term by term from 1/(e^t - 1) = 1/t - 1/2 + sum_k b_2k t^(2k-1)
+      (b_n = B_n/n!, radius 2 pi), J(a) = 1/a + ln(a)/2 + C -
+      sum_k b_2k a^(2k-1)/(2k-1), C = (gamma - ln 2 pi)/2.  It is summed
+      as G(t_c) = t_c J(t_c), which lies in [J(1), 1], so that
+      I2 = m! x^-m G(t_c)/cut forms no 1/t_c.
+    - I1, over t < t_c.  t^m/(e^t - 1) = sum_k b_k t^(m+k-1), so with
+      y = x t, I1 = sum_k b_k x^-(m+k) M_k = x^-m sum_k c_k t_c^k, where
+      M_k = integral_0^cut y^(m+k-1) E_m(y) dy and c_k = b_k M_k/cut^k
+      come from a table built once per m (_laplace_row).  M_k <= cut^k
+      M_0, and t/(e^t - 1) >= 1/2 on [0, 1] gives I1 >= x^-m M_0/2, so
+      term k is at most 2 |b_k| t_c^k of I1.
+
+    Both series stop where the proven bound on what they leave out is
+    under 2^-60 of their sum (_bernoulli_terms): 13 terms of I1 and 11
+    Bernoulli terms of G.  x^-m is applied last, as f^-m 2^(-m e) for
+    x = f 2^e, so nothing underflows before the final product (x^-(m+1)
+    alone is 0.0 at m = 3, x = 1e100, where the value is 2e-300).  The
+    estimate is the moments' quadrature estimates weighted by
+    |b_k| x^-(m+k); 8 roundings (2^-53 each) of each term's size (the
+    coefficients, the Horner sums and t_c = cut/x); 2^-59 of I1 and
+    2^-60 of I2 for the series' tails; 2^-56 of I2 for Q; 4 roundings of
+    the value for the scaling; and 2^-1074 a term for values among the
+    subnormals.  n_evals counts the terms summed, and cfg is not read.
+    A moment whose quadrature did not converge makes converged False.
     """
     if x < 0.0:
         raise ValueError("LAPLACE route needs x >= 0")
+    if x >= kernels._trunc_exp_plan(m)[3]:
+        return _laplace_closed(m, x)
     big_t = 50.0 + m * math.log(50.0)
     local = quad.QuadConfig(
         rel_tol=min(cfg.rel_tol, 1e-12),

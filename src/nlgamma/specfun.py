@@ -43,10 +43,9 @@ def polygamma(order, x):
     Positive orders go through the Hurwitz zeta reflection
     psi^(n)(x) = (-1)^(n+1) n! zeta(n+1, x).
     """
-    if order < -1:
-        raise ValueError(f"polygamma: need order >= -1, got {order}")
-    if not x > 0.0:
-        raise ValueError(f"polygamma: need x > 0, got {x}")
+    kernels._check_order("polygamma", "order", order, lo=-1)
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"polygamma: need 0 < x < inf, got {x}")
     if order == -1:
         return kernels.ln_gamma(x)
     if order == 0:

@@ -43,11 +43,30 @@ def test_backend_reports_name():
         ("hurwitz_zeta", (2.0, math.nan)),
         ("riemann_zeta", (math.inf,)),
         ("polygamma", (2, math.inf)),
+        # orders: a non-int (2.0 included) or a negative one, refused at
+        # the entry point before math.factorial or a cached plan sees it
+        ("trunc_exp_factor", (2.5, 1.0)),
+        ("trunc_exp_factor", (2.0, 1.0)),
+        ("trunc_exp_factor", (-1, 1.0)),
+        ("upper_incomplete_gamma_int", (2.5, 1.0)),
+        ("upper_incomplete_gamma_int", (2.0, 1.0)),
+        ("laplace_tail_weight", (2.5, 1.0, 50.0)),
+        ("laplace_tail_weight", (-1, 1.0, 50.0)),
+        ("laplace_panel", (2.0, 1.0, [0.5])),
+        ("polygamma", (1.5, 2.0)),
+        ("polygamma", (2.0, 2.0)),
+        ("polygamma", (-1, math.inf)),
     ],
 )
 def test_kernel_domain_errors(fn, args):
     with pytest.raises(ValueError):
         getattr(kernels if hasattr(kernels, fn) else specfun, fn)(*args)
+
+
+def test_polygamma_names_itself():
+    # not hurwitz_zeta, which it calls for order >= 1
+    with pytest.raises(ValueError, match="^polygamma: need 0 < x < inf, got inf$"):
+        specfun.polygamma(2, math.inf)
 
 
 @pytest.mark.parametrize("fn", [kernels.ln_gamma, kernels.digamma])

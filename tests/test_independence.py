@@ -6,8 +6,9 @@ code under test.  sys.setprofile records every top-level function of
 the kernel layers (`_backend.kernels`, `_ddarith`, `hyp2f1`, `quad`) that
 a route calls, at any depth, on a grid of m and x covering the four
 regions the benchmark draws from.  Every cache in those modules, and
-CLOSED's per-m row in `delta`, which holds zeta plans, is cleared before
-each call, so a table builder shows up whichever route asks for it
+the per-m rows in `delta` (CLOSED's, which holds zeta plans, and
+LAPLACE's moment table, built by quadrature), is cleared before each
+call, so a table builder shows up whichever route asks for it
 first.  A change that makes two routes share a function must
 edit SHARED below, so the new sharing shows in its diff.
 """
@@ -19,7 +20,7 @@ import pytest
 
 from nlgamma import _ddarith, hyp2f1, quad
 from nlgamma._backend import kernels
-from nlgamma.delta import Route, _closed_row, delta_deriv
+from nlgamma.delta import Route, _closed_row, _laplace_row, delta_deriv
 
 MODULES = {"kernels": kernels, "_ddarith": _ddarith, "hyp2f1": hyp2f1, "quad": quad}
 # region of the benchmark: (x, ...); 0: |x| < 0.125, 1: the seam band
@@ -74,7 +75,7 @@ def _reached(call):
     """The tracked names call() reaches, or None if it raised ValueError
     (the route does not apply there)."""
     codes, caches = _tracked()
-    for cache in (*caches, _closed_row):
+    for cache in (*caches, _closed_row, _laplace_row):
         cache.cache_clear()
     seen = set()
 

@@ -5,6 +5,7 @@ rounding charge (the kernels' pre-Horner bodies, kept below as the
 baseline, have their mpmath error reported beside the kernels'), and the
 quadrature routes replayed against recorded values."""
 
+import importlib
 import math
 import os
 import subprocess
@@ -18,6 +19,9 @@ from nlgamma import quad
 from nlgamma._backend import kernels
 from nlgamma.delta import Route, delta_deriv
 from nlgamma.quad import QuadConfig, integrate_finite, pointwise
+
+# the module, which the package's function `delta` shadows as an attribute
+delta_module = importlib.import_module("nlgamma.delta")
 
 # B_2i/(2i)! for 2i = 2..30, rounded to double, as the reference bodies
 # below used them
@@ -391,7 +395,13 @@ class TestPanelContract:
 # x = -0.15 for m = 4 and 12 moved in their last bits when -1/2 <= x < 0
 # began to integrate in u, not in s = 1 - u: -9.676224902282764 ±
 # 2.128769478502208e-14 and -261883926.92589426 ± 0.0009468054027867056
-# before; n_evals stayed 21.
+# before; n_evals stayed 21.  The six LAPLACE rows at x = 250 and 1e5
+# were recorded again when LAPLACE from x = cut_m on (43.3 to 72.9)
+# became two Bernoulli series with no quadrature: each value moved by
+# 1 or 2 ulps, n_evals went from 273-483 nodes to the 27 terms summed,
+# and the estimates went from 0.72x (m = 4) to 1.9x (m = 1,
+# 4.0309372382052435e-18 before at x = 250) of what they were, and to
+# 0.007x at m = 12, where the panels' estimates were the loosest.
 # test_route_replay_within_estimate checks each row against mpmath.
 ROUTE_REPLAY = {
     ("HURWITZ", 1, -0.999999999999):
@@ -457,9 +467,9 @@ ROUTE_REPLAY = {
     ("LAPLACE", 1, 3.0):
         (0.21962150400748295, 4.4377275371473043e-16, 168, True),
     ("LAPLACE", 1, 250.0):
-        (0.003949114629470538, 4.0309372382052435e-18, 315, True),
+        (0.003949114629470539, 7.692970688278357e-18, 27, True),
     ("LAPLACE", 1, 100000.0):
-        (9.999382459706763e-06, 1.0249732981443112e-20, 483, True),
+        (9.999382459706766e-06, 1.9144686138108164e-20, 27, True),
     ("LAPLACE", 4, 0.0):
         (-4.977253224688176, 8.174537270221066e-14, 147, True),
     ("LAPLACE", 4, 0.02):
@@ -469,9 +479,9 @@ ROUTE_REPLAY = {
     ("LAPLACE", 4, 3.0):
         (-0.018547255061408773, 1.714400937979831e-16, 147, True),
     ("LAPLACE", 4, 250.0):
-        (-1.4711274950021856e-09, 4.0380960769153764e-24, 273, True),
+        (-1.4711274950021854e-09, 2.969433601576017e-24, 27, True),
     ("LAPLACE", 4, 100000.0):
-        (-5.998647902696235e-20, 1.586551179903552e-34, 462, True),
+        (-5.998647902696234e-20, 1.137887194989115e-34, 27, True),
     ("LAPLACE", 12, 0.0):
         (-36850798.453063965, 2.5313020470614905e-05, 210, True),
     ("LAPLACE", 12, 0.02):
@@ -481,9 +491,9 @@ ROUTE_REPLAY = {
     ("LAPLACE", 12, 3.0):
         (-1.9245792481359516, 1.3259695176926386e-12, 168, True),
     ("LAPLACE", 12, 250.0):
-        (-6.011463371148903e-22, 1.4308541365337774e-34, 294, True),
+        (-6.011463371148904e-22, 1.0986163169945437e-36, 27, True),
     ("LAPLACE", 12, 100000.0):
-        (-3.9892256883639086e-53, 8.996386281142364e-66, 483, True),
+        (-3.989225688363909e-53, 6.267122961336871e-68, 27, True),
     ("HYP", 1, -0.9):
         (8.800823203254032, 1.4988260378892258e-13, 190, True),
     ("HYP", 1, -0.15):
@@ -551,8 +561,105 @@ _LAPLACE_X = st.one_of(
 @example(m=1, x=2.0)
 @example(m=6, x=7.0)
 @example(m=12, x=13.0)
+# x = cut_m, where the closed path takes over, and the doubles either side
+@example(m=1, x=43.27701085991081)
+@example(m=1, x=43.27701085991082)
+@example(m=1, x=43.277010859910824)
+@example(m=6, x=58.60814291671654)
+@example(m=6, x=58.608142916716545)
+@example(m=6, x=58.60814291671655)
+@example(m=12, x=72.85575536358678)
+@example(m=12, x=72.8557553635868)
+@example(m=12, x=72.85575536358681)
+# huge x: 2e-300 at m = 3, x = 1e100 (x^-(m+1) alone is 0.0 there), and
+# 1e-300 and 0.0 at x = 1e300
+@example(m=3, x=1e100)
+@example(m=1, x=1e300)
+@example(m=12, x=1e300)
 def test_laplace_sweep_within_estimate(m, x, mp_deriv, mp_taylor_deriv):
     r = delta_deriv(m, x, Route.LAPLACE)
     assert r.converged, (m, x)
     exact = mp_taylor_deriv(m, x) if x <= 0.26 else mp_deriv(m, x)
     assert abs(r.value - exact) <= r.abs_err_est, (m, x, r.value, exact, r.abs_err_est)
+
+
+class TestLaplaceClosedPath:
+    """LAPLACE from x = cut_m on: its Bernoulli table, G(a) = a J(a) and
+    the moment table against mpmath, each within its stated bound."""
+
+    # cut_m for the m whose seam the sweep above pins
+    CUTS = {1: 43.27701085991082, 6: 58.608142916716545, 12: 72.8557553635868}
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_takes_over_at_cut(self, m):
+        cut = kernels._trunc_exp_plan(m)[3]
+        assert self.CUTS.get(m, cut) == cut
+        below = delta_deriv(m, math.nextafter(cut, 0.0), Route.LAPLACE).n_evals
+        assert below % 21 == 0, below  # K21 panels
+        assert delta_deriv(m, cut, Route.LAPLACE).n_evals == 27
+        assert delta_deriv(m, 1e300, Route.LAPLACE).n_evals == 27
+
+    def test_bernoulli_table_and_constants(self):
+        mp = _mp()
+        with mp.workdps(40):
+            for k, b in enumerate(delta_module._LAPLACE_B2K, 1):
+                assert b == float(mp.bernoulli(2 * k) / mp.factorial(2 * k)), k
+            assert delta_module._LAPLACE_J_CONST == float((mp.euler - mp.log(2 * mp.pi)) / 2)
+            j_one = mp.quad(lambda t: 1 / (t * mp.expm1(t)), [1, mp.inf])
+            j = delta_module._LAPLACE_J_ONE  # a lower bound, rounded down
+            assert j <= j_one and math.nextafter(j, 1.0) >= j_one
+
+    @pytest.mark.parametrize(
+        "a", [1.0, 0.9999999999999999, 0.75, 0.5, 0.3, 0.1, 1e-3, 1e-8, 1e-30, 2.4e-307]
+    )
+    def test_j_against_mpmath(self, a):
+        """G(a) = a J(a) against mpmath's quadrature of J down to a = 1e-8,
+        and below, where that quadrature fails, against the same series
+        summed to 40 terms in 40 digits with mpmath's Bernoulli numbers
+        (its constant C checked above)."""
+        mp = _mp()
+        g, g_err = delta_module._laplace_g(a)
+        with mp.workdps(40):
+            a_mp = mp.mpf(a)
+            if a >= 1e-8:
+                exact = a_mp * mp.quad(lambda t: 1 / (t * mp.expm1(t)), [a, 1, mp.inf])
+            else:
+                tail = mp.fsum(
+                    mp.bernoulli(2 * k) / mp.factorial(2 * k) * a_mp ** (2 * k) / (2 * k - 1)
+                    for k in range(1, 41)
+                )
+                c = (mp.euler - mp.log(2 * mp.pi)) / 2
+                exact = 1 + a_mp * (c + mp.log(a_mp) / 2) - tail
+        assert abs(g - exact) <= g_err, (a, g, float(exact), g_err)
+        assert g_err <= 8e-15 * g  # a few ulps of G, J(1) <= G <= 1
+
+    @pytest.mark.parametrize("m", [1, 6, 12])
+    def test_moments_against_mpmath(self, m):
+        mp = _mp()
+        cut, _, head, evens, converged = delta_module._laplace_row(m)
+        assert converged
+        for (k, b), (c, err) in zip(delta_module._LAPLACE_I1_TERMS, head + evens[::-1]):
+            with mp.workdps(30):
+                moment = mp.quad(
+                    lambda y: y ** (m + k - 1) * mp.gammainc(m + 1, 0, y) / y ** (m + 1),
+                    [0, m + 1, cut],
+                )
+                exact = mp.mpf(b) * moment / mp.mpf(cut) ** k
+            assert abs(c - exact) <= err, (m, k, c, float(exact), err)
+            assert err <= 1e-14 * abs(c)
+
+    def test_unconverged_moment_is_not_silent(self, monkeypatch):
+        inner = quad.integrate_finite
+
+        def unconverged(*args, **kwargs):
+            r = inner(*args, **kwargs)
+            return quad.QuadResult(r.value, r.abs_err_est, r.n_evals, False)
+
+        delta_module._laplace_row.cache_clear()
+        monkeypatch.setattr(quad, "integrate_finite", unconverged)
+        try:
+            assert not delta_deriv(2, 1e3, Route.LAPLACE).converged
+        finally:
+            delta_module._laplace_row.cache_clear()
+        monkeypatch.undo()
+        assert delta_deriv(2, 1e3, Route.LAPLACE).converged

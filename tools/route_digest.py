@@ -13,8 +13,11 @@ line on both commits, and a change that means to move one route shows
 which lines moved.  Each route's line also gives, outside the hashed
 text, its total n_evals over the draws (0 for a draw that raised) and
 how many `quad.integrate_finite` calls it made, counted by wrapping that
-function here, and its CPU ms over all the draws, with that wrapper
-removed.  A stage split gives the ms spent inside each of
+function here (LAPLACE's include the moment table's, 13 a table, one
+table for each m on first use), and its CPU ms over all the draws, with
+that wrapper removed.  LAPLACE's line also gives how many of its calls
+took the closed path from x = cut_m on (`delta._laplace_closed`),
+which has no quadrature.  A stage split gives the ms spent inside each of
 `quad.integrate_finite`, `quad._sawtooth_tail` and
 `kernels.laplace_panel`, each wrapped by a CPU timer, so a change that
 keeps every n_evals still shows where the time moved, down to the stage.
@@ -42,6 +45,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from nlgamma import quad  # noqa: E402
 from nlgamma._backend import kernels  # noqa: E402
 from nlgamma.delta import Route, delta_deriv  # noqa: E402
+
+route_module = sys.modules["nlgamma.delta"]  # the package exports a function `delta`
 
 DRAWS = 2400
 SEED = 20260
@@ -127,12 +132,20 @@ def main():
     evals = dict.fromkeys(ROUTES, 0)
     calls = dict.fromkeys(ROUTES, 0)
     integrate_finite = quad.integrate_finite
+    laplace_closed = route_module._laplace_closed
+    closed_calls = 0
 
     def counted(*args, **kwargs):
         calls[route] += 1  # the route of the draw being run
         return integrate_finite(*args, **kwargs)
 
+    def counted_closed(*args, **kwargs):
+        nonlocal closed_calls
+        closed_calls += 1
+        return laplace_closed(*args, **kwargs)
+
     quad.integrate_finite = counted
+    route_module._laplace_closed = counted_closed
     for i in range(DRAWS):
         m = rng.randint(1, 12)
         x = draw_x(rng, i % 4)
@@ -148,12 +161,14 @@ def main():
             sha.update(line)
             per_route[route].update(line)
     quad.integrate_finite = integrate_finite
+    route_module._laplace_closed = laplace_closed
     columns = timed_columns(draws)
     for route, route_sha in per_route.items():
         stages = columns[route]
+        closed = f"  {closed_calls} closed-path calls" if route is Route.LAPLACE else ""
         print(
             f"{route_sha.hexdigest()}  {route.value}  {evals[route]} evals"
-            f"  {calls[route]} integrate_finite calls"
+            f"  {calls[route]} integrate_finite calls{closed}"
             f"  {stages['total']:.0f} CPU ms"
             f" ({stages['integrate_finite']:.0f} in integrate_finite,"
             f" {stages['_sawtooth_tail']:.0f} in _sawtooth_tail,"
