@@ -328,6 +328,24 @@ class TestConverged:
         assert r.n_evals <= 1500, r.n_evals
         assert abs(r.value - closed.value) <= r.abs_err_est + closed.abs_err_est
 
+    def test_laplace_integrand_layer_far_below_the_interval_width(self):
+        # LAPLACE at x = 1e16 sums two series past cut_1 = 43.3 and no
+        # longer integrates, so the layer at t = m/x ~ 1e-16 is integrated
+        # here as its quadrature did, over the mesh graded from m/x
+        m, x = 1, 1e16
+        big_t = 50.0 + m * math.log(50.0)
+        r = quad.integrate_finite(
+            lambda ts: kernels.laplace_panel(m, x, ts),
+            0.0,
+            big_t,
+            QuadConfig(rel_tol=1e-12, abs_tol=5e-300),
+            quad.graded_breaks(0.0, m / x, big_t),
+        )
+        closed = delta_deriv(m, x, Route.CLOSED)
+        assert r.converged
+        assert r.n_evals <= 1500, r.n_evals
+        assert abs(r.value - closed.value) <= r.abs_err_est + closed.abs_err_est
+
     # one split meets the default tolerances on these inputs, so TIGHT
     # also asks for rel_tol 1e-15 with no abs_tol, which the default
     # budget still meets
