@@ -60,6 +60,10 @@ COMMANDS = [
             (3, "1e100", "ASYMPTOTIC"),
         )
     ),
+    *(
+        f"eval --fn deriv --m {m} --x {x} --route {route} --rel-tol 1e-15"
+        for m, x, route in ((12, "-0.9", "HURWITZ"), (11, "0.3", "LAPLACE"), (12, "-0.9", "HYP"))
+    ),
     "table --fn delta --start -0.9 --stop 2 --count 30",
     "table --fn deriv --m 1 --start 0 --stop 10 --count 11 --routes CLOSED,HURWITZ",
     "table --fn deriv --m 7 --start -0.26 --stop 0.26 --count 27"
