@@ -28,7 +28,6 @@ from .delta import (
     delta,
     delta_deriv,
 )
-from .quad import DEFAULT_CONFIG, QuadConfig
 from .report import fmt17
 from .specfun import polygamma
 
@@ -84,14 +83,6 @@ def _build_parser():
     p_scan.add_argument("--count", type=int, required=True)
     p_scan.add_argument("--json", dest="json_path", default=None)
     return parser
-
-
-def _cfg_for(rel_tol):
-    if rel_tol is None:
-        return DEFAULT_CONFIG
-    if not 0.0 < rel_tol < math.inf:
-        raise _CliError(f"--rel-tol must be positive and finite, got {rel_tol}")
-    return QuadConfig(rel_tol=rel_tol)
 
 
 def _check_writable(path):
@@ -153,14 +144,15 @@ def _delta_point(x):
 
 
 def _cmd_eval(args):
-    cfg = _cfg_for(args.rel_tol)
+    if args.rel_tol is not None and not 0.0 < args.rel_tol < math.inf:
+        raise _CliError(f"--rel-tol must be positive and finite, got {args.rel_tol}")
     if args.fn == "delta":
         value, err, route = _delta_point(args.x)
         line = (fmt17(value), fmt17(err), route.value, "1")
         converged = True
     else:
         requested = None if args.route == "AUTO" else Route[args.route]
-        r = delta_deriv(args.m, args.x, requested, cfg)
+        r = delta_deriv(args.m, args.x, requested, args.rel_tol)
         route = r.route
         line = (fmt17(r.value), fmt17(r.abs_err_est), route.value, str(r.n_evals))
         converged = r.converged

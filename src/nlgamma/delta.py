@@ -147,7 +147,7 @@ def _closed_row(m):
     return pairs, scales, weights
 
 
-def _closed(m, x):
+def _closed(m, x, rel_tol):
     """Leibniz expansion sum_j C(m,j) psi^(m-j-1)(x+1) (-1)^j j!/x^(j+1).
 
     Near 0 the terms cancel like |x|^-(m+1).  On |x| <= _ddarith.X_MAX
@@ -188,7 +188,7 @@ def _closed(m, x):
     return EvalResult(value, err, Route.CLOSED, m + 1)
 
 
-def _series(m, x):
+def _series(m, x, rel_tol):
     """Term-wise differentiated Taylor form, |x| <= _ddarith.X_MAX = 0.26."""
     if abs(x) > _ddarith.X_MAX:
         raise ValueError(f"SERIES route needs |x| <= {_ddarith.X_MAX}, got {x}")
@@ -226,7 +226,7 @@ def _graded_mesh(pole, first, end):
     return breaks
 
 
-def _hurwitz(m, x, cfg):
+def _hurwitz(m, x, rel_tol):
     """(-1)^(m-1) m! integral_0^1 u^m zeta(m+1, x u + 1) du.
 
     zeta(m+1, x u + 1) has its pole at u = -1/x.  On -1/2 <= x <= 1,
@@ -251,11 +251,8 @@ def _hurwitz(m, x, cfg):
     f(V) V/integral <= V + 0.7 m + 0.75, its largest at x -> 1, so
     (m + 2 + V) 2^-52 |value| is charged.  For x < -1/2 the integrand is 0 at V.
     """
-    local = quad.QuadConfig(
-        rel_tol=min(cfg.rel_tol, 1e-11),
-        abs_tol=5e-300,  # integrand is positive: drive purely by rel_tol
-        max_subdivisions=cfg.max_subdivisions,
-    )
+    # the integrand is positive: driven by rel_tol alone
+    local = quad.QuadConfig(rel_tol=min(rel_tol, 1e-11), abs_tol=5e-300)
     top, breaks, top_ulps = 1.0, (), 0.0
     if -0.5 <= x <= 1.0:
         f = lambda us: kernels.hz_route_panel(m, x, us)  # noqa: E731
@@ -406,22 +403,14 @@ def _laplace_closed(m, x):
     return EvalResult(_sign_for(m) * value, err, Route.LAPLACE, n_terms, converged)
 
 
-def _laplace(m, x, cfg):
+def _laplace(m, x, rel_tol):
     """(-1)^(m-1) integral_0^inf t^m/(e^t-1) E_m(xt) dt for x >= 0.
 
     Below x = cut = kernels._trunc_exp_plan(m)[3] (43.3 at m = 1, 72.9 at
     m = 12) it is a quadrature.  E_m(x t) turns from 1/(m+1) to
     m!/(x t)^(m+1) around t = m/x, so the mesh doubles from
-    t = min(m/x, 1) up to T.  Where the values fall among the subnormals
-    (x^m past about 1e300), a rounding costs up to 2^-1075 absolute, not
-    a share of the value.  The estimate adds (n_evals + 9 T) 2^-1074 for
-    that: each node's last product, weighted by at most T in all; the 31
-    roundings of each panel's K21 sum, times its half-width, 7.75 T
-    2^-1074 over the mesh; and each panel's scaling and the rounding of
-    t^m over e^t - 1 near t = 0, under 2^-1074 a node.  Rounding
-    m!/(x t)^(m+1) among the subnormals moves the value by at most
-    (m + 1) 2^(-1074/(m+1)) of itself, which the panels' 2e-16
-    sum |panel| covers unless that too is under 2^-1074.
+    t = min(m/x, 1) up to T.  At x < cut no value is near the
+    subnormals, so the estimate takes no absolute floor.
 
     From x = cut on, t_c = cut/x <= 1 splits the integral into two
     series, and no mesh is built (_laplace_closed):
@@ -452,7 +441,7 @@ def _laplace(m, x, cfg):
     coefficients, the Horner sums and t_c = cut/x); 2^-59 of I1 and
     2^-60 of I2 for the series' tails; 2^-56 of I2 for Q; 4 roundings of
     the value for the scaling; and 2^-1074 a term for values among the
-    subnormals.  n_evals counts the terms summed, and cfg is not read.
+    subnormals.  n_evals counts the terms summed, and rel_tol is not read.
     A moment whose quadrature did not converge makes converged False.
     """
     if x < 0.0:
@@ -460,11 +449,7 @@ def _laplace(m, x, cfg):
     if x >= kernels._trunc_exp_plan(m)[3]:
         return _laplace_closed(m, x)
     big_t = 50.0 + m * math.log(50.0)
-    local = quad.QuadConfig(
-        rel_tol=min(cfg.rel_tol, 1e-12),
-        abs_tol=5e-300,
-        max_subdivisions=cfg.max_subdivisions,
-    )
+    local = quad.QuadConfig(rel_tol=min(rel_tol, 1e-12), abs_tol=5e-300)
     first = m / x if x > m else 1.0
     r = quad.integrate_finite(
         lambda ts: kernels.laplace_panel(m, x, ts),
@@ -475,11 +460,10 @@ def _laplace(m, x, cfg):
     )
     value = _sign_for(m) * r.value
     err = r.abs_err_est + kernels.laplace_tail_weight(m, x, big_t)
-    err += (r.n_evals + 9.0 * big_t) * 2.0**-1074
     return EvalResult(value, err, Route.LAPLACE, r.n_evals, r.converged)
 
 
-def _hyp(m, x, cfg):
+def _hyp(m, x, rel_tol):
     """(1.6)-style assembly: two 2F1 terms minus a sawtooth integral,
     scaled by (-1)^(m-1) m!.  From x = 2^53 on, z = x/(x + 1) rounds to
     1, where the first 2F1 diverges, so such x are refused.
@@ -513,7 +497,7 @@ def _hyp(m, x, cfg):
     term1 = f1 * xp1 ** (-(m + 1.0)) / (2.0 * (m + 1.0))
     term2 = f2 * xp1 ** (-float(m)) / (m * (m + 1.0))
 
-    p = quad.p1_integral(((1.0, 1.0), (xp1, m + 1.0)), cfg)
+    p = quad.p1_integral(((1.0, 1.0), (xp1, m + 1.0)))
     fact = math.factorial(m)
     value = _sign_for(m) * fact * (term1 + term2 - p.value)
     err = fact * (p.abs_err_est + 1e-14 * (abs(term1) + abs(term2)))
@@ -522,7 +506,7 @@ def _hyp(m, x, cfg):
     return EvalResult(value, err, Route.HYP, p.n_evals + 1, p.converged)
 
 
-def _recurrence(m, x, cfg):
+def _recurrence(m, x, rel_tol):
     """D^(m) = -(m/x) D^(m-1) - (-1)^(m-1) (m-1)! zeta(m, x+1)/x, D^(m-1) by CLOSED."""
     if m < 2:
         raise ValueError("RECURRENCE route needs m >= 2")
@@ -563,7 +547,7 @@ def asymptotic_leading(m, x, refine=False):
     return _sign_for(m) * math.factorial(m) * (term1 + term2)
 
 
-def _asymptotic(m, x, cfg):
+def _asymptotic(m, x, rel_tol):
     """The leading term, charged its distance to the refined form (no bound)."""
     try:
         lead = asymptotic_leading(m, x)
@@ -577,9 +561,10 @@ def _asymptotic(m, x, cfg):
     return EvalResult(lead, err, Route.ASYMPTOTIC, 2)
 
 
+# every entry is called as impl(m, x, rel_tol)
 _ROUTE_IMPL = {
-    Route.CLOSED: lambda m, x, cfg: _closed(m, x),
-    Route.SERIES: lambda m, x, cfg: _series(m, x),
+    Route.CLOSED: _closed,
+    Route.SERIES: _series,
     Route.HURWITZ: _hurwitz,
     Route.LAPLACE: _laplace,
     Route.HYP: _hyp,
@@ -588,17 +573,23 @@ _ROUTE_IMPL = {
 }
 
 
-def delta_deriv(m, x, route=None, cfg=quad.DEFAULT_CONFIG):
+def delta_deriv(m, x, route=None, rel_tol=None):
     """m-th derivative of D at x, by the route's entry in _ROUTE_IMPL.
 
-    route=None is CLOSED, at every x, x = 0 included.  Only HURWITZ,
-    LAPLACE and HYP read cfg."""
+    route=None is CLOSED, at every x, x = 0 included.  rel_tol can only
+    tighten the relative tolerance of HURWITZ's quadrature (1e-11) and
+    of LAPLACE's below x = cut_m (1e-12); every other route ignores it,
+    but every route refuses one outside 0 < rel_tol < inf."""
     _check_m(m)
     _check_x(x)
     impl = _ROUTE_IMPL.get(Route.CLOSED if route is None else route)
     if impl is None:
         raise ValueError(f"unsupported route: {route}")
-    return impl(m, x, cfg)
+    if rel_tol is None:
+        rel_tol = 1.0  # looser than either route's own: leaves both as they are
+    elif not 0.0 < rel_tol < math.inf:
+        raise ValueError(f"need 0 < rel_tol < inf, got {rel_tol}")
+    return impl(m, x, rel_tol)
 
 
 # ------------------------------------------------- special closed forms
@@ -646,24 +637,28 @@ def delta_deriv_half_integer(m):
 # ------------------------------------------- fractional-part representation
 
 
-def frac_rep_prop2(m, k, cfg=quad.DEFAULT_CONFIG):
+def frac_rep_prop2(m, k):
     """Both sides of the fractional-part representation
 
       integral_0^1 u^m zeta(m+1, k u + 1) du
         = k^(-m-1) [ integral_1^inf {w}^m/w^(m+1) dw
                      + sum_{j=1}^{k-1} integral_0^inf ({x}+j)^m/(x+j+1)^(m+1) dx ]
 
-    for integer k >= 1, 1 <= m <= 8.  Returns (lhs, rhs) QuadResults.
+    for integer k >= 1, 1 <= m <= 8.  Returns (lhs, rhs) QuadResults; the
+    left side is integrated to 1e-11 relative or 1e-9 absolute.
     """
     _check_m(k, "k", hi=math.inf, where="frac_rep_prop2")
     _check_m(m, hi=8, where="frac_rep_prop2")
     lhs = quad.integrate_finite(
-        lambda us: kernels.hz_route_panel(m, float(k), us), 0.0, 1.0, cfg
+        lambda us: kernels.hz_route_panel(m, float(k), us),
+        0.0,
+        1.0,
+        quad.QuadConfig(rel_tol=1e-11, abs_tol=1e-9),
     )
-    return lhs, _prop2_rhs(m, k, cfg)
+    return lhs, _prop2_rhs(m, k)
 
 
-def _prop2_rhs(m, k, cfg):
+def _prop2_rhs(m, k):
     """k^(-m-1) sum_{j<k} integral_0^inf ({x}+j)^m/(x+j+1)^(m+1) dx, the
     right side of frac_rep_prop2 (j = 0 is its w-integral, w = x + 1).
     Each term is a polynomial in the fractional part over a power, so it
@@ -671,7 +666,7 @@ def _prop2_rhs(m, k, cfg):
     total = quad.QuadResult(0.0, 0.0, 0, True)
     for j in range(k):
         row = [math.comb(m, i) * float(j) ** (m - i) for i in range(m + 1)]
-        total = total + quad.integrate_unit_split(row, ((j + 1.0, m + 1.0),), cfg)
+        total = total + quad.integrate_unit_split(row, ((j + 1.0, m + 1.0),))
     return total.scaled(float(k) ** (-(m + 1.0)))
 
 

@@ -308,7 +308,7 @@ def hyp_identity_residual(identity, n, x, abc=None):
     A5 (logarithmic form of A4; inner integral by quadrature), A6 (the
     inequality chain; residual is the smaller slack), T26 (argument
     transformation z = x/(x+1) vs -x), D25 (central finite difference of
-    the derivative rule at parameters abc).
+    the derivative rule at the parameters abc, which it must be given).
     """
     if n < 0:
         raise ValueError("hyp_identity_residual: need n >= 0")
@@ -369,7 +369,7 @@ def hyp_identity_residual(identity, n, x, abc=None):
         rhs = (x + 1.0) * (n + 1.0) * (n + 2.0) * euler
         return IdentityResidual.build("T26", point, lhs, rhs, 1e-10, relative_to=1e-300)
     if identity == "D25":
-        a, b, c = abc if abc is not None else D25_TRIPLES[n % len(D25_TRIPLES)]
+        a, b, c = abc
         h = 1e-5
         lhs = (gauss_2f1(a, b, c, -(x + h)) - gauss_2f1(a, b, c, -(x - h))) / (2.0 * h)
         rhs = -(a * b / c) * gauss_2f1(a + 1.0, b + 1.0, c + 1.0, -x)

@@ -425,7 +425,7 @@ def _sawtooth_integrand(coeffs, factors):
     return f, g
 
 
-def integrate_unit_split(coeffs, factors, cfg=DEFAULT_CONFIG):
+def integrate_unit_split(coeffs, factors):
     """integral_0^inf phi({t}) g(t) dt with g(t) = prod (t + c)^(-p).
 
     phi(y) = sum_i coeffs[i] y^i; factors are (c, p) pairs with p > 0 and
@@ -459,9 +459,10 @@ def integrate_unit_split(coeffs, factors, cfg=DEFAULT_CONFIG):
     march stops at the first X where those terms, weighted by |a_k|, sum
     to within 1e-16 |value|; that sum and the mean's rounding are charged
     as the tail's error.  The tolerance is the rounding floor of the sum,
-    not cfg.rel_tol, because callers such as HYP cancel this value against
-    other terms.  A march that reaches _TAIL_INTERVALS_MAX without a tail
-    returns converged=False.
+    because callers such as HYP cancel this value against other terms.
+    No tolerance is taken: converged is False only when an
+    integrate_finite call did not converge or the march reached
+    _TAIL_INTERVALS_MAX without a tail.
 
     The estimate also charges the integrand's own rounding, which the
     panels' 2e-16 sum |panel| misses for large p and where phi changes sign
@@ -559,14 +560,13 @@ def integrate_unit_split(coeffs, factors, cfg=DEFAULT_CONFIG):
         end = x + 1.0
         _, trapezoid = sizes([x, end])
     err += kappa * 2.0**-53 * magnitude
-    converged = converged and err <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
     return QuadResult(value, err, n_evals, converged)
 
 
-def p1_integral(factors, cfg=DEFAULT_CONFIG):
+def p1_integral(factors):
     """integral_0^inf p1(t) g(t) dt: integrate_unit_split with
     phi(y) = y - 1/2 = B_1(y), the sawtooth of HYP's sawtooth integral."""
-    return integrate_unit_split((-0.5, 1.0), factors, cfg)
+    return integrate_unit_split((-0.5, 1.0), factors)
 
 
 def lemma2_transform(coeffs, b, c, lam):

@@ -122,10 +122,9 @@ def suite_recurrence():
 def suite_prop2():
     """Fractional-part representation and the x = 1 closed sums."""
     rep = VerificationReport(suite="prop2")
-    local = quad.QuadConfig(rel_tol=1e-11, abs_tol=1e-9)
     for m in range(1, 5):
         for k in range(1, 6):
-            lhs, rhs = frac_rep_prop2(m, k, local)
+            lhs, rhs = frac_rep_prop2(m, k)
             tolerance = min(1e-6, lhs.abs_err_est + rhs.abs_err_est + 1e-12)
             rep.add(
                 IdentityResidual.build(

@@ -1,8 +1,23 @@
 """Shared fixtures."""
 
 import math
+from dataclasses import replace
 
 import pytest
+
+from nlgamma import quad
+
+
+@pytest.fixture
+def starved_quad(monkeypatch):
+    """Give every quad.integrate_finite call of the test a budget of one
+    split, whatever tolerances its caller asks for."""
+    inner = quad.integrate_finite
+
+    def starved(f, a, b, cfg=quad.DEFAULT_CONFIG, breakpoints=()):
+        return inner(f, a, b, replace(cfg, max_subdivisions=1), breakpoints)
+
+    monkeypatch.setattr(quad, "integrate_finite", starved)
 
 
 @pytest.fixture(scope="session")

@@ -23,7 +23,7 @@ from nlgamma.delta import (
     integral_delta_squared,
     recurrence_residual,
 )
-from nlgamma.quad import DEFAULT_CONFIG, QuadConfig, p1_integral
+from nlgamma.quad import p1_integral
 from nlgamma.specfun import CONSTANTS, hurwitz_zeta, polygamma, riemann_zeta
 
 G = CONSTANTS.euler_gamma
@@ -87,11 +87,10 @@ def test_c03_recurrence():
 def test_c04_fractional_part_representation():
     """Fractional-part form within 1e-6 absolute (m 1..4, k 1..5); the
     closed sums at x = 1 within 1e-11 of the CLOSED route (m 1..8)."""
-    cfg = QuadConfig(rel_tol=1e-11, abs_tol=1e-9)
     worst_abs = 0.0
     for m in range(1, 5):
         for k in range(1, 6):
-            lhs, rhs = frac_rep_prop2(m, k, cfg)
+            lhs, rhs = frac_rep_prop2(m, k)
             worst_abs = max(worst_abs, abs(lhs.value - rhs.value))
     worst_rel = 0.0
     for m in range(1, 9):
@@ -221,7 +220,7 @@ def test_c10_primitive_suite():
     worst_saw = 0.0
     for s in (2.0, 3.0, 5.0):
         for a in (1.0, 1.5, 3.0):
-            r = p1_integral(((a, s + 1.0),), DEFAULT_CONFIG)
+            r = p1_integral(((a, s + 1.0),))
             lhs = a**-s / 2.0 + a ** (1.0 - s) / (s - 1.0) - s * r.value
             worst_saw = max(worst_saw, abs(lhs - hurwitz_zeta(s, a)))
     r = p1_integral(((1.0, 4.0),))

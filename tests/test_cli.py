@@ -10,7 +10,6 @@ import pytest
 from nlgamma import cli, verify
 from nlgamma.cli import main
 from nlgamma.delta import Route, delta_deriv
-from nlgamma.quad import QuadConfig
 from nlgamma.report import fmt17
 
 G = 0.5772156649015328606
@@ -46,16 +45,14 @@ class TestEval:
         assert rc == 0
         assert out.strip().split("\t")[2] == "HURWITZ"
 
-    def test_nonconverged_exits_1(self, capsys, monkeypatch):
+    def test_nonconverged_exits_1(self, capsys, starved_quad):
         # one split is not enough for the layer at u = 1: the estimate
         # stays at 5e-10 of the value against an allowance of 1e-11
-        starved = QuadConfig(max_subdivisions=1)
-        monkeypatch.setattr(cli, "DEFAULT_CONFIG", starved)
         rc, out, err = run_cli(
             capsys, "eval", "--fn", "deriv", "--m", "12", "--x", "-0.5", "--route", "HURWITZ"
         )
         assert rc == 1
-        r = delta_deriv(12, -0.5, Route.HURWITZ, starved)
+        r = delta_deriv(12, -0.5, Route.HURWITZ)
         assert not r.converged
         row = (fmt17(r.value), fmt17(r.abs_err_est), "HURWITZ", str(r.n_evals))
         assert out == "\t".join(row) + "\n"
@@ -114,6 +111,18 @@ class TestEval:
             "--rel-tol", "1e-6",
         )
         assert rc == 0
+
+    def test_rel_tol_leaves_hyp_converged(self, capsys):
+        # HYP takes no tolerance: the flag once barred the sawtooth's
+        # converged result at 1e-15 of the value and exited 1
+        rc, out, err = run_cli(
+            capsys,
+            "eval", "--fn", "deriv", "--m", "12", "--x", "-0.9", "--route", "HYP",
+            "--rel-tol", "1e-15",
+        )
+        assert rc == 0
+        assert err == ""
+        assert out.split("\t")[0] == "-3.9560946988215648e+19"
 
     @pytest.mark.parametrize("rel_tol", ["nan", "inf", "-inf"])
     def test_non_finite_rel_tol_exits_2(self, capsys, rel_tol):

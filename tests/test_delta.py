@@ -3,7 +3,6 @@ integrals, asymptotics, and the sign-pattern certificate."""
 
 import importlib
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -258,23 +257,21 @@ class TestClosedForms:
 
 
 class TestFracRep:
-    CFG = QuadConfig(rel_tol=1e-11, abs_tol=1e-9)
-
     def test_k1_m1_is_one_minus_gamma(self):
-        lhs, rhs = frac_rep_prop2(1, 1, self.CFG)
+        lhs, rhs = frac_rep_prop2(1, 1)
         assert abs(lhs.value - (1.0 - G)) < 1e-10
         assert abs(rhs.value - (1.0 - G)) < 1e-15
 
     def test_k1_m2_matches_second_moment(self):
         exact = (3.0 - math.pi**2 / 6.0 - 2.0 * G) / 2.0  # = -D''(1)/2
-        lhs, rhs = frac_rep_prop2(2, 1, self.CFG)
+        lhs, rhs = frac_rep_prop2(2, 1)
         assert abs(lhs.value - exact) < 1e-10
         assert abs(rhs.value - exact) < 1e-15
 
     @pytest.mark.parametrize("m", range(1, 5))
     @pytest.mark.parametrize("k", range(1, 6))
     def test_equality_grid(self, m, k):
-        lhs, rhs = frac_rep_prop2(m, k, self.CFG)
+        lhs, rhs = frac_rep_prop2(m, k)
         gap = abs(lhs.value - rhs.value)
         assert gap <= 1e-14
         assert gap <= lhs.abs_err_est + rhs.abs_err_est
@@ -283,7 +280,7 @@ class TestFracRep:
     def test_right_side_is_independent_of_the_zeta_kernel(self, m, k, monkeypatch):
         # the left side is the HURWITZ integrand; the right side must not
         # reach the Hurwitz-zeta kernel or its Bernoulli constants
-        _, expected = frac_rep_prop2(m, k, self.CFG)
+        _, expected = frac_rep_prop2(m, k)
 
         def refuse(*args):
             raise AssertionError("hurwitz_zeta called")
@@ -292,7 +289,7 @@ class TestFracRep:
             monkeypatch.setattr(module, "hurwitz_zeta", refuse)
         for name in ("_BERNOULLI", "_B2I_OVER_FACT", "_B2I_STIRLING", "_B2I_DIGAMMA"):
             monkeypatch.setattr(kernels, name, None)
-        rhs = _prop2_rhs(m, k, self.CFG)
+        rhs = _prop2_rhs(m, k)
         assert (rhs.value, rhs.abs_err_est, rhs.n_evals) == (
             expected.value,
             expected.abs_err_est,
@@ -307,18 +304,16 @@ class TestFracRep:
 
 
 class TestConverged:
-    # the tests below also patch quad._TAIL_INTERVALS_MAX to 1
-    TIGHT = QuadConfig(max_subdivisions=1)
+    # starved_quad gives each integrate_finite call one split; the flag
+    # tests below also patch quad._TAIL_INTERVALS_MAX to 1
 
-    def test_laplace_out_of_budget(self):
+    def test_laplace_out_of_budget(self, starved_quad):
         # one split leaves the estimate at 3.7e-12 of the value against
         # an allowance of 1e-12
-        r = delta_deriv(11, 0.3, Route.LAPLACE, QuadConfig(max_subdivisions=1))
+        r = delta_deriv(11, 0.3, Route.LAPLACE)
         assert not r.converged
 
-    @pytest.mark.parametrize(
-        "route,m,x", [(Route.LAPLACE, 1, 1e16), (Route.HURWITZ, 1, -1.0 + 1e-15)]
-    )
+    @pytest.mark.parametrize("route,m,x", [(Route.HURWITZ, 1, -1.0 + 1e-15)])
     def test_layer_far_below_the_interval_width(self, route, m, x):
         # the layer sits ~1e-16 of the interval from an end; an absolute
         # width floor froze it and spent all 2,000 splits (about 61k evals)
@@ -346,9 +341,9 @@ class TestConverged:
         assert r.n_evals <= 1500, r.n_evals
         assert abs(r.value - closed.value) <= r.abs_err_est + closed.abs_err_est
 
-    # one split meets the default tolerances on these inputs, so TIGHT
-    # also asks for rel_tol 1e-15 with no abs_tol, which the default
-    # budget still meets
+    # one split meets the default tolerances on these inputs, so the
+    # starved call also asks for rel_tol 1e-15, which the default budget
+    # still meets
     STRICT = {(Route.HURWITZ, 12, -0.9), (Route.LAPLACE, 3, 50.0)}
 
     @pytest.mark.parametrize(
@@ -361,19 +356,46 @@ class TestConverged:
             (Route.LAPLACE, 3, 50.0),
         ],
     )
-    def test_quadrature_routes_carry_the_flag(self, route, m, x, monkeypatch):
-        tight = self.TIGHT
+    def test_quadrature_routes_carry_the_flag(self, route, m, x, request, monkeypatch):
+        rel_tol = None
         if (route, m, x) in self.STRICT:
-            strict = QuadConfig(rel_tol=1e-15, abs_tol=0.0)
-            assert delta_deriv(m, x, route, strict).converged
-            tight = replace(strict, max_subdivisions=1)
+            rel_tol = 1e-15
+            assert delta_deriv(m, x, route, rel_tol).converged
         assert delta_deriv(m, x, route).converged
+        request.getfixturevalue("starved_quad")
         monkeypatch.setattr(quad, "_TAIL_INTERVALS_MAX", 1)
-        assert not delta_deriv(m, x, route, tight).converged
+        assert not delta_deriv(m, x, route, rel_tol).converged
 
     @pytest.mark.parametrize("route", [Route.CLOSED, Route.SERIES, Route.RECURRENCE])
     def test_direct_routes_converge(self, route):
         assert delta_deriv(3, 0.1, route).converged
+
+
+class TestRelTol:
+    def test_hyp_ignores_it(self):
+        # the sawtooth takes no tolerance, so a tight rel_tol neither moves
+        # HYP nor bars its flag (1.3e-14 of the value here, against 1e-15)
+        tight = delta_deriv(12, -0.9, Route.HYP, rel_tol=1e-15)
+        assert tight.converged
+        assert tight == delta_deriv(12, -0.9, Route.HYP)
+
+    @pytest.mark.parametrize("route,m,x", [(Route.HURWITZ, 12, -0.9), (Route.LAPLACE, 11, 0.3)])
+    def test_tightens_the_quadrature_routes(self, route, m, x):
+        loose = delta_deriv(m, x, route)
+        tight = delta_deriv(m, x, route, rel_tol=1e-15)
+        assert tight.converged
+        assert tight.n_evals > loose.n_evals
+        assert tight.abs_err_est < 0.2 * loose.abs_err_est
+        assert abs(tight.value - loose.value) <= tight.abs_err_est + loose.abs_err_est
+
+    @pytest.mark.parametrize("rel_tol", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "route,x",
+        [(route, 0.1) for route in Route] + [(Route.LAPLACE, 1e3)],  # 1e3: past cut_2
+    )
+    def test_refused_on_every_route(self, route, x, rel_tol):
+        with pytest.raises(ValueError, match="rel_tol"):
+            delta_deriv(2, x, route, rel_tol)
 
 
 class TestMomentIntegrals:
@@ -501,7 +523,7 @@ class TestMonotonicity:
     def test_value_within_its_estimate_fails(self, monkeypatch, signed):
         # the sign is certified only when the signed value exceeds its
         # estimate; at or inside it, either sign fits the error
-        def fake(m, x, route=None, cfg=None):
+        def fake(m, x, route=None, rel_tol=None):
             sign = 1.0 if m % 2 else -1.0
             return EvalResult(sign * signed, 1e-15, Route.CLOSED, 1)
 

@@ -576,6 +576,8 @@ _LAPLACE_X = st.one_of(
 @example(m=3, x=1e100)
 @example(m=1, x=1e300)
 @example(m=12, x=1e300)
+# the closed path at x = 1e16, once a quadrature case of TestConverged
+@example(m=1, x=1e16)
 def test_laplace_sweep_within_estimate(m, x, mp_deriv, mp_taylor_deriv):
     r = delta_deriv(m, x, Route.LAPLACE)
     assert r.converged, (m, x)

@@ -396,8 +396,7 @@ class TestUnitSplit:
 
     def test_budget_exhaustion_flagged(self, monkeypatch):
         monkeypatch.setattr(quad, "_TAIL_INTERVALS_MAX", 2)
-        cfg = QuadConfig(abs_tol=1e-13)
-        r = integrate_unit_split((0.0, 1.0), ((1.0, 2.0),), cfg)
+        r = integrate_unit_split((0.0, 1.0), ((1.0, 2.0),))
         assert not r.converged
 
     def test_budget_caps_the_tail_start(self, monkeypatch):
@@ -470,11 +469,13 @@ class TestUnitSplit:
         assert abs(r.value - ref) <= r.abs_err_est, (r.value, ref, r.abs_err_est)
 
     def test_converged_implies_estimate_within_allowance(self):
+        # the sawtooth takes no tolerance; its estimates still meet the
+        # default one, which integrate_finite's stop test enforces
         cfg = QuadConfig()
         cases = [
-            integrate_unit_split((0.0, 1.0), ((1.0, 2.0),), cfg),
-            integrate_unit_split((0.0, 0.0, 0.0, 1.0), ((1.0, 4.0),), cfg),
-            p1_integral(((1.0, 4.0),), cfg),
+            integrate_unit_split((0.0, 1.0), ((1.0, 2.0),)),
+            integrate_unit_split((0.0, 0.0, 0.0, 1.0), ((1.0, 4.0),)),
+            p1_integral(((1.0, 4.0),)),
             integrate_finite(pointwise(lambda u: math.exp(-u)), 0.0, 3.0, cfg),
         ]
         for r in cases:

@@ -12,7 +12,7 @@ from nlgamma._backend.kernels import (
     laplace_tail_weight,
     trunc_exp_factor,
 )
-from nlgamma.quad import DEFAULT_CONFIG, p1_integral
+from nlgamma.quad import p1_integral
 from nlgamma.specfun import (
     CONSTANTS,
     hurwitz_zeta,
@@ -353,6 +353,6 @@ class TestConstants:
     def test_sawtooth_zeta_representation_grid(self):
         for s in (2.0, 3.0, 5.0):
             for a in (1.0, 1.5, 3.0):
-                r = p1_integral(((a, s + 1.0),), DEFAULT_CONFIG)
+                r = p1_integral(((a, s + 1.0),))
                 lhs = a**-s / 2.0 + a ** (1.0 - s) / (s - 1.0) - s * r.value
                 assert abs(lhs - hurwitz_zeta(s, a)) < 1e-9

@@ -2,9 +2,9 @@
 """Print one sha256 over the outputs of the quadrature and closed routes.
 
 2,400 seeded (m, x) draws, m uniform on 1..12 and x taken in turn from
-the four regions perfbench samples (|x| < 0.125 log-uniform from 1e-6,
-the seam band 0.125 <= |x| <= 0.26, (-1, -0.26], and (0.26, 1e6]
-log-uniform), each go through HURWITZ, LAPLACE, HYP, RECURRENCE and
+the four regions perfbench samples, by its own `workloads.draw_x`
+(|x| < 0.125 log-uniform from 1e-6, the seam band 0.125 <= |x| <= 0.26,
+(-1, -0.26], and (0.26, 1e6] log-uniform), each go through HURWITZ, LAPLACE, HYP, RECURRENCE and
 CLOSED.  Every (value, abs_err_est, n_evals, converged), or the name of
 the exception a route raised, is hashed in a fixed order.  One line per
 route comes first, then the line over all of them, so a change that
@@ -40,11 +40,13 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from nlgamma import quad  # noqa: E402
 from nlgamma._backend import kernels  # noqa: E402
 from nlgamma.delta import Route, delta_deriv  # noqa: E402
+from workloads import draw_x  # noqa: E402
 
 route_module = sys.modules["nlgamma.delta"]  # the package exports a function `delta`
 
@@ -58,18 +60,6 @@ STAGES = (
     (quad, "_sawtooth_tail"),
     (kernels, "laplace_panel"),
 )
-
-
-def draw_x(rng, region):
-    if region == 0:
-        mag = math.exp(rng.uniform(math.log(1e-6), math.log(0.125)))
-        return mag if rng.random() < 0.5 else -mag
-    if region == 1:
-        mag = rng.uniform(0.125, 0.26)
-        return mag if rng.random() < 0.5 else -mag
-    if region == 2:
-        return -0.26 - 0.74 * rng.random()
-    return math.exp(rng.uniform(math.log(0.26), math.log(1e6)))
 
 
 def timed_columns(draws):
