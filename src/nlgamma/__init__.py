@@ -22,7 +22,6 @@ from .delta import (
 )
 from .hyp2f1 import ConvergenceError, gauss_2f1, hyp_identity_residual, pochhammer
 from .quad import (
-    QuadConfig,
     QuadResult,
     integrate_finite,
     integrate_unit_split,
@@ -51,7 +50,6 @@ __all__ = [
     "EvalResult",
     "IdentityResidual",
     "MAX_DERIV_ORDER",
-    "QuadConfig",
     "QuadResult",
     "Route",
     "VerificationReport",

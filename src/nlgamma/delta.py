@@ -252,7 +252,6 @@ def _hurwitz(m, x, rel_tol):
     (m + 2 + V) 2^-52 |value| is charged.  For x < -1/2 the integrand is 0 at V.
     """
     # the integrand is positive: driven by rel_tol alone
-    local = quad.QuadConfig(rel_tol=min(rel_tol, 1e-11), abs_tol=5e-300)
     top, breaks, top_ulps = 1.0, (), 0.0
     if -0.5 <= x <= 1.0:
         f = lambda us: kernels.hz_route_panel(m, x, us)  # noqa: E731
@@ -263,7 +262,9 @@ def _hurwitz(m, x, rel_tol):
         f = lambda vs: kernels.hz_route_log_panel(m, x, vs)  # noqa: E731
         if x > 0.0:
             top_ulps = m + 2.0 + top
-    r = quad.integrate_finite(f, 0.0, top, local, breaks)
+    r = quad.integrate_finite(
+        f, 0.0, top, breaks, rel_tol=min(rel_tol, 1e-11), abs_tol=5e-300
+    )
     fact = math.factorial(m)
     value = _sign_for(m) * fact * r.value
     err = fact * (r.abs_err_est + r.n_evals * 2.0**-1074)
@@ -345,7 +346,6 @@ def _laplace_row(m):
     c_2.  converged is False if any moment's quadrature did not converge.
     """
     cut = kernels._trunc_exp_plan(m)[3]
-    local = quad.QuadConfig(rel_tol=1e-15, abs_tol=0.0)
     pairs, converged = [], True
     for k, b in _LAPLACE_I1_TERMS:
         power = m + k - 1
@@ -355,7 +355,8 @@ def _laplace_row(m):
             ],
             0.0,
             cut,
-            local,
+            rel_tol=1e-15,
+            abs_tol=0.0,
         )
         c = b * r.value / cut**k
         pairs.append((c, abs(c) * (r.abs_err_est / r.value + 8.0 * _ROUNDING)))
@@ -449,14 +450,14 @@ def _laplace(m, x, rel_tol):
     if x >= kernels._trunc_exp_plan(m)[3]:
         return _laplace_closed(m, x)
     big_t = 50.0 + m * math.log(50.0)
-    local = quad.QuadConfig(rel_tol=min(rel_tol, 1e-12), abs_tol=5e-300)
     first = m / x if x > m else 1.0
     r = quad.integrate_finite(
         lambda ts: kernels.laplace_panel(m, x, ts),
         0.0,
         big_t,
-        local,
         _graded_mesh(0.0, first, big_t),
+        rel_tol=min(rel_tol, 1e-12),
+        abs_tol=5e-300,
     )
     value = _sign_for(m) * r.value
     err = r.abs_err_est + kernels.laplace_tail_weight(m, x, big_t)
@@ -653,7 +654,8 @@ def frac_rep_prop2(m, k):
         lambda us: kernels.hz_route_panel(m, float(k), us),
         0.0,
         1.0,
-        quad.QuadConfig(rel_tol=1e-11, abs_tol=1e-9),
+        rel_tol=1e-11,
+        abs_tol=1e-9,
     )
     return lhs, _prop2_rhs(m, k)
 
@@ -698,7 +700,6 @@ def integral_delta():
     """
     quadrature = _delta_quadrature(False)
     series = -CONSTANTS.euler_gamma + _alternating_zeta_sum()
-    local = quad.QuadConfig(rel_tol=1e-12, abs_tol=1e-16, max_subdivisions=800)
     big_t = 40.0
 
     def integrand(t):
@@ -706,7 +707,9 @@ def integral_delta():
             return -0.25
         return kernels.ei_defect(t) / (t * math.expm1(t))
 
-    r = quad.integrate_finite(quad.pointwise(integrand), 0.0, big_t, local)
+    r = quad.integrate_finite(
+        quad.pointwise(integrand), 0.0, big_t, rel_tol=1e-12, abs_tol=1e-16
+    )
     tail_bound = 1.1 * math.exp(-big_t)
     ei_form = quad.QuadResult(
         -CONSTANTS.euler_gamma - r.value,

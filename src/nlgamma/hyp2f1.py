@@ -49,11 +49,6 @@ _LENGTH_SLACK = 8
 # derivative-rule check points: (a, b, c) with x in {0.5, 2}
 D25_TRIPLES = ((1.0, 2.0, 5.0), (2.0, 2.0, 3.0), (1.0, 4.0, 6.0))
 
-_IDENTITY_QUAD_CFG = quad.QuadConfig(
-    rel_tol=1e-12, abs_tol=5e-300, max_subdivisions=400
-)
-
-
 class ConvergenceError(ArithmeticError):
     """A series failed to reach tolerance within its term budget."""
 
@@ -209,9 +204,12 @@ def gauss_2f1(a, b, c, z):
     evaluator's).  Past 0.9 the diagonal with p > 1 goes through Euler's
     transform to (1, 1; p+1; z): within 3.0e-16 for p = 2..12 up to
     z = 1 - 1e-15 (3,000 draws).  z = 1 needs c - a - b > 0.
-    Raises ValueError outside the domain and ConvergenceError where the
-    series would pass its term budget.
+    Raises ValueError outside the domain (a non-finite argument included)
+    and ConvergenceError where the series would pass its term budget.
     """
+    for name, v in zip("abcz", (a, b, c, z)):
+        if not math.isfinite(v):
+            raise ValueError(f"gauss_2f1: {name} must be finite, got {v}")
     if _is_nonpositive_int(c):
         raise ValueError(f"gauss_2f1: c must not be a non-positive integer, got {c}")
     if z > 1.0:
@@ -277,27 +275,20 @@ def hyp_recurrence_descent(n, x):
     return f_lo
 
 
+def _identity_quad(g, end):
+    """integral_0^end of the scalar g by quadrature, a QuadResult."""
+    return quad.integrate_finite(quad.pointwise(g), 0.0, end, rel_tol=1e-12, abs_tol=5e-300)
+
+
 def _moment_integral(n, x, power):
     """integral_0^1 u^(n+1) / (x u + 1)^power du by quadrature."""
-    r = quad.integrate_finite(
-        quad.pointwise(lambda u: u ** (n + 1) / (x * u + 1.0) ** power),
-        0.0,
-        1.0,
-        _IDENTITY_QUAD_CFG,
-    )
-    return r.value
+    return _identity_quad(lambda u: u ** (n + 1) / (x * u + 1.0) ** power, 1.0)
 
 
 def _inner_integral(n, x):
     """The inner integral of A5 and A6, integral_0^x (1 - v^n) / (v + 1) dv,
     by quadrature (0 at x = 0)."""
-    r = quad.integrate_finite(
-        quad.pointwise(lambda v: (1.0 - v**n) / (v + 1.0)),
-        0.0,
-        x,
-        _IDENTITY_QUAD_CFG,
-    )
-    return r.value
+    return _identity_quad(lambda v: (1.0 - v**n) / (v + 1.0), x)
 
 
 def hyp_identity_residual(identity, n, x, abc=None):
@@ -309,6 +300,7 @@ def hyp_identity_residual(identity, n, x, abc=None):
     inequality chain; residual is the smaller slack), T26 (argument
     transformation z = x/(x+1) vs -x), D25 (central finite difference of
     the derivative rule at the parameters abc, which it must be given).
+    A check whose quadrature did not converge fails.
     """
     if n < 0:
         raise ValueError("hyp_identity_residual: need n >= 0")
@@ -321,29 +313,32 @@ def hyp_identity_residual(identity, n, x, abc=None):
         return IdentityResidual.build("A1", point, lhs, rhs, 1e-10, relative_to=1e-300)
     if identity == "A2":
         lhs = gauss_2f1(n + 2.0, n + 2.0, n + 3.0, -x) / (n + 2.0)
-        rhs = _moment_integral(n, x, n + 2)
-        return IdentityResidual.build("A2", point, lhs, rhs, 1e-10, relative_to=1e-300)
+        q = _moment_integral(n, x, n + 2)
+        return IdentityResidual.build("A2", point, lhs, q.value, 1e-10, 1e-300, q.converged)
     if identity == "A4":
-        lhs = _moment_integral(n, x, 2)
+        q = _moment_integral(n, x, 2)
         rhs = 1.0 / (1.0 + x) - ((n + 1.0) / (n + 2.0)) * gauss_2f1(
             1.0, n + 2.0, n + 3.0, -x
         )
-        return IdentityResidual.build("A4", point, lhs, rhs, 1e-9, relative_to=1e-300)
+        return IdentityResidual.build("A4", point, q.value, rhs, 1e-9, 1e-300, q.converged)
     if identity == "A5":
-        lhs = _moment_integral(n, x, 2)
+        q = _moment_integral(n, x, 2)
+        converged = q.converged
         if x == 0.0:
             rhs = 1.0 / (n + 2.0)  # removable limit of the closed form
         else:
             inner = _inner_integral(n, x)
+            converged = converged and inner.converged
             rhs = (
-                ((n + 1.0) / x ** (n + 1.0)) * (math.log1p(x) - inner)
+                ((n + 1.0) / x ** (n + 1.0)) * (math.log1p(x) - inner.value)
                 - 1.0 / (x + 1.0)
             ) / x
-        return IdentityResidual.build("A5", point, lhs, rhs, 1e-9, relative_to=1e-300)
+        return IdentityResidual.build("A5", point, q.value, rhs, 1e-9, 1e-300, converged)
     if identity == "A6":
         if x > 1.0:
             raise ValueError("A6 holds on x in [0, 1]")
-        s1 = _inner_integral(n, x)
+        inner = _inner_integral(n, x)
+        s1 = inner.value
         s2 = x - x ** (n + 1.0) / (n + 1.0)
         slack = min(s2 - s1, x - s2)
         return IdentityResidual(
@@ -354,20 +349,16 @@ def hyp_identity_residual(identity, n, x, abc=None):
             residual=slack,
             tolerance=0.0,
             passed=slack >= 0.0,
+            converged=inner.converged,
         )
     if identity == "T26":
         # F(1, n+1; n+3; x/(x+1)) = (x+1) F(1, 2; n+3; -x); the right side
         # is evaluated through its Euler integral so the two sides do not
         # share a code path:  F(1,2;c;z) = (c-1)(c-2) int_0^1 t(1-t)^(c-3)/(1-zt) dt
         lhs = gauss_2f1(1.0, n + 1.0, n + 3.0, x / (x + 1.0))
-        euler = quad.integrate_finite(
-            quad.pointwise(lambda t: t * (1.0 - t) ** n / (1.0 + x * t)),
-            0.0,
-            1.0,
-            _IDENTITY_QUAD_CFG,
-        ).value
-        rhs = (x + 1.0) * (n + 1.0) * (n + 2.0) * euler
-        return IdentityResidual.build("T26", point, lhs, rhs, 1e-10, relative_to=1e-300)
+        euler = _identity_quad(lambda t: t * (1.0 - t) ** n / (1.0 + x * t), 1.0)
+        rhs = (x + 1.0) * (n + 1.0) * (n + 2.0) * euler.value
+        return IdentityResidual.build("T26", point, lhs, rhs, 1e-10, 1e-300, euler.converged)
     if identity == "D25":
         a, b, c = abc
         h = 1e-5

@@ -3,7 +3,8 @@
 Adaptive Gauss-Kronrod panels (the 21-point Kronrod rule, with the
 10-point Gauss rule on its nodes for the error estimate) for finite
 intervals, each one call of a panel integrand that maps the list of its
-nodes to the list of their values (pointwise(g) for a scalar g); one
+nodes to the list of their values (pointwise(g) for a scalar g), to the
+caller's rel_tol and abs_tol within _MAX_SPLITS bisections; one
 sawtooth integrator, integrate_unit_split, for integral_0^inf
 phi({t}) g(t) dt with phi a polynomial in the fractional part and g a
 product of powers, which integrates [0, 6] in one call and then tries
@@ -29,7 +30,6 @@ from dataclasses import dataclass
 from ._backend.kernels import hurwitz_zeta, p1  # noqa: F401
 
 __all__ = [
-    "QuadConfig",
     "QuadResult",
     "graded_breaks",
     "integrate_finite",
@@ -68,22 +68,9 @@ _GK21_G = tuple(wg for _, _, wg in _GK21)
 _PANEL_NODES = len(_GK21_OFFSETS)
 
 
-@dataclass(frozen=True)
-class QuadConfig:
-    """Tolerances and budgets for the quadrature engines."""
-
-    rel_tol: float = 1e-11
-    abs_tol: float = 1e-13
-    max_subdivisions: int = 2000
-
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol < math.inf and 0.0 <= self.abs_tol < math.inf):
-            raise ValueError("need 0 < rel_tol < inf and 0 <= abs_tol < inf")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-
-
-DEFAULT_CONFIG = QuadConfig()
+# the panel splits integrate_finite may make before it gives up
+# (converged=False), read on every pass
+_MAX_SPLITS = 2000
 
 
 @dataclass
@@ -162,7 +149,7 @@ def graded_breaks(pole, first, end):
     return points if rising else points[::-1]
 
 
-def integrate_finite(f, a, b, cfg=DEFAULT_CONFIG, breakpoints=()):
+def integrate_finite(f, a, b, breakpoints=(), *, rel_tol=1e-11, abs_tol=1e-13):
     """Adaptive integral over [a, b] of the integrand whose panel form is f.
 
     f takes the list of a panel's 21 nodes and returns their 21 values,
@@ -172,13 +159,14 @@ def integrate_finite(f, a, b, cfg=DEFAULT_CONFIG, breakpoints=()):
     Globally adaptive bisection: the panel with the worst error estimate
     is split until the error, the summed panel estimates plus a rounding
     term 2e-16 * sum |panel|, meets max(abs_tol, rel_tol*|I|, 4e-16*|I|)
-    or the subdivision budget runs out (flagged via converged=False,
+    or _MAX_SPLITS splits have been made (flagged via converged=False,
     never silently).  Each panel is a Gauss-Kronrod G10/K21 pair: the
     value is K21 and the estimate the raw |K21 - G10|, which tracks the
     error of the cruder G10 rule (exact through degree 19, against K21's
     31), so it errs on the safe side for smooth integrands.  QUADPACK's
     (200 err/resasc)^1.5 rescaling is not applied: it is a heuristic, not
-    a bound.
+    a bound.  Non-finite ends, rel_tol outside (0, inf) and abs_tol
+    outside [0, inf) raise ValueError.
 
     `breakpoints`, increasing and strictly inside (a, b), seed the heap
     with one panel per piece, as QUADPACK's QAGP does; the bisection and
@@ -193,13 +181,15 @@ def integrate_finite(f, a, b, cfg=DEFAULT_CONFIG, breakpoints=()):
     The stop test reads exact math.fsum sums of the panel values,
     estimates and magnitudes, taken afresh on every pass.
     """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"integrate_finite needs finite ends, got a = {a}, b = {b}")
+    if not (0.0 < rel_tol < math.inf and 0.0 <= abs_tol < math.inf):
+        raise ValueError("need 0 < rel_tol < inf and 0 <= abs_tol < inf")
     if a == b:
         return QuadResult(0.0, 0.0, 0, True)
-    if a > b:
-        raise ValueError("integrate_finite requires a < b")
     edges = [a, *breakpoints, b]
     if not all(lo < hi for lo, hi in zip(edges, edges[1:])):
-        raise ValueError("integrate_finite needs increasing breakpoints inside (a, b)")
+        raise ValueError("integrate_finite needs a < b, breakpoints increasing inside")
     heap = []
     for lo, hi in zip(edges, edges[1:]):
         value, err = _panel(f, lo, hi)
@@ -216,9 +206,9 @@ def integrate_finite(f, a, b, cfg=DEFAULT_CONFIG, breakpoints=()):
         err_sum = math.fsum([-item[0] for item in panels])
         abs_sum = math.fsum(map(abs, values))
         total_err = err_sum + 2e-16 * abs_sum
-        if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total), 4e-16 * abs(total)):
+        if total_err <= max(abs_tol, rel_tol * abs(total), 4e-16 * abs(total)):
             break
-        if n_splits >= cfg.max_subdivisions or not heap:
+        if n_splits >= _MAX_SPLITS or not heap:
             converged = False
             break
         neg_err, pa, pb, pv = heapq.heappop(heap)
@@ -530,12 +520,7 @@ def integrate_unit_split(coeffs, factors):
     while True:
         if end > x:
             breaks = edges[1:-1] if x == 0.0 else []
-            local = QuadConfig(
-                rel_tol=1e-12,
-                abs_tol=allowance,
-                max_subdivisions=60 * (len(breaks) + 1),
-            )
-            r = integrate_finite(f, x, end, local, breaks)
+            r = integrate_finite(f, x, end, breaks, rel_tol=1e-12, abs_tol=allowance)
             value += r.value
             err += r.abs_err_est
             n_evals += r.n_evals

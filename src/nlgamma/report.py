@@ -19,6 +19,9 @@ class IdentityResidual:
     `rejudge` can apply another tolerance the same way.  It is None on
     records made by hand and on bounds that are not rounding tolerances
     (signs, inequalities, truncation gaps); those keep their own.
+
+    `converged` is False when a quadrature behind a side did not
+    converge; such a check fails under any tolerance.
     """
 
     identity: str
@@ -29,10 +32,14 @@ class IdentityResidual:
     tolerance: float
     passed: bool
     scale: float | None = None
+    converged: bool = True
+
+    def __post_init__(self):
+        self.passed = self.passed and self.converged
 
     @classmethod
-    def build(cls, identity, point, lhs, rhs, tolerance, relative_to=None):
-        """Pass/fail on |lhs - rhs| <= tolerance * scale.
+    def build(cls, identity, point, lhs, rhs, tolerance, relative_to=None, converged=True):
+        """Pass/fail on |lhs - rhs| <= tolerance * scale, and converged.
 
         With relative_to=None the comparison is absolute (scale 1);
         otherwise scale is max(|lhs|, |rhs|, relative_to).
@@ -40,7 +47,7 @@ class IdentityResidual:
         scale = 1.0
         if relative_to is not None:
             scale = max(abs(lhs), abs(rhs), relative_to)
-        r = cls(identity, dict(point), lhs, rhs, lhs - rhs, 0.0, False, scale)
+        r = cls(identity, dict(point), lhs, rhs, lhs - rhs, 0.0, False, scale, converged)
         r.rejudge(tolerance)
         return r
 
@@ -48,7 +55,7 @@ class IdentityResidual:
         """Re-judge in place against tol * scale; no-op without a scale."""
         if self.scale is not None:
             self.tolerance = tol * self.scale
-            self.passed = abs(self.residual) <= self.tolerance
+            self.passed = self.converged and abs(self.residual) <= self.tolerance
 
     def to_dict(self):
         return {
@@ -68,7 +75,7 @@ class IdentityResidual:
             f"{tag} {self.identity} [{pt}] lhs={fmt17(self.lhs)} "
             f"rhs={fmt17(self.rhs)} residual={fmt17(self.residual)} "
             f"tol={fmt17(self.tolerance)}"
-        )
+        ) + ("" if self.converged else " unconverged")
 
 
 @dataclass

@@ -7,6 +7,8 @@ Each check carries the tolerance stated with its identity.  `run_suite`'s
 `IdentityResidual.build` against `tol` times the scale that check was
 built with; the hand-built checks (signs, inequalities, `A6` and the
 asymptotic suite's truncation gaps) have no scale and keep their own.
+A check with a quadrature behind it that did not converge fails, under
+any `tol`.
 """
 
 from __future__ import annotations
@@ -60,7 +62,8 @@ def suite_routes():
                             b.value,
                             # max(1e-8 relative, 1e-10 absolute)
                             1e-8,
-                            relative_to=1e-2,
+                            1e-2,
+                            a.converged and b.converged,
                         )
                     )
     g = specfun.CONSTANTS.euler_gamma
@@ -77,14 +80,16 @@ def suite_routes():
             / (m + 1.0)
         )
         for route in (Route.HURWITZ, Route.HYP, Route.SERIES):
+            r = delta_deriv(m, 0.0, route)
             rep.add(
                 IdentityResidual.build(
                     f"deriv_at_zero_{route.value}",
                     {"m": m},
-                    delta_deriv(m, 0.0, route).value,
+                    r.value,
                     exact,
                     1e-11,
                     1e-300,
+                    r.converged,
                 )
             )
     rep.add(
@@ -128,7 +133,8 @@ def suite_prop2():
             tolerance = min(1e-6, lhs.abs_err_est + rhs.abs_err_est + 1e-12)
             rep.add(
                 IdentityResidual.build(
-                    "frac_rep", {"m": m, "k": k}, lhs.value, rhs.value, tolerance
+                    "frac_rep", {"m": m, "k": k}, lhs.value, rhs.value, tolerance,
+                    converged=lhs.converged and rhs.converged,
                 )
             )
     for m in range(1, 9):
@@ -150,11 +156,15 @@ def suite_prop4():
     rep = VerificationReport(suite="prop4")
     t = 1e-8
     q, s, e = integral_delta()
-    rep.add(IdentityResidual.build("int_delta_quad_vs_series", {}, q.value, s, t))
-    rep.add(IdentityResidual.build("int_delta_quad_vs_ei", {}, q.value, e.value, t))
-    rep.add(IdentityResidual.build("int_delta_series_vs_ei", {}, s, e.value, t))
     q2, s2 = integral_delta_squared()
-    rep.add(IdentityResidual.build("int_delta_sq_quad_vs_series", {}, q2.value, s2, t))
+    for name, lhs, rhs, quads in (
+        ("int_delta_quad_vs_series", q.value, s, (q,)),
+        ("int_delta_quad_vs_ei", q.value, e.value, (q, e)),
+        ("int_delta_series_vs_ei", s, e.value, (e,)),
+        ("int_delta_sq_quad_vs_series", q2.value, s2, (q2,)),
+    ):
+        converged = all(r.converged for r in quads)
+        rep.add(IdentityResidual.build(name, {}, lhs, rhs, t, converged=converged))
     rep.add(
         IdentityResidual(
             identity="int_delta_sq_positive",
@@ -164,6 +174,7 @@ def suite_prop4():
             residual=q2.value,
             tolerance=0.0,
             passed=q2.value > 0.0,
+            converged=q2.converged,
         )
     )
     rep.add(
@@ -175,6 +186,7 @@ def suite_prop4():
             residual=q2.value - q.value**2,
             tolerance=0.0,
             passed=q2.value >= q.value**2,
+            converged=q2.converged and q.converged,
         )
     )
     return rep
@@ -354,6 +366,7 @@ def suite_specfun():
                     lhs,
                     specfun.hurwitz_zeta(s, a),
                     1e-9,
+                    converged=p.converged,
                 )
             )
     p = quad.p1_integral(((1.0, 4.0),))
@@ -365,6 +378,7 @@ def suite_specfun():
             lhs,
             specfun.riemann_zeta(3.0),
             1e-10,
+            converged=p.converged,
         )
     )
     rep.add(

@@ -1,52 +1,42 @@
 """Shared fixtures."""
 
 import math
-from dataclasses import replace
+import sys
+from pathlib import Path
 
 import pytest
 
 from nlgamma import quad
+from nlgamma.delta import _laplace_row
 
 
 @pytest.fixture
 def starved_quad(monkeypatch):
-    """Give every quad.integrate_finite call of the test a budget of one
-    split, whatever tolerances its caller asks for."""
-    inner = quad.integrate_finite
-
-    def starved(f, a, b, cfg=quad.DEFAULT_CONFIG, breakpoints=()):
-        return inner(f, a, b, replace(cfg, max_subdivisions=1), breakpoints)
-
-    monkeypatch.setattr(quad, "integrate_finite", starved)
+    """Allow every quad.integrate_finite call of the test one split,
+    whatever tolerances its caller asks for.  LAPLACE's per-m moment
+    rows built meanwhile are dropped afterwards."""
+    monkeypatch.setattr(quad, "_MAX_SPLITS", 1)
+    yield
+    _laplace_row.cache_clear()
 
 
 @pytest.fixture(scope="session")
 def mp_deriv():
-    """D^(m)(x) at 60 digits (mpmath; the test is skipped without it):
+    """D^(m)(x) by perfbench/reference.py's mpmath Leibniz sum (the test is
+    skipped without mpmath):
 
         sum_j C(m,j) psi^(m-j-1)(x+1) (-1)^j j! / x^(j+1),
 
-    with psi^(-1) = ln Gamma.  Near x = 0 the terms cancel by a factor
-    of about |x|^(-m-1), so the precision grows by that many digits; at
-    x = 0 the limit (-1)^(m-1) m! zeta(m+1)/(m+1) is returned."""
-    mpmath = pytest.importorskip("mpmath")
+    with psi^(-1) = ln Gamma, at 60 digits.  Near x = 0 the terms cancel
+    by a factor of about |x|^(-m-1), so the precision grows by that many
+    digits; at x = 0 the limit (-1)^(m-1) m! zeta(m+1)/(m+1) is returned."""
+    pytest.importorskip("mpmath")
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from reference import _leibniz
 
     def deriv(m, x):
         lost = (m + 1) * max(0.0, -math.log10(abs(x))) if x else 0.0
-        with mpmath.workdps(60 + int(lost)):
-            if x == 0.0:
-                limit = mpmath.factorial(m) * mpmath.zeta(m + 1) / (m + 1)
-                return float(limit if m % 2 else -limit)
-            xm = mpmath.mpf(x)
-            total = mpmath.mpf(0)
-            for j in range(m + 1):
-                order = m - j - 1
-                psi = (
-                    mpmath.loggamma(xm + 1) if order < 0 else mpmath.psi(order, xm + 1)
-                )
-                term = mpmath.binomial(m, j) * mpmath.factorial(j) * psi / xm ** (j + 1)
-                total += -term if j % 2 else term
-            return float(total)
+        return float(_leibniz(m, x, 60 + int(lost)))
 
     return deriv
 

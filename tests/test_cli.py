@@ -7,9 +7,15 @@ import sys
 
 import pytest
 
-from nlgamma import cli, verify
+from nlgamma import cli, hyp2f1, quad, verify
 from nlgamma.cli import main
-from nlgamma.delta import Route, delta_deriv
+from nlgamma.delta import (
+    Route,
+    delta_deriv,
+    frac_rep_prop2,
+    integral_delta,
+    integral_delta_squared,
+)
 from nlgamma.report import fmt17
 
 G = 0.5772156649015328606
@@ -256,6 +262,78 @@ class TestVerify:
             _, out, _ = run_cli(capsys, "verify", "--suite", "asymptotic")
             outs.add(out)
         assert len(outs) == 1
+
+
+# prop4's checks and the quadratures behind each: q and e of
+# integral_delta, q2 of integral_delta_squared
+PROP4_INPUTS = {
+    "int_delta_quad_vs_series": ("q",),
+    "int_delta_quad_vs_ei": ("q", "e"),
+    "int_delta_series_vs_ei": ("e",),
+    "int_delta_sq_quad_vs_series": ("q2",),
+    "int_delta_sq_positive": ("q2",),
+    "cauchy_schwarz": ("q", "q2"),
+}
+
+
+class TestUnconvergedChecks:
+    """With one split per integrate_finite call and the sawtooth's tail
+    tried at t = 1 only, a check built on a quadrature that did not
+    converge prints FAIL, under its stated tolerance and under --tol 1;
+    under --tol 1 every other check passes."""
+
+    @staticmethod
+    def _converged(check):
+        """Whether every quadrature behind the check converged, from the
+        calls the suite makes for it."""
+        name, p = check.identity, check.point
+        if name.startswith("route_"):
+            routes = name.split("_")[1::2]  # route_<A>_vs_<B>
+            return all(delta_deriv(p["m"], p["x"], Route[r]).converged for r in routes)
+        if name.startswith("deriv_at_zero_"):
+            return delta_deriv(p["m"], 0.0, Route[name.split("_")[-1]]).converged
+        if name == "frac_rep":
+            return all(r.converged for r in frac_rep_prop2(p["m"], p["k"]))
+        if name in PROP4_INPUTS:
+            (q, _, e), (q2, _) = integral_delta(), integral_delta_squared()
+            results = {"q": q, "e": e, "q2": q2}
+            return all(results[k].converged for k in PROP4_INPUTS[name])
+        if name == "sawtooth_zeta_form":
+            return quad.p1_integral(((p["a"], p["s"] + 1.0),)).converged
+        if name == "riemann_sawtooth_form":
+            return quad.p1_integral(((1.0, 4.0),)).converged
+        if name in ("A2", "A4", "A5", "A6", "T26"):
+            flags = []
+            inner = quad.integrate_finite
+
+            def recorded(*args, **kwargs):
+                r = inner(*args, **kwargs)
+                flags.append(r.converged)
+                return r
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(quad, "integrate_finite", recorded)
+                hyp2f1.hyp_identity_residual(name, p["n"], p["x"])
+            return all(flags)
+        return True
+
+    @pytest.mark.parametrize("suite", ["routes", "prop2", "prop4", "appendix", "specfun"])
+    def test_unconverged_check_fails(self, capsys, starved_quad, monkeypatch, suite):
+        monkeypatch.setattr(quad, "_TAIL_INTERVALS_MAX", 1)
+        checks = verify.run_suite(suite).checks
+        unconverged = [not self._converged(c) for c in checks]
+        assert any(unconverged)
+        for tol in (("--tol", "1"), ()):
+            rc, out, _ = run_cli(capsys, "verify", "--suite", suite, *tol)
+            assert rc == 1
+            lines = out.splitlines()[:-1]
+            assert len(lines) == len(checks)
+            for line, starved in zip(lines, unconverged):
+                if starved:
+                    assert line.startswith("FAIL"), line
+                    assert line.endswith(" unconverged"), line
+                elif tol:
+                    assert line.startswith("PASS"), line
 
 
 # -1 + 1e-6, the CLOSED seam, D's zero at x = 1, the branch points of

@@ -26,7 +26,6 @@ from nlgamma.delta import (
     integral_delta_squared,
     recurrence_residual,
 )
-from nlgamma.quad import QuadConfig
 from nlgamma.specfun import CONSTANTS
 
 G = CONSTANTS.euler_gamma
@@ -304,7 +303,7 @@ class TestFracRep:
 
 
 class TestConverged:
-    # starved_quad gives each integrate_finite call one split; the flag
+    # starved_quad allows each integrate_finite call one split; the flag
     # tests below also patch quad._TAIL_INTERVALS_MAX to 1
 
     def test_laplace_out_of_budget(self, starved_quad):
@@ -333,8 +332,9 @@ class TestConverged:
             lambda ts: kernels.laplace_panel(m, x, ts),
             0.0,
             big_t,
-            QuadConfig(rel_tol=1e-12, abs_tol=5e-300),
             quad.graded_breaks(0.0, m / x, big_t),
+            rel_tol=1e-12,
+            abs_tol=5e-300,
         )
         closed = delta_deriv(m, x, Route.CLOSED)
         assert r.converged

@@ -15,9 +15,10 @@ from nlgamma.hyp2f1 import (
     _log_branch,
     _series,
 )
-from nlgamma.quad import QuadConfig, integrate_finite, pointwise
+from nlgamma.quad import integrate_finite, pointwise
 
-_QCFG = QuadConfig(rel_tol=1e-12, abs_tol=5e-300, max_subdivisions=400)
+# the tolerances of hyp2f1's identity quadratures
+_TOLS = {"rel_tol": 1e-12, "abs_tol": 5e-300}
 
 
 def rel(a, b):
@@ -104,7 +105,7 @@ class TestGauss2F1Values:
                     pointwise(lambda u: u ** (n + 1) / (x * u + 1.0) ** (n + 2)),
                     0.0,
                     1.0,
-                    _QCFG,
+                    **_TOLS,
                 )
                 assert rel(gauss_2f1(n + 2.0, n + 2.0, n + 3.0, -x), (n + 2) * q.value) < 1e-11
 
@@ -117,7 +118,7 @@ class TestGauss2F1Values:
                     pointwise(lambda t: (1.0 - t) ** (c - 2.0) / (1.0 - z * t)),
                     0.0,
                     1.0,
-                    _QCFG,
+                    **_TOLS,
                 )
                 assert rel(gauss_2f1(1.0, 1.0, c, z), (c - 1.0) * q.value) < 1e-10
 
@@ -134,6 +135,27 @@ class TestGauss2F1Values:
             gauss_2f1(-0.5, 1.0, 2.0, 0.3)  # negative a
         with pytest.raises(ValueError):
             gauss_2f1(1.0, 2.0, -2.5, 0.3)  # negative c
+
+    @pytest.mark.parametrize(
+        "call,name",
+        [
+            pytest.param(lambda: gauss_2f1(1.0, math.nan, 3.0, 0.5), "b", id="b=nan"),
+            pytest.param(lambda: gauss_2f1(1.0, 2.0, math.inf, 0.5), "c", id="c=inf"),
+            pytest.param(lambda: gauss_2f1(1.0, 2.0, 3.0, -math.inf), "z", id="z=-inf"),
+            pytest.param(lambda: gauss_2f1(math.nan, 2.0, 3.0, 0.5), "a", id="a=nan"),
+            pytest.param(lambda: gauss_2f1(-math.inf, 2.0, 3.0, -0.5), "a", id="a=-inf"),
+            pytest.param(lambda: gauss_2f1(1.0, 2.0, math.nan, 0.5), "c", id="c=nan"),
+            pytest.param(lambda: gauss_2f1(1.0, 2.0, 3.0, math.nan), "z", id="z=nan"),
+            pytest.param(
+                lambda: hyp_identity_residual("A1", 0, math.nan), "z", id="A1-x=nan"
+            ),
+        ],
+    )
+    def test_non_finite_argument_refused(self, call, name):
+        # nan once came back as nan, c = inf raised OverflowError and a
+        # nan or -inf z "cannot convert float NaN to integer"
+        with pytest.raises(ValueError, match=f"gauss_2f1: {name} must be finite"):
+            call()
 
     def test_series_stall_flagged(self):
         from nlgamma.hyp2f1 import ConvergenceError

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from nlgamma import quad
 from nlgamma._backend import kernels
 from nlgamma.delta import Route, delta_deriv
-from nlgamma.quad import QuadConfig, integrate_finite, pointwise
+from nlgamma.quad import integrate_finite, pointwise
 
 # the module, which the package's function `delta` shadows as an attribute
 delta_module = importlib.import_module("nlgamma.delta")
@@ -344,14 +344,15 @@ class TestPanelKernels:
 
 
 class TestPanelContract:
-    def test_one_call_per_panel_in_node_order(self):
+    def test_one_call_per_panel_in_node_order(self, monkeypatch):
+        monkeypatch.setattr(quad, "_MAX_SPLITS", 3)
         calls = []
 
         def f(nodes):
             calls.append(list(nodes))
             return [math.exp(t) for t in nodes]
 
-        r = integrate_finite(f, 0.0, 2.0, QuadConfig(max_subdivisions=3))
+        r = integrate_finite(f, 0.0, 2.0)
         assert len(calls) * 21 == r.n_evals
         # the centre, then 1 - xi, 1 + xi for each node xi of the rule
         xis = [xi for xi, _, _ in quad._GK21]
@@ -359,12 +360,12 @@ class TestPanelContract:
 
     def test_pointwise_matches_a_panel_form(self):
         m, x = 6, 0.5
-        cfg = QuadConfig(rel_tol=1e-12, abs_tol=5e-300)
+        tols = {"rel_tol": 1e-12, "abs_tol": 5e-300}
         scalar = integrate_finite(
-            pointwise(lambda t: kernels.laplace_integrand(m, x, t)), 0.0, 60.0, cfg
+            pointwise(lambda t: kernels.laplace_integrand(m, x, t)), 0.0, 60.0, **tols
         )
         panel = integrate_finite(
-            lambda ts: kernels.laplace_panel(m, x, ts), 0.0, 60.0, cfg
+            lambda ts: kernels.laplace_panel(m, x, ts), 0.0, 60.0, **tols
         )
         assert scalar == panel
 

@@ -12,7 +12,6 @@ from nlgamma import quad
 from nlgamma._backend.kernels import laplace_integrand, p1
 from nlgamma.delta import integral_delta, integral_delta_squared
 from nlgamma.quad import (
-    QuadConfig,
     graded_breaks,
     integrate_finite,
     integrate_unit_split,
@@ -30,9 +29,9 @@ ONE_MINUS_GAMMA = 0.42278433509846713
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        QuadConfig(rel_tol=0.0)
+        integrate_finite(pointwise(lambda u: u), 0.0, 1.0, rel_tol=0.0)
     with pytest.raises(ValueError):
-        QuadConfig(max_subdivisions=0)
+        integrate_finite(pointwise(lambda u: u), 0.0, 1.0, rel_tol=-1e-11)
 
 
 @pytest.mark.parametrize(
@@ -47,7 +46,26 @@ def test_config_validation():
 )
 def test_config_rejects_non_finite_tolerances(kwargs):
     with pytest.raises(ValueError):
-        QuadConfig(**kwargs)
+        integrate_finite(pointwise(lambda u: u), 0.0, 1.0, **kwargs)
+    # refused before the empty-interval shortcut
+    with pytest.raises(ValueError):
+        integrate_finite(pointwise(lambda u: u), 1.0, 1.0, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [
+        (0.0, math.inf),
+        (-math.inf, 0.0),
+        (0.0, math.nan),
+        (math.nan, 1.0),
+        (math.inf, math.inf),
+        (-math.inf, -math.inf),
+    ],
+)
+def test_rejects_non_finite_ends(a, b):
+    with pytest.raises(ValueError, match="finite ends"):
+        integrate_finite(pointwise(lambda t: 1.0), a, b)
 
 
 class TestIntegrateFinite:
@@ -86,12 +104,16 @@ class TestIntegrateFinite:
             assert abs(r.value - exact) <= 10.0 * max(r.abs_err_est, 1e-16)
 
     def test_converged_flag_respects_tolerance(self):
-        cfg = QuadConfig(rel_tol=1e-11, abs_tol=1e-13)
+        rel_tol, abs_tol = 1e-11, 1e-13
         r = integrate_finite(
-            pointwise(lambda u: math.sin(3.0 * u) ** 2 + u), 0.0, 4.0, cfg
+            pointwise(lambda u: math.sin(3.0 * u) ** 2 + u),
+            0.0,
+            4.0,
+            rel_tol=rel_tol,
+            abs_tol=abs_tol,
         )
         assert r.converged
-        assert r.abs_err_est <= max(cfg.abs_tol, cfg.rel_tol * abs(r.value))
+        assert r.abs_err_est <= max(abs_tol, rel_tol * abs(r.value))
 
     def test_rounding_term_counts_before_the_stop(self):
         # the LAPLACE integrand at a point whose summed panel estimates
@@ -99,20 +121,25 @@ class TestIntegrateFinite:
         # 2e-16 * sum|panel| is added the loop must keep splitting, not
         # stop and then report converged=False
         m, x = 4, 0.20709585262878225
-        cfg = QuadConfig(rel_tol=1e-12, abs_tol=5e-300)
+        rel_tol, abs_tol = 1e-12, 5e-300
         r = integrate_finite(
             pointwise(lambda t: laplace_integrand(m, x, t)),
             0.0,
             50.0 + m * math.log(50.0),
-            cfg,
+            rel_tol=rel_tol,
+            abs_tol=abs_tol,
         )
         assert r.converged
-        assert r.abs_err_est <= max(cfg.abs_tol, cfg.rel_tol * abs(r.value))
+        assert r.abs_err_est <= max(abs_tol, rel_tol * abs(r.value))
 
-    def test_nonconvergence_flagged(self):
-        cfg = QuadConfig(rel_tol=1e-14, abs_tol=1e-300, max_subdivisions=3)
+    def test_nonconvergence_flagged(self, monkeypatch):
+        monkeypatch.setattr(quad, "_MAX_SPLITS", 3)
         r = integrate_finite(
-            pointwise(lambda u: abs(u - 1 / 3.0) ** 0.5), 0.0, 1.0, cfg
+            pointwise(lambda u: abs(u - 1 / 3.0) ** 0.5),
+            0.0,
+            1.0,
+            rel_tol=1e-14,
+            abs_tol=1e-300,
         )
         assert not r.converged
 
@@ -186,20 +213,21 @@ class TestExactReplay:
         (5.0, 1.5): (-0.005906814399181609, 2.968007586316043e-17, 147),
         (5.0, 3.0): (-0.00010674444431184535, 9.099120958274021e-19, 147),
     }
+    # (integrand, split budget, row)
     FINITE = {
         "peak": (
             lambda u: 1.0 / (1e-6 + (u - 0.3) ** 2),
-            QuadConfig(),
+            quad._MAX_SPLITS,
             (3136.8307621453027, 2.387307494044373e-08, 693, True),
         ),
         "cusp": (
             lambda u: abs(u - 1 / 3.0) ** 0.5,
-            QuadConfig(),
+            quad._MAX_SPLITS,
             (0.49118742912210783, 4.6432346636113265e-12, 861, True),
         ),
         "budget": (
             lambda u: abs(u - 1 / 3.0) ** 0.5,
-            QuadConfig(max_subdivisions=15),
+            15,
             (0.49118742929840936, 7.378316307833643e-10, 651, False),
         ),
     }
@@ -227,17 +255,18 @@ class TestExactReplay:
         )
 
     @pytest.mark.parametrize("name", sorted(FINITE))
-    def test_many_splits(self, name):
-        f, cfg, row = self.FINITE[name]
-        assert self._row(integrate_finite(pointwise(f), 0.0, 1.0, cfg)) == row
+    def test_many_splits(self, name, monkeypatch):
+        f, splits, row = self.FINITE[name]
+        monkeypatch.setattr(quad, "_MAX_SPLITS", splits)
+        assert self._row(integrate_finite(pointwise(f), 0.0, 1.0)) == row
 
     def test_laplace_like_integrand(self):
         # t^12/(e^t - 1)/(1 + 1000 t)^13: a layer at t ~ 1e-3 on [0, 96.9]
         def f(t):
             return t**12 / math.expm1(t) / (1.0 + 1000.0 * t) ** 13 if t > 0 else 0.0
 
-        cfg = QuadConfig(rel_tol=1e-12, abs_tol=5e-300)
-        assert self._row(integrate_finite(pointwise(f), 0.0, 96.9, cfg)) == (
+        r = integrate_finite(pointwise(f), 0.0, 96.9, rel_tol=1e-12, abs_tol=5e-300)
+        assert self._row(r) == (
             8.079299887020282e-38, 6.51818037725493e-52, 735, True
         )
 
@@ -416,9 +445,9 @@ class TestUnitSplit:
     def _record_calls(monkeypatch):
         calls = []
 
-        def recorded(f, a, b, cfg=quad.DEFAULT_CONFIG, breakpoints=()):
+        def recorded(f, a, b, breakpoints=(), **tols):
             calls.append((a, b, list(breakpoints)))
-            return integrate_finite(f, a, b, cfg, breakpoints)
+            return integrate_finite(f, a, b, breakpoints, **tols)
 
         monkeypatch.setattr(quad, "integrate_finite", recorded)
         return calls
@@ -471,16 +500,16 @@ class TestUnitSplit:
     def test_converged_implies_estimate_within_allowance(self):
         # the sawtooth takes no tolerance; its estimates still meet the
         # default one, which integrate_finite's stop test enforces
-        cfg = QuadConfig()
+        rel_tol, abs_tol = 1e-11, 1e-13
         cases = [
             integrate_unit_split((0.0, 1.0), ((1.0, 2.0),)),
             integrate_unit_split((0.0, 0.0, 0.0, 1.0), ((1.0, 4.0),)),
             p1_integral(((1.0, 4.0),)),
-            integrate_finite(pointwise(lambda u: math.exp(-u)), 0.0, 3.0, cfg),
+            integrate_finite(pointwise(lambda u: math.exp(-u)), 0.0, 3.0),
         ]
         for r in cases:
             assert r.converged
-            assert r.abs_err_est <= max(cfg.abs_tol, cfg.rel_tol * abs(r.value))
+            assert r.abs_err_est <= max(abs_tol, rel_tol * abs(r.value))
 
     def test_lemma1_unit_split_equals_shifted_sums(self):
         # int_0^inf f({t}) g(t) dt = sum_l int_0^1 f(y) g(y+l) dy, here
