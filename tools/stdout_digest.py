@@ -49,6 +49,9 @@ COMMANDS = [
             (12, "-0.25", "AUTO"),
             (12, "1e24", "CLOSED"),
             (1, "1e160", "CLOSED"),
+            (3, "1e100", "AUTO"),
+            (12, "1e24", "AUTO"),
+            (12, "1e23", "AUTO"),
             (3, "2.5", "HURWITZ"),
             (4, "-0.9", "HURWITZ"),
             (3, "7.0", "LAPLACE"),
