@@ -4,7 +4,9 @@ cross-validate one another:
 
 CLOSED      Leibniz product rule over polygamma values (on |x| <= 0.26,
             where the terms cancel, collected by powers of x once per m).
-            route=None, and the CLI's AUTO, mean CLOSED at every x.
+            route=None, and the CLI's AUTO, mean CLOSED below
+            x = 2^(1023 // (m + 1)), where its x^(m+1) still fits a
+            double, and LAPLACE from there on.
 HURWITZ     m! * integral_0^1 u^m zeta(m+1, x u + 1) du, up to sign; for
             x > 1 and x < -1/2 in v = ln of the zeta argument, over a few
             pieces of width 2.
@@ -16,12 +18,13 @@ HYP         Gauss-2F1 representation plus a sawtooth-weighted integral.
 RECURRENCE  one-step reduction to CLOSED at order m-1 plus a zeta value.
 SERIES      term-wise differentiated Taylor expansion around 0 (|x| <= 0.26),
             a cross-check with its own loop and coefficient formula.
-ASYMPTOTIC  the large-x leading term, charged its distance to the refined form.
 
-Also: closed-form special values at x = 1 and x = -1/2, the
-fractional-part integral representations, the two moment integrals of D
-over [0, 1], and a numerical certificate of the alternating-sign pattern
-of the derivatives (complete monotonicity of D').
+Also: the paper's large-x leading form (asymptotic_leading, no route:
+its distance to the refined form is not a bound), closed-form special
+values at x = 1 and x = -1/2, the fractional-part integral
+representations, the two moment integrals of D over [0, 1], and a
+numerical certificate of the alternating-sign pattern of the derivatives
+(complete monotonicity of D').
 """
 
 from __future__ import annotations
@@ -83,7 +86,6 @@ class Route(enum.Enum):
     HYP = "HYP"
     RECURRENCE = "RECURRENCE"
     SERIES = "SERIES"
-    ASYMPTOTIC = "ASYMPTOTIC"
 
 
 @dataclass
@@ -548,20 +550,6 @@ def asymptotic_leading(m, x, refine=False):
     return _sign_for(m) * math.factorial(m) * (term1 + term2)
 
 
-def _asymptotic(m, x, rel_tol):
-    """The leading term, charged its distance to the refined form (no bound)."""
-    try:
-        lead = asymptotic_leading(m, x)
-        err = abs(asymptotic_leading(m, x, refine=True) - lead)
-    except OverflowError:
-        err = math.inf  # (x + 1)^m or (x + 1)^(m + 1) past the double range
-    if not math.isfinite(err):
-        raise ValueError(
-            f"domain error: ASYMPTOTIC leaves the double range at m = {m}, x = {x}"
-        )
-    return EvalResult(lead, err, Route.ASYMPTOTIC, 2)
-
-
 # every entry is called as impl(m, x, rel_tol)
 _ROUTE_IMPL = {
     Route.CLOSED: _closed,
@@ -570,20 +558,24 @@ _ROUTE_IMPL = {
     Route.LAPLACE: _laplace,
     Route.HYP: _hyp,
     Route.RECURRENCE: _recurrence,
-    Route.ASYMPTOTIC: _asymptotic,
 }
 
 
 def delta_deriv(m, x, route=None, rel_tol=None):
     """m-th derivative of D at x, by the route's entry in _ROUTE_IMPL.
 
-    route=None is CLOSED, at every x, x = 0 included.  rel_tol can only
+    route=None is CLOSED below x = 2^(1023 // (m + 1)) (6.7e153 at m = 1,
+    3.0e23 at m = 12), x = 0 included, and LAPLACE from there on, where
+    CLOSED's x^(m+1) would overflow (LAPLACE's closed path, a proven
+    bound in 27 terms, answers up to the largest double).  rel_tol can only
     tighten the relative tolerance of HURWITZ's quadrature (1e-11) and
     of LAPLACE's below x = cut_m (1e-12); every other route ignores it,
     but every route refuses one outside 0 < rel_tol < inf."""
     _check_m(m)
     _check_x(x)
-    impl = _ROUTE_IMPL.get(Route.CLOSED if route is None else route)
+    if route is None:
+        route = Route.CLOSED if x < 2.0 ** (1023 // (m + 1)) else Route.LAPLACE
+    impl = _ROUTE_IMPL.get(route)
     if impl is None:
         raise ValueError(f"unsupported route: {route}")
     if rel_tol is None:

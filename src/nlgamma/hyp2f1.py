@@ -304,8 +304,8 @@ def hyp_identity_residual(identity, n, x, abc=None):
     """
     if n < 0:
         raise ValueError("hyp_identity_residual: need n >= 0")
-    if x < 0.0:
-        raise ValueError("hyp_identity_residual: need x >= 0")
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"hyp_identity_residual: need 0 <= x < inf, got {x}")
     point = {"n": n, "x": x}
     if identity == "A1":
         lhs = gauss_2f1(n + 2.0, n + 2.0, n + 3.0, -x)

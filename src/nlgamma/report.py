@@ -66,6 +66,7 @@ class IdentityResidual:
             "residual": self.residual,
             "tolerance": self.tolerance,
             "pass": self.passed,
+            "converged": self.converged,
         }
 
     def render(self):

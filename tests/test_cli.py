@@ -72,20 +72,14 @@ class TestEval:
         assert out == ""
         assert "domain error: HYP route" in err
 
-    @pytest.mark.parametrize(
-        "m,x",
-        [
-            ("3", "1e100"),  # (x + 1)^m overflows: once an OverflowError, exit 1
-            ("1", "5e-324"),  # the refined term's b/x: once an estimate of inf
-        ],
-    )
-    def test_asymptotic_outside_the_double_range_exits_2(self, capsys, m, x):
-        rc, out, err = run_cli(
-            capsys, "eval", "--fn", "deriv", "--m", m, "--x", x, "--route", "ASYMPTOTIC"
-        )
-        assert rc == 2
-        assert out == ""
-        assert err.startswith("error: domain error: ASYMPTOTIC")
+    def test_auto_past_closed_power_range_is_laplace(self, capsys):
+        # CLOSED's x^(m+1) overflows here; AUTO once exited 2
+        rc, out, err = run_cli(capsys, "eval", "--fn", "deriv", "--m", "3", "--x", "1e100")
+        assert rc == 0
+        assert err == ""
+        r = delta_deriv(3, 1e100, Route.LAPLACE)
+        row = (fmt17(r.value), fmt17(r.abs_err_est), "LAPLACE", str(r.n_evals))
+        assert out == "\t".join(row) + "\n"
 
     @pytest.mark.parametrize("m,x", [("2", "5e-324"), ("12", "-5e-324")])
     def test_recurrence_outside_the_double_range_exits_2(self, capsys, m, x):
@@ -195,7 +189,7 @@ class TestVerify:
         assert doc["n_pass"] + doc["n_fail"] == len(doc["checks"])
         check = doc["checks"][0]
         assert set(check) == {
-            "identity", "point", "lhs", "rhs", "residual", "tolerance", "pass",
+            "identity", "point", "lhs", "rhs", "residual", "tolerance", "pass", "converged",
         }
         # shortest-round-trip float serialization
         assert repr(doc["checks"][0]["lhs"]) in json.dumps(doc)
@@ -318,11 +312,18 @@ class TestUnconvergedChecks:
         return True
 
     @pytest.mark.parametrize("suite", ["routes", "prop2", "prop4", "appendix", "specfun"])
-    def test_unconverged_check_fails(self, capsys, starved_quad, monkeypatch, suite):
+    def test_unconverged_check_fails(
+        self, capsys, starved_quad, monkeypatch, tmp_path, suite
+    ):
         monkeypatch.setattr(quad, "_TAIL_INTERVALS_MAX", 1)
         checks = verify.run_suite(suite).checks
         unconverged = [not self._converged(c) for c in checks]
         assert any(unconverged)
+        path = tmp_path / "report.json"
+        rc, _, _ = run_cli(capsys, "verify", "--suite", suite, "--json", str(path))
+        assert rc == 1
+        doc = json.loads(path.read_text())
+        assert [c["converged"] for c in doc["checks"]] == [not u for u in unconverged]
         for tol in (("--tol", "1"), ()):
             rc, out, _ = run_cli(capsys, "verify", "--suite", suite, *tol)
             assert rc == 1
@@ -519,7 +520,7 @@ class TestTable:
 
     @pytest.mark.parametrize("x", ["1e-06", "-0.05", "0.2", "3"])
     def test_default_routes_are_auto(self, capsys, x):
-        # AUTO is CLOSED at every x, in `table` as in `eval`
+        # AUTO is CLOSED at these x, in `table` as in `eval`
         rc, out, _ = run_cli(
             capsys,
             "table", "--fn", "deriv", "--m", "8",

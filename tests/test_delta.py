@@ -436,6 +436,25 @@ class TestMomentIntegrals:
         assert q2.value >= q.value**2
 
 
+class TestAutoRoute:
+    """route=None is CLOSED below x = 2^(1023 // (m + 1)), where CLOSED's
+    x^(m+1) still fits a double, and LAPLACE's closed path from there on,
+    up to the largest double."""
+
+    @pytest.mark.parametrize("m", range(1, MAX_DERIV_ORDER + 1))
+    def test_switch_and_large_x_against_mpmath(self, m, mp_deriv):
+        switch = 2.0 ** (1023 // (m + 1))
+        below = math.nextafter(switch, 0.0)
+        assert delta_deriv(m, below) == delta_deriv(m, below, Route.CLOSED)
+        with pytest.raises(ValueError, match="CLOSED needs x"):
+            delta_deriv(m, 2.0 * switch, Route.CLOSED)
+        for x in (below, switch, 1e100, 1e300, 1.7e308):
+            r = delta_deriv(m, x)
+            assert r.route is (Route.CLOSED if x < switch else Route.LAPLACE), x
+            assert r.converged
+            assert abs(r.value - mp_deriv(m, x)) <= r.abs_err_est, x
+
+
 class TestAsymptotic:
     @pytest.mark.parametrize("m", range(1, 5))
     def test_ratio_converges_monotonically(self, m):
@@ -461,9 +480,9 @@ class TestAsymptotic:
         assert rel(delta_deriv(1, 0.0).value, math.pi**2 / 12.0) < 1e-13
 
     def test_route_wrapper(self):
-        r = delta_deriv(1, 1e4, Route.ASYMPTOTIC)
-        assert rel(r.value, 1.0 / (1e4 + 1.0)) < 1e-12
-        assert r.abs_err_est > 0.0
+        # the leading form is no route: its distance to the refined form
+        # is not a bound on its error
+        assert rel(asymptotic_leading(1, 1e4), 1.0 / (1e4 + 1.0)) < 1e-12
 
     def test_domain(self):
         with pytest.raises(ValueError):

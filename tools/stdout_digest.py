@@ -59,8 +59,6 @@ COMMANDS = [
             (1, "1e300", "LAPLACE"),
             (2, "0.5", "HYP"),
             (5, "0.2", "SERIES"),
-            (3, "1e4", "ASYMPTOTIC"),
-            (3, "1e100", "ASYMPTOTIC"),
         )
     ),
     *(
