@@ -8,7 +8,11 @@ this process, with stdout captured.  Each output line is
     <sha256 of stdout>  <exit code>  <command line>
 
 where the exit code reads `raised <Exception>` if the command did not
-return.  Run from the root of a checkout, once on each of two commits,
+return.  Each `verify` suite and the `scan` line are also run with
+`--json REPORT`, REPORT standing for a file in a temporary directory;
+those lines end in `report=<sha256>`, the hash of the written report
+with its `wall_time_ms` set to 0 (the only field that varies run to
+run), so the diff also covers every byte of every JSON report.  Run from the root of a checkout, once on each of two commits,
 and diff the two outputs to see which command lines print differently:
 
     python tools/stdout_digest.py > digests.txt
@@ -17,7 +21,10 @@ and diff the two outputs to see which command lines print differently:
 import contextlib
 import hashlib
 import io
+import os
+import re
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -76,6 +83,14 @@ COMMANDS = [
     "scan --m-max 8 --start -0.9 --stop 100 --count 40",
 ]
 
+# the path placeholder in a JSON line, replaced by a temporary file
+REPORT = "REPORT"
+
+JSON_COMMANDS = [
+    *(f"verify --suite {s} --json {REPORT}" for s in sorted(verify.SUITES)),
+    f"scan --m-max 8 --start -0.9 --stop 100 --count 40 --json {REPORT}",
+]
+
 
 def digest(argv):
     out = io.StringIO()
@@ -87,10 +102,28 @@ def digest(argv):
     return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest(), code
 
 
+def report_digest(path):
+    """sha256 of the report at path with its wall time set to 0."""
+    if not os.path.exists(path):
+        return "missing"
+    with open(path, encoding="utf-8") as fh:
+        text, n = re.subn(r'"wall_time_ms": \d+', '"wall_time_ms": 0', fh.read())
+    if n != 1:
+        return f"{n} wall_time_ms fields"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def main():
     for line in COMMANDS:
         sha, code = digest(line.split())
         print(f"{sha}  {code}  {line}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for line in JSON_COMMANDS:
+            path = os.path.join(tmp, "report.json")
+            sha, code = digest([path if a == REPORT else a for a in line.split()])
+            print(f"{sha}  {code}  {line}  report={report_digest(path)}")
+            if os.path.exists(path):
+                os.remove(path)
     return 0
 
 
