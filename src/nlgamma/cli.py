@@ -14,6 +14,7 @@ report files).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -38,6 +39,7 @@ class _CliError(Exception):
     """Maps to exit code 2."""
 
 
+@functools.cache  # built once per process: a build costs about 20 parses
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="nlgamma",

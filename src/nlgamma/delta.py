@@ -32,7 +32,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
 
 from . import _ddarith, hyp2f1, quad
 from ._backend import kernels
@@ -88,16 +87,32 @@ class Route(enum.Enum):
     SERIES = "SERIES"
 
 
-@dataclass
 class EvalResult:
     """A value with error estimate, route tag, work counter, and whether
     every quadrature under it converged (False: trust neither number)."""
 
-    value: float
-    abs_err_est: float
-    route: Route
-    n_evals: int
-    converged: bool = True
+    __slots__ = ("value", "abs_err_est", "route", "n_evals", "converged")
+
+    def __init__(self, value, abs_err_est, route, n_evals, converged=True):
+        self.value = value
+        self.abs_err_est = abs_err_est
+        self.route = route
+        self.n_evals = n_evals
+        self.converged = converged
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.value, self.abs_err_est, self.route, self.n_evals, self.converged) == (
+            other.value, other.abs_err_est, other.route, other.n_evals, other.converged
+        )
+
+    def __repr__(self):
+        return (
+            f"EvalResult(value={self.value!r}, abs_err_est={self.abs_err_est!r}, "
+            f"route={self.route!r}, n_evals={self.n_evals!r}, "
+            f"converged={self.converged!r})"
+        )
 
 
 def _check_x(x):
@@ -531,23 +546,38 @@ def _recurrence(m, x, rel_tol):
     return EvalResult(value, err, Route.RECURRENCE, prev.n_evals + 1)
 
 
+def _div_pow(c, z, n):
+    """c / z^n; where z^n overflows, c * z^-n, which underflows quietly
+    to 0 or a subnormal instead."""
+    try:
+        return c / z**n
+    except OverflowError:
+        return c * z**-n
+
+
 def asymptotic_leading(m, x, refine=False):
     """Large-x form of D^(m): leading term (-1)^(m-1) (m-1)!/(x+1)^m.
 
     With refine=True the next-order correction assembled from the
     near-unit-argument expansions of the two 2F1 factors is added; the
-    refined form tracks the true value to O(log(x)/x^2) relative.
+    refined form tracks the true value to O(log(x)/x^2) relative.  A
+    non-finite x is refused with a ValueError, and so is an x at which
+    the refined form is not finite: m! b/x overflows below x = 4e-306 at
+    m = 1 and 2e-297 at m = 12.
     """
     _check_m(m)
-    if x <= 0.0:
-        raise ValueError("asymptotic form needs x > 0")
-    lead = _sign_for(m) * math.factorial(m - 1) / (x + 1.0) ** m
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"asymptotic_leading: need 0 < x < inf, got {x}")
+    lead = _div_pow(_sign_for(m) * math.factorial(m - 1), x + 1.0, m)
     if not refine:
         return lead
     b = CONSTANTS.euler_gamma - math.log(x) + kernels.digamma(m + 1.0)
-    term1 = -b / (2.0 * (x + 1.0) ** (m + 1))
+    term1 = _div_pow(-b / 2.0, x + 1.0, m + 1)
     term2 = (x + 1.0) ** (-float(m)) * (1.0 / m + b / x)
-    return _sign_for(m) * math.factorial(m) * (term1 + term2)
+    refined = _sign_for(m) * math.factorial(m) * (term1 + term2)
+    if not math.isfinite(refined):
+        raise ValueError(f"asymptotic_leading: refined form not finite at x = {x}")
+    return refined
 
 
 # every entry is called as impl(m, x, rel_tol)

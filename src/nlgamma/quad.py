@@ -23,7 +23,6 @@ import functools
 import heapq
 import math
 import operator
-from dataclasses import dataclass
 
 # p1 stays bound for perfbench's tracer, which patches quad.p1; the
 # sawtooth integrand takes {t} inline and no longer calls it
@@ -73,14 +72,29 @@ _PANEL_NODES = len(_GK21_OFFSETS)
 _MAX_SPLITS = 2000
 
 
-@dataclass
 class QuadResult:
     """A quadrature value with an honest absolute-error estimate."""
 
-    value: float
-    abs_err_est: float
-    n_evals: int
-    converged: bool
+    __slots__ = ("value", "abs_err_est", "n_evals", "converged")
+
+    def __init__(self, value, abs_err_est, n_evals, converged):
+        self.value = value
+        self.abs_err_est = abs_err_est
+        self.n_evals = n_evals
+        self.converged = converged
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.value, self.abs_err_est, self.n_evals, self.converged) == (
+            other.value, other.abs_err_est, other.n_evals, other.converged
+        )
+
+    def __repr__(self):
+        return (
+            f"QuadResult(value={self.value!r}, abs_err_est={self.abs_err_est!r}, "
+            f"n_evals={self.n_evals!r}, converged={self.converged!r})"
+        )
 
     def __add__(self, other):
         return QuadResult(

@@ -1,9 +1,11 @@
-"""Identity-check records and the serializable verification report."""
+"""Identity-check records and the serializable verification report.
+
+json is imported only when a report is written, so that importing the
+package (and every `eval`, `table` or `verify` without `--json`) does
+not load it.
+"""
 
 from __future__ import annotations
-
-import json
-from dataclasses import dataclass, field
 
 
 def fmt17(x):
@@ -11,7 +13,6 @@ def fmt17(x):
     return format(float(x), ".17g")
 
 
-@dataclass
 class IdentityResidual:
     """One checked identity: both sides, their gap, and the verdict.
 
@@ -24,18 +25,19 @@ class IdentityResidual:
     converge; such a check fails under any tolerance.
     """
 
-    identity: str
-    point: dict
-    lhs: float
-    rhs: float
-    residual: float
-    tolerance: float
-    passed: bool
-    scale: float | None = None
-    converged: bool = True
-
-    def __post_init__(self):
-        self.passed = self.passed and self.converged
+    def __init__(
+        self, identity, point, lhs, rhs, residual, tolerance, passed,
+        scale=None, converged=True,
+    ):
+        self.identity = identity
+        self.point = point
+        self.lhs = lhs
+        self.rhs = rhs
+        self.residual = residual
+        self.tolerance = tolerance
+        self.passed = passed and converged
+        self.scale = scale
+        self.converged = converged
 
     @classmethod
     def build(cls, identity, point, lhs, rhs, tolerance, relative_to=None, converged=True):
@@ -79,13 +81,13 @@ class IdentityResidual:
         ) + ("" if self.converged else " unconverged")
 
 
-@dataclass
 class VerificationReport:
     """Ordered identity checks plus summary counts; JSON-serializable."""
 
-    suite: str
-    checks: list = field(default_factory=list)
-    wall_time_ms: int = 0
+    def __init__(self, suite, checks=None, wall_time_ms=0):
+        self.suite = suite
+        self.checks = [] if checks is None else checks
+        self.wall_time_ms = wall_time_ms
 
     @property
     def n_pass(self):
@@ -110,6 +112,8 @@ class VerificationReport:
     def to_json(self):
         """The report as one line of JSON: without `indent`, json.dumps
         runs its C encoder (pipe through `python -m json.tool` to read)."""
+        import json  # here, so that `import nlgamma` does not load it
+
         return json.dumps(self.to_dict())
 
     def write_json(self, path):

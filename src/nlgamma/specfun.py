@@ -10,8 +10,8 @@ the other modules share.
 
 from __future__ import annotations
 
+import collections
 import math
-from dataclasses import dataclass, field
 
 from ._backend import kernels
 from ._backend.kernels import hurwitz_zeta, ln_gamma, upper_incomplete_gamma_int
@@ -54,15 +54,16 @@ def polygamma(order, x):
     return sign * math.factorial(order) * kernels.hurwitz_zeta(order + 1.0, x)
 
 
-@dataclass(frozen=True)
-class SpecialConstants:
+class SpecialConstants(
+    collections.namedtuple(
+        "SpecialConstants",
+        "euler_gamma ln_pi ln_2 zeta_values zeta_minus_one_values",
+        defaults=(kernels.EULER_GAMMA, math.log(math.pi), math.log(2.0), (), ()),
+    )
+):
     """Shared constants: Euler's gamma, a few logs, and zeta(2..K_MAX)."""
 
-    euler_gamma: float = kernels.EULER_GAMMA
-    ln_pi: float = math.log(math.pi)
-    ln_2: float = math.log(2.0)
-    zeta_values: tuple = field(default_factory=tuple)
-    zeta_minus_one_values: tuple = field(default_factory=tuple)
+    __slots__ = ()
 
     @classmethod
     def build(cls):

@@ -13,7 +13,6 @@ any `tol`.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import time
 
@@ -263,7 +262,8 @@ def suite_asymptotic():
         # bounds the truncation gap of the leading form (4e-4 to 1.4e-3
         # for m = 1..4), not rounding, so it has no scale for `tol`
         gap = IdentityResidual.build("ratio_gap_at_1e4", {"m": m}, gaps[2], 0.0, 5e-3)
-        rep.add(dataclasses.replace(gap, scale=None))
+        gap.scale = None
+        rep.add(gap)
         rep.add(
             IdentityResidual(
                 identity="ratio_gap_monotone",

@@ -640,6 +640,26 @@ def test_unwritable_output_path_exits_2(capsys, monkeypatch, tmp_path, args, fla
 
 
 class TestProcessLevel:
+    @pytest.mark.parametrize(
+        "code", ["import nlgamma; nlgamma.delta_deriv(1, 0.5)", "import nlgamma.cli"]
+    )
+    def test_import_loads_no_dataclasses_inspect_or_json(self, code):
+        # against the modules loaded before the import, which a site .pth
+        # may add to
+        probe = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            f"{code}\n"
+            "print(*sorted(set(sys.modules) - before))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, cwd="src"
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert "nlgamma" in loaded
+        assert not loaded & {"dataclasses", "inspect", "json"}
+
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "nlgamma.cli", "eval", "--fn", "delta", "--x", "1"],

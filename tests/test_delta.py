@@ -488,6 +488,21 @@ class TestAsymptotic:
         with pytest.raises(ValueError):
             asymptotic_leading(1, 0.0)
 
+    @pytest.mark.parametrize(
+        "x,refine", [(math.nan, False), (math.inf, True), (5e-324, True)]
+    )
+    def test_refused_where_not_finite(self, x, refine):
+        with pytest.raises(ValueError, match="asymptotic_leading"):
+            asymptotic_leading(1, x, refine=refine)
+
+    def test_powers_past_the_double_range_underflow(self):
+        # (x + 1)^(m + 1) and (x + 1)^m overflow a double here; their
+        # reciprocals underflow quietly
+        refined = asymptotic_leading(3, 1e100, refine=True)
+        assert rel(refined, delta_deriv(3, 1e100).value) < 1e-12
+        lead = asymptotic_leading(4, 1e100)  # -6e-400 rounds to -0.0
+        assert lead == 0.0 and math.copysign(1.0, lead) == -1.0
+
 
 class TestRecurrenceResidual:
     def test_exact_point(self):

@@ -12,8 +12,9 @@ return.  Each `verify` suite and the `scan` line are also run with
 `--json REPORT`, REPORT standing for a file in a temporary directory;
 those lines end in `report=<sha256>`, the hash of the written report
 with its `wall_time_ms` set to 0 (the only field that varies run to
-run), so the diff also covers every byte of every JSON report.  Run from the root of a checkout, once on each of two commits,
-and diff the two outputs to see which command lines print differently:
+run), so the diff also covers every byte of every JSON report.  Run
+from the root of a checkout, once on each of two commits, and diff the
+two outputs to see which command lines print differently:
 
     python tools/stdout_digest.py > digests.txt
 """
