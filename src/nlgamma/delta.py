@@ -35,7 +35,7 @@ import math
 
 from . import _ddarith, hyp2f1, quad
 from ._backend import kernels
-from .report import IdentityResidual, VerificationReport
+from .report import IdentityResidual, Record, VerificationReport
 from .specfun import CONSTANTS, K_MAX
 
 __all__ = [
@@ -87,11 +87,11 @@ class Route(enum.Enum):
     SERIES = "SERIES"
 
 
-class EvalResult:
+class EvalResult(Record):
     """A value with error estimate, route tag, work counter, and whether
     every quadrature under it converged (False: trust neither number)."""
 
-    __slots__ = ("value", "abs_err_est", "route", "n_evals", "converged")
+    __slots__ = __match_args__ = ("value", "abs_err_est", "route", "n_evals", "converged")
 
     def __init__(self, value, abs_err_est, route, n_evals, converged=True):
         self.value = value
@@ -99,20 +99,6 @@ class EvalResult:
         self.route = route
         self.n_evals = n_evals
         self.converged = converged
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.value, self.abs_err_est, self.route, self.n_evals, self.converged) == (
-            other.value, other.abs_err_est, other.route, other.n_evals, other.converged
-        )
-
-    def __repr__(self):
-        return (
-            f"EvalResult(value={self.value!r}, abs_err_est={self.abs_err_est!r}, "
-            f"route={self.route!r}, n_evals={self.n_evals!r}, "
-            f"converged={self.converged!r})"
-        )
 
 
 def _check_x(x):
@@ -546,15 +532,6 @@ def _recurrence(m, x, rel_tol):
     return EvalResult(value, err, Route.RECURRENCE, prev.n_evals + 1)
 
 
-def _div_pow(c, z, n):
-    """c / z^n; where z^n overflows, c * z^-n, which underflows quietly
-    to 0 or a subnormal instead."""
-    try:
-        return c / z**n
-    except OverflowError:
-        return c * z**-n
-
-
 def asymptotic_leading(m, x, refine=False):
     """Large-x form of D^(m): leading term (-1)^(m-1) (m-1)!/(x+1)^m.
 
@@ -568,11 +545,11 @@ def asymptotic_leading(m, x, refine=False):
     _check_m(m)
     if not 0.0 < x < math.inf:
         raise ValueError(f"asymptotic_leading: need 0 < x < inf, got {x}")
-    lead = _div_pow(_sign_for(m) * math.factorial(m - 1), x + 1.0, m)
+    lead = _sign_for(m) * math.factorial(m - 1) * (x + 1.0) ** -m
     if not refine:
         return lead
     b = CONSTANTS.euler_gamma - math.log(x) + kernels.digamma(m + 1.0)
-    term1 = _div_pow(-b / 2.0, x + 1.0, m + 1)
+    term1 = -b / 2.0 * (x + 1.0) ** -(m + 1)
     term2 = (x + 1.0) ** (-float(m)) * (1.0 / m + b / x)
     refined = _sign_for(m) * math.factorial(m) * (term1 + term2)
     if not math.isfinite(refined):

@@ -27,6 +27,7 @@ import operator
 # p1 stays bound for perfbench's tracer, which patches quad.p1; the
 # sawtooth integrand takes {t} inline and no longer calls it
 from ._backend.kernels import hurwitz_zeta, p1  # noqa: F401
+from .report import Record
 
 __all__ = [
     "QuadResult",
@@ -72,29 +73,16 @@ _PANEL_NODES = len(_GK21_OFFSETS)
 _MAX_SPLITS = 2000
 
 
-class QuadResult:
+class QuadResult(Record):
     """A quadrature value with an honest absolute-error estimate."""
 
-    __slots__ = ("value", "abs_err_est", "n_evals", "converged")
+    __slots__ = __match_args__ = ("value", "abs_err_est", "n_evals", "converged")
 
     def __init__(self, value, abs_err_est, n_evals, converged):
         self.value = value
         self.abs_err_est = abs_err_est
         self.n_evals = n_evals
         self.converged = converged
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.value, self.abs_err_est, self.n_evals, self.converged) == (
-            other.value, other.abs_err_est, other.n_evals, other.converged
-        )
-
-    def __repr__(self):
-        return (
-            f"QuadResult(value={self.value!r}, abs_err_est={self.abs_err_est!r}, "
-            f"n_evals={self.n_evals!r}, converged={self.converged!r})"
-        )
 
     def __add__(self, other):
         return QuadResult(

@@ -13,7 +13,28 @@ def fmt17(x):
     return format(float(x), ".17g")
 
 
-class IdentityResidual:
+class Record:
+    """A plain record: __eq__ and a dataclass-format __repr__ over the
+    field names in __match_args__, in order.  Unhashable, as __eq__ is
+    defined.  A subclass writes its own __init__."""
+
+    __slots__ = ()
+    __match_args__ = ()
+
+    def _values(self):
+        return tuple(getattr(self, f) for f in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class IdentityResidual(Record):
     """One checked identity: both sides, their gap, and the verdict.
 
     `scale` is the factor `build` multiplied the stated tolerance by, so
@@ -24,6 +45,11 @@ class IdentityResidual:
     `converged` is False when a quadrature behind a side did not
     converge; such a check fails under any tolerance.
     """
+
+    __match_args__ = (
+        "identity", "point", "lhs", "rhs", "residual", "tolerance", "passed",
+        "scale", "converged",
+    )
 
     def __init__(
         self, identity, point, lhs, rhs, residual, tolerance, passed,
@@ -81,8 +107,10 @@ class IdentityResidual:
         ) + ("" if self.converged else " unconverged")
 
 
-class VerificationReport:
+class VerificationReport(Record):
     """Ordered identity checks plus summary counts; JSON-serializable."""
+
+    __match_args__ = ("suite", "checks", "wall_time_ms")
 
     def __init__(self, suite, checks=None, wall_time_ms=0):
         self.suite = suite

@@ -10,13 +10,14 @@ import pytest
 from nlgamma import cli, hyp2f1, quad, verify
 from nlgamma.cli import main
 from nlgamma.delta import (
+    EvalResult,
     Route,
     delta_deriv,
     frac_rep_prop2,
     integral_delta,
     integral_delta_squared,
 )
-from nlgamma.report import fmt17
+from nlgamma.report import IdentityResidual, VerificationReport, fmt17
 
 G = 0.5772156649015328606
 
@@ -694,3 +695,45 @@ class TestProcessLevel:
             cwd="src",
         )
         assert proc.returncode == 2
+
+
+class TestRecords:
+    """The four result records compare and print by field, as dataclasses."""
+
+    RECORDS = [
+        (
+            lambda: quad.QuadResult(1.5, 1e-15, 21, True),
+            "QuadResult(value=1.5, abs_err_est=1e-15, n_evals=21, converged=True)",
+        ),
+        (
+            lambda: EvalResult(1.5, 1e-15, Route.CLOSED, 2),
+            "EvalResult(value=1.5, abs_err_est=1e-15, route=<Route.CLOSED: 'CLOSED'>, "
+            "n_evals=2, converged=True)",
+        ),
+        (
+            lambda: IdentityResidual("A1", {"x": 1.0}, 1.0, 1.0, 0.0, 0.1, True),
+            "IdentityResidual(identity='A1', point={'x': 1.0}, lhs=1.0, rhs=1.0, "
+            "residual=0.0, tolerance=0.1, passed=True, scale=None, converged=True)",
+        ),
+        (
+            lambda: VerificationReport("prop2"),
+            "VerificationReport(suite='prop2', checks=[], wall_time_ms=0)",
+        ),
+    ]
+
+    @pytest.mark.parametrize("make,text", RECORDS)
+    def test_eq_and_repr_by_field(self, make, text):
+        a, b = make(), make()
+        assert a == b and not a != b
+        assert repr(a) == text
+        setattr(b, a.__match_args__[0], "other")
+        assert a != b
+        with pytest.raises(TypeError):
+            hash(a)
+
+    def test_unequal_to_a_tuple_of_its_fields(self):
+        assert quad.QuadResult(1.0, 0.0, 1, True) != (1.0, 0.0, 1, True)
+
+    def test_passed_needs_converged(self):
+        r = IdentityResidual("A1", {}, 1.0, 1.0, 0.0, 0.1, True, converged=False)
+        assert not r.passed
