@@ -10,13 +10,13 @@ the other modules share.
 
 from __future__ import annotations
 
-import collections
 import math
 
 from ._backend import kernels
 from ._backend.kernels import hurwitz_zeta, ln_gamma, upper_incomplete_gamma_int
 from ._ddarith import K_MAX
 from ._ddconsts import ZETA_DD
+from .report import Record
 
 __all__ = [
     "CONSTANTS",
@@ -54,16 +54,29 @@ def polygamma(order, x):
     return sign * math.factorial(order) * kernels.hurwitz_zeta(order + 1.0, x)
 
 
-class SpecialConstants(
-    collections.namedtuple(
-        "SpecialConstants",
-        "euler_gamma ln_pi ln_2 zeta_values zeta_minus_one_values",
-        defaults=(kernels.EULER_GAMMA, math.log(math.pi), math.log(2.0), (), ()),
-    )
-):
-    """Shared constants: Euler's gamma, a few logs, and zeta(2..K_MAX)."""
+class SpecialConstants(Record):
+    """Shared constants: Euler's gamma, a few logs, and zeta(2..K_MAX).
 
-    __slots__ = ()
+    Read-only and hashable, and equal only to another SpecialConstants.
+    """
+
+    __slots__ = __match_args__ = (
+        "euler_gamma", "ln_pi", "ln_2", "zeta_values", "zeta_minus_one_values",
+    )
+
+    def __init__(
+        self, euler_gamma=kernels.EULER_GAMMA, ln_pi=math.log(math.pi),
+        ln_2=math.log(2.0), zeta_values=(), zeta_minus_one_values=(),
+    ):
+        values = (euler_gamma, ln_pi, ln_2, zeta_values, zeta_minus_one_values)
+        for name, value in zip(self.__match_args__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SpecialConstants is read-only: cannot set {name}")
+
+    def __hash__(self):
+        return hash(self._values())
 
     @classmethod
     def build(cls):

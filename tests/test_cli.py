@@ -18,6 +18,7 @@ from nlgamma.delta import (
     integral_delta_squared,
 )
 from nlgamma.report import IdentityResidual, VerificationReport, fmt17
+from nlgamma.specfun import SpecialConstants
 
 G = 0.5772156649015328606
 
@@ -725,15 +726,19 @@ class TestRecords:
     def test_eq_and_repr_by_field(self, make, text):
         a, b = make(), make()
         assert a == b and not a != b
+        assert a != tuple(getattr(a, f) for f in a.__match_args__)
         assert repr(a) == text
         setattr(b, a.__match_args__[0], "other")
         assert a != b
         with pytest.raises(TypeError):
             hash(a)
 
-    def test_unequal_to_a_tuple_of_its_fields(self):
-        assert quad.QuadResult(1.0, 0.0, 1, True) != (1.0, 0.0, 1, True)
-
-    def test_passed_needs_converged(self):
-        r = IdentityResidual("A1", {}, 1.0, 1.0, 0.0, 0.1, True, converged=False)
-        assert not r.passed
+    def test_special_constants_read_only_and_hashable(self):
+        a, b = SpecialConstants.build(), SpecialConstants.build()
+        assert a == b and hash(a) == hash(b)
+        assert a != tuple(getattr(a, f) for f in a.__match_args__)
+        assert repr(SpecialConstants()).startswith("SpecialConstants(euler_gamma=0.57721")
+        with pytest.raises(AttributeError):
+            a.ln_2 = 0.0
+        with pytest.raises(TypeError):
+            iter(a)
