@@ -403,6 +403,8 @@ class TestPanelContract:
 # and the estimates went from 0.72x (m = 4) to 1.9x (m = 1,
 # 4.0309372382052435e-18 before at x = 250) of what they were, and to
 # 0.007x at m = 12, where the panels' estimates were the loosest.
+# The SERIES rows, |x| <= 0.26 with the seam and 0 included, pin its
+# coefficient loop bit for bit.
 # test_route_replay_within_estimate checks each row against mpmath.
 ROUTE_REPLAY = {
     ("HURWITZ", 1, -0.999999999999):
@@ -531,6 +533,36 @@ ROUTE_REPLAY = {
         (-1.9245792481359516, 2.0915259158265332e-14, 148, True),
     ("HYP", 12, 250.0):
         (-6.011463371148904e-22, 1.2956304907696283e-35, 148, True),
+    ("SERIES", 1, -0.26):
+        (1.1055469149577748, 1.139939308325821e-14, 63, True),
+    ("SERIES", 1, -0.15):
+        (0.9642432589046457, 1.139939308325821e-14, 63, True),
+    ("SERIES", 1, 0.0):
+        (0.8224670334241132, 1.139939308325821e-14, 63, True),
+    ("SERIES", 1, 0.02):
+        (0.806757801616227, 1.139939308325821e-14, 63, True),
+    ("SERIES", 1, 0.26):
+        (0.657466295850282, 1.139939308325821e-14, 63, True),
+    ("SERIES", 4, -0.26):
+        (-17.06417188215299, 6.983042777461258e-14, 60, True),
+    ("SERIES", 4, -0.15):
+        (-9.676224902282764, 6.569974256588393e-14, 60, True),
+    ("SERIES", 4, 0.0):
+        (-4.977253224688176, 6.569974256588393e-14, 60, True),
+    ("SERIES", 4, 0.02):
+        (-4.590244746574045, 6.569974256588393e-14, 60, True),
+    ("SERIES", 4, 0.26):
+        (-1.9374597987021813, 6.983042777461258e-14, 60, True),
+    ("SERIES", 12, -0.26):
+        (-1392838267.1473143, 2.7389309488731226e-06, 52, True),
+    ("SERIES", 12, -0.15):
+        (-261883926.92589408, 7.633015831352306e-07, 52, True),
+    ("SERIES", 12, 0.0):
+        (-36850798.45306396, 4.215731343030517e-07, 52, True),
+    ("SERIES", 12, 0.02):
+        (-29015654.45740227, 4.215731343030517e-07, 52, True),
+    ("SERIES", 12, 0.26):
+        (-2260875.8541338174, 2.73898917027294e-06, 52, True),
 }
 
 

@@ -7,8 +7,9 @@ plus m in {1, 2, 3, 5, 8, 12} at 17 fixed x from -1 + 1e-12 to 1e6,
 the Taylor seam at |x| = 0.26 and the old one at 0.125 included, plus,
 for m in {1, 6, 12}, each x in [1e-6, 0.26) at which CLOSED's collected
 series changes length (the largest x it sums with N terms, and the next
-double, with N + 1), plus HURWITZ's pinned points (HURWITZ_PINS) and
-LAPLACE's (LAPLACE_PINS) not already on it.  Below 1e-6, where the
+double, with N + 1), plus HURWITZ's pinned points (HURWITZ_PINS, its
+Euler-Maclaurin seam included) and LAPLACE's (LAPLACE_PINS) not already
+on it.  Below 1e-6, where the
 fixed grid and the benchmark's draws stop too, RECURRENCE's (m/x)
 D^(m-1) step leaves an honest estimate wider than the 1e-6 gate below (3.7e4 of the value at m = 12, x = 7e-20);
 tests/test_closed.py checks CLOSED and RECURRENCE at every length-change
@@ -64,8 +65,9 @@ LENGTH_MS = (1, 6, 12)
 LENGTH_X_MIN = 1e-6
 # HURWITZ's pins (tests/test_hurwitz.py): both sides of x = -1/2 and
 # x = 1, where its integral changes variable, 1 + x down to 1e-15, two
-# tiny x where a log-variable form misses, and x = 1e9, 1e12, where an
-# ulp of the top end ln(1 + x) shows
+# tiny x where a log-variable form misses, x = 1e9, 1e12, where an ulp
+# of the top end ln(1 + x) shows, and the Euler-Maclaurin seam
+HURWITZ_SEAM_MS = (1, 6, 12)
 HURWITZ_PINS = (
     *(
         (m, x)
@@ -78,6 +80,17 @@ HURWITZ_PINS = (
     (11, 3.5256368629591095e-05),
     (11, 3.682837372672322e-05),
     *((m, x) for m in (1, 6, 12) for x in (1e9, 1e12)),
+    # x = A_m - 1, the doubles on either side of it, and 1.05 (A_m - 1),
+    # for m in HURWITZ_SEAM_MS: A_m = max(z_top, 2m), z_top the zeta
+    # plan's first Euler-Maclaurin point at s = m + 1, from where the
+    # integrand (a - 1)^m zeta(m+1, a) is a sum of powers of a (8.03 at
+    # m = 1, 24 at m = 12); A_m - 1 is exact
+    *(
+        (m, y)
+        for m in HURWITZ_SEAM_MS
+        for x in (max(kernels._zeta_plan(m + 1.0)[0], 2.0 * m) - 1.0,)
+        for y in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf), 1.05 * x)
+    ),
 )
 # LAPLACE's pins: x = cut_m, past which E_m(y) is m!/y^(m+1) for every
 # y >= x t with t >= 1, and the doubles on either side of it, for m in
