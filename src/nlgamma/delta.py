@@ -8,8 +8,10 @@ CLOSED      Leibniz product rule over polygamma values (on |x| <= 0.26,
             x = 2^(1023 // (m + 1)), where its x^(m+1) still fits a
             double, and LAPLACE from there on.
 HURWITZ     m! * integral_0^1 u^m zeta(m+1, x u + 1) du, up to sign; for
-            x > 1 and x < -1/2 in v = ln of the zeta argument, over a few
-            pieces of width 2.
+            x < -1/2 and 1 < x < A_m - 1 in v = ln of the zeta argument,
+            over a few pieces of width 2; from x = A_m - 1 (7.03 to 23)
+            on, where zeta(m+1, a) is its Euler-Maclaurin sum, one sum
+            with no quadrature over a table built once per m.
 LAPLACE     integral_0^inf t^m/(e^t - 1) E_m(x t) dt (x >= 0); from x = cut_m
             (43 to 73), where E_m is m!/y^(m+1) past t_c = cut_m/x <= 1,
             two Bernoulli series with no quadrature: the tail in closed
@@ -62,6 +64,9 @@ MAX_DERIV_ORDER = 12
 # of the digamma at 1.4616) after the 2.2e-15 |value| charge; on 3,000
 # fresh draws the errors stay under 0.46 of the estimate.
 _CLOSED_TERM_REL = 4e-15
+
+# the relative error of one rounding
+_ROUNDING = 2.0**-53
 
 # The widest seed piece of HURWITZ in v = ln(a/b).  zeta(m+1, a) has its
 # poles at a = 0, -1, -2, ..., which a = b e^v reaches only at v = -inf
@@ -199,8 +204,10 @@ def _series(m, x, rel_tol):
     magnitude = 0.0
     xpow = 1.0
     last = math.inf
+    perm = math.factorial(m)  # (k-1)!/(k-1-m)!, exact
     for k in range(m + 1, K_MAX + 1):
-        coef = math.prod(range(k - m, k)) / k  # (k-1)!/(k-1-m)! / k
+        coef = perm / k
+        perm = perm * k // (k - m)
         term = CONSTANTS.zeta_values[k] * coef * xpow
         if k % 2:
             term = -term
@@ -253,7 +260,36 @@ def _hurwitz(m, x, rel_tol):
     f(V) V 2^-52; against mpmath (m = 1..12, 1 < x <= 1e291)
     f(V) V/integral <= V + 0.7 m + 0.75, its largest at x -> 1, so
     (m + 2 + V) 2^-52 |value| is charged.  For x < -1/2 the integrand is 0 at V.
+
+    From x = A_m - 1 on (A_m = _hurwitz_seam(m), 8.03 at m = 1, 24 at
+    m = 12) no quadrature is run (_hurwitz_closed).  With a = 1 + x u
+    and X = 1 + x the integral is x^-(m+1) integral_1^X (a-1)^m
+    zeta(m+1, a) da, and past a = A_m zeta(m+1, a) is the zeta plan's
+    Euler-Maclaurin sum with no direct terms, a^-m/m + a^-(m+1)/2 +
+    sum_(k<=M) T_k a^-(m+2k), under 2^-60 of zeta from its value.  Times
+    (a-1)^m expanded by the binomial theorem that is sum_p c_p a^-p,
+    which integrates term by term:
+
+        K_m + c_0 (X - A) + c_1 ln(X/A) + sum_(p>=2) c_p (A^(1-p) - X^(1-p))/(p-1),
+
+    c_0 = 1/m (the paper's leading form) and c_1 = -1/2, K_m the integral
+    up to A = A_m; K_m and the c_p come from a row built once per m
+    (_hurwitz_row), and each call is one Horner pass in 1/X and one log.
+    Its estimate is a bound: K_m's (its quadrature estimate, 2e-15 K_m
+    for the kernel's rounding and the rounding of ln A_m, its top end);
+    one rounding of each coefficient and (3j + 1) of each term's size
+    for the Horner pass in 1/X (Higham, ch. 5), three more against second
+    order and the weight's own rounding; 2^-60 of the sum for the
+    Euler-Maclaurin remainder; 8 roundings of the summed terms' sizes,
+    which covers their cancellation just above X = A_m; the roundings of
+    X = 1 + x, which moves the integral by at most (a-1)^m zeta(m+1, a)
+    a u <= (X/m + 1) u, and of X/A in the log.  x^-(m+1) m! is applied
+    last, as x^-1 f^-m m! 2^(-m e) for x = f 2^e, so only the final
+    ldexp can fall among the subnormals: 5 roundings of the value and
+    2^-1074 a term.  n_evals counts the terms, and rel_tol is not read.
     """
+    if x >= _hurwitz_seam(m) - 1.0:
+        return _hurwitz_closed(m, x)
     # the integrand is positive: driven by rel_tol alone
     top, breaks, top_ulps = 1.0, (), 0.0
     if -0.5 <= x <= 1.0:
@@ -273,6 +309,102 @@ def _hurwitz(m, x, rel_tol):
     err = fact * (r.abs_err_est + r.n_evals * 2.0**-1074)
     err += (2e-15 + top_ulps * 2.0**-52) * abs(value)
     return EvalResult(value, err, Route.HURWITZ, r.n_evals, r.converged)
+
+
+def _hurwitz_seam(m):
+    """A_m = max(z_top, 2m), z_top = kernels._zeta_plan(m + 1)[0]: from
+    a = z_top on the plan sums zeta(m+1, a) with no direct terms, and
+    from a = 2m on the binomial terms C(m, i) a^-i of (a-1)^m fall by at
+    least half a step."""
+    return max(kernels._zeta_plan(m + 1.0)[0], 2.0 * m)
+
+
+@functools.lru_cache(maxsize=None)
+def _hurwitz_row(m):
+    """What _hurwitz needs of m alone from 1 + x = A = A_m on, built on
+    first use: (A, m!, head, head_err, head_size, horner, weight,
+    converged).
+
+    c_p = sum_(i+q=p) C(m,i) (-1)^i w_q for p = 0..m+2M, with w_0 = 1/m,
+    w_1 = 1/2, w_2k = T_k = B_2k/(2k)! (m+1)_(2k-1) (the Bernoulli
+    weights of kernels._B2I_OVER_FACT) and w_q = 0 for odd q >= 3; M is
+    the zeta plan's term count at A.  They are exact rationals over one
+    int denominator, and horner holds d_p = c_p/(p-1) for p = m+2M, ...,
+    2, each rounded once.  head = K + D: K = integral_1^A (a-1)^m
+    zeta(m+1, a) da, one quad.integrate_finite over v = ln a in
+    [0, ln A] of kernels.hz_route_log_panel at x = 1, which is
+    (a-1)^m zeta(m+1, a) a, and D = sum_(p>=2) d_p A^(1-p), exact and
+    rounded once.  head_err charges K's quadrature estimate; 2e-15 K for
+    the kernel's rounding, as the quadrature path charges its value
+    (against mpmath K errs by at most 5.2e-16 of itself, m = 1..12); the
+    rounding of ln A, by which the top end moves the integral by at most
+    (A/m + 1) 2^-52 ln A; and the roundings of D and of head.
+    head_size = K + |D|.  weight = sum_j (3j + 4) |d_(j+1)| A^(1-j), so
+    that weight/X ulps bound the rounding of sum_j d_(j+1) X^-j for every
+    X >= A.  converged is K's quadrature's.
+    """
+    s = m + 1
+    big_a = _hurwitz_seam(m)
+    _, limits, horners, _ = kernels._zeta_plan(float(s))
+    bernoulli = kernels._B2I_OVER_FACT[: len(horners[sum(z <= big_a for z in limits)])]
+    # w_q den for q = 0..2M
+    den = math.lcm(m, 2, *(q for _, q in bernoulli))
+    ws = [den // m, den // 2] + [0] * (2 * len(bernoulli) - 1)
+    poch = s  # (s)_(2k-1)
+    for k, (p, q) in enumerate(bernoulli, 1):
+        ws[2 * k] = p * poch * (den // q)
+        poch *= (s + 2 * k - 1) * (s + 2 * k)
+    # c_p den for p = 0..m+2M
+    cs = [
+        sum(math.comb(m, i) * (-1) ** i * ws[p - i] for i in range(m + 1) if 0 <= p - i < len(ws))
+        for p in range(m + len(ws))
+    ]
+    # D over the denominator den L a_n^J, A = a_n/a_d, j = p - 1 = 1..J,
+    # L = lcm(1..J)
+    a_n, a_d = big_a.as_integer_ratio()
+    top_j = len(cs) - 2
+    lcm_j = math.lcm(*range(1, top_j + 1))
+    num = sum(
+        cs[j + 1] * (lcm_j // j) * a_d**j * a_n ** (top_j - j) for j in range(1, top_j + 1)
+    )
+    tail_a = num / (den * lcm_j * a_n**top_j)
+    js = range(top_j, 0, -1)
+    horner = tuple(cs[j + 1] / (den * j) for j in js)
+    weight = math.fsum((3 * j + 4) * abs(d) * big_a ** (1 - j) for j, d in zip(js, horner))
+    ln_a = math.log(big_a)
+    r = quad.integrate_finite(
+        lambda vs: kernels.hz_route_log_panel(m, 1.0, vs), 0.0, ln_a, rel_tol=1e-15, abs_tol=0.0
+    )
+    head_size = r.value + abs(tail_a)
+    head_err = r.abs_err_est + 2e-15 * r.value + (big_a / m + 1.0) * ln_a * 2.0**-52
+    head_err += 2.0 * _ROUNDING * head_size
+    return (
+        big_a, float(math.factorial(m)), r.value + tail_a, head_err, head_size, horner,
+        weight, r.converged,
+    )
+
+
+def _hurwitz_closed(m, x):
+    """HURWITZ from x = A_m - 1 on, one fixed sum (see _hurwitz)."""
+    big_a, fact, head, head_err, head_size, horner, weight, converged = _hurwitz_row(m)
+    big_x = x + 1.0
+    y = 1.0 / big_x
+    h = 0.0
+    for d in horner:
+        h = h * y + d
+    h *= y  # sum_(p>=2) d_p X^(1-p)
+    lead = (big_x - big_a) / m
+    half_log = 0.5 * math.log(big_x / big_a)
+    total = head + lead - half_log - h
+    size = head_size + lead + half_log + abs(h)
+    err = head_err + 2.0**-60 * total
+    err += _ROUNDING * (weight * y + 8.0 * size + big_x / m + 1.5)
+    f, e = math.frexp(x)
+    scale = fact * f**-m / x
+    n_terms = len(horner) + 3
+    value = math.ldexp(total * scale, -m * e)
+    err = math.ldexp(err * scale, -m * e) + 5.0 * _ROUNDING * value + n_terms * 2.0**-1074
+    return EvalResult(_sign_for(m) * value, err, Route.HURWITZ, n_terms, converged)
 
 
 # b_2k = B_2k/(2k)! for k = 1..13, the even Taylor coefficients of
@@ -307,8 +439,6 @@ _LAPLACE_J_CONST = -0.6303307007539063
 # G(a) = a J(a) on (0, 1], as G(a) = integral_1^inf a/(s (e^(a s) - 1)) ds
 # falls as a rises
 _LAPLACE_J_ONE = 0.2867924309492973
-# the relative error of one rounding
-_ROUNDING = 2.0**-53
 
 
 def _bernoulli_terms(room, weight):
@@ -575,9 +705,10 @@ def delta_deriv(m, x, route=None, rel_tol=None):
     3.0e23 at m = 12), x = 0 included, and LAPLACE from there on, where
     CLOSED's x^(m+1) would overflow (LAPLACE's closed path, a proven
     bound in 27 terms, answers up to the largest double).  rel_tol can only
-    tighten the relative tolerance of HURWITZ's quadrature (1e-11) and
-    of LAPLACE's below x = cut_m (1e-12); every other route ignores it,
-    but every route refuses one outside 0 < rel_tol < inf."""
+    tighten the relative tolerance of HURWITZ's quadrature below
+    x = A_m - 1 (1e-11) and of LAPLACE's below x = cut_m (1e-12); every
+    other route ignores it, and so do both closed paths, but every route
+    refuses one outside 0 < rel_tol < inf."""
     _check_m(m)
     _check_x(x)
     if route is None:

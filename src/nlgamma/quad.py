@@ -192,20 +192,19 @@ def integrate_finite(f, a, b, breakpoints=(), *, rel_tol=1e-11, abs_tol=1e-13):
     edges = [a, *breakpoints, b]
     if not all(lo < hi for lo, hi in zip(edges, edges[1:])):
         raise ValueError("integrate_finite needs a < b, breakpoints increasing inside")
-    heap = []
+    heap, values, errs = [], [], []
     for lo, hi in zip(edges, edges[1:]):
         value, err = _panel(f, lo, hi)
         heap.append((-err, lo, hi, value))
-    heapq.heapify(heap)
+        values.append(value)
+        errs.append(err)
     n_evals = _PANEL_NODES * len(heap)
     frozen = []  # panels too narrow for their position to split: kept as they are
     n_splits = 0
     converged = True
     while True:
-        panels = heap + frozen
-        values = [item[3] for item in panels]
         total = math.fsum(values)
-        err_sum = math.fsum([-item[0] for item in panels])
+        err_sum = math.fsum(errs)
         abs_sum = math.fsum(map(abs, values))
         total_err = err_sum + 2e-16 * abs_sum
         if total_err <= max(abs_tol, rel_tol * abs(total), 4e-16 * abs(total)):
@@ -213,6 +212,8 @@ def integrate_finite(f, a, b, breakpoints=(), *, rel_tol=1e-11, abs_tol=1e-13):
         if n_splits >= _MAX_SPLITS or not heap:
             converged = False
             break
+        if not (n_splits or frozen):  # the seed panels become a heap at the first split
+            heapq.heapify(heap)
         neg_err, pa, pb, pv = heapq.heappop(heap)
         mid = 0.5 * (pa + pb)
         if pb - pa <= 1e-15 * max(abs(pa), abs(pb)) or mid in (pa, pb):
@@ -224,6 +225,9 @@ def integrate_finite(f, a, b, breakpoints=(), *, rel_tol=1e-11, abs_tol=1e-13):
         heapq.heappush(heap, (-e1, pa, mid, v1))
         heapq.heappush(heap, (-e2, mid, pb, v2))
         n_splits += 1
+        panels = heap + frozen
+        values = [item[3] for item in panels]
+        errs = [-item[0] for item in panels]
     return QuadResult(total, total_err, n_evals, converged)
 
 
@@ -287,12 +291,17 @@ def _sawtooth_tail(parts, factors, x, tol):
     needs, until the stop test first reaches past it; then it is built
     in one pass up to order 29 - min k, the highest the 15 weights reach.
     Most tails that go on reach order 14 or more, where each further
-    chunk would cost more than the terms it saves.
+    chunk would cost more than the terms it saves.  For HYP's shape,
+    (t + c)^-1 times one other factor, the product's coefficients past
+    the leading one come instead from the other's, Q_d, by the recurrence
+    P_d = u (Q_d - P_(d-1)), u = 1/(x + c): one step each, where a
+    convolution takes d + 1 products.
     """
     if not parts:
         return 0.0, 0.0
     order = 2 * len(_EM_WEIGHTS) - parts[0][0] - 1
     series = [[(1.0 / (x + c)) ** p] for c, p in factors]
+    start = 1 if len(factors) == 2 and factors[0][1] == 1.0 else 0  # HYP's shape
     taylor = [None] * (order + 1)
     top = parts[-1][0]
     value = 0.0
@@ -307,11 +316,16 @@ def _sawtooth_tail(parts, factors, x, tol):
             d = n - k - 1
             if taylor[d] is None:
                 if len(series[0]) <= d:  # past the leading coefficients
-                    for (c, p), r in zip(factors, series):
+                    for (c, p), r in zip(factors[start:], series[start:]):
                         u = 1.0 / (x + c)
                         for j in range(order):
                             r.append(-r[j] * (p + j) * u / (j + 1))
-                taylor[d] = _product_coefficient(series, d)
+                    if start:
+                        u, last = series[0][0], 0.0
+                        for j, q in enumerate(series[1]):
+                            last = taylor[j] = u * (q - last)
+                if taylor[d] is None:
+                    taylor[d] = _product_coefficient(series, d)
             t = weights[i] * taylor[d]
             term += t
             size += abs(t)

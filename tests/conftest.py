@@ -7,17 +7,18 @@ from pathlib import Path
 import pytest
 
 from nlgamma import quad
-from nlgamma.delta import _laplace_row
+from nlgamma.delta import _hurwitz_row, _laplace_row
 
 
 @pytest.fixture
 def starved_quad(monkeypatch):
     """Allow every quad.integrate_finite call of the test one split,
-    whatever tolerances its caller asks for.  LAPLACE's per-m moment
-    rows built meanwhile are dropped afterwards."""
+    whatever tolerances its caller asks for.  LAPLACE's and HURWITZ's
+    per-m rows built meanwhile are dropped afterwards."""
     monkeypatch.setattr(quad, "_MAX_SPLITS", 1)
     yield
     _laplace_row.cache_clear()
+    _hurwitz_row.cache_clear()
 
 
 @pytest.fixture(scope="session")

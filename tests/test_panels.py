@@ -403,8 +403,13 @@ class TestPanelContract:
 # and the estimates went from 0.72x (m = 4) to 1.9x (m = 1,
 # 4.0309372382052435e-18 before at x = 250) of what they were, and to
 # 0.007x at m = 12, where the panels' estimates were the loosest.
-# The SERIES rows, |x| <= 0.26 with the seam and 0 included, pin its
-# coefficient loop bit for bit.
+# The six HURWITZ rows at x = 250 and 1e5 were recorded again when
+# HURWITZ from x = A_m - 1 on became one sum with no quadrature: values
+# moved by 2 to 6 ulps, n_evals went from 63 and 126 nodes to the 33 to
+# 38 terms summed, and the estimates fell to 0.39x (m = 1, x = 250) down
+# to 0.0007x (m = 12, x = 250) of what they were.  The SERIES rows,
+# |x| <= 0.26 with the seam and 0 included, pin its coefficient loop
+# bit for bit.
 # test_route_replay_within_estimate checks each row against mpmath.
 ROUTE_REPLAY = {
     ("HURWITZ", 1, -0.999999999999):
@@ -422,9 +427,9 @@ ROUTE_REPLAY = {
     ("HURWITZ", 1, 3.0):
         (0.21962150400748293, 7.355457291451604e-16, 21, True),
     ("HURWITZ", 1, 250.0):
-        (0.0039491146294705366, 1.6575709108888653e-17, 63, True),
+        (0.003949114629470538, 6.4863175315572826e-18, 33, True),
     ("HURWITZ", 1, 100000.0):
-        (9.99938245970677e-06, 5.442817926067361e-20, 126, True),
+        (9.999382459706765e-06, 1.5553555109612057e-20, 33, True),
     ("HURWITZ", 4, -0.999999999999):
         (-6.000530950644443e+48, 5.6582572869562425e+35, 294, True),
     ("HURWITZ", 4, -0.999):
@@ -440,9 +445,9 @@ ROUTE_REPLAY = {
     ("HURWITZ", 4, 3.0):
         (-0.01854725506140877, 7.122306958376108e-17, 21, True),
     ("HURWITZ", 4, 250.0):
-        (-1.4711274950021846e-09, 7.550339278354502e-24, 63, True),
+        (-1.4711274950021856e-09, 2.4984135170557766e-24, 36, True),
     ("HURWITZ", 4, 100000.0):
-        (-5.998647902696239e-20, 3.7418104237418917e-34, 126, True),
+        (-5.998647902696234e-20, 9.332386943519951e-35, 36, True),
     ("HURWITZ", 12, -0.999999999999):
         (-3.9927397863146785e+151, 1.2906970911465122e+137, 378, True),
     ("HURWITZ", 12, -0.999):
@@ -458,9 +463,9 @@ ROUTE_REPLAY = {
     ("HURWITZ", 12, 3.0):
         (-1.9245792481359514, 3.170762939618695e-14, 63, True),
     ("HURWITZ", 12, 250.0):
-        (-6.011463371148901e-22, 1.6094934605280845e-33, 63, True),
+        (-6.011463371148903e-22, 1.1679132127158166e-36, 38, True),
     ("HURWITZ", 12, 100000.0):
-        (-3.989225688363911e-53, 7.883084859932819e-67, 126, True),
+        (-3.989225688363908e-53, 6.210138172138902e-68, 38, True),
     ("LAPLACE", 1, 0.0):
         (0.8224670334241132, 1.4897389868398514e-15, 147, True),
     ("LAPLACE", 1, 0.02):
