@@ -253,8 +253,7 @@ def _hurwitz(m, x, rel_tol):
     against log2(x) graded ones in u.
 
     The estimate carries a 2e-15 |value| rounding floor for the kernel,
-    the panel sums and the scaling, and one 2^-1074 per node times m!
-    for values that fall among the subnormals at huge x.  For x > 1 the
+    the panel sums and the scaling.  For x > 1 the
     integrand grows about like e^v up to the top end V = ln(1 + x), so
     the ulp by which log1p may miss V moves the integral by up to
     f(V) V 2^-52; against mpmath (m = 1..12, 1 < x <= 1e291)
@@ -306,8 +305,7 @@ def _hurwitz(m, x, rel_tol):
     )
     fact = math.factorial(m)
     value = _sign_for(m) * fact * r.value
-    err = fact * (r.abs_err_est + r.n_evals * 2.0**-1074)
-    err += (2e-15 + top_ulps * 2.0**-52) * abs(value)
+    err = fact * r.abs_err_est + (2e-15 + top_ulps * 2.0**-52) * abs(value)
     return EvalResult(value, err, Route.HURWITZ, r.n_evals, r.converged)
 
 

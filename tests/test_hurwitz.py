@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nlgamma import quad
 from nlgamma._backend import kernels
 from nlgamma.delta import Route, delta_deriv
 
@@ -160,3 +161,18 @@ def test_closed_path_counts_its_terms(m):
     below = math.nextafter(seam, 0.0)
     n = delta_deriv(m, below, Route.HURWITZ).n_evals
     assert n == 21 * math.ceil(math.log1p(below) / 2.0), n
+
+
+def test_closed_path_unconverged_row_is_not_silent(monkeypatch):
+    inner = quad.integrate_finite
+
+    def unconverged(*args, **kwargs):
+        r = inner(*args, **kwargs)
+        return quad.QuadResult(r.value, r.abs_err_est, r.n_evals, False)
+
+    delta_module._hurwitz_row.cache_clear()
+    monkeypatch.setattr(quad, "integrate_finite", unconverged)
+    try:
+        assert not delta_deriv(2, 1e3, Route.HURWITZ).converged
+    finally:
+        delta_module._hurwitz_row.cache_clear()

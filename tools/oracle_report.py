@@ -52,7 +52,7 @@ import reference  # noqa: E402
 import workloads  # noqa: E402
 from nlgamma import _ddarith, hyp2f1, verify  # noqa: E402
 from nlgamma._backend import kernels  # noqa: E402
-from nlgamma.delta import Route, delta_deriv  # noqa: E402
+from nlgamma.delta import Route, _hurwitz_seam, delta_deriv  # noqa: E402
 
 SEED = 777
 DRAWS = 400
@@ -81,14 +81,12 @@ HURWITZ_PINS = (
     (11, 3.682837372672322e-05),
     *((m, x) for m in (1, 6, 12) for x in (1e9, 1e12)),
     # x = A_m - 1, the doubles on either side of it, and 1.05 (A_m - 1),
-    # for m in HURWITZ_SEAM_MS: A_m = max(z_top, 2m), z_top the zeta
-    # plan's first Euler-Maclaurin point at s = m + 1, from where the
-    # integrand (a - 1)^m zeta(m+1, a) is a sum of powers of a (8.03 at
-    # m = 1, 24 at m = 12); A_m - 1 is exact
+    # for m in HURWITZ_SEAM_MS: from 1 + x = A_m on (8.03 at m = 1, 24 at
+    # m = 12) HURWITZ is one sum with no quadrature; A_m - 1 is exact
     *(
         (m, y)
         for m in HURWITZ_SEAM_MS
-        for x in (max(kernels._zeta_plan(m + 1.0)[0], 2.0 * m) - 1.0,)
+        for x in (_hurwitz_seam(m) - 1.0,)
         for y in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf), 1.05 * x)
     ),
 )

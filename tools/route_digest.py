@@ -13,8 +13,9 @@ line on both commits, and a change that means to move one route shows
 which lines moved.  Each route's line also gives, outside the hashed
 text, its total n_evals over the draws (0 for a draw that raised) and
 how many `quad.integrate_finite` calls it made, counted by wrapping that
-function here (LAPLACE's include the moment table's, 13 a table, one
-table for each m on first use), and its CPU ms over all the draws, with
+function here (LAPLACE's include the moment table's, 13 a table, and
+HURWITZ's its row's moment up to A_m, 1 a row, one table or row for
+each m on first use), and its CPU ms over all the draws, with
 that wrapper removed.  LAPLACE's line also gives how many of its calls
 took the closed path from x = cut_m on (`delta._laplace_closed`),
 which has no quadrature.  A stage split gives the ms spent inside each of
